@@ -69,13 +69,7 @@ costsIdentical(const engine::ServingSimulator::CostedTrace &a,
         const engine::CostedRequest &y = b.costs[i];
         if (x.req->id != y.req->id ||
             x.arrivalCycles != y.arrivalCycles ||
-            x.prefillCycles != y.prefillCycles ||
-            x.weightCyclesPerToken != y.weightCyclesPerToken ||
-            x.linearCyclesPerToken != y.linearCyclesPerToken ||
-            x.otherCyclesPerToken != y.otherCyclesPerToken ||
-            x.fixedCyclesPerToken != y.fixedCyclesPerToken ||
-            x.weightJoulesPerToken != y.weightJoulesPerToken ||
-            x.otherJoulesPerToken != y.otherJoulesPerToken ||
+            x.prefillCycles != y.prefillCycles || x.rates != y.rates ||
             x.kvBytes != y.kvBytes ||
             x.kvBytesPerToken != y.kvBytesPerToken ||
             x.remainingTokens != y.remainingTokens)

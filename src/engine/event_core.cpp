@@ -45,18 +45,17 @@ EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
                      KvOptions kv, PrefillPricer repricer, StepMode step,
                      FaultInputs faults, PrefillPricer degradedRepricer)
     : scheduler_(&scheduler), maxBatch_(maxBatch), kv_(kv),
-      repricer_(std::move(repricer)),
       step_(step == StepMode::Auto ? stepModeFromEnv() : step),
       faults_(std::move(faults)),
-      degradedRepricer_(std::move(degradedRepricer))
+      repricers_{std::move(repricer), std::move(degradedRepricer)}
 {
     fatalIf(maxBatch_ == 0, "maxBatch must be positive");
-    fatalIf(kv_.policy == KvPolicy::Paged && !repricer_,
-            "paged KV needs a prefill re-pricer for recompute");
-    fatalIf(faults_.enabled && kv_.policy == KvPolicy::Paged &&
-                faults_.hasDegraded && !degradedRepricer_,
-            "degraded-mode paged serving needs a degraded prefill "
-            "re-pricer so preemptions keep both prices fresh");
+    // A preemption re-prices the recompute on every topology the
+    // re-admission could land in, so each needs its own re-pricer.
+    for (std::size_t t = 0; t < faults_.topologies(); ++t)
+        fatalIf(kv_.policy == KvPolicy::Paged && !repricers_[t],
+                "paged KV needs a prefill re-pricer for recompute on "
+                "every topology it serves");
     if (faults_.enabled)
         for (std::size_t i = 1; i < faults_.timeline.size(); ++i)
             fatalIf(faults_.timeline[i - 1].at > faults_.timeline[i].at,
@@ -106,7 +105,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     bool dead = false;           // Fleet lost beyond any replan.
     bool permanent_down = false; // A permanent chip failure happened.
     std::size_t chips_down = 0;  // Transient failures under repair.
-    bool degraded_mode = false;  // Decode at degraded-topology rates.
+    std::size_t mode = kHealthy; // Topology whose rates apply now.
     double outage_until = 0.0;   // No replan available: down to repair.
     std::vector<double> link_factors;  // Active bandwidth multipliers.
     std::vector<double> stall_factors; // Active straggler slowdowns.
@@ -123,13 +122,13 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // so disabled faults change no bit of the result.
     auto advance = [&](double delta) {
         clock += delta;
-        if (degraded_mode)
+        if (mode == kDegraded)
             stats.degradedCycles += delta;
     };
     auto jump_to = [&](double to) {
         if (to <= clock)
             return;
-        if (degraded_mode)
+        if (mode == kDegraded)
             stats.degradedCycles += to - clock;
         clock = to;
     };
@@ -173,23 +172,18 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         ++c->preemptions;
         ++stats.preemptions;
         stats.preemptionOrder.push_back(c->req->id);
-        const PrefillPrice price =
-            repricer_(*c, c->promptTokens + progress);
-        c->prefillCycles = price.cycles;
-        // The recompute's energy is genuinely spent on top of whatever
-        // the request already burned; charge it now (the re-admission
-        // always happens — the loop runs the trace to completion).
-        double joules = price.joules;
-        if (faulty && faults_.hasDegraded) {
-            // Keep the degraded prefill price as fresh as the healthy
-            // one, and charge the mode the recompute actually runs in.
-            const PrefillPrice deg =
-                degradedRepricer_(*c, c->promptTokens + progress);
-            c->prefillCyclesDeg = deg.cycles;
-            if (degraded_mode)
-                joules = deg.joules;
+        // Keep every topology's prefill price fresh, whatever mode the
+        // re-admission lands in. The recompute's energy is genuinely
+        // spent on top of whatever the request already burned; charge
+        // it now, in the current mode (the re-admission always happens
+        // — the loop runs the trace to completion).
+        for (std::size_t t = 0; t < faults_.topologies(); ++t) {
+            const PrefillPrice price =
+                repricers_[t](*c, c->promptTokens + progress);
+            c->prefillCycles[t] = price.cycles;
+            if (t == mode)
+                c->joules += price.joules;
         }
-        c->joules += joules;
         waiting.push_front(c);
     };
 
@@ -231,10 +225,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             stats.faultLostTokens += progress;
             c->remainingTokens = c->req->decodeLen;
             c->firstTokenSeen = false;
-            c->prefillCycles = c->basePrefillCycles;
-            c->prefillCyclesDeg = c->basePrefillCyclesDeg;
-            c->pendingPrefillJoules = c->basePrefillJoules;
-            c->pendingPrefillJoulesDeg = c->basePrefillJoulesDeg;
+            for (std::size_t t = 0; t < kTopologies; ++t) {
+                c->prefillCycles[t] = c->rates[t].prefillCycles;
+                c->pendingPrefillJoules[t] = c->rates[t].prefillJoules;
+            }
             c->restartPending = true;
             ++stats.killedInFlight;
             ++impact.killed;
@@ -287,6 +281,14 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             factors.erase(it);
     };
 
+    // The fleet runs degraded while a chip is down and the degraded
+    // plan survives.
+    auto update_mode = [&] {
+        const bool degraded = faults_.hasDegraded && !dead &&
+                              (permanent_down || chips_down > 0);
+        mode = degraded ? kDegraded : kHealthy;
+    };
+
     // Process every fault event due by the current clock, in timeline
     // order. Coalesced windows never cross the next event (bounded in
     // the window selection below), so both step modes observe each
@@ -319,8 +321,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                         outage_until =
                             std::max(outage_until, e.repairAt);
                 }
-                degraded_mode = faults_.hasDegraded && !dead &&
-                                (permanent_down || chips_down > 0);
+                update_mode();
                 kill_active(impact);
                 if (dead)
                     drop_all_pending(impact);
@@ -328,8 +329,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             case sim::FaultKind::ChipRepair:
                 if (chips_down > 0)
                     --chips_down;
-                degraded_mode = faults_.hasDegraded && !dead &&
-                                (permanent_down || chips_down > 0);
+                update_mode();
                 break;
             case sim::FaultKind::LinkDegrade:
                 link_factors.push_back(e.factor);
@@ -531,48 +531,35 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         double weight_joules = 0.0;
         double linear_max = 0.0;
         double other_max = 0.0;
-        // Degraded mode swaps every per-token price for its degraded-
-        // topology twin; the composition below is otherwise identical.
-        const bool dm = degraded_mode;
         for (const CostedRequest *c : active) {
-            const double wc = dm ? c->weightCyclesPerTokenDeg
-                                 : c->weightCyclesPerToken;
-            const double wj = dm ? c->weightJoulesPerTokenDeg
-                                 : c->weightJoulesPerToken;
-            const double lc = dm ? c->linearCyclesPerTokenDeg
-                                 : c->linearCyclesPerToken;
-            const double oc = dm ? c->otherCyclesPerTokenDeg
-                                 : c->otherCyclesPerToken;
-            weight_cycles = std::max(weight_cycles, wc);
-            weight_joules = std::max(weight_joules, wj);
-            linear_cycles += lc;
-            other_cycles += oc;
-            linear_max = std::max(linear_max, lc);
-            other_max = std::max(other_max, oc);
+            const Rates &r = c->rates[mode];
+            weight_cycles = std::max(weight_cycles, r.weightCyclesPerToken);
+            weight_joules = std::max(weight_joules, r.weightJoulesPerToken);
+            linear_cycles += r.linearCyclesPerToken;
+            other_cycles += r.otherCyclesPerToken;
+            linear_max = std::max(linear_max, r.linearCyclesPerToken);
+            other_max = std::max(other_max, r.otherCyclesPerToken);
             // Hop-latency floor: every request's collective is the
             // same collective, so the batch pays it once.
-            fixed_cycles =
-                std::max(fixed_cycles, dm ? c->fixedCyclesPerTokenDeg
-                                          : c->fixedCyclesPerToken);
+            fixed_cycles = std::max(fixed_cycles, r.fixedCyclesPerToken);
         }
+        // Everyone in the batch runs on the same accelerator, so the
+        // stage count and composition rule are uniform across it.
+        const Rates &front = active.front()->rates[mode];
         // Stage-aware costing: on a pipeline, distinct requests'
         // traversals overlap across the stages, so the batch's summed
         // work drains at the bottleneck stage (sum/stages) — but a
         // single request can never finish faster than its own full
         // traversal (the max). stages=1 reduces to the plain sum
         // bit-for-bit (sum/1 == sum, and sum >= each element).
-        const double stages = static_cast<double>(std::max<std::size_t>(
-            1, dm ? active.front()->stagesDeg : active.front()->stages));
+        const double stages = static_cast<double>(
+            std::max<std::size_t>(1, front.stages));
         const double linear_batch =
             std::max(linear_cycles / stages, linear_max);
         const double other_batch =
             std::max(other_cycles / stages, other_max);
-        // Everyone in the batch runs on the same accelerator, so the
-        // composition rule is uniform across the active set.
         const double linear_segment = accel::composedLinearCycles(
-            weight_cycles, linear_batch,
-            dm ? active.front()->memorySerializedDeg
-               : active.front()->memorySerialized);
+            weight_cycles, linear_batch, front.memorySerialized);
         IterCost out;
         // A degraded link stretches the collective floor; a straggler
         // stretches the whole iteration. Both scale products are
@@ -674,8 +661,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 cand.promptLen = c->req->promptLen;
                 cand.decodeLen = c->req->decodeLen;
                 cand.waitCycles = clock - c->arrivalCycles;
-                cand.prefillCycles = degraded_mode ? c->prefillCyclesDeg
-                                                   : c->prefillCycles;
+                cand.prefillCycles = c->prefillCycles[mode];
                 const bool model_ok = batch_model == nullptr ||
                                       c->req->model == *batch_model;
                 bool kv_ok;
@@ -735,8 +721,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 stats.kvPeakBytes =
                     std::max(stats.kvPeakBytes, kv_in_use);
             }
-            const double prefill =
-                degraded_mode ? c->prefillCyclesDeg : c->prefillCycles;
+            const double prefill = c->prefillCycles[mode];
             advance(prefill);
             stats.busyCycles += prefill;
             if (faulty) {
@@ -745,10 +730,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 // zero-fault runs precharged it at costing time with
                 // the identical value, so the accumulation order (and
                 // every bit of the total) is unchanged.
-                c->joules += degraded_mode ? c->pendingPrefillJoulesDeg
-                                           : c->pendingPrefillJoules;
-                c->pendingPrefillJoules = 0.0;
-                c->pendingPrefillJoulesDeg = 0.0;
+                c->joules += c->pendingPrefillJoules[mode];
+                c->pendingPrefillJoules = {};
                 if (c->restartPending) {
                     stats.faultRecomputeCycles += prefill;
                     c->restartPending = false;
@@ -913,8 +896,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             cost.weightJoules / static_cast<double>(active.size());
         for (auto it = active.begin(); it != active.end();) {
             CostedRequest *c = *it;
-            c->joules +=
-                kd * (c->otherJoulesPerToken + weight_joules_share);
+            c->joules += kd * (c->rates[mode].otherJoulesPerToken +
+                               weight_joules_share);
             if (!c->firstTokenSeen) {
                 c->firstTokenSeen = true;
                 // End of the window's first iteration — exact for any

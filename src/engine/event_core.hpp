@@ -52,10 +52,10 @@
  * restart prefill re-armed at the full prompt) and schedules a
  * retry with capped exponential backoff in simulated time; past the
  * retry budget or the per-request deadline the request drops. A
- * failed chip puts the fleet in degraded mode (requests decode at
- * their degraded-topology rates) when the caller supplied them, in
- * outage (no decode, no admission until repair) otherwise; a second
- * permanent failure is fatal to the fleet and drops all remaining
+ * failed chip puts the fleet in degraded mode (requests prefill and
+ * decode at their degraded-topology rates) when the caller supplied
+ * them, in outage (no decode, no admission until repair) otherwise;
+ * a second permanent failure is fatal to the fleet and drops all remaining
  * work. Deadlines apply to queued work only: an actively decoding
  * request runs to completion and merely misses the SLO. With
  * FaultInputs disabled every fault branch is skipped and the run is
@@ -63,6 +63,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -94,6 +95,54 @@ std::string toString(StepMode mode);
  */
 StepMode stepModeFromEnv();
 
+/**
+ * Topology modes a request is priced on, indexing the per-topology
+ * arrays of CostedRequest: the healthy fleet, and the surviving fleet
+ * after a chip failure (health.hpp), whose prices the event core
+ * switches to while the fleet runs degraded.
+ */
+inline constexpr std::size_t kHealthy = 0;
+inline constexpr std::size_t kDegraded = 1;
+inline constexpr std::size_t kTopologies = 2;
+
+/** Batch-1 prices of one request on one topology. */
+struct Rates
+{
+    /** Full-prompt prefill: a fault kill loses all decode progress, so
+     *  the restart replays exactly this (unlike a paged preemption,
+     *  which re-prices prompt + progress). */
+    double prefillCycles = 0.0;
+    double prefillJoules = 0.0;
+    /** Per-token weight-stream cycles (shared across a decode batch). */
+    double weightCyclesPerToken = 0.0;
+    /** Per-token linear work (GEMM + activations; per-request, but it
+     *  overlaps the shared weight stream). */
+    double linearCyclesPerToken = 0.0;
+    /** Per-token attention/SFU cycles (per-request, not overlapped). */
+    double otherCyclesPerToken = 0.0;
+    /** Fixed per-iteration latency floor (cluster all-reduce hops),
+     *  shared by the batch like the weight stream (max, not sum). */
+    double fixedCyclesPerToken = 0.0;
+    /** Energy split mirroring the cycle split, so the scheduler can
+     *  amortize the shared weight stream in joules too. */
+    double weightJoulesPerToken = 0.0;
+    double otherJoulesPerToken = 0.0;
+    /** Composition rule of the wrapped model's linear segment
+     *  (see PhaseMetrics::memorySerialized). */
+    bool memorySerialized = false;
+    /**
+     * Pipeline stages of the serving accelerator
+     * (Capabilities::pipelineStages; 1 = unpipelined). Distinct
+     * requests' decode traversals overlap across stages, so a batch's
+     * summed linear/attention work drains at the bottleneck stage —
+     * sum/stages — but never faster than one full traversal (the max
+     * over the batch). stages=1 reduces to the plain sum.
+     */
+    std::size_t stages = 1;
+
+    bool operator==(const Rates &) const = default;
+};
+
 /** Precomputed cost model of one request (from a batch-1 run). */
 struct CostedRequest
 {
@@ -109,35 +158,18 @@ struct CostedRequest
      */
     model::Workload recomputeShape;
     double arrivalCycles = 0.0;
-    /** Prefill cycles the next admission pays (re-priced to the
-     *  recompute length after a preemption). */
-    double prefillCycles = 0.0;
-    /** Per-token weight-stream cycles (shared across a decode batch). */
-    double weightCyclesPerToken = 0.0;
-    /** Per-token linear work (GEMM + activations; per-request, but it
-     *  overlaps the shared weight stream). */
-    double linearCyclesPerToken = 0.0;
-    /** Per-token attention/SFU cycles (per-request, not overlapped). */
-    double otherCyclesPerToken = 0.0;
-    /** Fixed per-iteration latency floor (cluster all-reduce hops),
-     *  shared by the batch like the weight stream (max, not sum). */
-    double fixedCyclesPerToken = 0.0;
-    /** Composition rule of the wrapped model's linear segment
-     *  (see PhaseMetrics::memorySerialized). */
-    bool memorySerialized = false;
-    /**
-     * Pipeline stages of the serving accelerator
-     * (Capabilities::pipelineStages; 1 = unpipelined). Distinct
-     * requests' decode traversals overlap across stages, so a batch's
-     * summed linear/attention work drains at the bottleneck stage —
-     * sum/stages — but never faster than one full traversal (the max
-     * over the batch). stages=1 reduces to the plain sum.
-     */
-    std::size_t stages = 1;
-    /** Energy split mirroring the cycle split, so the scheduler can
-     *  amortize the shared weight stream in joules too. */
-    double weightJoulesPerToken = 0.0;
-    double otherJoulesPerToken = 0.0;
+    /** Prices per topology. The degraded entry is set by the serving
+     *  layer only when a degraded accelerator was supplied
+     *  (FaultInputs::hasDegraded). */
+    std::array<Rates, kTopologies> rates{};
+    /** Prefill cycles the next admission pays, per topology (re-priced
+     *  to the recompute length after a preemption). */
+    std::array<double, kTopologies> prefillCycles{};
+    /** Prefill energy charged at the next admission, per topology.
+     *  Faulted runs defer the charge to admission (mode-dependent);
+     *  zero-fault runs precharge at costing, bit-identically (the
+     *  admission is the first accumulation either way). */
+    std::array<double, kTopologies> pendingPrefillJoules{};
     double joules = 0.0; ///< Accumulated as the request is served.
     /** KV-cache bytes of this request's full footprint (its largest
      *  residency; policy-quantized — see kvFootprintBytes). Reserve
@@ -162,36 +194,6 @@ struct CostedRequest
     std::size_t recomputedTokens = 0;
 
     // ---- Fault-tolerant serving state (inert on zero-fault runs) ----
-    /**
-     * Degraded-topology twins of the decode rates above, priced on
-     * the surviving-fleet accelerator (health.hpp): the iteration
-     * cost switches to these while the fleet runs degraded. Set by
-     * the serving layer only when a degraded accelerator was
-     * supplied (FaultInputs::hasDegraded).
-     */
-    double weightCyclesPerTokenDeg = 0.0;
-    double linearCyclesPerTokenDeg = 0.0;
-    double otherCyclesPerTokenDeg = 0.0;
-    double fixedCyclesPerTokenDeg = 0.0;
-    double weightJoulesPerTokenDeg = 0.0;
-    double otherJoulesPerTokenDeg = 0.0;
-    bool memorySerializedDeg = false;
-    std::size_t stagesDeg = 1;
-    /** Degraded twin of prefillCycles (kept fresh by re-pricing). */
-    double prefillCyclesDeg = 0.0;
-    /** Full-prompt restart prices: a fault kill loses all decode
-     *  progress, so the next admission replays the original prefill
-     *  (unlike a paged preemption, which re-prices prompt+progress). */
-    double basePrefillCycles = 0.0;
-    double basePrefillJoules = 0.0;
-    double basePrefillCyclesDeg = 0.0;
-    double basePrefillJoulesDeg = 0.0;
-    /** Prefill energy charged at the next admission. Faulted runs
-     *  defer the charge to admission (mode-dependent); zero-fault
-     *  runs precharge at costing, bit-identically (the admission is
-     *  the first accumulation either way). */
-    double pendingPrefillJoules = 0.0;
-    double pendingPrefillJoulesDeg = 0.0;
     std::size_t retries = 0;    ///< Fault-kill restarts so far.
     double retryAtCycles = 0.0; ///< Backoff expiry (earliest retry).
     double deadlineCycles = 0.0; ///< Drop-dead clock (0 = none).
@@ -225,6 +227,12 @@ struct FaultInputs
     /** Degraded-topology rates are present on every request, so chip
      *  failures degrade the fleet instead of taking it down. */
     bool hasDegraded = false;
+
+    /** Topologies a run prices: healthy, plus degraded when present. */
+    std::size_t topologies() const
+    {
+        return enabled && hasDegraded ? kTopologies : 1;
+    }
 };
 
 /** Aggregate outcome of one event-loop run, in cycles. */
@@ -332,10 +340,10 @@ class EventCore
     const Scheduler *scheduler_;
     std::size_t maxBatch_;
     KvOptions kv_;
-    PrefillPricer repricer_;
     StepMode step_;
     FaultInputs faults_;
-    PrefillPricer degradedRepricer_;
+    /** Recompute re-pricers, indexed by topology mode. */
+    std::array<PrefillPricer, kTopologies> repricers_;
 };
 
 } // namespace mcbp::engine

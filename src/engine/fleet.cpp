@@ -1,6 +1,7 @@
 #include "engine/fleet.hpp"
 
 #include <algorithm>
+#include <iomanip>
 #include <limits>
 #include <map>
 #include <set>
@@ -247,14 +248,34 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     std::vector<double> kvDemand(trace.size(), 0.0);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const CostedRequest &c = costed.costs[i];
+        const Rates &r = c.rates[kHealthy];
         const double perToken =
-            c.weightCyclesPerToken + c.linearCyclesPerToken +
-            c.otherCyclesPerToken + c.fixedCyclesPerToken;
+            r.weightCyclesPerToken + r.linearCyclesPerToken +
+            r.otherCyclesPerToken + r.fixedCyclesPerToken;
         estSeconds[i] =
-            (c.prefillCycles +
+            (r.prefillCycles +
              static_cast<double>(c.remainingTokens) * perToken) *
             to_seconds;
         kvDemand[i] = c.kvBytes;
+    }
+
+    // The fleet budget splits evenly across replicas, so a budget that
+    // holds every request can still leave a replica too small for one.
+    // Fail here, before any replica runs, instead of mid-simulation.
+    if (!kvUnbounded(ropts.kvCapacityBytes)) {
+        const double largest =
+            *std::max_element(kvDemand.begin(), kvDemand.end());
+        if (largest > ropts.kvCapacityBytes) {
+            std::ostringstream msg;
+            msg << std::fixed << std::setprecision(0)
+                << "fleet KV budget of " << opts_.kvCapacityBytes
+                << " B splits over dp=" << dp << " replicas into a "
+                << "per-replica share of " << ropts.kvCapacityBytes
+                << " B, below the largest request KV footprint of "
+                << largest << " B; raise kvCapacityBytes to at least "
+                << largest * static_cast<double>(dp) << " B or lower dp";
+            fatal(msg.str());
+        }
     }
 
     // ---- Fault slicing ----------------------------------------------------
@@ -499,8 +520,8 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         // fleet-wide link/straggler windows were fanned out to every
         // replica, so keep replica 0's copy only.
         for (const ServingReport::FaultImpact &f : rep.faultLog) {
-            const bool chipEvent =
-                f.kind == "chip-fail" || f.kind == "chip-repair";
+            const bool chipEvent = f.kind == sim::FaultKind::ChipFail ||
+                                   f.kind == sim::FaultKind::ChipRepair;
             if (!chipEvent && r != 0)
                 continue;
             ServingReport::FaultImpact g = f;

@@ -1,6 +1,7 @@
 #include "engine/serving.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -50,18 +51,64 @@ shapeKey(const model::Request &req)
     return key;
 }
 
+/** Energy of @p rm's prefill phase, over all its processors. */
+double
+prefillJoules(const accel::RunMetrics &rm)
+{
+    return rm.prefill.energy.totalPj() * 1e-12 *
+           static_cast<double>(rm.processors);
+}
+
+/**
+ * One topology's prices, from a batch-1 run @p rm of a request that
+ * generates @p decodeLen tokens on an accelerator of @p stages
+ * pipeline stages. Raw streams let the scheduler re-compose the
+ * linear segment at the batch's size, inverting the model's own
+ * composition rule; the remainder (attention, SFU) is per-request
+ * work. Decode energy accrues per served token with the weight
+ * stream amortized.
+ */
+Rates
+ratesOf(const accel::RunMetrics &rm, std::size_t decodeLen,
+        std::size_t stages)
+{
+    Rates r;
+    r.stages = stages;
+    r.prefillCycles = rm.prefill.cycles;
+    r.prefillJoules = prefillJoules(rm);
+    if (decodeLen == 0)
+        return r;
+    const accel::PhaseMetrics &d = rm.decode;
+    const double steps = static_cast<double>(decodeLen);
+    r.memorySerialized = d.memorySerialized;
+    r.weightCyclesPerToken = d.weightStreamCycles / steps;
+    r.linearCyclesPerToken = d.linearWorkCycles / steps;
+    const double linear_segment = accel::composedLinearCycles(
+        d.weightStreamCycles, d.linearWorkCycles, d.memorySerialized);
+    r.fixedCyclesPerToken = d.fixedStepCycles / steps;
+    r.otherCyclesPerToken =
+        std::max(0.0, d.cycles - linear_segment - d.fixedStepCycles) /
+        steps;
+    const double decode_joules = d.energy.totalPj() * 1e-12 *
+                                 static_cast<double>(rm.processors);
+    const double wf = weightEnergyFraction(d);
+    r.weightJoulesPerToken = decode_joules * wf / steps;
+    r.otherJoulesPerToken = decode_joules * (1.0 - wf) / steps;
+    return r;
+}
+
 } // namespace
 
 ServingSimulator::ServingSimulator(const Accelerator &accel,
                                    ServingOptions opts)
-    : accel_(&accel), opts_(opts),
-      planIdentity_(accel.name() + "\n" + accel.configSummary()),
+    : accels_{&accel, opts.degradedAccel}, opts_(opts),
       planCache_(accel::makePlanCache())
 {
     // Option bounds are enforced by EventCore, which owns them.
-    if (opts_.degradedAccel != nullptr)
-        degradedIdentity_ = opts_.degradedAccel->name() + "\n" +
-                            opts_.degradedAccel->configSummary();
+    for (std::size_t t = 0; t < kTopologies; ++t)
+        if (accels_[t] != nullptr)
+            identities_[t] =
+                accels_[t]->name() + "\n" + accels_[t]->configSummary();
 }
 
 KvOptions
@@ -75,6 +122,33 @@ ServingSimulator::kvOptions() const
     return kv;
 }
 
+std::size_t
+ServingSimulator::topologies() const
+{
+    // The degraded topology is only priced when faults can actually
+    // put the fleet on it.
+    return opts_.faults.enabled() && opts_.degradedAccel != nullptr
+               ? kTopologies
+               : 1;
+}
+
+PrefillPricer
+ServingSimulator::repricer(std::size_t t) const
+{
+    // The model and the prefill-only shape were resolved at costing,
+    // and the price goes through the plan cache: preemptions at the
+    // same resident length (recompute prices repeat heavily) compute
+    // once.
+    return [this, t](const CostedRequest &c, std::size_t tokens) {
+        model::Workload w = c.recomputeShape;
+        w.promptLen = tokens;
+        const accel::RunMetrics &rm = planCache_->metrics(
+            identities_[t], *c.model, w,
+            [&] { return accels_[t]->run(*c.model, w); });
+        return PrefillPrice{rm.prefill.cycles, prefillJoules(rm)};
+    };
+}
+
 ServingSimulator::CostedTrace
 ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
 {
@@ -82,7 +156,7 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
     if (trace.empty())
         return out;
 
-    // ---- Warm the profile cache on all cores ----------------------------
+    // ---- Warm the profile caches on all cores ---------------------------
     // Without this, a cold cache would profile its first-touch keys on
     // whichever costing thread hits them first. Announcing every
     // distinct request shape up front lets the cache fan the distinct
@@ -90,49 +164,43 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
     // leaving only cache hits in the costing fan-out below. Shapes are
     // deduplicated here so a million-request trace announces a few
     // hundred entries, not a million redundant ones.
-    if (const std::shared_ptr<accel::ProfileCache> cache =
-            accel_->profileCache()) {
-        std::vector<accel::ProfileRequest> requests;
-        std::set<std::string> shapes;
+    const std::size_t priced = topologies();
+    std::vector<const model::Request *> shapes;
+    {
+        std::set<std::string> seen;
         for (const model::Request &req : trace)
-            if (shapes.insert(shapeKey(req)).second)
-                accel_->profileRequests(model::findModel(req.model),
-                                        req.workload(), requests);
-        cache->warm(requests, opts_.profileThreads);
+            if (seen.insert(shapeKey(req)).second)
+                shapes.push_back(&req);
     }
-
-    // The degraded topology is only priced when faults can actually
-    // put the fleet on it.
-    const bool faulty = opts_.faults.enabled();
-    const Accelerator *deg = faulty ? opts_.degradedAccel : nullptr;
-    if (deg != nullptr)
+    // Pipeline stage count for the decode iteration's stage-aware
+    // overlap (one accelerator per topology serves the whole trace).
+    std::array<std::size_t, kTopologies> stages{};
+    for (std::size_t t = 0; t < priced; ++t) {
+        const Accelerator &device = *accels_[t];
         if (const std::shared_ptr<accel::ProfileCache> cache =
-                deg->profileCache()) {
+                device.profileCache()) {
             std::vector<accel::ProfileRequest> requests;
-            std::set<std::string> shapes;
-            for (const model::Request &req : trace)
-                if (shapes.insert(shapeKey(req)).second)
-                    deg->profileRequests(model::findModel(req.model),
-                                         req.workload(), requests);
+            for (const model::Request *req : shapes)
+                device.profileRequests(model::findModel(req->model),
+                                       req->workload(), requests);
             cache->warm(requests, opts_.profileThreads);
         }
+        stages[t] =
+            std::max<std::size_t>(1, device.capabilities().pipelineStages);
+    }
 
+    const bool faulty = opts_.faults.enabled();
     const KvOptions kv = kvOptions();
-    // Pipeline stage count for the decode iteration's stage-aware
-    // overlap (one accelerator serves the whole trace).
-    const std::size_t stages =
-        std::max<std::size_t>(1, accel_->capabilities().pipelineStages);
-    const std::size_t stages_deg =
-        deg != nullptr
-            ? std::max<std::size_t>(1, deg->capabilities().pipelineStages)
-            : 1;
 
-    // ---- Cost each request with a batch-1 run ---------------------------
+    // ---- Cost each request with a batch-1 run per topology --------------
     // The fan-out prices each request independently (distinct shapes
     // compute once in the singleflight plan cache; repeats are hits)
     // and the join below runs in index order, so every sum and check
     // accumulates exactly as the serial loop did: the costed trace is
-    // bit-identical at every thread count.
+    // bit-identical at every thread count. Every topology shares the
+    // plan cache under its own identity prefix and splits its streams
+    // through the same ratesOf(), so degraded decode windows compose
+    // the same way healthy ones do.
     struct Line
     {
         CostedRequest cost;
@@ -146,21 +214,37 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             const model::Request &req = trace[i];
             const model::LlmConfig &m = model::findModel(req.model);
             const model::Workload w = req.workload();
-            const accel::RunMetrics &rm = planCache_->metrics(
-                planIdentity_, m, w, [&] { return accel_->run(m, w); });
-
             Line line;
-            line.seconds = rm.seconds();
-            line.joules = rm.joules();
-            line.clockGhz = rm.clockGhz;
             CostedRequest &c = line.cost;
+            for (std::size_t t = 0; t < priced; ++t) {
+                const accel::RunMetrics &rm = planCache_->metrics(
+                    identities_[t], m, w,
+                    [&] { return accels_[t]->run(m, w); });
+                if (t == kHealthy) {
+                    line.seconds = rm.seconds();
+                    line.joules = rm.joules();
+                    line.clockGhz = rm.clockGhz;
+                }
+                fatalIf(rm.clockGhz != line.clockGhz,
+                        "degraded accelerator must run at the primary "
+                        "accelerator's clock (cycle timelines merge)");
+                c.rates[t] = ratesOf(rm, req.decodeLen, stages[t]);
+                c.prefillCycles[t] = c.rates[t].prefillCycles;
+                // Faulted runs defer the prefill charge to admission
+                // (the mode the prefill actually runs in). The first
+                // accumulation into c.joules is the identical value
+                // either way, so a fault-enabled run whose timeline
+                // never fires is bit-identical to the precharge below.
+                if (faulty)
+                    c.pendingPrefillJoules[t] = c.rates[t].prefillJoules;
+            }
+            if (!faulty)
+                c.joules = c.rates[kHealthy].prefillJoules;
             c.req = &req;
             c.model = &m;
             c.recomputeShape = w;
             c.recomputeShape.decodeLen = 0;
-            c.stages = stages;
-            c.arrivalCycles = req.arrivalSeconds * rm.clockGhz * 1e9;
-            c.prefillCycles = rm.prefill.cycles;
+            c.arrivalCycles = req.arrivalSeconds * line.clockGhz * 1e9;
             // Largest-residency footprint, quantized by the KV policy:
             // exact (prompt + decode) bytes under reserve, whole blocks
             // under paged, 0 when no token is ever generated.
@@ -169,101 +253,6 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             c.promptTokens = req.promptLen;
             c.kvBytes = kvFootprintBytes(kv, c.kvBytesPerToken,
                                          req.promptLen, req.decodeLen);
-            const double procs = static_cast<double>(rm.processors);
-            // Start from the prefill energy; decode energy accrues per
-            // served token with the weight stream amortized.
-            const double prefill_joules =
-                rm.prefill.energy.totalPj() * 1e-12 * procs;
-            if (faulty) {
-                // Faulted runs defer the prefill charge to admission
-                // (the mode the prefill actually runs in). The first
-                // accumulation into c.joules is the identical value
-                // either way, so a fault-enabled run whose timeline
-                // never fires is bit-identical to this precharge.
-                c.joules = 0.0;
-                c.pendingPrefillJoules = prefill_joules;
-                c.basePrefillCycles = c.prefillCycles;
-                c.basePrefillJoules = prefill_joules;
-            } else {
-                c.joules = prefill_joules;
-            }
-            if (req.decodeLen > 0) {
-                const double steps =
-                    static_cast<double>(req.decodeLen);
-                // Raw streams let the scheduler re-compose the linear
-                // segment at the batch's size, inverting the model's
-                // own composition rule; the remainder (attention, SFU)
-                // is per-request work.
-                c.memorySerialized = rm.decode.memorySerialized;
-                c.weightCyclesPerToken =
-                    rm.decode.weightStreamCycles / steps;
-                c.linearCyclesPerToken =
-                    rm.decode.linearWorkCycles / steps;
-                const double linear_segment =
-                    accel::composedLinearCycles(
-                        rm.decode.weightStreamCycles,
-                        rm.decode.linearWorkCycles, c.memorySerialized);
-                c.fixedCyclesPerToken =
-                    rm.decode.fixedStepCycles / steps;
-                c.otherCyclesPerToken =
-                    std::max(0.0, rm.decode.cycles - linear_segment -
-                                      rm.decode.fixedStepCycles) /
-                    steps;
-                const double decode_joules =
-                    rm.decode.energy.totalPj() * 1e-12 * procs;
-                const double wf = weightEnergyFraction(rm.decode);
-                c.weightJoulesPerToken = decode_joules * wf / steps;
-                c.otherJoulesPerToken =
-                    decode_joules * (1.0 - wf) / steps;
-            }
-            if (deg != nullptr) {
-                // Price the degraded-topology twin through the same
-                // plan cache under its own identity prefix, splitting
-                // the streams exactly as above so degraded decode
-                // windows compose the same way healthy ones do.
-                const accel::RunMetrics &rmd = planCache_->metrics(
-                    degradedIdentity_, m, w,
-                    [&] { return deg->run(m, w); });
-                fatalIf(rmd.clockGhz != rm.clockGhz,
-                        "degraded accelerator must run at the primary "
-                        "accelerator's clock (cycle timelines merge)");
-                const double procsd =
-                    static_cast<double>(rmd.processors);
-                c.prefillCyclesDeg = rmd.prefill.cycles;
-                c.basePrefillCyclesDeg = rmd.prefill.cycles;
-                c.basePrefillJoulesDeg =
-                    rmd.prefill.energy.totalPj() * 1e-12 * procsd;
-                c.pendingPrefillJoulesDeg = c.basePrefillJoulesDeg;
-                c.stagesDeg = stages_deg;
-                if (req.decodeLen > 0) {
-                    const double steps =
-                        static_cast<double>(req.decodeLen);
-                    c.memorySerializedDeg = rmd.decode.memorySerialized;
-                    c.weightCyclesPerTokenDeg =
-                        rmd.decode.weightStreamCycles / steps;
-                    c.linearCyclesPerTokenDeg =
-                        rmd.decode.linearWorkCycles / steps;
-                    const double linear_segment_deg =
-                        accel::composedLinearCycles(
-                            rmd.decode.weightStreamCycles,
-                            rmd.decode.linearWorkCycles,
-                            c.memorySerializedDeg);
-                    c.fixedCyclesPerTokenDeg =
-                        rmd.decode.fixedStepCycles / steps;
-                    c.otherCyclesPerTokenDeg =
-                        std::max(0.0,
-                                 rmd.decode.cycles - linear_segment_deg -
-                                     rmd.decode.fixedStepCycles) /
-                        steps;
-                    const double decode_joules_deg =
-                        rmd.decode.energy.totalPj() * 1e-12 * procsd;
-                    const double wfd = weightEnergyFraction(rmd.decode);
-                    c.weightJoulesPerTokenDeg =
-                        decode_joules_deg * wfd / steps;
-                    c.otherJoulesPerTokenDeg =
-                        decode_joules_deg * (1.0 - wfd) / steps;
-                }
-            }
             c.remainingTokens = req.decodeLen;
             return line;
         },
@@ -289,11 +278,12 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     // per-replica reports merge into one fleet report (engine/fleet).
     // dp=1 delegates wholesale to a single-replica simulator, so a
     // dp=1 fleet report is bit-identical to the flat path.
-    if (const auto *fleet = dynamic_cast<const FleetAccelerator *>(accel_))
+    if (const auto *fleet =
+            dynamic_cast<const FleetAccelerator *>(accels_[kHealthy]))
         return FleetRouter(*fleet, opts_).simulate(trace).fleet;
 
     ServingReport report;
-    report.accelerator = accel_->name();
+    report.accelerator = accels_[kHealthy]->name();
     report.kvPolicy = toString(opts_.kvPolicy);
 
     const std::unique_ptr<Scheduler> scheduler =
@@ -319,7 +309,8 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     if (opts_.faults.enabled()) {
         const double to_cycles = costed.clockGhz * 1e9;
         const std::size_t chips =
-            std::max<std::size_t>(1, accel_->capabilities().kvShards);
+            std::max<std::size_t>(1,
+                                  accels_[kHealthy]->capabilities().kvShards);
         faults.enabled = true;
         faults.timeline = sim::buildFaultTimeline(opts_.faults, chips);
         for (sim::FaultEvent &e : faults.timeline) {
@@ -338,49 +329,17 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     // ---- Discrete-event loop under the selected policies ----------------
     // The paged policy re-prices a preempted request's recompute —
     // its prompt plus every generated token, replayed as one prefill
-    // — through the accelerator's own prefill path, so recompute
-    // cycles and energy follow the same model as first admission.
-    // The model and the prefill-only shape were resolved at costing,
-    // and the price goes through the plan cache: preemptions at the
-    // same resident length (recompute prices repeat heavily) compute
-    // once.
-    PrefillPricer repricer;
+    // — through the accelerator's own prefill path on every topology
+    // the re-admission could land in, so recompute cycles and energy
+    // follow the same model as first admission.
+    std::array<PrefillPricer, kTopologies> repricers;
     if (opts_.kvPolicy == KvPolicy::Paged)
-        repricer = [this](const CostedRequest &c, std::size_t tokens) {
-            model::Workload w = c.recomputeShape;
-            w.promptLen = tokens;
-            const accel::RunMetrics &rm = planCache_->metrics(
-                planIdentity_, *c.model, w,
-                [&] { return accel_->run(*c.model, w); });
-            PrefillPrice price;
-            price.cycles = rm.prefill.cycles;
-            price.joules = rm.prefill.energy.totalPj() * 1e-12 *
-                           static_cast<double>(rm.processors);
-            return price;
-        };
-    // Degraded twin of the recompute re-pricer, so a paged preemption
-    // keeps both prefill prices fresh whatever mode the re-admission
-    // lands in.
-    PrefillPricer repricerDeg;
-    if (opts_.kvPolicy == KvPolicy::Paged && faults.enabled &&
-        faults.hasDegraded)
-        repricerDeg = [this](const CostedRequest &c,
-                             std::size_t tokens) {
-            model::Workload w = c.recomputeShape;
-            w.promptLen = tokens;
-            const accel::RunMetrics &rm = planCache_->metrics(
-                degradedIdentity_, *c.model, w, [&] {
-                    return opts_.degradedAccel->run(*c.model, w);
-                });
-            PrefillPrice price;
-            price.cycles = rm.prefill.cycles;
-            price.joules = rm.prefill.energy.totalPj() * 1e-12 *
-                           static_cast<double>(rm.processors);
-            return price;
-        };
+        for (std::size_t t = 0; t < topologies(); ++t)
+            repricers[t] = repricer(t);
     const EventCore core(*scheduler, opts_.maxBatch, kvOptions(),
-                         std::move(repricer), opts_.stepMode,
-                         std::move(faults), std::move(repricerDeg));
+                         std::move(repricers[kHealthy]), opts_.stepMode,
+                         std::move(faults),
+                         std::move(repricers[kDegraded]));
     EventStats stats = core.run(costed.costs);
 
     // ---- Aggregate ------------------------------------------------------
@@ -448,7 +407,7 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
         ServingReport::FaultImpact fi;
         fi.eventId = f.eventId;
         fi.seconds = f.atCycles * to_seconds;
-        fi.kind = sim::toString(f.kind);
+        fi.kind = f.kind;
         fi.chip = f.chip;
         fi.permanent = f.permanent;
         fi.killed = f.killed;

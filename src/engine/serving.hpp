@@ -53,6 +53,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -63,6 +64,7 @@
 #include "engine/kv_block_manager.hpp"
 #include "engine/scheduler.hpp"
 #include "model/request.hpp"
+#include "sim/fault_model.hpp"
 
 namespace mcbp::engine {
 
@@ -95,7 +97,8 @@ struct ServingOptions
      * (<= 0 = unbounded; the one sentinel shared with the cluster
      * path's Capabilities::hbmCapacityBytes, whose 0 means unknown).
      * A deployment derives it from the accelerator's
-     * Capabilities::hbmCapacityBytes minus the resident weights.
+     * Capabilities::hbmCapacityBytes minus the resident weights. On a
+     * dp= fleet it is the fleet budget, split evenly across replicas.
      */
     double kvCapacityBytes = 0.0;
     /** KV admission policy (kv_block_manager.hpp). `reserve` is the
@@ -296,7 +299,7 @@ struct ServingReport
     {
         std::size_t eventId = 0;
         double seconds = 0.0; ///< Scheduled instant.
-        std::string kind;     ///< sim::toString(FaultKind).
+        sim::FaultKind kind = sim::FaultKind::ChipFail;
         std::size_t chip = 0;
         bool permanent = false;
         std::size_t killed = 0;
@@ -373,15 +376,19 @@ class ServingSimulator
 
   private:
     KvOptions kvOptions() const;
+    /** Topologies this run prices: healthy, plus degraded when faults
+     *  are enabled and a degraded accelerator was supplied. */
+    std::size_t topologies() const;
+    /** Recompute prefill re-pricer on topology @p t. */
+    PrefillPricer repricer(std::size_t t) const;
 
-    const Accelerator *accel_;
+    /** The accelerator of each topology (degraded: null when none). */
+    std::array<const Accelerator *, kTopologies> accels_;
     ServingOptions opts_;
-    /** name + configSummary: every knob that changes pricing, the
-     *  plan-cache key prefix. */
-    std::string planIdentity_;
-    /** Same, for the degraded accelerator (empty when none): both
-     *  topologies share planCache_ under distinct key prefixes. */
-    std::string degradedIdentity_;
+    /** name + configSummary of each topology's accelerator: every knob
+     *  that changes pricing, the plan-cache key prefix. Both
+     *  topologies share planCache_ under distinct prefixes. */
+    std::array<std::string, kTopologies> identities_;
     std::shared_ptr<accel::PlanCache> planCache_;
 };
 

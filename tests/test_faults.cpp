@@ -199,18 +199,14 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         const CostedRequest &f = injected.costs[i];
         EXPECT_EQ(h.arrivalCycles, f.arrivalCycles);
         EXPECT_EQ(h.prefillCycles, f.prefillCycles);
-        EXPECT_EQ(h.weightCyclesPerToken, f.weightCyclesPerToken);
-        EXPECT_EQ(h.linearCyclesPerToken, f.linearCyclesPerToken);
-        EXPECT_EQ(h.otherCyclesPerToken, f.otherCyclesPerToken);
-        EXPECT_EQ(h.fixedCyclesPerToken, f.fixedCyclesPerToken);
-        EXPECT_EQ(h.weightJoulesPerToken, f.weightJoulesPerToken);
-        EXPECT_EQ(h.otherJoulesPerToken, f.otherJoulesPerToken);
+        EXPECT_EQ(h.rates, f.rates);
         EXPECT_EQ(h.kvBytes, f.kvBytes);
         // The prefill charge is deferred to admission, not re-priced:
         // the same double, accumulated at the same position.
         EXPECT_EQ(f.joules, 0.0);
-        EXPECT_EQ(h.joules, f.pendingPrefillJoules);
-        EXPECT_EQ(f.basePrefillCycles, f.prefillCycles);
+        EXPECT_EQ(h.joules, f.pendingPrefillJoules[kHealthy]);
+        EXPECT_EQ(f.rates[kHealthy].prefillCycles,
+                  f.prefillCycles[kHealthy]);
     }
 }
 
@@ -288,7 +284,7 @@ TEST(FaultServing, TransientOutageKillsRetriesAndRecovers)
     EXPECT_GT(r.makespanSeconds, healthy.makespanSeconds);
     EXPECT_EQ(r.retryOrder.size(), r.retriesScheduled);
     ASSERT_FALSE(r.faultLog.empty());
-    EXPECT_EQ(r.faultLog[0].kind, "chip-fail");
+    EXPECT_EQ(r.faultLog[0].kind, sim::FaultKind::ChipFail);
     EXPECT_EQ(r.faultLog[0].killed, r.killedInFlight);
     // Lost decode progress was re-served: goodput <= healthy rate.
     EXPECT_LE(r.goodputTokensPerSecond, healthy.tokensPerSecond);
@@ -367,6 +363,44 @@ TEST(FaultServing, DegradedReplanServesThroughPermanentFailure)
         ServingSimulator(*accel, opts).simulate(trace);
     EXPECT_GT(rr.droppedRequests, 0u);
     EXPECT_LT(rr.sloAttainment, 1.0);
+}
+
+TEST(FaultServing, FailureAtTimeZeroServesLikeTheDegradedAccelerator)
+{
+    // A permanent failure before the first arrival puts the whole run
+    // on the degraded topology: every prefill, decode window and joule
+    // must be priced exactly as a plain run on the surviving fleet.
+    const auto trace = smallTrace();
+    Registry registry;
+    const auto accel = registry.make("mcbp:tp=2");
+    const auto degraded = registry.make("mcbp");
+
+    ServingOptions plain;
+    plain.maxBatch = 8;
+    const ServingReport survivor =
+        ServingSimulator(*degraded, plain).simulate(trace);
+
+    ServingOptions opts = plain;
+    opts.degradedAccel = degraded.get();
+    sim::FaultEvent e;
+    e.at = 0.0;
+    e.kind = sim::FaultKind::ChipFail;
+    e.permanent = true;
+    opts.faults.events.push_back(e);
+    const ServingReport r = ServingSimulator(*accel, opts).simulate(trace);
+
+    EXPECT_EQ(r.killedInFlight, 0u);
+    EXPECT_EQ(r.droppedRequests, 0u);
+    EXPECT_EQ(r.degradedSeconds, r.makespanSeconds);
+    ASSERT_EQ(r.requests.size(), survivor.requests.size());
+    for (std::size_t i = 0; i < r.requests.size(); ++i) {
+        EXPECT_EQ(r.requests[i].id, survivor.requests[i].id);
+        EXPECT_EQ(r.requests[i].completionSeconds,
+                  survivor.requests[i].completionSeconds);
+        EXPECT_EQ(r.requests[i].joules, survivor.requests[i].joules)
+            << "request " << r.requests[i].id;
+    }
+    EXPECT_EQ(r.joulesPerToken, survivor.joulesPerToken);
 }
 
 TEST(FaultServing, DeadlinesDropQueuedWorkDuringOutage)

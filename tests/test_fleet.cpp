@@ -257,9 +257,44 @@ TEST(Fleet, PermanentReplicaFailureDrainsOntoSurvivors)
     EXPECT_TRUE(std::any_of(out.fleet.faultLog.begin(),
                             out.fleet.faultLog.end(),
                             [](const ServingReport::FaultImpact &f) {
-                                return f.kind == "chip-fail" &&
+                                return f.kind == sim::FaultKind::ChipFail &&
                                        f.chip == 2 && f.permanent;
                             }));
+}
+
+TEST(Fleet, KvBudgetTooSmallPerReplicaFailsUpFront)
+{
+    Registry registry;
+    auto accel = registry.make("mcbp:dp=2");
+    const auto *fleet =
+        dynamic_cast<const FleetAccelerator *>(accel.get());
+    ASSERT_NE(fleet, nullptr);
+    const auto trace = fleetTrace(16);
+
+    double largest = 0.0;
+    for (const CostedRequest &c :
+         ServingSimulator(fleet->replica()).costTrace(trace).costs)
+        largest = std::max(largest, c.kvBytes);
+    ASSERT_GT(largest, 0.0);
+
+    // The fleet budget holds every request, but its per-replica half
+    // does not hold the largest one.
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    opts.kvCapacityBytes = 1.5 * largest;
+    try {
+        (void)FleetRouter(*fleet, opts).simulate(trace);
+        FAIL() << "expected the KV split to be rejected";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("per-replica share"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("dp=2"), std::string::npos) << msg;
+    }
+
+    // Twice the largest footprint splits into replicas that fit.
+    opts.kvCapacityBytes = 2.0 * largest;
+    expectConservation(FleetRouter(*fleet, opts).simulate(trace).fleet,
+                       trace);
 }
 
 TEST(Fleet, StepModeIdentityHoldsUnderFaultsAtDp2Pp2Tp2)

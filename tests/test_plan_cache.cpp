@@ -133,12 +133,7 @@ expectCostsBitIdentical(const engine::ServingSimulator::CostedTrace &a,
         EXPECT_EQ(x.req->id, y.req->id);
         EXPECT_EQ(x.arrivalCycles, y.arrivalCycles);
         EXPECT_EQ(x.prefillCycles, y.prefillCycles);
-        EXPECT_EQ(x.weightCyclesPerToken, y.weightCyclesPerToken);
-        EXPECT_EQ(x.linearCyclesPerToken, y.linearCyclesPerToken);
-        EXPECT_EQ(x.otherCyclesPerToken, y.otherCyclesPerToken);
-        EXPECT_EQ(x.fixedCyclesPerToken, y.fixedCyclesPerToken);
-        EXPECT_EQ(x.weightJoulesPerToken, y.weightJoulesPerToken);
-        EXPECT_EQ(x.otherJoulesPerToken, y.otherJoulesPerToken);
+        EXPECT_EQ(x.rates, y.rates);
         EXPECT_EQ(x.kvBytes, y.kvBytes);
         EXPECT_EQ(x.kvBytesPerToken, y.kvBytesPerToken);
         EXPECT_EQ(x.remainingTokens, y.remainingTokens);
