@@ -5,12 +5,14 @@
  * equivalence contract that makes the fast path safe to ship.
  *
  * Sections:
- *  1. Trace costing — the per-request pricing loop, serial
- *     (costingThreads = 1, cold plan cache) vs the parallel
- *     singleflight fan-out (costingThreads = 0, cold plan cache).
- *     The costed traces are verified bit-identical always; the >= 4x
- *     speedup gate binds only when the host grants >= 8 hardware
- *     threads (the fan-out cannot win on a 1-2 core runner).
+ *  1. Trace costing — the per-shape pricing loop, serial
+ *     (costingThreads = 1) vs the parallel fan-out over shapes
+ *     (costingThreads = 0). Host-independent gates, always enforced:
+ *     the costed traces are bit-identical, the shape table holds
+ *     exactly the trace's distinct shapes, and costing leaves the plan
+ *     cache untouched (0 computes). The >= 4x speedup gate binds only
+ *     when the host grants >= 8 hardware threads (the fan-out cannot
+ *     win on a 1-2 core runner).
  *  2. Decode-iteration coalescing — the same long-decode trace played
  *     through the event core per-token vs coalesced, under reserve
  *     and under a preempting paged pool. Scheduling decisions
@@ -27,6 +29,9 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -69,7 +74,8 @@ costsIdentical(const engine::ServingSimulator::CostedTrace &a,
         const engine::CostedRequest &y = b.costs[i];
         if (x.req->id != y.req->id ||
             x.arrivalCycles != y.arrivalCycles ||
-            x.prefillCycles != y.prefillCycles || x.rates != y.rates ||
+            x.prefillCycles != y.prefillCycles ||
+            x.shape->rates != y.shape->rates ||
             x.kvBytes != y.kvBytes ||
             x.kvBytesPerToken != y.kvBytesPerToken ||
             x.remainingTokens != y.remainingTokens)
@@ -103,6 +109,17 @@ decisionsIdentical(const engine::ServingReport &ref,
     return true;
 }
 
+/** Distinct (model, task, prompt, decode) shapes of @p trace. */
+std::size_t
+distinctShapes(const std::vector<model::Request> &trace)
+{
+    std::set<std::tuple<std::string, std::string, std::size_t, std::size_t>>
+        shapes;
+    for (const model::Request &r : trace)
+        shapes.insert({r.model, r.task, r.promptLen, r.decodeLen});
+    return shapes.size();
+}
+
 std::size_t
 generatedTokens(const engine::ServingReport &r)
 {
@@ -124,8 +141,8 @@ main(int argc, char **argv)
     engine::Registry registry;
     auto accel = registry.make("mcbp");
 
-    // ---- Section 1: parallel memoized trace costing ------------------
-    bench::banner("Trace costing: serial vs parallel singleflight");
+    // ---- Section 1: trace costing over the shape table ---------------
+    bench::banner("Trace costing: serial vs parallel over distinct shapes");
     model::TraceConfig tc;
     tc.model = "OPT1B3";
     tc.task = "Dolly";
@@ -135,8 +152,7 @@ main(int argc, char **argv)
     const auto costing_trace = model::synthesizeTrace(tc);
 
     // Warm the profile cache once, untimed: both timed runs then pay
-    // only the plan-level folds, the layer this PR parallelizes. Each
-    // timed run gets a fresh simulator so its plan cache is cold.
+    // only the per-shape folds, the layer the fan-out parallelizes.
     {
         engine::ServingOptions warm;
         warm.costingThreads = 1;
@@ -159,13 +175,20 @@ main(int argc, char **argv)
 
     const double cost_speedup = par_s > 0.0 ? serial_s / par_s : 1.0;
     const bool cost_identical = costsIdentical(serial_costs, par_costs);
+    const std::size_t distinct = distinctShapes(costing_trace);
+    const bool shapes_once = serial_costs.shapeCount() == distinct &&
+                             par_costs.shapeCount() == distinct;
+    const bool no_plan_computes =
+        serial_sim.planCache()->computeCalls() == 0 &&
+        par_sim.planCache()->computeCalls() == 0;
     const bool cost_gate_enforced = parallel::hardwareThreads() >= 8;
     const bool cost_gate =
-        cost_identical && (!cost_gate_enforced || cost_speedup >= 4.0);
+        cost_identical && shapes_once && no_plan_computes &&
+        (!cost_gate_enforced || cost_speedup >= 4.0);
     all_gates = all_gates && cost_gate;
 
     std::printf("  requests %zu  distinct shapes %zu  threads %zu\n",
-                costing_trace.size(), par_sim.planCache()->size(),
+                costing_trace.size(), par_costs.shapeCount(),
                 parallel::hardwareThreads());
     std::printf("  serial    %8.3f s  (%.0f req/s)\n", serial_s,
                 serial_s > 0.0 ? costing_trace.size() / serial_s : 0.0);
@@ -173,6 +196,10 @@ main(int argc, char **argv)
                 par_s > 0.0 ? costing_trace.size() / par_s : 0.0);
     std::printf("  speedup   %8.2fx   bit-identical: %s\n", cost_speedup,
                 cost_identical ? "yes" : "NO (BUG)");
+    std::printf("  shapes priced == distinct shapes (%zu): %s   "
+                "plan-cache computes == 0: %s\n",
+                distinct, shapes_once ? "yes" : "NO (BUG)",
+                no_plan_computes ? "yes" : "NO (BUG)");
     if (!cost_gate_enforced)
         std::printf("  speedup gate (>= 4x) skipped: %zu hardware "
                     "threads < 8\n",
@@ -183,7 +210,7 @@ main(int argc, char **argv)
     json.begin()
         .field("section", "trace_costing")
         .field("requests", costing_trace.size())
-        .field("distinct_shapes", par_sim.planCache()->size())
+        .field("distinct_shapes", par_costs.shapeCount())
         .field("threads", parallel::hardwareThreads())
         .field("serial_s", serial_s)
         .field("parallel_s", par_s)
@@ -191,6 +218,9 @@ main(int argc, char **argv)
                par_s > 0.0 ? costing_trace.size() / par_s : 0.0)
         .field("speedup", cost_speedup)
         .field("bit_identical", cost_identical ? 1 : 0)
+        .field("shapes_priced_once", shapes_once ? 1 : 0)
+        .field("plan_cache_computes",
+               par_sim.planCache()->computeCalls())
         .field("gate_enforced", cost_gate_enforced ? 1 : 0);
 
     // ---- Section 2: decode-iteration coalescing ----------------------
@@ -250,11 +280,6 @@ main(int argc, char **argv)
         engine::ServingOptions coal_opts = base;
         coal_opts.stepMode = engine::StepMode::Coalesced;
         engine::ServingSimulator coal_sim(*accel, coal_opts);
-
-        // Warm both plan caches untimed so the timed walls compare
-        // the event loops, not cold costing.
-        (void)ref_sim.costTrace(decode_trace);
-        (void)coal_sim.costTrace(decode_trace);
 
         engine::ServingReport ref, coal;
         const double ref_s =

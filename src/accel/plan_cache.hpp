@@ -3,16 +3,16 @@
  * Thread-safe, singleflight cache of folded execution-plan costs
  * (RunMetrics) keyed by (accelerator identity, model, workload shape).
  *
- * Serving traces repeat request shapes heavily: a million-request
- * trace drawn from a task zoo with jittered lengths prices only a few
- * thousand distinct (model, prompt, decode) shapes, and the paged
- * policy's recompute re-pricer hits the same prefill-only shapes on
- * every preemption. Accelerator::run() is deterministic in its inputs,
- * so the fold can be computed once per key and shared — which is what
- * makes the costing loop safely parallel: concurrent threads racing on
- * a cold key block on the single in-flight computation (the
- * ProfileCache singleflight design) and every thread reads the same
- * bits afterwards.
+ * Its one consumer is the serving layer's paged recompute re-pricer,
+ * which hits the same prefill-only shapes on every preemption of a
+ * request at the same resident length. Accelerator::run() is
+ * deterministic in its inputs, so the fold can be computed once per
+ * key and shared; concurrent threads racing on a cold key block on the
+ * single in-flight computation (the ProfileCache singleflight design)
+ * and every thread reads the same bits afterwards. Trace costing does
+ * not come here: it knows every shape up front, so it sorts the trace
+ * into a shape table and prices each distinct shape once, with no key
+ * string and no lock (engine/serving.hpp, ShapeTable).
  *
  * The cache cannot see which accelerator produced a metric, so the
  * caller supplies an identity string (name + configSummary covers

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 
 #include "accel/report.hpp"
 #include "common/env.hpp"
@@ -74,12 +76,26 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     KvBlockManager pool(kv_);
 
     // A request larger than the whole budget would wait forever (even
-    // paged: its final residency can never be held).
-    if (bounded)
+    // paged: its final residency can never be held). Name the first
+    // offender and the smallest budget that admits the whole trace.
+    if (bounded) {
+        double largest = 0.0;
         for (const CostedRequest &c : requests)
-            fatalIf(c.kvBytes > kv_.capacityBytes,
-                    "request KV footprint exceeds the configured "
-                    "capacity; it can never be admitted");
+            largest = std::max(largest, c.kvBytes);
+        for (const CostedRequest &c : requests) {
+            if (c.kvBytes <= kv_.capacityBytes)
+                continue;
+            std::ostringstream msg;
+            msg << std::fixed << std::setprecision(0) << "request "
+                << c.req->id << " needs a KV footprint of " << c.kvBytes
+                << " B, above the configured capacity of "
+                << kv_.capacityBytes
+                << " B, so it can never be admitted; raise "
+                   "kvCapacityBytes to at least "
+                << largest << " B (the largest request footprint)";
+            fatal(msg.str());
+        }
+    }
 
     // Process arrivals in order regardless of the trace's sort.
     std::vector<std::size_t> order(requests.size());
@@ -226,8 +242,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             c->remainingTokens = c->req->decodeLen;
             c->firstTokenSeen = false;
             for (std::size_t t = 0; t < kTopologies; ++t) {
-                c->prefillCycles[t] = c->rates[t].prefillCycles;
-                c->pendingPrefillJoules[t] = c->rates[t].prefillJoules;
+                const Rates &r = c->shape->rates[t];
+                c->prefillCycles[t] = r.prefillCycles;
+                c->pendingPrefillJoules[t] = r.prefillJoules;
             }
             c->restartPending = true;
             ++stats.killedInFlight;
@@ -532,7 +549,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         double linear_max = 0.0;
         double other_max = 0.0;
         for (const CostedRequest *c : active) {
-            const Rates &r = c->rates[mode];
+            const Rates &r = c->shape->rates[mode];
             weight_cycles = std::max(weight_cycles, r.weightCyclesPerToken);
             weight_joules = std::max(weight_joules, r.weightJoulesPerToken);
             linear_cycles += r.linearCyclesPerToken;
@@ -545,7 +562,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         }
         // Everyone in the batch runs on the same accelerator, so the
         // stage count and composition rule are uniform across it.
-        const Rates &front = active.front()->rates[mode];
+        const Rates &front = active.front()->shape->rates[mode];
         // Stage-aware costing: on a pipeline, distinct requests'
         // traversals overlap across the stages, so the batch's summed
         // work drains at the bottleneck stage (sum/stages) — but a
@@ -896,7 +913,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             cost.weightJoules / static_cast<double>(active.size());
         for (auto it = active.begin(); it != active.end();) {
             CostedRequest *c = *it;
-            c->joules += kd * (c->rates[mode].otherJoulesPerToken +
+            c->joules += kd * (c->shape->rates[mode].otherJoulesPerToken +
                                weight_joules_share);
             if (!c->firstTokenSeen) {
                 c->firstTokenSeen = true;

@@ -143,6 +143,33 @@ struct Rates
     bool operator==(const Rates &) const = default;
 };
 
+/**
+ * Batch-1 prices of one distinct request shape — (promptLen,
+ * decodeLen, model, task), every input Accelerator::run() depends on —
+ * on every priced topology. The serving layer's shape table holds one
+ * immutable entry per distinct shape; every request of that shape
+ * points at it (CostedRequest::shape).
+ */
+struct PricedShape
+{
+    std::size_t promptLen = 0;
+    std::size_t decodeLen = 0;
+    std::string model;
+    std::string task;
+    /** The resolved model, and the shape's prefill-only workload
+     *  (decodeLen 0) that a paged recompute re-prices. */
+    const model::LlmConfig *config = nullptr;
+    model::Workload recomputeShape;
+    /** Prices per topology. The degraded entry is set only when a
+     *  degraded accelerator was priced (FaultInputs::hasDegraded). */
+    std::array<Rates, kTopologies> rates{};
+    /** The healthy batch-1 run: time, energy and clock, which the
+     *  serial baseline sums per request. */
+    double seconds = 0.0;
+    double joules = 0.0;
+    double clockGhz = 0.0;
+};
+
 /** Precomputed cost model of one request (from a batch-1 run). */
 struct CostedRequest
 {
@@ -158,10 +185,9 @@ struct CostedRequest
      */
     model::Workload recomputeShape;
     double arrivalCycles = 0.0;
-    /** Prices per topology. The degraded entry is set by the serving
-     *  layer only when a degraded accelerator was supplied
-     *  (FaultInputs::hasDegraded). */
-    std::array<Rates, kTopologies> rates{};
+    /** The request's shape entry: its prices per topology. Owned by
+     *  the shape table the costed trace holds, never by the request. */
+    const PricedShape *shape = nullptr;
     /** Prefill cycles the next admission pays, per topology (re-priced
      *  to the recompute length after a preemption). */
     std::array<double, kTopologies> prefillCycles{};

@@ -234,21 +234,21 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     }
 
     // ---- Fleet-level costing --------------------------------------------
-    // One healthy costing of the full trace feeds (a) the routing
-    // estimates and (b) the fleet serial baseline — each request
-    // counted exactly once however often failover re-dispatches it.
-    ServingOptions costOpts = ropts;
-    costOpts.faults = {};
-    costOpts.degradedAccel = nullptr;
+    // One costing of the full trace prices every distinct shape once,
+    // on the replica and (when faults can degrade it) its degraded
+    // replica. Its healthy entries feed (a) the routing estimates and
+    // (b) the fleet serial baseline — each request counted exactly
+    // once however often failover re-dispatches it — and its table
+    // prices every replica run and failover re-run below.
     const ServingSimulator::CostedTrace costed =
-        ServingSimulator(replica, costOpts).costTrace(trace);
+        ServingSimulator(replica, ropts).costTrace(trace);
     const double to_seconds = 1.0 / (costed.clockGhz * 1e9);
 
     std::vector<double> estSeconds(trace.size(), 0.0);
     std::vector<double> kvDemand(trace.size(), 0.0);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const CostedRequest &c = costed.costs[i];
-        const Rates &r = c.rates[kHealthy];
+        const Rates &r = c.shape->rates[kHealthy];
         const double perToken =
             r.weightCyclesPerToken + r.linearCyclesPerToken +
             r.otherCyclesPerToken + r.fixedCyclesPerToken;
@@ -365,7 +365,7 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     auto runReplica = [&](std::size_t r) {
         ServingOptions o = ropts;
         o.faults = replicaFaults[r];
-        return ServingSimulator(replica, o).simulate(sub[r]);
+        return ServingSimulator(replica, o).simulate(sub[r], costed.table);
     };
 
     ReplicaRuns runs;

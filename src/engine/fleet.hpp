@@ -9,7 +9,8 @@
  * routed to each. The FleetRouter is that serving path: it splits an
  * arrival trace across the replicas with a pluggable selection policy
  * (least-loaded by outstanding KV bytes, or round-robin), runs each
- * replica's sub-trace through its own ServingSimulator/event core, and
+ * replica's sub-trace through its own ServingSimulator/event core
+ * against one shape table priced once over the full trace, and
  * merges the per-replica reports into one fleet ServingReport whose
  * sample-derived aggregates follow the single-engine definitions
  * (finalizeServingAggregates).

@@ -9,7 +9,7 @@
  * performs that rewrite on the registry's spec grammar
  * (`name[:key=value,...]`, registry.hpp) so the degraded accelerator
  * is built through the exact same Registry::make() path — and priced
- * through the same ExecutionPlan/PlanCache machinery — as the healthy
+ * through the same ExecutionPlan/ShapeTable machinery — as the healthy
  * one. ServingOptions::degradedAccel consumes the result.
  *
  * Halving (not decrementing) keeps the rewrite always constructible:

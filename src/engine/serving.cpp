@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <set>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -34,21 +34,18 @@ weightEnergyFraction(const accel::PhaseMetrics &decode)
     return std::clamp(frac, 0.0, 1.0);
 }
 
-/** A request's workload-shape key, for deduplicating warm-up entries
- *  (the profile cache re-keys on its own dependencies afterwards). */
-std::string
-shapeKey(const model::Request &req)
+/** The shape key a ShapeTable is sorted on: every input of a batch-1
+ *  run, lengths first so most comparisons never reach the strings. */
+auto
+shapeKey(const model::Request &r)
 {
-    std::string key;
-    key.reserve(req.model.size() + req.task.size() + 16);
-    key += req.model;
-    key += '\x1f';
-    key += req.task;
-    key += '\x1f';
-    key += std::to_string(req.promptLen);
-    key += '\x1f';
-    key += std::to_string(req.decodeLen);
-    return key;
+    return std::tie(r.promptLen, r.decodeLen, r.model, r.task);
+}
+
+auto
+shapeKey(const PricedShape &s)
+{
+    return std::tie(s.promptLen, s.decodeLen, s.model, s.task);
 }
 
 /** Energy of @p rm's prefill phase, over all its processors. */
@@ -149,129 +146,195 @@ ServingSimulator::repricer(std::size_t t) const
     };
 }
 
-ServingSimulator::CostedTrace
-ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
+const PricedShape &
+ShapeTable::find(const model::Request &req) const
 {
-    CostedTrace out;
-    if (trace.empty())
-        return out;
+    const auto it = std::lower_bound(
+        shapes.begin(), shapes.end(), req,
+        [](const PricedShape &s, const model::Request &r) {
+            return shapeKey(s) < shapeKey(r);
+        });
+    fatalIf(it == shapes.end() || shapeKey(*it) != shapeKey(req),
+            "request " + std::to_string(req.id) +
+                " has a shape the shape table never priced");
+    return *it;
+}
+
+std::shared_ptr<const ShapeTable>
+ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
+                              std::vector<std::size_t> &shapeOf) const
+{
+    // ---- One sort dedupes the trace into its distinct shapes ------------
+    std::vector<std::size_t> order(trace.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return shapeKey(trace[a]) < shapeKey(trace[b]);
+              });
+    std::vector<const model::Request *> firsts; // One request per shape.
+    shapeOf.resize(trace.size());
+    for (const std::size_t i : order) {
+        if (firsts.empty() ||
+            shapeKey(*firsts.back()) != shapeKey(trace[i]))
+            firsts.push_back(&trace[i]);
+        shapeOf[i] = firsts.size() - 1;
+    }
 
     // ---- Warm the profile caches on all cores ---------------------------
     // Without this, a cold cache would profile its first-touch keys on
-    // whichever costing thread hits them first. Announcing every
-    // distinct request shape up front lets the cache fan the distinct
-    // keys out over the thread pool (racing engines singleflight),
-    // leaving only cache hits in the costing fan-out below. Shapes are
-    // deduplicated here so a million-request trace announces a few
-    // hundred entries, not a million redundant ones.
+    // whichever pricing thread hits them first. Announcing the needs
+    // up front lets the cache fan the distinct keys out over the
+    // thread pool. decodeLen never enters a profile key, so one
+    // announcement per (model, task, promptLen) covers every shape; a
+    // key missed here is still filled inside run(), so results never
+    // depend on this step.
     const std::size_t priced = topologies();
-    std::vector<const model::Request *> shapes;
-    {
-        std::set<std::string> seen;
-        for (const model::Request &req : trace)
-            if (seen.insert(shapeKey(req)).second)
-                shapes.push_back(&req);
-    }
-    // Pipeline stage count for the decode iteration's stage-aware
-    // overlap (one accelerator per topology serves the whole trace).
     std::array<std::size_t, kTopologies> stages{};
     for (std::size_t t = 0; t < priced; ++t) {
         const Accelerator &device = *accels_[t];
         if (const std::shared_ptr<accel::ProfileCache> cache =
                 device.profileCache()) {
             std::vector<accel::ProfileRequest> requests;
-            for (const model::Request *req : shapes)
+            // Shapes sort by promptLen first, so the (model, task)
+            // pairs of one prompt length are contiguous.
+            std::vector<const model::Request *> announced;
+            for (const model::Request *req : firsts) {
+                if (!announced.empty() &&
+                    announced.front()->promptLen != req->promptLen)
+                    announced.clear();
+                if (std::any_of(announced.begin(), announced.end(),
+                                [&](const model::Request *a) {
+                                    return a->model == req->model &&
+                                           a->task == req->task;
+                                }))
+                    continue;
+                announced.push_back(req);
                 device.profileRequests(model::findModel(req->model),
                                        req->workload(), requests);
+            }
             cache->warm(requests, opts_.profileThreads);
         }
+        // Pipeline stage count for the decode iteration's stage-aware
+        // overlap (one accelerator per topology serves the whole trace).
         stages[t] =
             std::max<std::size_t>(1, device.capabilities().pipelineStages);
+    }
+
+    // ---- Price each shape once per topology -----------------------------
+    // Every shape is an independent task calling run() directly: no
+    // key string, no shared lock. parallelMap returns the entries in
+    // shape order, so the table is bit-identical at every thread
+    // count. Every topology splits its streams through the same
+    // ratesOf(), so degraded decode windows compose the same way
+    // healthy ones do.
+    auto table = std::make_shared<ShapeTable>();
+    for (std::size_t t = 0; t < priced; ++t)
+        table->accels[t] = accels_[t];
+    table->shapes = parallel::parallelMap<PricedShape>(
+        firsts.size(),
+        [&](std::size_t s) {
+            const model::Request &req = *firsts[s];
+            PricedShape shape;
+            shape.promptLen = req.promptLen;
+            shape.decodeLen = req.decodeLen;
+            shape.model = req.model;
+            shape.task = req.task;
+            shape.config = &model::findModel(req.model);
+            const model::Workload w = req.workload();
+            for (std::size_t t = 0; t < priced; ++t) {
+                const accel::RunMetrics rm =
+                    accels_[t]->run(*shape.config, w);
+                if (t == kHealthy) {
+                    shape.seconds = rm.seconds();
+                    shape.joules = rm.joules();
+                    shape.clockGhz = rm.clockGhz;
+                }
+                fatalIf(rm.clockGhz != shape.clockGhz,
+                        "degraded accelerator must run at the primary "
+                        "accelerator's clock (cycle timelines merge)");
+                shape.rates[t] = ratesOf(rm, req.decodeLen, stages[t]);
+            }
+            shape.recomputeShape = w;
+            shape.recomputeShape.decodeLen = 0;
+            return shape;
+        },
+        opts_.costingThreads);
+    return table;
+}
+
+ServingSimulator::CostedTrace
+ServingSimulator::costTrace(const std::vector<model::Request> &trace,
+                            std::shared_ptr<const ShapeTable> prices) const
+{
+    CostedTrace out;
+    if (trace.empty())
+        return out;
+
+    const std::size_t priced = topologies();
+    // Shape index of each request: straight from the sort when this
+    // call prices the trace, by lookup in a table handed in.
+    std::vector<std::size_t> shape_of;
+    if (prices == nullptr) {
+        prices = priceShapes(trace, shape_of);
+    } else {
+        for (std::size_t t = 0; t < priced; ++t)
+            fatalIf(prices->accels[t] != accels_[t],
+                    "shape table was priced on a different accelerator");
     }
 
     const bool faulty = opts_.faults.enabled();
     const KvOptions kv = kvOptions();
 
-    // ---- Cost each request with a batch-1 run per topology --------------
-    // The fan-out prices each request independently (distinct shapes
-    // compute once in the singleflight plan cache; repeats are hits)
-    // and the join below runs in index order, so every sum and check
-    // accumulates exactly as the serial loop did: the costed trace is
-    // bit-identical at every thread count. Every topology shares the
-    // plan cache under its own identity prefix and splits its streams
-    // through the same ratesOf(), so degraded decode windows compose
-    // the same way healthy ones do.
-    struct Line
-    {
-        CostedRequest cost;
-        double seconds = 0.0;
-        double joules = 0.0;
-        double clockGhz = 0.0;
-    };
-    std::vector<Line> lines = parallel::parallelMap<Line>(
-        trace.size(),
-        [&](std::size_t i) {
-            const model::Request &req = trace[i];
-            const model::LlmConfig &m = model::findModel(req.model);
-            const model::Workload w = req.workload();
-            Line line;
-            CostedRequest &c = line.cost;
-            for (std::size_t t = 0; t < priced; ++t) {
-                const accel::RunMetrics &rm = planCache_->metrics(
-                    identities_[t], m, w,
-                    [&] { return accels_[t]->run(m, w); });
-                if (t == kHealthy) {
-                    line.seconds = rm.seconds();
-                    line.joules = rm.joules();
-                    line.clockGhz = rm.clockGhz;
-                }
-                fatalIf(rm.clockGhz != line.clockGhz,
-                        "degraded accelerator must run at the primary "
-                        "accelerator's clock (cycle timelines merge)");
-                c.rates[t] = ratesOf(rm, req.decodeLen, stages[t]);
-                c.prefillCycles[t] = c.rates[t].prefillCycles;
-                // Faulted runs defer the prefill charge to admission
-                // (the mode the prefill actually runs in). The first
-                // accumulation into c.joules is the identical value
-                // either way, so a fault-enabled run whose timeline
-                // never fires is bit-identical to the precharge below.
-                if (faulty)
-                    c.pendingPrefillJoules[t] = c.rates[t].prefillJoules;
-            }
-            if (!faulty)
-                c.joules = c.rates[kHealthy].prefillJoules;
-            c.req = &req;
-            c.model = &m;
-            c.recomputeShape = w;
-            c.recomputeShape.decodeLen = 0;
-            c.arrivalCycles = req.arrivalSeconds * line.clockGhz * 1e9;
-            // Largest-residency footprint, quantized by the KV policy:
-            // exact (prompt + decode) bytes under reserve, whole blocks
-            // under paged, 0 when no token is ever generated.
-            c.kvBytesPerToken =
-                static_cast<double>(m.kvBytesPerToken());
-            c.promptTokens = req.promptLen;
-            c.kvBytes = kvFootprintBytes(kv, c.kvBytesPerToken,
-                                         req.promptLen, req.decodeLen);
-            c.remainingTokens = req.decodeLen;
-            return line;
-        },
-        opts_.costingThreads);
-
-    out.costs.reserve(lines.size());
-    for (Line &line : lines) {
-        fatalIf(out.clockGhz != 0.0 && line.clockGhz != out.clockGhz,
+    // ---- Cost each request against its shape's prices ------------------
+    // Trace order, so the serial sums accumulate exactly as they
+    // always have.
+    out.costs.reserve(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const model::Request &req = trace[i];
+        const PricedShape &shape = shape_of.empty()
+                                       ? prices->find(req)
+                                       : prices->shapes[shape_of[i]];
+        fatalIf(out.clockGhz != 0.0 && shape.clockGhz != out.clockGhz,
                 "accelerator changed clock between requests");
-        out.clockGhz = line.clockGhz;
-        out.serialSeconds += line.seconds;
-        out.serialJoules += line.joules;
-        out.costs.push_back(std::move(line.cost));
+        out.clockGhz = shape.clockGhz;
+        out.serialSeconds += shape.seconds;
+        out.serialJoules += shape.joules;
+
+        CostedRequest &c = out.costs.emplace_back();
+        c.req = &req;
+        c.model = shape.config;
+        c.recomputeShape = shape.recomputeShape;
+        c.shape = &shape;
+        for (std::size_t t = 0; t < priced; ++t) {
+            c.prefillCycles[t] = shape.rates[t].prefillCycles;
+            // Faulted runs defer the prefill charge to admission (the
+            // mode the prefill actually runs in). The first
+            // accumulation into c.joules is the identical value either
+            // way, so a fault-enabled run whose timeline never fires
+            // is bit-identical to the precharge below.
+            if (faulty)
+                c.pendingPrefillJoules[t] = shape.rates[t].prefillJoules;
+        }
+        if (!faulty)
+            c.joules = shape.rates[kHealthy].prefillJoules;
+        c.arrivalCycles = req.arrivalSeconds * shape.clockGhz * 1e9;
+        // Largest-residency footprint, quantized by the KV policy:
+        // exact (prompt + decode) bytes under reserve, whole blocks
+        // under paged, 0 when no token is ever generated.
+        c.kvBytesPerToken =
+            static_cast<double>(shape.config->kvBytesPerToken());
+        c.promptTokens = req.promptLen;
+        c.kvBytes = kvFootprintBytes(kv, c.kvBytesPerToken, req.promptLen,
+                                     req.decodeLen);
+        c.remainingTokens = req.decodeLen;
     }
+    out.table = std::move(prices);
     return out;
 }
 
 ServingReport
-ServingSimulator::simulate(const std::vector<model::Request> &trace) const
+ServingSimulator::simulate(const std::vector<model::Request> &trace,
+                           std::shared_ptr<const ShapeTable> prices) const
 {
     // A data-parallel fleet serves through the replica router: each
     // request runs on exactly one replica's event core and the
@@ -279,8 +342,11 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     // dp=1 delegates wholesale to a single-replica simulator, so a
     // dp=1 fleet report is bit-identical to the flat path.
     if (const auto *fleet =
-            dynamic_cast<const FleetAccelerator *>(accels_[kHealthy]))
+            dynamic_cast<const FleetAccelerator *>(accels_[kHealthy])) {
+        fatalIf(prices != nullptr,
+                "a fleet prices its own trace; pass no shape table");
         return FleetRouter(*fleet, opts_).simulate(trace).fleet;
+    }
 
     ServingReport report;
     report.accelerator = accels_[kHealthy]->name();
@@ -296,7 +362,7 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
     if (trace.empty())
         return report;
 
-    CostedTrace costed = costTrace(trace);
+    CostedTrace costed = costTrace(trace, std::move(prices));
     report.serialSeconds = costed.serialSeconds;
     report.serialJoules = costed.serialJoules;
 

@@ -11,8 +11,9 @@
  * (continuous batching, as in Orca/vLLM).
  *
  * The simulator splits into two layers:
- *  - this file costs each request from a batch-1 run of the wrapped
- *    Accelerator and aggregates the report;
+ *  - this file prices each distinct request shape from a batch-1 run
+ *    of the wrapped Accelerator (a ShapeTable), costs every request
+ *    against it, and aggregates the report;
  *  - event_core.hpp plays the costed trace through a discrete-event
  *    loop, delegating admission order to a pluggable Scheduler
  *    (scheduler.hpp) and KV accounting to the selected KvPolicy
@@ -55,6 +56,7 @@
 
 #include <array>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,10 +125,11 @@ struct ServingOptions
      */
     std::size_t profileThreads = 0;
     /**
-     * Thread cap for the per-request costing fan-out itself (same
-     * semantics). Costing runs through a singleflight PlanCache and
-     * joins its results in index order, so the costed trace — and the
-     * whole report — is bit-identical at every thread count.
+     * Thread cap for the per-shape pricing fan-out itself (same
+     * semantics). Each distinct shape is priced by its own task with
+     * no shared lock, and the results land in shape order, so the
+     * costed trace — and the whole report — is bit-identical at every
+     * thread count.
      */
     std::size_t costingThreads = 0;
     /**
@@ -327,6 +330,25 @@ struct ServingReport
 void finalizeServingAggregates(ServingReport &report,
                                std::size_t traceSize);
 
+/**
+ * The immutable prices of a trace's distinct request shapes, sorted on
+ * (promptLen, decodeLen, model, task): the prepare-once half of trace
+ * costing. Each entry is priced once per topology, and every costed
+ * request of that shape points at it. A fleet prices its full trace
+ * once and hands the table to every replica run and failover re-run.
+ */
+struct ShapeTable
+{
+    std::vector<PricedShape> shapes;
+    /** The accelerator each topology was priced on (null: that
+     *  topology was not priced). */
+    std::array<const Accelerator *, kTopologies> accels{};
+
+    /** The entry of @p req's shape; fatal() when the table never
+     *  priced it. */
+    const PricedShape &find(const model::Request &req) const;
+};
+
 /** Continuous-batching serving simulator over one accelerator. */
 class ServingSimulator
 {
@@ -338,8 +360,12 @@ class ServingSimulator
      * Simulate @p trace to completion. An empty trace yields a
      * well-defined zeroed report (names set, every metric 0) rather
      * than an error — callers filtering traces need no special case.
+     * @p prices as for costTrace(); a fleet accelerator prices its own
+     * trace and takes none.
      */
-    ServingReport simulate(const std::vector<model::Request> &trace) const;
+    ServingReport
+    simulate(const std::vector<model::Request> &trace,
+             std::shared_ptr<const ShapeTable> prices = nullptr) const;
 
     /** The costing half of simulate(): every request priced from a
      *  batch-1 run, plus the serial-baseline totals. */
@@ -350,24 +376,40 @@ class ServingSimulator
         /** Sum of the isolated single-request run times/energies. */
         double serialSeconds = 0.0;
         double serialJoules = 0.0;
+        /** The shape table every CostedRequest::shape points into. */
+        std::shared_ptr<const ShapeTable> table;
+
+        /** Distinct shapes in the table (0 for an empty trace). */
+        std::size_t shapeCount() const
+        {
+            return table ? table->shapes.size() : 0;
+        }
     };
 
     /**
-     * Cost @p trace without simulating it: warm the profile cache
-     * (distinct shapes only), then price every request through the
-     * plan cache on up to ServingOptions::costingThreads threads. The
-     * result is bit-identical at every thread count (singleflight
-     * computes each distinct shape once; the join is in index order).
-     * Exposed so benches can time and verify costing in isolation;
-     * simulate() is exactly costTrace() + the event loop + aggregation.
+     * Cost @p trace without simulating it. Without @p prices: sort the
+     * trace once into its distinct shapes, warm the profile cache once
+     * per distinct (model, task, promptLen), then price each shape once
+     * per topology with Accelerator::run() on up to
+     * ServingOptions::costingThreads threads — no plan cache, no lock.
+     * With @p prices (a table this simulator's accelerators priced, for
+     * a trace whose shapes it covers): look every request's shape up
+     * in it and price nothing. Either way the serial sums accumulate
+     * in trace order, so the result is bit-identical at every thread
+     * count. Exposed so benches can time and verify costing in
+     * isolation; simulate() is exactly costTrace() + the event loop +
+     * aggregation.
      */
-    CostedTrace costTrace(const std::vector<model::Request> &trace) const;
+    CostedTrace
+    costTrace(const std::vector<model::Request> &trace,
+              std::shared_ptr<const ShapeTable> prices = nullptr) const;
 
     /**
-     * The folded-cost cache the costing loop and the paged recompute
-     * re-pricer share. Owned per simulator (keyed by accelerator
-     * identity, so sharing wider would also be sound); exposed for
-     * tests and cache-effectiveness reporting.
+     * The folded-cost cache of the paged recompute re-pricer (trace
+     * costing goes through the shape table and never touches it).
+     * Owned per simulator (keyed by accelerator identity, so sharing
+     * wider would also be sound); exposed for tests and
+     * cache-effectiveness reporting.
      */
     std::shared_ptr<accel::PlanCache> planCache() const
     {
@@ -381,13 +423,18 @@ class ServingSimulator
     std::size_t topologies() const;
     /** Recompute prefill re-pricer on topology @p t. */
     PrefillPricer repricer(std::size_t t) const;
+    /** Price the distinct shapes of @p trace into a fresh table, and
+     *  set @p shapeOf[i] to the index of trace[i]'s entry. */
+    std::shared_ptr<const ShapeTable>
+    priceShapes(const std::vector<model::Request> &trace,
+                std::vector<std::size_t> &shapeOf) const;
 
     /** The accelerator of each topology (degraded: null when none). */
     std::array<const Accelerator *, kTopologies> accels_;
     ServingOptions opts_;
     /** name + configSummary of each topology's accelerator: every knob
-     *  that changes pricing, the plan-cache key prefix. Both
-     *  topologies share planCache_ under distinct prefixes. */
+     *  that changes pricing, the re-pricer's plan-cache key prefix.
+     *  Both topologies share planCache_ under distinct prefixes. */
     std::array<std::string, kTopologies> identities_;
     std::shared_ptr<accel::PlanCache> planCache_;
 };

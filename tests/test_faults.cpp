@@ -199,13 +199,13 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         const CostedRequest &f = injected.costs[i];
         EXPECT_EQ(h.arrivalCycles, f.arrivalCycles);
         EXPECT_EQ(h.prefillCycles, f.prefillCycles);
-        EXPECT_EQ(h.rates, f.rates);
+        EXPECT_EQ(h.shape->rates, f.shape->rates);
         EXPECT_EQ(h.kvBytes, f.kvBytes);
         // The prefill charge is deferred to admission, not re-priced:
         // the same double, accumulated at the same position.
         EXPECT_EQ(f.joules, 0.0);
         EXPECT_EQ(h.joules, f.pendingPrefillJoules[kHealthy]);
-        EXPECT_EQ(f.rates[kHealthy].prefillCycles,
+        EXPECT_EQ(f.shape->rates[kHealthy].prefillCycles,
                   f.prefillCycles[kHealthy]);
     }
 }

@@ -9,6 +9,8 @@
  *  - a permanently failed replica drains onto the survivors through
  *    the retry/backoff path (reroutes happen, goodput never beats the
  *    healthy run, conservation still holds);
+ *  - the fleet prices each distinct shape once per topology, and no
+ *    replica run or failover re-run prices it again;
  *  - the coalesced-vs-per-token step-mode identity contract survives
  *    the fleet under injected faults (decision orders verbatim,
  *    aggregates to 1e-9 relative);
@@ -21,9 +23,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 
+#include "counting_accelerator.hpp"
 #include "engine/fleet.hpp"
+#include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
 #include "model/request.hpp"
@@ -260,6 +267,38 @@ TEST(Fleet, PermanentReplicaFailureDrainsOntoSurvivors)
                                 return f.kind == sim::FaultKind::ChipFail &&
                                        f.chip == 2 && f.permanent;
                             }));
+}
+
+TEST(Fleet, PricesEachShapeOnceAcrossReplicasAndFailover)
+{
+    Registry registry;
+    // The fleet owns its replica, so keep a handle on each counter.
+    auto replica =
+        std::make_unique<CountingAccelerator>(registry.make("mcbp:tp=2"));
+    const CountingAccelerator &healthy = *replica;
+    const FleetAccelerator fleet(std::move(replica), {2});
+    const CountingAccelerator degraded(
+        registry.make(degradedSpec("mcbp:tp=2")));
+    const auto trace = fleetTrace(24);
+    std::set<std::tuple<std::size_t, std::size_t>> shapes;
+    for (const model::Request &r : trace)
+        shapes.insert({r.promptLen, r.decodeLen});
+
+    // Both of replica 1's chips (2, 3) fail for good: the first
+    // degrades it, the second kills it, and its work fails over.
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    opts.degradedAccel = &degraded;
+    opts.faults.events = {permanentFail(0.02, 2), permanentFail(2.0, 3)};
+    const FleetOutcome out = FleetRouter(fleet, opts).simulate(trace);
+    EXPECT_GT(out.reroutes, 0u);
+    EXPECT_GT(out.fleet.degradedSeconds, 0.0);
+    expectConservation(out.fleet, trace);
+
+    // The fleet priced the full trace once per topology; no replica
+    // run or failover re-run priced anything again.
+    EXPECT_EQ(healthy.runs(), shapes.size());
+    EXPECT_EQ(degraded.runs(), shapes.size());
 }
 
 TEST(Fleet, KvBudgetTooSmallPerReplicaFailsUpFront)

@@ -16,12 +16,18 @@
  *  - the shortest-prompt scheduler's aging term bounds long-prompt
  *    starvation under a sustained short-prompt flood;
  *  - an empty trace yields a zeroed report instead of indexing into
- *    empty percentile vectors.
+ *    empty percentile vectors;
+ *  - a request whose footprint exceeds the budget is rejected with a
+ *    message naming it, its footprint, the capacity and the smallest
+ *    budget that admits the trace.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "engine/kv_block_manager.hpp"
 #include "engine/registry.hpp"
@@ -377,6 +383,49 @@ TEST(Paging, NegativeCapacityIsUnboundedEverywhere)
             EXPECT_EQ(a.kvUtilization, 0.0);
             EXPECT_EQ(b.kvUtilization, 0.0);
             EXPECT_EQ(a.preemptions, 0u);
+        }
+    }
+}
+
+TEST(Paging, OversizedRequestFatalNamesRequestAndBudget)
+{
+    Registry registry;
+    auto accel = registry.make("mcbp");
+    const auto trace = denseTrace(8);
+    auto bytes = [](double b) {
+        std::ostringstream os;
+        os << std::fixed << std::setprecision(0) << b << " B";
+        return os.str();
+    };
+    for (KvPolicy policy : allKvPolicies()) {
+        ServingOptions opts;
+        opts.kvPolicy = policy;
+        // Footprints as this policy quantizes them; the budget sits
+        // just below the largest, so exactly that request is too big.
+        const auto costed =
+            ServingSimulator(*accel, opts).costTrace(trace);
+        const CostedRequest *largest = &costed.costs.front();
+        for (const CostedRequest &c : costed.costs)
+            if (c.kvBytes > largest->kvBytes)
+                largest = &c;
+        opts.kvCapacityBytes = largest->kvBytes - 1.0;
+        try {
+            (void)ServingSimulator(*accel, opts).simulate(trace);
+            FAIL() << "expected the oversized request to be rejected";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("request " + std::to_string(largest->req->id) +
+                               " "),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(bytes(largest->kvBytes)), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(bytes(opts.kvCapacityBytes)),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("at least " + bytes(largest->kvBytes)),
+                      std::string::npos)
+                << msg;
         }
     }
 }

@@ -1,22 +1,31 @@
 /**
  * @file
- * PlanCache invariants (the costing fast path's correctness contract):
+ * PlanCache invariants and the trace-costing contract:
  *  - singleflight: threads racing on a cold key run its compute
  *    exactly once and all read the same bits;
  *  - keying: identity, model and workload shape all separate entries —
  *    two accelerators (or two shapes) can never alias a cost;
- *  - the serving costing fan-out is bit-identical at every thread
- *    count (index-ordered join over cached metrics);
+ *  - trace costing prices each distinct (model, task, prompt, decode)
+ *    shape exactly once per topology, never through the plan cache,
+ *    and is bit-identical at every thread count; a shape table priced
+ *    elsewhere is rejected;
  *  - a second simulate() on the same simulator recomputes nothing
- *    (full cache reuse, including the paged recompute re-pricer).
+ *    (full cache reuse by the paged recompute re-pricer).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "accel/plan_cache.hpp"
+#include "counting_accelerator.hpp"
+#include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
 #include "model/llm_config.hpp"
@@ -133,11 +142,22 @@ expectCostsBitIdentical(const engine::ServingSimulator::CostedTrace &a,
         EXPECT_EQ(x.req->id, y.req->id);
         EXPECT_EQ(x.arrivalCycles, y.arrivalCycles);
         EXPECT_EQ(x.prefillCycles, y.prefillCycles);
-        EXPECT_EQ(x.rates, y.rates);
+        EXPECT_EQ(x.shape->rates, y.shape->rates);
         EXPECT_EQ(x.kvBytes, y.kvBytes);
         EXPECT_EQ(x.kvBytesPerToken, y.kvBytesPerToken);
         EXPECT_EQ(x.remainingTokens, y.remainingTokens);
     }
+}
+
+/** Distinct (model, task, prompt, decode) shapes of @p reqs. */
+std::size_t
+distinctShapes(const std::vector<model::Request> &reqs)
+{
+    std::set<std::tuple<std::string, std::string, std::size_t, std::size_t>>
+        shapes;
+    for (const model::Request &r : reqs)
+        shapes.insert({r.model, r.task, r.promptLen, r.decodeLen});
+    return shapes.size();
 }
 
 TEST(PlanCache, CostingBitIdenticalAcrossThreadCounts)
@@ -154,12 +174,107 @@ TEST(PlanCache, CostingBitIdenticalAcrossThreadCounts)
         engine::ServingOptions opts;
         opts.costingThreads = threads;
         engine::ServingSimulator sim(*accel, opts);
-        expectCostsBitIdentical(a, sim.costTrace(reqs));
-        // Distinct shapes priced once each; repeats were cache hits.
-        EXPECT_EQ(sim.planCache()->computeCalls(),
-                  sim.planCache()->size());
-        EXPECT_LE(sim.planCache()->size(), reqs.size());
+        const auto b = sim.costTrace(reqs);
+        expectCostsBitIdentical(a, b);
+        // Costing prices through the shape table: the plan cache is
+        // left to the paged re-pricer and stays empty.
+        EXPECT_EQ(sim.planCache()->computeCalls(), 0u);
+        EXPECT_EQ(sim.planCache()->size(), 0u);
+        EXPECT_EQ(b.shapeCount(), distinctShapes(reqs));
+        EXPECT_LE(b.shapeCount(), reqs.size());
     }
+}
+
+TEST(PlanCache, CostingRunsOncePerShapePerTopology)
+{
+    engine::Registry registry;
+    const engine::CountingAccelerator healthy(registry.make("mcbp:tp=2"));
+    const engine::CountingAccelerator degraded(
+        registry.make(engine::degradedSpec("mcbp:tp=2")));
+    // The trace twice over (ids offset): every shape repeats.
+    auto reqs = trace(40);
+    const std::size_t n = reqs.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        model::Request r = reqs[i];
+        r.id += n;
+        reqs.push_back(r);
+    }
+    const std::size_t shapes = distinctShapes(reqs);
+    ASSERT_LT(shapes, reqs.size());
+
+    // Faults plus a degraded accelerator price both topologies.
+    engine::ServingOptions opts;
+    opts.faults.mtbfSeconds = 1.0;
+    opts.faults.horizonSeconds = 2.0;
+    opts.degradedAccel = &degraded;
+    engine::ServingSimulator sim(healthy, opts);
+    const auto costed = sim.costTrace(reqs);
+    EXPECT_EQ(healthy.runs(), shapes);
+    EXPECT_EQ(degraded.runs(), shapes);
+    EXPECT_EQ(costed.shapeCount(), shapes);
+    EXPECT_EQ(sim.planCache()->computeCalls(), 0u);
+    // Every request of one shape shares one entry.
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(costed.costs[i].shape, costed.costs[i + n].shape);
+
+    // A table handed back in prices nothing.
+    const auto again = sim.costTrace(reqs, costed.table);
+    EXPECT_EQ(healthy.runs(), shapes);
+    EXPECT_EQ(degraded.runs(), shapes);
+    expectCostsBitIdentical(costed, again);
+}
+
+TEST(PlanCache, ForeignShapeTableIsRejected)
+{
+    engine::Registry registry;
+    auto accel = registry.make("mcbp");
+    auto other = registry.make("mcbp:tp=2");
+    const auto reqs = trace(8);
+    const auto table =
+        engine::ServingSimulator(*accel).costTrace(reqs).table;
+
+    // Priced on another accelerator.
+    EXPECT_THROW(
+        (void)engine::ServingSimulator(*other).costTrace(reqs, table),
+        std::runtime_error);
+    // A shape the table never priced.
+    auto unseen = reqs;
+    unseen.front().promptLen += 100000;
+    EXPECT_THROW(
+        (void)engine::ServingSimulator(*accel).costTrace(unseen, table),
+        std::runtime_error);
+}
+
+TEST(PlanCache, EqualLengthsOnDifferentTasksPriceSeparately)
+{
+    engine::Registry registry;
+    const engine::CountingAccelerator accel(registry.make("mcbp"));
+    // A mixed Dolly + MBPP trace whose two tasks share every length.
+    std::vector<model::Request> reqs;
+    for (std::size_t i = 0; i < 8; ++i) {
+        model::Request r;
+        r.id = i;
+        r.arrivalSeconds = 0.01 * static_cast<double>(i);
+        r.model = "OPT1B3";
+        r.task = i % 2 == 0 ? "Dolly" : "MBPP";
+        r.promptLen = 128 + 32 * (i / 4);
+        r.decodeLen = 64;
+        reqs.push_back(r);
+    }
+    const auto costed = engine::ServingSimulator(accel).costTrace(reqs);
+    EXPECT_EQ(costed.shapeCount(), 4u);
+    EXPECT_EQ(accel.runs(), 4u);
+    const model::LlmConfig &m = model::findModel("OPT1B3");
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const engine::CostedRequest &c = costed.costs[i];
+        EXPECT_EQ(c.shape->task, reqs[i].task);
+        // Each request carries its own task's batch-1 price.
+        const RunMetrics rm = accel.run(m, reqs[i].workload());
+        EXPECT_EQ(c.shape->rates[engine::kHealthy].prefillCycles,
+                  rm.prefill.cycles);
+        EXPECT_EQ(c.shape->seconds, rm.seconds());
+    }
+    EXPECT_NE(costed.costs[0].shape, costed.costs[1].shape);
 }
 
 TEST(PlanCache, SecondSimulateRecomputesNothing)
