@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <iomanip>
 #include <limits>
@@ -54,7 +53,8 @@ EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
     fatalIf(maxBatch_ == 0, "maxBatch must be positive");
     // A preemption re-prices the recompute on every topology the
     // re-admission could land in, so each needs its own re-pricer.
-    for (std::size_t t = 0; t < faults_.topologies(); ++t)
+    for (std::size_t t = 0;
+         t < pricedTopologies(faults_.enabled, faults_.hasDegraded); ++t)
         fatalIf(kv_.policy == KvPolicy::Paged && !repricers_[t],
                 "paged KV needs a prefill re-pricer for recompute on "
                 "every topology it serves");
@@ -72,13 +72,12 @@ EventCore::run(std::vector<CostedRequest> &requests) const
 
     const bool coalesce = step_ == StepMode::Coalesced;
     const bool paged = kv_.policy == KvPolicy::Paged;
-    const bool bounded = !kvUnbounded(kv_.capacityBytes);
     KvBlockManager pool(kv_);
 
     // A request larger than the whole budget would wait forever (even
     // paged: its final residency can never be held). Name the first
     // offender and the smallest budget that admits the whole trace.
-    if (bounded) {
+    if (!pool.unbounded()) {
         double largest = 0.0;
         for (const CostedRequest &c : requests)
             largest = std::max(largest, c.kvBytes);
@@ -108,7 +107,6 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                      });
 
     double clock = 0.0;
-    double kv_in_use = 0.0; // Reserve-policy byte ledger.
     std::size_t next_arrival = 0;
     std::deque<CostedRequest *> waiting;
     std::vector<CostedRequest *> active; // Admission order.
@@ -116,6 +114,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
 
     // ---- Fault state (inert when faults are off) -----------------------
     const bool faulty = faults_.enabled;
+    const std::size_t priced =
+        pricedTopologies(faults_.enabled, faults_.hasDegraded);
     const std::vector<sim::FaultEvent> &timeline = faults_.timeline;
     std::size_t next_fault = 0;
     bool dead = false;           // Fleet lost beyond any replan.
@@ -158,15 +158,31 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         return c.promptTokens + (c.req->decodeLen - c.remainingTokens);
     };
 
+    // The one KV ledger, under either policy: c now holds @p alloc
+    // block-rounded bytes covering @p need exact bytes (the pool is
+    // charged the growth over what c held), or releases all it holds.
+    auto hold = [&](CostedRequest &c, double alloc, double need) {
+        pool.add(alloc - c.kvAllocatedBytes, need - c.kvNeededBytes);
+        c.kvAllocatedBytes = alloc;
+        c.kvNeededBytes = need;
+    };
+    auto release = [&](CostedRequest &c) {
+        pool.remove(c.kvAllocatedBytes, c.kvNeededBytes);
+        c.kvAllocatedBytes = 0.0;
+        c.kvNeededBytes = 0.0;
+    };
+
+    // Block-rounded bytes an admission of c holds: the current
+    // residency under Paged, the full footprint under Reserve.
+    auto admit_bytes = [&](const CostedRequest &c) {
+        return paged ? pool.allocatedBytes(c.kvBytesPerToken,
+                                           resident_tokens(c))
+                     : c.kvBytes;
+    };
+
     auto finish = [&](CostedRequest &c) {
         c.completionCycles = clock;
-        if (paged) {
-            pool.remove(c.kvAllocatedBytes, c.kvNeededBytes);
-            c.kvAllocatedBytes = 0.0;
-            c.kvNeededBytes = 0.0;
-        } else {
-            kv_in_use -= c.kvBytes;
-        }
+        release(c);
         stats.completed.push_back(&c);
     };
 
@@ -178,9 +194,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         panicIf(active.empty(), "preemption with an empty batch");
         CostedRequest *c = active.back();
         active.pop_back();
-        pool.remove(c->kvAllocatedBytes, c->kvNeededBytes);
-        c->kvAllocatedBytes = 0.0;
-        c->kvNeededBytes = 0.0;
+        release(*c);
         const std::size_t progress =
             c->req->decodeLen - c->remainingTokens;
         c->recomputedTokens += progress;
@@ -193,7 +207,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // spent on top of whatever the request already burned; charge
         // it now, in the current mode (the re-admission always happens
         // — the loop runs the trace to completion).
-        for (std::size_t t = 0; t < faults_.topologies(); ++t) {
+        for (std::size_t t = 0; t < priced; ++t) {
             const PrefillPrice price =
                 repricers_[t](*c, c->promptTokens + progress);
             c->prefillCycles[t] = price.cycles;
@@ -229,13 +243,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // deterministic and step-mode independent.
     auto kill_active = [&](EventStats::FaultImpact &impact) {
         for (CostedRequest *c : active) {
-            if (paged) {
-                pool.remove(c->kvAllocatedBytes, c->kvNeededBytes);
-                c->kvAllocatedBytes = 0.0;
-                c->kvNeededBytes = 0.0;
-            } else {
-                kv_in_use -= c->kvBytes;
-            }
+            release(*c);
             const std::size_t progress =
                 c->req->decodeLen - c->remainingTokens;
             stats.faultLostTokens += progress;
@@ -408,6 +416,27 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         }
     };
 
+    // The next instant the engine must wake at, whatever it is doing:
+    // the next arrival and, under faults, the earliest retry expiry,
+    // fault event or queued-request deadline. Infinity when none is
+    // left.
+    auto next_wake = [&] {
+        double wake = std::numeric_limits<double>::infinity();
+        if (next_arrival < order.size())
+            wake = requests[order[next_arrival]].arrivalCycles;
+        if (faulty) {
+            for (const CostedRequest *c : retrying)
+                wake = std::min(wake, c->retryAtCycles);
+            if (next_fault < timeline.size())
+                wake = std::min(wake, timeline[next_fault].at);
+            if (faults_.deadlineCycles > 0.0)
+                for (const CostedRequest *c : waiting)
+                    if (c->deadlineCycles > 0.0)
+                        wake = std::min(wake, c->deadlineCycles);
+        }
+        return wake;
+    };
+
     // Growth-extra bytes of the next decode iteration with every
     // residency advanced by @p ahead in-window iterations: zero away
     // from block boundaries, whole blocks at a fill.
@@ -481,14 +510,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 for (CostedRequest *c : active) {
                     const std::size_t tokens =
                         resident_tokens(*c) + t + seg;
-                    const double alloc = pool.allocatedBytes(
-                        c->kvBytesPerToken, tokens);
-                    const double need = c->kvBytesPerToken *
-                                        static_cast<double>(tokens);
-                    pool.add(alloc - c->kvAllocatedBytes,
-                             need - c->kvNeededBytes);
-                    c->kvAllocatedBytes = alloc;
-                    c->kvNeededBytes = need;
+                    hold(*c,
+                         pool.allocatedBytes(c->kvBytesPerToken, tokens),
+                         c->kvBytesPerToken * static_cast<double>(tokens));
                     batch_bytes += c->kvBytesPerToken;
                 }
                 if (pool.usedBytes() > 0.0) {
@@ -512,14 +536,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             }
             for (CostedRequest *c : active) {
                 const std::size_t tokens = resident_tokens(*c) + t + 1;
-                const double alloc =
-                    pool.allocatedBytes(c->kvBytesPerToken, tokens);
-                const double need = c->kvBytesPerToken *
-                                    static_cast<double>(tokens);
-                pool.add(alloc - c->kvAllocatedBytes,
-                         need - c->kvNeededBytes);
-                c->kvAllocatedBytes = alloc;
-                c->kvNeededBytes = need;
+                hold(*c, pool.allocatedBytes(c->kvBytesPerToken, tokens),
+                     c->kvBytesPerToken * static_cast<double>(tokens));
             }
             if (pool.usedBytes() > 0.0) {
                 stats.kvBlockUtilizationSum +=
@@ -594,16 +612,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // An idle engine holds no KV. Assert that (a drift beyond any
         // FP residue means a reservation leaked), then clear the
         // residue so exact-capacity admission can never stall on one.
-        if (active.empty()) {
-            if (paged) {
-                pool.clearIdleResidual();
-            } else {
-                panicIf(std::abs(kv_in_use) > 1.0,
-                        "KV accounting leak: idle engine still holds "
-                        "reserved bytes");
-                kv_in_use = 0.0;
-            }
-        }
+        if (active.empty())
+            pool.clearIdleResidual();
 
         if (faulty) {
             process_faults();
@@ -629,18 +639,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 break;
         }
 
-        // Idle engine: jump to the next wake-up — the next arrival,
-        // and under faults the earliest retry expiry or fault event.
+        // Idle engine: jump to the next wake-up.
         if (active.empty() && waiting.empty()) {
-            double wake = std::numeric_limits<double>::infinity();
-            if (next_arrival < order.size())
-                wake = requests[order[next_arrival]].arrivalCycles;
-            if (faulty) {
-                for (const CostedRequest *c : retrying)
-                    wake = std::min(wake, c->retryAtCycles);
-                if (next_fault < timeline.size())
-                    wake = std::min(wake, timeline[next_fault].at);
-            }
+            const double wake = next_wake();
             panicIf(!std::isfinite(wake),
                     "serving scheduler stalled with requests pending");
             jump_to(wake);
@@ -675,35 +676,16 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             candidates.reserve(waiting.size());
             for (const CostedRequest *c : waiting) {
                 AdmissionCandidate cand;
-                cand.promptLen = c->req->promptLen;
-                cand.decodeLen = c->req->decodeLen;
                 cand.waitCycles = clock - c->arrivalCycles;
                 cand.prefillCycles = c->prefillCycles[mode];
                 const bool model_ok = batch_model == nullptr ||
                                       c->req->model == *batch_model;
-                bool kv_ok;
-                if (paged) {
-                    const double alloc = pool.allocatedBytes(
-                        c->kvBytesPerToken, resident_tokens(*c));
-                    kv_ok = pool.fits(alloc, !active.empty());
-                } else {
-                    kv_ok = !bounded ||
-                            kv_in_use + c->kvBytes <= kv_.capacityBytes;
-                }
-                cand.admissible = model_ok && kv_ok;
+                cand.admissible =
+                    model_ok &&
+                    pool.fits(admit_bytes(*c), paged && !active.empty());
                 candidates.push_back(cand);
             }
-            KvPressure pressure;
-            pressure.bounded = bounded;
-            if (bounded) {
-                const double used = paged ? pool.usedBytes() : kv_in_use;
-                pressure.freeBytes =
-                    std::max(0.0, kv_.capacityBytes - used);
-                pressure.freeFraction =
-                    pressure.freeBytes / kv_.capacityBytes;
-            }
-            const std::size_t pick =
-                scheduler_->pick(candidates, pressure);
+            const std::size_t pick = scheduler_->pick(candidates);
             if (pick == Scheduler::npos) {
                 // npos with an admissible candidate is a live deferral
                 // the per-token loop would revisit after exactly one
@@ -724,35 +706,21 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 c->admissionCycles = clock; // First admission only:
             }                               // queue wait ends here.
             stats.admissionOrder.push_back(c->req->id);
-            if (paged) {
-                const std::size_t tokens = resident_tokens(*c);
-                const double alloc =
-                    pool.allocatedBytes(c->kvBytesPerToken, tokens);
-                const double need = c->kvBytesPerToken *
-                                    static_cast<double>(tokens);
-                pool.add(alloc, need);
-                c->kvAllocatedBytes = alloc;
-                c->kvNeededBytes = need;
-            } else {
-                kv_in_use += c->kvBytes;
-                stats.kvPeakBytes =
-                    std::max(stats.kvPeakBytes, kv_in_use);
-            }
+            hold(*c, admit_bytes(*c),
+                 paged ? c->kvBytesPerToken *
+                             static_cast<double>(resident_tokens(*c))
+                       : c->kvBytes);
+            // The prefill runs now, in the current mode: charge its
+            // energy (nothing after a paged preemption, which charged
+            // the recompute when it fired).
             const double prefill = c->prefillCycles[mode];
             advance(prefill);
             stats.busyCycles += prefill;
-            if (faulty) {
-                // Faulted runs charge the prefill energy of the mode
-                // the prefill actually ran in, deferred to admission;
-                // zero-fault runs precharged it at costing time with
-                // the identical value, so the accumulation order (and
-                // every bit of the total) is unchanged.
-                c->joules += c->pendingPrefillJoules[mode];
-                c->pendingPrefillJoules = {};
-                if (c->restartPending) {
-                    stats.faultRecomputeCycles += prefill;
-                    c->restartPending = false;
-                }
+            c->joules += c->pendingPrefillJoules[mode];
+            c->pendingPrefillJoules = {};
+            if (c->restartPending) {
+                stats.faultRecomputeCycles += prefill;
+                c->restartPending = false;
             }
             admitted_any = true;
             if (c->remainingTokens == 0)
@@ -764,35 +732,13 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         if (active.empty()) {
             if (admitted_any)
                 continue; // everything admitted had zero decode tokens.
-            // Nothing active, nothing admissible: only future arrivals
-            // can unblock a (KV-starved) head, since an idle engine
-            // holds no KV. Covered by the idle jump above unless the
-            // scheduler violated its contract.
-            panicIf(waiting.empty() ||
-                        (paged ? pool.usedBytes() : kv_in_use) > 0.0,
+            // Nothing active, nothing admissible: an idle engine holds
+            // no KV, so only the next wake-up can unblock (or, under
+            // faults, drop) a blocked head — unless the scheduler
+            // violated its contract.
+            panicIf(waiting.empty() || pool.usedBytes() > 0.0,
                     "admission stalled with an idle engine");
-            if (!faulty) {
-                panicIf(next_arrival >= order.size(),
-                        "admission livelock: waiting requests can "
-                        "never be admitted");
-                clock = std::max(
-                    clock, requests[order[next_arrival]].arrivalCycles);
-                continue;
-            }
-            // Under faults a blocked head can also be unblocked (or
-            // dropped) by a retry expiry, a fault event, or its own
-            // deadline — wake at the earliest of any of them.
-            double wake = std::numeric_limits<double>::infinity();
-            if (next_arrival < order.size())
-                wake = requests[order[next_arrival]].arrivalCycles;
-            for (const CostedRequest *c : retrying)
-                wake = std::min(wake, c->retryAtCycles);
-            if (next_fault < timeline.size())
-                wake = std::min(wake, timeline[next_fault].at);
-            if (faults_.deadlineCycles > 0.0)
-                for (const CostedRequest *c : waiting)
-                    if (c->deadlineCycles > 0.0)
-                        wake = std::min(wake, c->deadlineCycles);
+            const double wake = next_wake();
             panicIf(!std::isfinite(wake),
                     "admission livelock: waiting requests can never "
                     "be admitted");
@@ -809,8 +755,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         //    batch;
         //  - a scheduler deferral is a live decision revisited every
         //    iteration (k = 1, above);
-        //  - the next arrival changes the candidate set (bounded
-        //    below, once the iteration cost is known);
+        //  - the next wake-up (an arrival; under faults a fault
+        //    event, retry expiry or queued deadline) changes the
+        //    candidate set or the fleet (bounded below, once the
+        //    iteration cost is known);
         //  - a paged preemption changes the batch (grow_batch_
         //    coalesced truncates the window just before one and the
         //    next pass replays that iteration at per-token fidelity;
@@ -848,15 +796,17 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             k = 1;
 
         IterCost cost = iter_cost();
-        if (k > 1 && next_arrival < order.size() && cost.cycles > 0.0) {
+        if (k > 1 && cost.cycles > 0.0) {
             // Stop at the first iteration whose end reaches the next
-            // arrival: the per-token loop pulls it into the candidate
-            // set before the following iteration. The admission loop
-            // can leave an arrival already due (a prefill advanced
-            // the clock past it without a final pull); that pins the
-            // window to the per-token cadence of one iteration.
-            const double until =
-                requests[order[next_arrival]].arrivalCycles - clock;
+            // wake-up: the per-token loop observes it before the
+            // following iteration. The admission loop can leave an
+            // arrival already due (a prefill advanced the clock past
+            // it without a final pull); that pins the window to the
+            // per-token cadence of one iteration. x -> ceil((x -
+            // clock) / cost) is monotone in IEEE arithmetic, so
+            // bounding at the earliest instant equals the tightest
+            // bound over every instant.
+            const double until = next_wake() - clock;
             if (until <= 0.0) {
                 k = 1;
             } else {
@@ -865,32 +815,6 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                     k = std::max<std::size_t>(
                         1, static_cast<std::size_t>(ka));
             }
-        }
-        if (faulty && k > 1 && cost.cycles > 0.0) {
-            // Fault events, retry expiries and queued-request
-            // deadlines are window boundaries too: stop at the first
-            // iteration whose end reaches one, exactly like the
-            // arrival bound above, so the per-token reference and the
-            // coalesced window observe each at the same clock.
-            auto bound_at = [&](double at) {
-                const double until = at - clock;
-                if (until <= 0.0) {
-                    k = 1;
-                    return;
-                }
-                const double ka = std::ceil(until / cost.cycles);
-                if (ka < static_cast<double>(k))
-                    k = std::max<std::size_t>(
-                        1, static_cast<std::size_t>(ka));
-            };
-            if (next_fault < timeline.size())
-                bound_at(timeline[next_fault].at);
-            for (const CostedRequest *c : retrying)
-                bound_at(c->retryAtCycles);
-            if (faults_.deadlineCycles > 0.0)
-                for (const CostedRequest *c : waiting)
-                    if (c->deadlineCycles > 0.0)
-                        bound_at(c->deadlineCycles);
         }
         if (paged)
             k = grow_batch_coalesced(k);
@@ -933,10 +857,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     }
 
     stats.clockCycles = clock;
-    if (paged) {
-        stats.kvPeakBytes = pool.peakUsedBytes();
-        stats.kvFragmentationPeakBytes = pool.peakFragmentationBytes();
-    }
+    stats.kvPeakBytes = pool.peakUsedBytes();
+    stats.kvFragmentationPeakBytes = pool.peakFragmentationBytes();
     return stats;
 }
 

@@ -12,12 +12,13 @@
  * the way the wrapped model composed it at batch 1.
  *
  * Memory-boundedness lives here, under one of two KV policies
- * (kv_block_manager.hpp):
+ * (kv_block_manager.hpp) that share one KvBlockManager ledger:
  *
- *  - Reserve: every request reserves the KV bytes of its full
- *    (prompt + decode) residency at admission and releases them at
- *    completion, so an admitted request can always run to completion
- *    and no preemption is ever needed (the conservative rule).
+ *  - Reserve: every request holds the KV bytes of its full
+ *    (prompt + decode) residency from admission to completion, as
+ *    both its allocated and its needed bytes, so an admitted request
+ *    can always run to completion, no preemption is ever needed (the
+ *    conservative rule) and reserve fragmentation is exactly 0.
  *
  *  - Paged: KV is allocated in blocks as a request actually grows.
  *    Admission charges only the current residency, each decode
@@ -29,7 +30,8 @@
  *    and it rejoins the head of the waiting queue.
  *
  * Either way, in-flight KV never exceeds the configured capacity
- * (<= 0 = unbounded, the unified sentinel), and requests whose
+ * (<= 0 = unbounded, the unified sentinel), the peak and
+ * fragmentation statistics come from the one pool, and requests whose
  * decodeLen is 0 hold no KV at all.
  *
  * Stepping: between discrete events — the next arrival, the soonest
@@ -104,6 +106,17 @@ StepMode stepModeFromEnv();
 inline constexpr std::size_t kHealthy = 0;
 inline constexpr std::size_t kDegraded = 1;
 inline constexpr std::size_t kTopologies = 2;
+
+/**
+ * Topologies a run prices: the healthy one, plus the degraded one when
+ * faults are on and a degraded accelerator exists (only then can the
+ * fleet run on it).
+ */
+inline std::size_t
+pricedTopologies(bool faultsEnabled, bool hasDegraded)
+{
+    return faultsEnabled && hasDegraded ? kTopologies : 1;
+}
 
 /** Batch-1 prices of one request on one topology. */
 struct Rates
@@ -191,10 +204,12 @@ struct CostedRequest
     /** Prefill cycles the next admission pays, per topology (re-priced
      *  to the recompute length after a preemption). */
     std::array<double, kTopologies> prefillCycles{};
-    /** Prefill energy charged at the next admission, per topology.
-     *  Faulted runs defer the charge to admission (mode-dependent);
-     *  zero-fault runs precharge at costing, bit-identically (the
-     *  admission is the first accumulation either way). */
+    /** Prefill energy the next admission charges, in the mode the
+     *  prefill runs in, per topology. Costing fills it and leaves
+     *  `joules` at 0; admission charges it and clears it, so a
+     *  re-admission after a paged preemption (whose recompute energy
+     *  is charged at the preemption) adds nothing, and a fault kill
+     *  re-arms it at the full-prompt price. */
     std::array<double, kTopologies> pendingPrefillJoules{};
     double joules = 0.0; ///< Accumulated as the request is served.
     /** KV-cache bytes of this request's full footprint (its largest
@@ -213,7 +228,8 @@ struct CostedRequest
     bool admitted = false;
     double admissionCycles = 0.0; ///< First admission (queue wait ends).
     double completionCycles = 0.0;
-    /** Paged-policy state: current block-rounded residency. */
+    /** KV the request holds in the pool right now: block-rounded and
+     *  exact bytes (both the full footprint under Reserve). */
     double kvAllocatedBytes = 0.0;
     double kvNeededBytes = 0.0;
     std::size_t preemptions = 0;
@@ -253,12 +269,6 @@ struct FaultInputs
     /** Degraded-topology rates are present on every request, so chip
      *  failures degrade the fleet instead of taking it down. */
     bool hasDegraded = false;
-
-    /** Topologies a run prices: healthy, plus degraded when present. */
-    std::size_t topologies() const
-    {
-        return enabled && hasDegraded ? kTopologies : 1;
-    }
 };
 
 /** Aggregate outcome of one event-loop run, in cycles. */
@@ -279,7 +289,8 @@ struct EventStats
     /** Paged policy: preempt-and-recompute counters. */
     std::size_t preemptions = 0;
     std::size_t recomputedTokens = 0;
-    /** Paged policy: peak internal fragmentation (allocated - needed). */
+    /** Peak internal fragmentation (allocated - needed); 0 under
+     *  Reserve. */
     double kvFragmentationPeakBytes = 0.0;
     /** Paged policy: sum over decode iterations of needed/allocated
      *  bytes (block fill), and the iterations counted. */

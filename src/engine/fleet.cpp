@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/annotations.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "sim/fault_model.hpp"
@@ -178,14 +177,6 @@ replicaDeathTimes(const std::vector<sim::FaultEvent> &timeline,
     return deadAt;
 }
 
-/** Per-replica sub-simulation results, written concurrently by the
- *  fan-out below and therefore lock-guarded. */
-struct ReplicaRuns
-{
-    mcbp::Mutex mu;
-    std::vector<ServingReport> reports MCBP_GUARDED_BY(mu);
-};
-
 } // namespace
 
 FleetRouter::FleetRouter(const FleetAccelerator &fleet,
@@ -231,6 +222,19 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         for (ServingReport &r : out.replicas)
             r.accelerator = replica.name();
         return out;
+    }
+
+    // Failover and the merge track requests by id across replicas, so
+    // a repeated id would conflate two requests (a phantom drop).
+    std::map<std::size_t, std::size_t> indexById;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const auto [it, fresh] = indexById.emplace(trace[i].id, i);
+        if (!fresh)
+            fatal("request id " + std::to_string(trace[i].id) +
+                  " repeats at trace positions " +
+                  std::to_string(it->second) + " and " +
+                  std::to_string(i) + "; a dp=" + std::to_string(dp) +
+                  " fleet tracks requests by id, so ids must be unique");
     }
 
     // ---- Fleet-level costing --------------------------------------------
@@ -368,27 +372,10 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         return ServingSimulator(replica, o).simulate(sub[r], costed.table);
     };
 
-    ReplicaRuns runs;
-    {
-        mcbp::MutexLock lock(runs.mu);
-        runs.reports.resize(dp);
-    }
-    parallel::parallelFor(dp, [&](std::size_t r) {
-        ServingReport report = runReplica(r);
-        mcbp::MutexLock lock(runs.mu);
-        runs.reports[r] = std::move(report);
-    });
-    std::vector<ServingReport> reports;
-    {
-        mcbp::MutexLock lock(runs.mu);
-        reports = std::move(runs.reports);
-    }
+    std::vector<ServingReport> reports =
+        parallel::parallelMap<ServingReport>(dp, runReplica);
 
     // ---- Failover: re-dispatch drops off dead replicas -------------------
-    std::map<std::size_t, std::size_t> indexById;
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        indexById[trace[i].id] = i;
-
     std::vector<std::size_t> rerouteCount(trace.size(), 0);
     std::vector<bool> settled(trace.size(), false);
     std::vector<std::size_t> rerouteOrder;

@@ -140,6 +140,8 @@ class FleetRouter
   public:
     FleetRouter(const FleetAccelerator &fleet, ServingOptions opts);
 
+    /** fatal() at dp > 1 when a request id repeats in @p trace:
+     *  failover and the merge track requests by id. */
     FleetOutcome simulate(const std::vector<model::Request> &trace) const;
 
   private:

@@ -141,28 +141,4 @@ KvBlockManager::peakFragmentationBytes() const
     return peakFrag_;
 }
 
-double
-KvBlockManager::freeBytesLocked() const
-{
-    if (unbounded())
-        return 0.0;
-    return std::max(0.0, opts_.capacityBytes - used_);
-}
-
-double
-KvBlockManager::freeBytes() const
-{
-    MutexLock lock(mutex_);
-    return freeBytesLocked();
-}
-
-double
-KvBlockManager::freeFraction() const
-{
-    if (unbounded())
-        return 1.0;
-    MutexLock lock(mutex_);
-    return freeBytesLocked() / opts_.capacityBytes;
-}
-
 } // namespace mcbp::engine

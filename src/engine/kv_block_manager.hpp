@@ -22,11 +22,14 @@
  *    accelerator's prefill path at its full (prompt + generated)
  *    length.
  *
- * KvBlockManager owns the paged ledger: block rounding, capacity and
- * admission-watermark checks, and the fragmentation statistics the
- * report surfaces (allocated vs needed bytes, peak internal
- * fragmentation). A request whose decodeLen is 0 retains no KV at all
- * (prefill-only work never reads the cache back), under either policy.
+ * KvBlockManager is the one ledger under both policies: block
+ * rounding, capacity and admission-watermark checks, and the peak and
+ * fragmentation statistics the report surfaces (allocated vs needed
+ * bytes, peak internal fragmentation). Reserve holds a request's full
+ * footprint as both its allocated and its needed bytes, so its
+ * fragmentation is exactly 0 and it never uses the watermark. A
+ * request whose decodeLen is 0 retains no KV at all (prefill-only
+ * work never reads the cache back), under either policy.
  *
  * Tensor-parallel sharding (Capabilities::kvShards): each of the N
  * shards stores 1/N of every token's KV (the head split), so
@@ -148,14 +151,8 @@ class KvBlockManager
     double peakUsedBytes() const;
     /** Peak internal fragmentation (allocated - needed) in bytes. */
     double peakFragmentationBytes() const;
-    double freeBytes() const;
-    /** Free fraction of the pool (1.0 when unbounded). */
-    double freeFraction() const;
 
   private:
-    /** freeBytes() body for callers already holding the lock. */
-    double freeBytesLocked() const MCBP_REQUIRES(mutex_);
-
     KvOptions opts_;
     mutable Mutex mutex_;
     /** Allocated (block-rounded) bytes. */

@@ -13,8 +13,7 @@ class FifoScheduler final : public Scheduler
     std::string name() const override { return "fifo"; }
 
     std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
-         const KvPressure &) const override
+    pick(const std::vector<AdmissionCandidate> &waiting) const override
     {
         if (!waiting.empty() && waiting.front().admissible)
             return 0;
@@ -29,8 +28,7 @@ class SkipAheadScheduler final : public Scheduler
     std::string name() const override { return "skip-ahead"; }
 
     std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
-         const KvPressure &) const override
+    pick(const std::vector<AdmissionCandidate> &waiting) const override
     {
         for (std::size_t i = 0; i < waiting.size(); ++i)
             if (waiting[i].admissible)
@@ -60,8 +58,7 @@ class ShortestPromptScheduler final : public Scheduler
     std::string name() const override { return "shortest-prompt"; }
 
     std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
-         const KvPressure &) const override
+    pick(const std::vector<AdmissionCandidate> &waiting) const override
     {
         std::size_t best = npos;
         double best_key = 0.0;

@@ -5,9 +5,9 @@
  * The discrete-event core (event_core.hpp) owns the mechanics — the
  * clock, arrivals, KV accounting, decode iterations — and delegates
  * exactly one decision to a Scheduler: given the waiting queue (in
- * arrival order), which entries are currently admissible (free batch
- * slot, same model as the running batch, KV allocation fits), and the
- * current KV-pool pressure, which request is admitted next?
+ * arrival order) and which entries are currently admissible (free
+ * batch slot, same model as the running batch, KV allocation fits),
+ * which request is admitted next?
  *
  * Three policies ship:
  *  - strict FIFO: admit the queue head or nobody. A different-model or
@@ -24,12 +24,12 @@
  *    prefill cost, it outranks any fresh short arrival. agingWeight 0
  *    restores the pure (starvation-prone) SJF.
  *
- * Schedulers also see the KV pool's free-space pressure (KvPressure)
- * and may return npos to defer admission entirely — e.g. to hold
- * blocks back for running requests when the pool is nearly full. The
- * built-in policies admit whenever something is admissible; the event
- * core already enforces the paged low-watermark in the admissible
- * flag itself.
+ * A scheduler may return npos to admit nobody yet. Strict FIFO does
+ * so behind a blocked head, and with an admissible request further
+ * back that npos is a deferral (see the coalescing contract below);
+ * the other built-in policies admit whenever something is admissible.
+ * KV headroom is the event core's business: it folds the paged
+ * low-watermark into the admissible flag itself.
  *
  * Coalescing contract: a Scheduler must be stateless (pick() decides
  * from its arguments alone — the class contract below). The event
@@ -71,8 +71,6 @@ const std::vector<SchedulerPolicy> &allSchedulerPolicies();
 /** One waiting request, as the scheduler sees it. */
 struct AdmissionCandidate
 {
-    std::size_t promptLen = 0;
-    std::size_t decodeLen = 0;
     /** Cycles this candidate has waited since its arrival. */
     double waitCycles = 0.0;
     /**
@@ -83,14 +81,6 @@ struct AdmissionCandidate
     double prefillCycles = 0.0;
     /** Free slot + model compatible + KV allocation fits, right now. */
     bool admissible = false;
-};
-
-/** KV-pool pressure at the moment of an admission decision. */
-struct KvPressure
-{
-    bool bounded = false;      ///< False when the pool is unbounded.
-    double freeBytes = 0.0;    ///< Unallocated pool bytes (bounded only).
-    double freeFraction = 1.0; ///< freeBytes / capacity (1 unbounded).
 };
 
 /** Admission-order policy. Stateless; the event core owns all state. */
@@ -106,15 +96,13 @@ class Scheduler
 
     /**
      * Index into @p waiting (arrival order) of the request to admit
-     * next, or npos to wait — e.g. deferring under @p kv pressure.
-     * Must return an admissible index. Deferral requires someone
+     * next, or npos to wait. Must return an admissible index. Deferral requires someone
      * else to make progress: npos with an idle engine and no future
      * arrival left to wake it is a contract violation the event core
      * panics on (admission livelock).
      */
     virtual std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting,
-         const KvPressure &kv) const = 0;
+    pick(const std::vector<AdmissionCandidate> &waiting) const = 0;
 };
 
 /**

@@ -122,11 +122,8 @@ ServingSimulator::kvOptions() const
 std::size_t
 ServingSimulator::topologies() const
 {
-    // The degraded topology is only priced when faults can actually
-    // put the fleet on it.
-    return opts_.faults.enabled() && opts_.degradedAccel != nullptr
-               ? kTopologies
-               : 1;
+    return pricedTopologies(opts_.faults.enabled(),
+                            opts_.degradedAccel != nullptr);
 }
 
 PrefillPricer
@@ -282,7 +279,6 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace,
                     "shape table was priced on a different accelerator");
     }
 
-    const bool faulty = opts_.faults.enabled();
     const KvOptions kv = kvOptions();
 
     // ---- Cost each request against its shape's prices ------------------
@@ -305,18 +301,12 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace,
         c.model = shape.config;
         c.recomputeShape = shape.recomputeShape;
         c.shape = &shape;
+        // Admission charges the prefill energy, in the mode the
+        // prefill runs in.
         for (std::size_t t = 0; t < priced; ++t) {
             c.prefillCycles[t] = shape.rates[t].prefillCycles;
-            // Faulted runs defer the prefill charge to admission (the
-            // mode the prefill actually runs in). The first
-            // accumulation into c.joules is the identical value either
-            // way, so a fault-enabled run whose timeline never fires
-            // is bit-identical to the precharge below.
-            if (faulty)
-                c.pendingPrefillJoules[t] = shape.rates[t].prefillJoules;
+            c.pendingPrefillJoules[t] = shape.rates[t].prefillJoules;
         }
-        if (!faulty)
-            c.joules = shape.rates[kHealthy].prefillJoules;
         c.arrivalCycles = req.arrivalSeconds * shape.clockGhz * 1e9;
         // Largest-residency footprint, quantized by the KV policy:
         // exact (prompt + decode) bytes under reserve, whole blocks

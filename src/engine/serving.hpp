@@ -254,7 +254,7 @@ struct ServingReport
      *  decode iterations — 1 - internal fragmentation. 0 for reserve
      *  (no blocks exist). */
     double kvBlockUtilization = 0.0;
-    /** Paged policy: peak internal fragmentation in bytes. */
+    /** Peak internal fragmentation in bytes (0 under reserve). */
     double kvFragmentationPeakBytes = 0.0;
 
     /** Decode iterations simulated, and the decode loop passes that
@@ -418,8 +418,8 @@ class ServingSimulator
 
   private:
     KvOptions kvOptions() const;
-    /** Topologies this run prices: healthy, plus degraded when faults
-     *  are enabled and a degraded accelerator was supplied. */
+    /** pricedTopologies() of this simulator's faults and degraded
+     *  accelerator. */
     std::size_t topologies() const;
     /** Recompute prefill re-pricer on topology @p t. */
     PrefillPricer repricer(std::size_t t) const;

@@ -201,10 +201,12 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         EXPECT_EQ(h.prefillCycles, f.prefillCycles);
         EXPECT_EQ(h.shape->rates, f.shape->rates);
         EXPECT_EQ(h.kvBytes, f.kvBytes);
-        // The prefill charge is deferred to admission, not re-priced:
-        // the same double, accumulated at the same position.
+        // Both defer the prefill charge to admission, at the same
+        // price: faults change no bit of the costing.
+        EXPECT_EQ(h.joules, 0.0);
         EXPECT_EQ(f.joules, 0.0);
-        EXPECT_EQ(h.joules, f.pendingPrefillJoules[kHealthy]);
+        EXPECT_EQ(h.pendingPrefillJoules[kHealthy],
+                  f.pendingPrefillJoules[kHealthy]);
         EXPECT_EQ(f.shape->rates[kHealthy].prefillCycles,
                   f.prefillCycles[kHealthy]);
     }

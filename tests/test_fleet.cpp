@@ -336,6 +336,36 @@ TEST(Fleet, KvBudgetTooSmallPerReplicaFailsUpFront)
                        trace);
 }
 
+TEST(Fleet, DuplicateRequestIdsFailUpFront)
+{
+    // Ids 0..3, each twice: the flat path serves all eight, but a
+    // fleet tracks requests by id across replicas and would merge the
+    // twins into phantom drops.
+    auto trace = fleetTrace(8);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace[i].id = i % 4;
+
+    Registry registry;
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    const ServingReport flat =
+        ServingSimulator(*registry.make("mcbp"), opts).simulate(trace);
+    EXPECT_EQ(flat.requests.size(), trace.size());
+    EXPECT_EQ(flat.droppedRequests, 0u);
+
+    const auto fleet = registry.make("mcbp:dp=2");
+    try {
+        (void)ServingSimulator(*fleet, opts).simulate(trace);
+        FAIL() << "expected the repeated id to be rejected";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("request id 0 repeats at trace positions 0 "
+                           "and 4"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(Fleet, StepModeIdentityHoldsUnderFaultsAtDp2Pp2Tp2)
 {
     Registry registry;

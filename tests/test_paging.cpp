@@ -166,8 +166,6 @@ TEST(KvBlocks, LedgerTracksPeaksAndFragmentation)
     EXPECT_DOUBLE_EQ(pool.usedBytes(), 192.0);
     EXPECT_DOUBLE_EQ(pool.neededBytes(), 160.0);
     EXPECT_DOUBLE_EQ(pool.peakFragmentationBytes(), 32.0);
-    EXPECT_DOUBLE_EQ(pool.freeBytes(), 64.0);
-    EXPECT_DOUBLE_EQ(pool.freeFraction(), 0.25);
     pool.remove(128.0, 100.0);
     pool.remove(64.0, 60.0);
     pool.clearIdleResidual();
@@ -248,6 +246,11 @@ TEST(Paging, ReservePolicyIgnoresPagingKnobs)
     EXPECT_EQ(ra.kvPeakBytes, rb.kvPeakBytes);
     EXPECT_EQ(ra.preemptions, 0u);
     EXPECT_EQ(ra.kvBlockUtilization, 0.0);
+    // Reserve holds each footprint as both allocated and needed bytes
+    // in the one pool: never fragmented, never over capacity.
+    EXPECT_EQ(ra.kvFragmentationPeakBytes, 0.0);
+    EXPECT_GT(ra.kvPeakBytes, 0.0);
+    EXPECT_LE(ra.kvPeakBytes, a.kvCapacityBytes);
 }
 
 TEST(Paging, AdmitsMoreThanReservationUnderPressure)
