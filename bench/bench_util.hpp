@@ -215,7 +215,11 @@ class JsonRecords
     append(const std::string &key, std::string rendered)
     {
         fatalIf(records_.empty(), "field() before begin()");
-        records_.back().emplace_back(key, std::move(rendered));
+        auto &record = records_.back();
+        for (const auto &field : record)
+            fatalIf(field.first == key,
+                    "JSON record already has key '" + key + "'");
+        record.emplace_back(key, std::move(rendered));
     }
 
     std::string bench_;
@@ -228,15 +232,14 @@ class JsonRecords
  * (callers begin() a record and add their context fields — setting,
  * sweep point, budget — first). One schema for every bench/example
  * that archives a serving run, so the CI artifacts of fig20/fig23 and
- * example_serving all carry the same columns — including the paging
- * stats (kv_policy, preemptions, recomputed_tokens,
- * kv_block_utilization, kv_fragmentation_peak_bytes) they print as
- * text.
+ * example_serving all carry the same columns: the names and
+ * aggregates below, every run counter under its
+ * MCBP_SERVING_COUNTERS key, and the serial baseline.
  */
 inline JsonRecords &
 appendServingFields(JsonRecords &json, const engine::ServingReport &r)
 {
-    return json.field("accelerator", r.accelerator)
+    json.field("accelerator", r.accelerator)
         .field("scheduler", r.scheduler)
         .field("kv_policy", r.kvPolicy)
         .field("p50_latency_s", r.p50LatencySeconds)
@@ -253,33 +256,21 @@ appendServingFields(JsonRecords &json, const engine::ServingReport &r)
         .field("tokens_per_s", r.tokensPerSecond)
         .field("joules_per_token", r.joulesPerToken)
         .field("mean_batch", r.meanBatchOccupancy)
-        .field("peak_batch", r.peakBatch)
-        .field("kv_peak_bytes", r.kvPeakBytes)
         .field("kv_utilization", r.kvUtilization)
-        .field("preemptions", static_cast<double>(r.preemptions))
-        .field("recomputed_tokens",
-               static_cast<double>(r.recomputedTokens))
         .field("kv_block_utilization", r.kvBlockUtilization)
-        .field("kv_fragmentation_peak_bytes",
-               r.kvFragmentationPeakBytes)
         .field("batching_speedup", r.batchingSpeedup())
-        // Availability (fault injection; all zero on zero-fault runs).
+        .field("serial_s", r.serialSeconds)
+        .field("serial_j", r.serialJoules)
+        // Availability (fault injection).
         .field("goodput_tok_s", r.goodputTokensPerSecond)
         .field("slo_attainment", r.sloAttainment)
-        .field("fault_events", static_cast<double>(r.faultEvents))
-        .field("killed_in_flight",
-               static_cast<double>(r.killedInFlight))
-        .field("retries_scheduled",
-               static_cast<double>(r.retriesScheduled))
-        .field("dropped_requests",
-               static_cast<double>(r.droppedRequests))
-        .field("fault_lost_tokens",
-               static_cast<double>(r.faultLostTokens))
-        .field("fault_recompute_s", r.faultRecomputeSeconds)
-        .field("degraded_s", r.degradedSeconds)
-        .field("outage_s", r.outageSeconds)
         .field("degraded_fraction", r.degradedFraction)
         .field("no_completions", r.noCompletions ? 1.0 : 0.0);
+#define MCBP_JSON_COUNTER(type, stat, member, key, rule, unit)               \
+    json.field(key, r.member);
+    MCBP_SERVING_COUNTERS(MCBP_JSON_COUNTER)
+#undef MCBP_JSON_COUNTER
+    return json;
 }
 
 } // namespace mcbp::bench

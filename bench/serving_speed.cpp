@@ -328,8 +328,6 @@ main(int argc, char **argv)
             .field("per_token_s", ref_s)
             .field("coalesced_s", coal_s)
             .field("wall_speedup", wall_speedup)
-            .field("decode_iterations", coal.decodeIterations)
-            .field("decode_windows", coal.decodeWindows)
             .field("window_reduction", window_reduction)
             .field("simulated_tokens_per_s",
                    coal_s > 0.0 ? tokens / coal_s : 0.0)

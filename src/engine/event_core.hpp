@@ -65,6 +65,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <functional>
@@ -271,27 +272,111 @@ struct FaultInputs
     bool hasDegraded = false;
 };
 
+/**
+ * Fleet merge rules and units of the run counters
+ * (MCBP_SERVING_COUNTERS). A rule folds one replica's report value
+ * into the fleet's; a unit turns an EventStats value into its
+ * ServingReport value.
+ */
+namespace counter {
+/** Fleet merge: the replicas' values add up. */
+struct Sum
+{
+    template <typename T>
+    static void merge(T &fleet, T replica) { fleet += replica; }
+};
+/** Fleet merge: the largest replica value. */
+struct Max
+{
+    template <typename T>
+    static void merge(T &fleet, T replica)
+    {
+        fleet = std::max(fleet, replica);
+    }
+};
+/** Unit: simulated cycles, which the report converts to seconds. */
+struct Cycles
+{
+    static double toReport(double cycles, double toSeconds)
+    {
+        return cycles * toSeconds;
+    }
+};
+/** Unit: a count or byte value, which the report copies. */
+struct Value
+{
+    template <typename T>
+    static T toReport(T value, double) { return value; }
+};
+} // namespace counter
+
+/**
+ * The run counters, declared once. Each entry is
+ * X(type, EventStats name, ServingReport name, JSON key, fleet merge
+ * rule, unit): the event core produces the EventStats field, the
+ * report holds it converted by the unit (cycles become seconds), a
+ * fleet folds its replicas' report values by the rule, and
+ * bench::appendServingFields writes it under the key. EventStats,
+ * ServingReport, ServingSimulator::simulate(), the fleet merge and
+ * the JSON schema all expand this list, so a new counter is one line
+ * here plus the code that produces it. Three fleet values override
+ * the rule (engine/fleet.cpp): droppedRequests, retriesScheduled and
+ * faultEvents.
+ */
+#define MCBP_SERVING_COUNTERS(X)                                            \
+    /* Final clock: the makespan, i.e. the last completion. */              \
+    X(double, clockCycles, makespanSeconds, "makespan_s", Max, Cycles)     \
+    /* Engine-occupied time under continuous batching. */                  \
+    X(double, busyCycles, busySeconds, "busy_s", Sum, Cycles)              \
+    /* Decode iterations simulated. */                                     \
+    X(std::size_t, iterations, decodeIterations, "decode_iterations", Sum, \
+      Value)                                                               \
+    /* Decode loop passes actually executed: equals iterations under       \
+       per-token stepping, and the (much smaller) number of coalesced      \
+       windows otherwise; the coalescing speedup is their ratio. */        \
+    X(std::size_t, decodeWindows, decodeWindows, "decode_windows", Sum,    \
+      Value)                                                               \
+    /* Largest batch decoding together. */                                 \
+    X(std::size_t, peakBatch, peakBatch, "peak_batch", Max, Value)         \
+    /* Peak in-flight KV residency (block-rounded when paged). */          \
+    X(double, kvPeakBytes, kvPeakBytes, "kv_peak_bytes", Max, Value)       \
+    /* Paged policy: preempt-and-recompute totals over the run. */         \
+    X(std::size_t, preemptions, preemptions, "preemptions", Sum, Value)    \
+    X(std::size_t, recomputedTokens, recomputedTokens,                     \
+      "recomputed_tokens", Sum, Value)                                     \
+    /* Peak internal fragmentation (allocated - needed bytes); 0 under     \
+       reserve. */                                                         \
+    X(double, kvFragmentationPeakBytes, kvFragmentationPeakBytes,          \
+      "kv_fragmentation_peak_bytes", Max, Value)                           \
+    /* Availability (fault injection; all zero on zero-fault runs).        \
+       Fault-timeline events processed. */                                 \
+    X(std::size_t, faultEvents, faultEvents, "fault_events", Sum, Value)   \
+    /* In-flight kills by chip faults. */                                  \
+    X(std::size_t, killedInFlight, killedInFlight, "killed_in_flight",     \
+      Sum, Value)                                                          \
+    /* Fault-kill retries scheduled. */                                    \
+    X(std::size_t, retriesScheduled, retriesScheduled,                     \
+      "retries_scheduled", Sum, Value)                                     \
+    /* Budget, deadline and dead-fleet drops. */                           \
+    X(std::size_t, droppedRequests, droppedRequests, "dropped_requests",   \
+      Sum, Value)                                                          \
+    /* Decode progress lost to kills. */                                   \
+    X(std::size_t, faultLostTokens, faultLostTokens, "fault_lost_tokens",  \
+      Sum, Value)                                                          \
+    /* Restart prefills replayed after fault kills. */                     \
+    X(double, faultRecomputeCycles, faultRecomputeSeconds,                 \
+      "fault_recompute_s", Sum, Cycles)                                    \
+    /* Time the fleet served on the degraded topology / was fully down. */ \
+    X(double, degradedCycles, degradedSeconds, "degraded_s", Sum, Cycles)  \
+    X(double, outageCycles, outageSeconds, "outage_s", Sum, Cycles)
+
 /** Aggregate outcome of one event-loop run, in cycles. */
 struct EventStats
 {
-    double clockCycles = 0.0;   ///< Final clock (makespan).
-    double busyCycles = 0.0;    ///< Engine-occupied cycles.
+#define MCBP_STATS_FIELD(type, stat, member, key, rule, unit) type stat{};
+    MCBP_SERVING_COUNTERS(MCBP_STATS_FIELD)
+#undef MCBP_STATS_FIELD
     double occupancySum = 0.0;  ///< Sum of batch sizes over iterations.
-    std::size_t iterations = 0; ///< Decode iterations simulated.
-    /**
-     * Decode loop passes actually executed: equals iterations under
-     * per-token stepping, and the (much smaller) number of coalesced
-     * windows otherwise — the coalescing speedup is their ratio.
-     */
-    std::size_t decodeWindows = 0;
-    std::size_t peakBatch = 0;
-    double kvPeakBytes = 0.0;   ///< Peak in-flight KV residency.
-    /** Paged policy: preempt-and-recompute counters. */
-    std::size_t preemptions = 0;
-    std::size_t recomputedTokens = 0;
-    /** Peak internal fragmentation (allocated - needed); 0 under
-     *  Reserve. */
-    double kvFragmentationPeakBytes = 0.0;
     /** Paged policy: sum over decode iterations of needed/allocated
      *  bytes (block fill), and the iterations counted. */
     double kvBlockUtilizationSum = 0.0;
@@ -308,17 +393,7 @@ struct EventStats
     /** Requests in completion order (admission/completion cycles set). */
     std::vector<CostedRequest *> completed;
 
-    // ---- Availability (fault injection; all zero on zero-fault runs) --
-    std::size_t faultEvents = 0;    ///< Timeline events processed.
-    std::size_t killedInFlight = 0; ///< In-flight kills by chip faults.
-    std::size_t retriesScheduled = 0;
-    std::size_t droppedRequests = 0; ///< Budget/deadline/dead-fleet drops.
-    std::size_t faultLostTokens = 0; ///< Decode progress lost to kills.
-    /** Restart prefills replayed after fault kills (cycles). */
-    double faultRecomputeCycles = 0.0;
-    /** Cycles spent with the fleet degraded / fully down. */
-    double degradedCycles = 0.0;
-    double outageCycles = 0.0;
+    // ---- Availability (fault injection; all empty on zero-fault runs) --
     /** Retry schedulings and drops, as request ids in decision order
      *  (part of the coalescing equivalence contract, like
      *  admissionOrder/preemptionOrder). */

@@ -447,31 +447,14 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     double blockUtilWeighted = 0.0;
     for (std::size_t r = 0; r < dp; ++r) {
         const ServingReport &rep = reports[r];
-        merged.makespanSeconds =
-            std::max(merged.makespanSeconds, rep.makespanSeconds);
-        merged.busySeconds += rep.busySeconds;
-        merged.peakBatch = std::max(merged.peakBatch, rep.peakBatch);
-        merged.kvPeakBytes =
-            std::max(merged.kvPeakBytes, rep.kvPeakBytes);
-        merged.preemptions += rep.preemptions;
-        merged.recomputedTokens += rep.recomputedTokens;
-        merged.kvFragmentationPeakBytes =
-            std::max(merged.kvFragmentationPeakBytes,
-                     rep.kvFragmentationPeakBytes);
-        merged.decodeIterations += rep.decodeIterations;
-        merged.decodeWindows += rep.decodeWindows;
+#define MCBP_MERGE_COUNTER(type, stat, member, key, rule, unit)               \
+    counter::rule::merge(merged.member, rep.member);
+        MCBP_SERVING_COUNTERS(MCBP_MERGE_COUNTER)
+#undef MCBP_MERGE_COUNTER
         occupancyWeighted += rep.meanBatchOccupancy *
                              static_cast<double>(rep.decodeIterations);
         blockUtilWeighted += rep.kvBlockUtilization *
                              static_cast<double>(rep.decodeIterations);
-
-        merged.faultEvents += rep.faultEvents;
-        merged.killedInFlight += rep.killedInFlight;
-        merged.retriesScheduled += rep.retriesScheduled;
-        merged.faultLostTokens += rep.faultLostTokens;
-        merged.faultRecomputeSeconds += rep.faultRecomputeSeconds;
-        merged.degradedSeconds += rep.degradedSeconds;
-        merged.outageSeconds += rep.outageSeconds;
 
         // Decision logs concatenate in replica order: each replica's
         // per-token and coalesced runs produce identical sequences, so
@@ -519,7 +502,7 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     }
 
     // Fleet-level reroutes are retries too, logged after the
-    // per-replica decision streams.
+    // per-replica decision streams (an override of the Sum rule).
     merged.retriesScheduled += out.reroutes;
     merged.retryOrder.insert(merged.retryOrder.end(),
                              rerouteOrder.begin(), rerouteOrder.end());
@@ -553,15 +536,23 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
             if (completedIds.count(id) == 0 &&
                 droppedSeen.insert(id).second)
                 merged.dropOrder.push_back(id);
+    // Two more counters override their merge rule: a request dropped
+    // by one replica may complete on another, and a fleet-wide link or
+    // straggler event reached every replica but happened once (the
+    // log keeps one copy).
     merged.droppedRequests = trace.size() - completedIds.size();
+    merged.faultEvents = merged.faultLog.size();
 
     merged.kvUtilization =
         !kvUnbounded(ropts.kvCapacityBytes)
             ? merged.kvPeakBytes / ropts.kvCapacityBytes
             : 0.0;
+    // degradedSeconds sums the replicas, each degraded for at most its
+    // own makespan, so the fraction divides by dp x makespan.
     merged.degradedFraction =
         merged.makespanSeconds > 0.0
-            ? merged.degradedSeconds / merged.makespanSeconds
+            ? merged.degradedSeconds /
+                  (static_cast<double>(dp) * merged.makespanSeconds)
             : 0.0;
 
     finalizeServingAggregates(merged, trace.size());

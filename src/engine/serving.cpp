@@ -422,36 +422,22 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace,
         report.requests.push_back(rmx);
     }
 
-    report.makespanSeconds = stats.clockCycles * to_seconds;
-    report.busySeconds = stats.busyCycles * to_seconds;
-    report.peakBatch = stats.peakBatch;
-    report.kvPeakBytes = stats.kvPeakBytes;
+#define MCBP_COPY_COUNTER(type, stat, member, key, rule, unit)                \
+    report.member = counter::unit::toReport(stats.stat, to_seconds);
+    MCBP_SERVING_COUNTERS(MCBP_COPY_COUNTER)
+#undef MCBP_COPY_COUNTER
     report.kvUtilization = !kvUnbounded(opts_.kvCapacityBytes)
                                ? stats.kvPeakBytes / opts_.kvCapacityBytes
                                : 0.0;
-    report.preemptions = stats.preemptions;
-    report.recomputedTokens = stats.recomputedTokens;
     report.kvBlockUtilization =
         stats.kvBlockUtilizationIters > 0
             ? stats.kvBlockUtilizationSum /
                   static_cast<double>(stats.kvBlockUtilizationIters)
             : 0.0;
-    report.kvFragmentationPeakBytes = stats.kvFragmentationPeakBytes;
-    report.decodeIterations = stats.iterations;
-    report.decodeWindows = stats.decodeWindows;
     report.admissionOrder = std::move(stats.admissionOrder);
     report.preemptionOrder = std::move(stats.preemptionOrder);
 
     // ---- Availability -----------------------------------------------
-    report.faultEvents = stats.faultEvents;
-    report.killedInFlight = stats.killedInFlight;
-    report.retriesScheduled = stats.retriesScheduled;
-    report.droppedRequests = stats.droppedRequests;
-    report.faultLostTokens = stats.faultLostTokens;
-    report.faultRecomputeSeconds =
-        stats.faultRecomputeCycles * to_seconds;
-    report.degradedSeconds = stats.degradedCycles * to_seconds;
-    report.outageSeconds = stats.outageCycles * to_seconds;
     report.degradedFraction =
         report.makespanSeconds > 0.0
             ? report.degradedSeconds / report.makespanSeconds

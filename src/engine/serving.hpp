@@ -210,9 +210,17 @@ struct ServingReport
     /** Per-request metrics, in completion order. */
     std::vector<RequestMetrics> requests;
 
-    double makespanSeconds = 0.0; ///< Last completion time.
-    /** Engine-occupied time under continuous batching. */
-    double busySeconds = 0.0;
+    /**
+     * The run counters (MCBP_SERVING_COUNTERS, event_core.hpp), cycle
+     * counts converted to seconds. On a dp= fleet each counter folds
+     * its replicas by the list's rule: degradedSeconds and
+     * outageSeconds, like every summed time, add up over replicas, so
+     * they can exceed the fleet's makespan.
+     */
+#define MCBP_REPORT_FIELD(type, stat, member, key, rule, unit) type member{};
+    MCBP_SERVING_COUNTERS(MCBP_REPORT_FIELD)
+#undef MCBP_REPORT_FIELD
+
     /** Sum of the isolated single-request run times (no batching). */
     double serialSeconds = 0.0;
     /** Sum of the isolated single-request run energies (no batching). */
@@ -240,28 +248,14 @@ struct ServingReport
     double tokensPerSecond = 0.0; ///< Generated tokens / makespan.
     double joulesPerToken = 0.0;
     double meanBatchOccupancy = 0.0; ///< Mean in-flight per iteration.
-    std::size_t peakBatch = 0;
 
-    /** Peak in-flight KV residency (block-rounded when paged). */
-    double kvPeakBytes = 0.0;
     /** kvPeakBytes / configured capacity (0 when unbounded). */
     double kvUtilization = 0.0;
 
-    /** Paged policy: preempt-and-recompute totals over the run. */
-    std::size_t preemptions = 0;
-    std::size_t recomputedTokens = 0;
     /** Paged policy: mean block fill (needed/allocated bytes) over
      *  decode iterations — 1 - internal fragmentation. 0 for reserve
      *  (no blocks exist). */
     double kvBlockUtilization = 0.0;
-    /** Peak internal fragmentation in bytes (0 under reserve). */
-    double kvFragmentationPeakBytes = 0.0;
-
-    /** Decode iterations simulated, and the decode loop passes that
-     *  actually executed (fewer under coalesced stepping — the ratio
-     *  is the coalescing win; see EventStats::decodeWindows). */
-    std::size_t decodeIterations = 0;
-    std::size_t decodeWindows = 0;
     /** Scheduling decisions in decision order (request ids): what the
      *  coalescing equivalence contract compares verbatim against the
      *  per-token reference (see EventStats). */
@@ -274,17 +268,9 @@ struct ServingReport
      *  percentiles are zeroed rather than computed over an empty
      *  sample vector. */
     bool noCompletions = false;
-    std::size_t faultEvents = 0;    ///< Fault-timeline events hit.
-    std::size_t killedInFlight = 0; ///< In-flight kills by chip faults.
-    std::size_t retriesScheduled = 0;
-    std::size_t droppedRequests = 0;
-    std::size_t faultLostTokens = 0; ///< Decode progress lost to kills.
-    /** Restart prefills replayed after fault kills. */
-    double faultRecomputeSeconds = 0.0;
-    /** Time the fleet served on the degraded topology / was down. */
-    double degradedSeconds = 0.0;
-    double outageSeconds = 0.0;
-    /** degradedSeconds / makespan (0 when the makespan is 0). */
+    /** Share of the run served on the degraded topology:
+     *  degradedSeconds / (replicas x makespan), so at most 1 on a
+     *  fleet too (0 when the makespan is 0). */
     double degradedFraction = 0.0;
     /** SLO-compliant generated tokens / makespan. With no deadline
      *  configured every completed token is compliant, so this equals

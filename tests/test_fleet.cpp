@@ -9,6 +9,9 @@
  *  - a permanently failed replica drains onto the survivors through
  *    the retry/backoff path (reroutes happen, goodput never beats the
  *    healthy run, conservation still holds);
+ *  - the fleet's degraded fraction stays within [0, 1] although its
+ *    degraded time sums the replicas, and it counts each fleet-wide
+ *    fault event once, as its fault log does;
  *  - the fleet prices each distinct shape once per topology, and no
  *    replica run or failover re-run prices it again;
  *  - the coalesced-vs-per-token step-mode identity contract survives
@@ -69,8 +72,10 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
     EXPECT_EQ(a.accelerator, b.accelerator);
     EXPECT_EQ(a.scheduler, b.scheduler);
     EXPECT_EQ(a.kvPolicy, b.kvPolicy);
-    EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.busySeconds, b.busySeconds);
+#define EXPECT_COUNTER_EQ(type, stat, member, key, rule, unit)                \
+    EXPECT_EQ(a.member, b.member) << #member;
+    MCBP_SERVING_COUNTERS(EXPECT_COUNTER_EQ)
+#undef EXPECT_COUNTER_EQ
     EXPECT_EQ(a.serialSeconds, b.serialSeconds);
     EXPECT_EQ(a.serialJoules, b.serialJoules);
     EXPECT_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
@@ -87,22 +92,12 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
     EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
     EXPECT_EQ(a.joulesPerToken, b.joulesPerToken);
     EXPECT_EQ(a.meanBatchOccupancy, b.meanBatchOccupancy);
-    EXPECT_EQ(a.peakBatch, b.peakBatch);
-    EXPECT_EQ(a.kvPeakBytes, b.kvPeakBytes);
     EXPECT_EQ(a.kvUtilization, b.kvUtilization);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
     EXPECT_EQ(a.kvBlockUtilization, b.kvBlockUtilization);
-    EXPECT_EQ(a.kvFragmentationPeakBytes, b.kvFragmentationPeakBytes);
-    EXPECT_EQ(a.decodeIterations, b.decodeIterations);
-    EXPECT_EQ(a.decodeWindows, b.decodeWindows);
     EXPECT_EQ(a.admissionOrder, b.admissionOrder);
     EXPECT_EQ(a.preemptionOrder, b.preemptionOrder);
     EXPECT_EQ(a.noCompletions, b.noCompletions);
-    EXPECT_EQ(a.faultEvents, b.faultEvents);
-    EXPECT_EQ(a.killedInFlight, b.killedInFlight);
-    EXPECT_EQ(a.retriesScheduled, b.retriesScheduled);
-    EXPECT_EQ(a.droppedRequests, b.droppedRequests);
+    EXPECT_EQ(a.degradedFraction, b.degradedFraction);
     EXPECT_EQ(a.goodputTokensPerSecond, b.goodputTokensPerSecond);
     EXPECT_EQ(a.sloAttainment, b.sloAttainment);
     EXPECT_EQ(a.retryOrder, b.retryOrder);
@@ -299,6 +294,47 @@ TEST(Fleet, PricesEachShapeOnceAcrossReplicasAndFailover)
     // run or failover re-run priced anything again.
     EXPECT_EQ(healthy.runs(), shapes.size());
     EXPECT_EQ(degraded.runs(), shapes.size());
+}
+
+TEST(Fleet, DegradedFractionStaysWithinOne)
+{
+    // One chip of each replica fails for good early on: both replicas
+    // serve degraded for most of their runs, so the replica-summed
+    // degradedSeconds exceeds the fleet makespan.
+    Registry registry;
+    auto accel = registry.make("mcbp:tp=2,dp=2");
+    auto degraded = registry.make(degradedSpec("mcbp:tp=2"));
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    opts.degradedAccel = degraded.get();
+    opts.faults.events = {permanentFail(0.01, 0), permanentFail(0.01, 2)};
+    const ServingReport report =
+        ServingSimulator(*accel, opts).simulate(fleetTrace());
+    EXPECT_GT(report.degradedSeconds, report.makespanSeconds);
+    EXPECT_GT(report.degradedFraction, 0.0);
+    EXPECT_LE(report.degradedFraction, 1.0);
+}
+
+TEST(Fleet, CountsEachFleetWideFaultEventOnce)
+{
+    // Link and straggler windows reach every replica; the fleet
+    // counts each once, as its merged fault log does, and as a single
+    // engine always does.
+    Registry registry;
+    const auto trace = fleetTrace(200, 20.0);
+    ServingOptions opts;
+    opts.faults.seed = 3;
+    opts.faults.mtbfSeconds = 20.0;
+    opts.faults.linkDegradeRate = 0.5;
+    opts.faults.stragglerRate = 0.5;
+    opts.faults.horizonSeconds = 12.0;
+    for (const char *spec : {"mcbp", "mcbp:dp=2", "mcbp:dp=4"}) {
+        auto accel = registry.make(spec);
+        const ServingReport report =
+            ServingSimulator(*accel, opts).simulate(trace);
+        EXPECT_GT(report.faultEvents, 0u) << spec;
+        EXPECT_EQ(report.faultEvents, report.faultLog.size()) << spec;
+    }
 }
 
 TEST(Fleet, KvBudgetTooSmallPerReplicaFailsUpFront)
