@@ -20,6 +20,14 @@
  *     match verbatim, aggregates to 1e-9 relative, and the coalesced
  *     run must win >= 10x in decode loop passes (the algorithmic
  *     gate, host-independent) — wall-clock is reported alongside.
+ *  3. Admission scaling — a t = 0 shortest-prompt burst under a
+ *     KV-tight paged pool, at n and 4n requests, where every
+ *     admission pass faces the whole waiting queue. Host-independent
+ *     gates: the KV-fit checks admission makes (admission_probes)
+ *     grow at most 5x for 4x the requests (a per-pass scan of the
+ *     queue grows them ~16x), and per-token and coalesced stepping
+ *     make identical decisions at both sizes. Wall time is recorded,
+ *     not gated.
  *
  * Exit code 0 iff every enforced gate passes. `--json <path>`
  * archives the records (bench_util.hpp schema).
@@ -336,6 +344,88 @@ main(int argc, char **argv)
             .field("windows_gate_enforced", leg.gateWindows ? 1 : 0);
         bench::appendServingFields(json, coal);
     }
+
+    // ---- Section 3: admission scaling ---------------------------------
+    bench::banner("Admission scaling: t = 0 burst at n and 4n requests");
+    // Shortest-prompt-first walks its prefill order over the indexed
+    // queue; the pool, a quarter of the unbounded peak, keeps the
+    // queue KV-blocked for most passes.
+    auto burst = [](std::size_t n) {
+        model::TraceConfig bc;
+        bc.model = "OPT1B3";
+        bc.task = "MBPP";
+        bc.requests = n;
+        bc.arrivalsPerSecond = 0.0;
+        bc.seed = 9;
+        return model::synthesizeTrace(bc);
+    };
+    constexpr std::size_t kBurstRequests = 500;
+    engine::ServingOptions burst_base;
+    burst_base.maxBatch = 64;
+    burst_base.policy = engine::SchedulerPolicy::ShortestPromptFirst;
+    burst_base.kvPolicy = engine::KvPolicy::Paged;
+    burst_base.kvCapacityBytes =
+        engine::ServingSimulator(*accel, burst_base)
+            .simulate(burst(kBurstRequests))
+            .kvPeakBytes /
+        4.0;
+
+    const std::size_t burst_sizes[2] = {kBurstRequests, 4 * kBurstRequests};
+    std::size_t probes[2] = {0, 0};
+    bool scaling_decisions = true;
+    for (std::size_t leg = 0; leg < 2; ++leg) {
+        const auto trace = burst(burst_sizes[leg]);
+        engine::ServingOptions ref_opts = burst_base;
+        ref_opts.stepMode = engine::StepMode::PerToken;
+        engine::ServingOptions coal_opts = burst_base;
+        coal_opts.stepMode = engine::StepMode::Coalesced;
+        engine::ServingReport ref, coal;
+        const double ref_s = seconds([&] {
+            ref = engine::ServingSimulator(*accel, ref_opts).simulate(trace);
+        });
+        const double coal_s = seconds([&] {
+            coal =
+                engine::ServingSimulator(*accel, coal_opts).simulate(trace);
+        });
+        bool drift_ok = false;
+        const bool decisions = decisionsIdentical(ref, coal, drift_ok);
+        scaling_decisions = scaling_decisions && decisions && drift_ok;
+        probes[leg] = coal.admissionProbes;
+
+        std::printf("  [%zu requests]\n", trace.size());
+        std::printf("    per-token  %8.3f s   coalesced %8.3f s   "
+                    "preemptions %zu\n",
+                    ref_s, coal_s, coal.preemptions);
+        std::printf("    admission probes %zu (%.1f per admission)   "
+                    "decisions identical: %s   drift <= 1e-9: %s\n",
+                    coal.admissionProbes,
+                    static_cast<double>(coal.admissionProbes) /
+                        static_cast<double>(coal.admissionOrder.size()),
+                    decisions ? "yes" : "NO (BUG)",
+                    drift_ok ? "yes" : "NO (BUG)");
+        json.begin()
+            .field("section", "admission_scaling")
+            .field("requests", trace.size())
+            .field("per_token_s", ref_s)
+            .field("coalesced_s", coal_s)
+            .field("decisions_identical", decisions ? 1 : 0)
+            .field("drift_ok", drift_ok ? 1 : 0);
+        bench::appendServingFields(json, coal);
+    }
+    const double probe_ratio =
+        probes[0] > 0 ? static_cast<double>(probes[1]) /
+                            static_cast<double>(probes[0])
+                      : 0.0;
+    const bool scaling_gate =
+        scaling_decisions && probes[0] > 0 && probe_ratio <= 5.0;
+    all_gates = all_gates && scaling_gate;
+    std::printf("  probes(4n) / probes(n) = %.2f   gate (<= 5, identical "
+                "decisions): %s\n",
+                probe_ratio, scaling_gate ? "pass" : "FAIL");
+    json.begin()
+        .field("section", "admission_scaling_gate")
+        .field("probe_ratio", probe_ratio)
+        .field("gate", scaling_gate ? 1 : 0);
 
     json.writeIfRequested(argc, argv);
     std::printf("\nserving-speed gates: %s\n",

@@ -29,6 +29,16 @@ panicIf(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/** panic() when @p cond is true. A literal message becomes a
+ *  std::string only on failure, so a hot-path check allocates
+ *  nothing. */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond)
+        panic(msg);
+}
+
 /** fatal() when @p cond is true. */
 inline void
 fatalIf(bool cond, const std::string &msg)

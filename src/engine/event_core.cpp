@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include "accel/report.hpp"
 #include "common/env.hpp"
 #include "common/logging.hpp"
+#include "engine/waiting_queue.hpp"
 
 namespace mcbp::engine {
 
@@ -106,16 +106,11 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                                 requests[b].arrivalCycles;
                      });
 
-    double clock = 0.0;
-    std::size_t next_arrival = 0;
-    std::deque<CostedRequest *> waiting;
-    std::vector<CostedRequest *> active; // Admission order.
-    std::vector<AdmissionCandidate> candidates;
-
     // ---- Fault state (inert when faults are off) -----------------------
     const bool faulty = faults_.enabled;
     const std::size_t priced =
         pricedTopologies(faults_.enabled, faults_.hasDegraded);
+    const bool deadlines = faulty && faults_.deadlineCycles > 0.0;
     const std::vector<sim::FaultEvent> &timeline = faults_.timeline;
     std::size_t next_fault = 0;
     bool dead = false;           // Fleet lost beyond any replan.
@@ -129,9 +124,14 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     double stall_scale = 1.0; // Product of slowdowns (>= 1).
     std::vector<CostedRequest *> retrying; // Backoff queue.
 
-    if (faulty && faults_.deadlineCycles > 0.0)
+    if (deadlines)
         for (CostedRequest &c : requests)
             c.deadlineCycles = c.arrivalCycles + faults_.deadlineCycles;
+
+    double clock = 0.0;
+    std::size_t next_arrival = 0;
+    WaitingQueue waiting(scheduler_->prefillAging(), priced, deadlines);
+    std::vector<CostedRequest *> active; // Admission order.
 
     // Clock advancement attributing degraded time. The arithmetic is
     // the zero-fault engine's plain `clock += delta` / `clock = to`,
@@ -214,15 +214,17 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             if (t == mode)
                 c->joules += price.joules;
         }
-        waiting.push_front(c);
+        waiting.pushFront(*c, admit_bytes(*c));
     };
 
     // Pull every request that has arrived by the current clock into
     // the waiting queue (arrival order).
     auto pull_arrivals = [&] {
         while (next_arrival < order.size() &&
-               requests[order[next_arrival]].arrivalCycles <= clock)
-            waiting.push_back(&requests[order[next_arrival++]]);
+               requests[order[next_arrival]].arrivalCycles <= clock) {
+            CostedRequest &c = requests[order[next_arrival++]];
+            waiting.pushBack(c, admit_bytes(c));
+        }
     };
 
     auto drop_request = [&](CostedRequest *c,
@@ -280,9 +282,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // A dead fleet serves nothing more: drop the queue, the retry
     // backlog, and every not-yet-arrived request.
     auto drop_all_pending = [&](EventStats::FaultImpact &impact) {
-        for (CostedRequest *c : waiting)
+        for (CostedRequest *c : waiting.takeAll())
             drop_request(c, &impact);
-        waiting.clear();
         for (CostedRequest *c : retrying)
             drop_request(c, &impact);
         retrying.clear();
@@ -395,7 +396,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             if (c->deadlineCycles > 0.0 && clock >= c->deadlineCycles)
                 drop_request(c, nullptr);
             else
-                waiting.push_back(c);
+                waiting.pushBack(*c, admit_bytes(*c));
         }
     };
 
@@ -403,17 +404,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // requests are exempt: a decoding request runs to completion and
     // merely misses its SLO.
     auto drop_expired_waiting = [&] {
-        if (faults_.deadlineCycles <= 0.0)
-            return;
-        for (auto it = waiting.begin(); it != waiting.end();) {
-            CostedRequest *c = *it;
-            if (c->deadlineCycles > 0.0 && clock >= c->deadlineCycles) {
-                drop_request(c, nullptr);
-                it = waiting.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        for (CostedRequest *c : waiting.takeExpired(clock))
+            drop_request(c, nullptr);
     };
 
     // The next instant the engine must wake at, whatever it is doing:
@@ -429,10 +421,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 wake = std::min(wake, c->retryAtCycles);
             if (next_fault < timeline.size())
                 wake = std::min(wake, timeline[next_fault].at);
-            if (faults_.deadlineCycles > 0.0)
-                for (const CostedRequest *c : waiting)
-                    if (c->deadlineCycles > 0.0)
-                        wake = std::min(wake, c->deadlineCycles);
+            wake = std::min(wake, waiting.earliestDeadline());
         }
         return wake;
     };
@@ -654,7 +643,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // whatever is admitted first), and a KV allocation that fits:
         // the full footprint under Reserve, the current residency
         // (plus the low-watermark growth headroom while others run)
-        // under Paged. Each admission pays its prefill before joining
+        // under Paged. The policy walks its own order over the indexed
+        // queue, and the pass runs the fit check only on the entries
+        // it visits. Each admission pays its prefill before joining
         // the batch.
         bool admitted_any = false;
         bool deferred = false;
@@ -670,37 +661,25 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                 if (waiting.empty())
                     break;
             }
-            const std::string *batch_model =
-                active.empty() ? nullptr : &active.front()->req->model;
-            candidates.clear();
-            candidates.reserve(waiting.size());
-            for (const CostedRequest *c : waiting) {
-                AdmissionCandidate cand;
-                cand.waitCycles = clock - c->arrivalCycles;
-                cand.prefillCycles = c->prefillCycles[mode];
-                const bool model_ok = batch_model == nullptr ||
-                                      c->req->model == *batch_model;
-                cand.admissible =
-                    model_ok &&
-                    pool.fits(admit_bytes(*c), paged && !active.empty());
-                candidates.push_back(cand);
-            }
-            const std::size_t pick = scheduler_->pick(candidates);
-            if (pick == Scheduler::npos) {
-                // npos with an admissible candidate is a live deferral
-                // the per-token loop would revisit after exactly one
-                // iteration: it pins the coalescing window to k = 1 so
-                // the scheduler is consulted on the same cadence.
-                for (const AdmissionCandidate &cand : candidates)
-                    deferred = deferred || cand.admissible;
+            const bool watermark = paged && !active.empty();
+            const AdmissionPass pass(
+                pool, watermark,
+                active.empty() ? nullptr : &active.front()->req->model,
+                mode, stats.admissionProbes);
+            const AdmissionPick pick = scheduler_->pick(waiting, pass);
+            if (pick.entry == nullptr) {
+                // A deferral (nobody admitted while someone is
+                // admissible) is a live decision the per-token loop
+                // would revisit after exactly one iteration: it pins
+                // the coalescing window to k = 1 so the scheduler is
+                // consulted on the same cadence.
+                deferred = pick.deferred;
                 break;
             }
-            panicIf(pick >= candidates.size() ||
-                        !candidates[pick].admissible,
+            panicIf(!pass.accepts(pick.entry->request->req->model) ||
+                        !pool.fits(pick.entry->admitBytes, watermark),
                     "scheduler picked an inadmissible request");
-            CostedRequest *c = waiting[pick];
-            waiting.erase(waiting.begin() +
-                          static_cast<std::ptrdiff_t>(pick));
+            CostedRequest *c = &waiting.erase(*pick.entry);
             if (!c->admitted) {
                 c->admitted = true;
                 c->admissionCycles = clock; // First admission only:
@@ -757,7 +736,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         //    iteration (k = 1, above);
         //  - the next wake-up (an arrival; under faults a fault
         //    event, retry expiry or queued deadline) changes the
-        //    candidate set or the fleet (bounded below, once the
+        //    waiting queue or the fleet (bounded below, once the
         //    iteration cost is known);
         //  - a paged preemption changes the batch (grow_batch_
         //    coalesced truncates the window just before one and the

@@ -5,8 +5,9 @@
  * ServingSimulator costs every request from a batch-1 run of the
  * underlying Accelerator (a CostedRequest); this core then plays the
  * trace forward in cycle time: it pulls arrivals into the waiting
- * queue, asks the pluggable Scheduler which waiting request to admit
- * (charging its prefill and its KV-cache allocation), and advances
+ * queue (indexed; waiting_queue.hpp), asks the pluggable Scheduler
+ * which waiting request to admit (charging its prefill and its
+ * KV-cache allocation), and advances
  * the active batch one decode token per iteration, re-composing the
  * shared weight stream against the batch's summed linear work exactly
  * the way the wrapped model composed it at batch 1.
@@ -336,6 +337,11 @@ struct Value
        windows otherwise; the coalescing speedup is their ratio. */        \
     X(std::size_t, decodeWindows, decodeWindows, "decode_windows", Sum,    \
       Value)                                                               \
+    /* KV-fit checks the admission step made: the waiting entries the      \
+       policies' walks visited, plus one footprint check per blocked       \
+       model group. Host-independent, so CI gates on its growth. */        \
+    X(std::size_t, admissionProbes, admissionProbes, "admission_probes",   \
+      Sum, Value)                                                          \
     /* Largest batch decoding together. */                                 \
     X(std::size_t, peakBatch, peakBatch, "peak_batch", Max, Value)         \
     /* Peak in-flight KV residency (block-rounded when paged). */          \

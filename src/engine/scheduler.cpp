@@ -1,6 +1,9 @@
 #include "engine/scheduler.hpp"
 
+#include <cmath>
+
 #include "common/logging.hpp"
+#include "engine/waiting_queue.hpp"
 
 namespace mcbp::engine {
 
@@ -12,12 +15,15 @@ class FifoScheduler final : public Scheduler
   public:
     std::string name() const override { return "fifo"; }
 
-    std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting) const override
+    AdmissionPick pick(const WaitingQueue &queue,
+                       const AdmissionPass &pass) const override
     {
-        if (!waiting.empty() && waiting.front().admissible)
-            return 0;
-        return npos;
+        const WaitingEntry &head = queue.head();
+        if (pass.accepts(head.request->req->model) &&
+            pass.fits(head.admitBytes))
+            return {&head, false};
+        // A blocked head defers when anything behind it is admissible.
+        return {nullptr, queue.anyFits(pass)};
     }
 };
 
@@ -27,13 +33,10 @@ class SkipAheadScheduler final : public Scheduler
   public:
     std::string name() const override { return "skip-ahead"; }
 
-    std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting) const override
+    AdmissionPick pick(const WaitingQueue &queue,
+                       const AdmissionPass &pass) const override
     {
-        for (std::size_t i = 0; i < waiting.size(); ++i)
-            if (waiting[i].admissible)
-                return i;
-        return npos;
+        return {queue.firstFit(WaitOrder::Arrival, pass), false};
     }
 };
 
@@ -52,27 +55,25 @@ class ShortestPromptScheduler final : public Scheduler
     explicit ShortestPromptScheduler(double agingWeight)
         : agingWeight_(agingWeight)
     {
-        fatalIf(agingWeight_ < 0.0, "SJF aging weight must be >= 0");
+        // The queue orders requests by a key built from the weight: a
+        // NaN key, or inf x 0 for a request arriving at t = 0, would
+        // break that order.
+        fatalIf(!std::isfinite(agingWeight_) || agingWeight_ < 0.0,
+                "sjfAgingWeight must be finite and >= 0, got " +
+                    std::to_string(agingWeight_));
     }
 
     std::string name() const override { return "shortest-prompt"; }
 
-    std::size_t
-    pick(const std::vector<AdmissionCandidate> &waiting) const override
+    std::optional<double> prefillAging() const override
     {
-        std::size_t best = npos;
-        double best_key = 0.0;
-        for (std::size_t i = 0; i < waiting.size(); ++i) {
-            if (!waiting[i].admissible)
-                continue;
-            const double key = waiting[i].prefillCycles -
-                               agingWeight_ * waiting[i].waitCycles;
-            if (best == npos || key < best_key) {
-                best = i;
-                best_key = key;
-            }
-        }
-        return best;
+        return agingWeight_;
+    }
+
+    AdmissionPick pick(const WaitingQueue &queue,
+                       const AdmissionPass &pass) const override
+    {
+        return {queue.firstFit(WaitOrder::Prefill, pass), false};
     }
 
   private:
