@@ -41,7 +41,6 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -58,18 +57,6 @@ struct ClusterOptions
     /** Chips the model is sharded across (must divide head count). */
     std::size_t tensorParallel = 1;
     sim::InterconnectConfig interconnect;
-
-    /** The surviving shape after one chip failure: the group re-forms
-     *  at half its tensor degree (the failed chip's shard pair is
-     *  excised whole, so every divisibility constraint still holds;
-     *  see health.hpp). tp=1 has no redundancy and degrades to
-     *  itself — callers detect that via tensorParallel staying 1. */
-    ClusterOptions degradedOptions() const
-    {
-        ClusterOptions out = *this;
-        out.tensorParallel = std::max<std::size_t>(1, tensorParallel / 2);
-        return out;
-    }
 };
 
 /** N tensor-parallel chips presented as one Accelerator. */

@@ -19,9 +19,10 @@
  * chip's pair is excised whole).
  *
  * The rewrite also drops knobs the surviving topology can no longer
- * accept — the registry rejects silent no-ops by presence, so a
- * degraded spec that kept `mb=` at pp=1 or `linkgbs=` with no fabric
- * would refuse to build. A single-chip spec has no degraded form:
+ * accept — the registry rejects silent no-ops by presence (the
+ * "requires" column of its topology table), so a degraded spec that
+ * kept `mb=` at pp=1 or `linkgbs=` with no fabric would refuse to
+ * build. A single-chip spec has no degraded form:
  * degradedSpec() returns "" and the caller treats the fleet as
  * non-redundant (a chip failure is an outage or fatal).
  */
@@ -41,8 +42,10 @@ namespace mcbp::engine {
  * verbatim: the replica fleet reroutes around a dead replica rather
  * than shrinking one, so dp= alone is no intra-replica redundancy.
  * Returns "" when @p spec has nothing to fail over to (tp2, tp and
- * pp all absent or 1). fatal() on a malformed spec (same grammar as
- * Registry::make).
+ * pp all absent or 1). Defined in registry.cpp next to the topology
+ * knob table, on the same parser as Registry::make(): fatal() on a
+ * malformed spec, a repeated key or a tp2/tp/pp value that is not a
+ * count.
  */
 std::string degradedSpec(const std::string &spec);
 

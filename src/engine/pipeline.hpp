@@ -45,7 +45,6 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -64,22 +63,6 @@ struct PipelineOptions
     std::size_t microBatches = 1;
     /** Inter-stage link (same knobs as the cluster fabric). */
     sim::InterconnectConfig interconnect;
-
-    /** The surviving shape after one stage failure: the layer stack
-     *  re-partitions over half the stages (an even re-split, so the
-     *  pp-divides-layers constraint still holds; see health.hpp).
-     *  Micro-batching only exists inside a pipeline, so it resets
-     *  when the pipeline collapses to one stage. pp=1 has no
-     *  redundancy and degrades to itself. */
-    PipelineOptions degradedOptions() const
-    {
-        PipelineOptions out = *this;
-        out.pipelineParallel =
-            std::max<std::size_t>(1, pipelineParallel / 2);
-        if (out.pipelineParallel <= 1)
-            out.microBatches = 1;
-        return out;
-    }
 };
 
 /** pp pipeline stages presented as one Accelerator. */

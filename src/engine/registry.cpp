@@ -1,9 +1,12 @@
 #include "engine/registry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
-#include <map>
+#include <optional>
+#include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "engine/adapters.hpp"
 #include "engine/cluster.hpp"
 #include "engine/fleet.hpp"
+#include "engine/health.hpp"
 #include "engine/pipeline.hpp"
 
 namespace mcbp::engine {
@@ -26,11 +30,11 @@ toLower(std::string s)
     return s;
 }
 
-/** Parsed `name[:key=value,...]` spec. */
+/** Parsed `name[:key=value,...]` spec: lower-cased keys, spec order. */
 struct ParsedSpec
 {
     std::string name;
-    std::map<std::string, std::string> options;
+    std::vector<std::pair<std::string, std::string>> options;
 };
 
 ParsedSpec
@@ -52,12 +56,27 @@ parseSpec(const std::string &spec)
         const std::size_t eq = kv.find('=');
         fatalIf(eq == std::string::npos || eq == 0,
                 "malformed option '" + kv + "' in spec '" + spec + "'");
-        p.options[toLower(kv.substr(0, eq))] = kv.substr(eq + 1);
+        std::string key = toLower(kv.substr(0, eq));
+        // Keeping either copy would silently ignore the other.
+        for (const auto &seen : p.options)
+            fatalIf(seen.first == key, "option '" + key +
+                                           "' repeated in spec '" + spec +
+                                           "'");
+        p.options.emplace_back(std::move(key), kv.substr(eq + 1));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
     return p;
+}
+
+const std::string *
+findOption(const ParsedSpec &p, const std::string &key)
+{
+    for (const auto &kv : p.options)
+        if (kv.first == key)
+            return &kv.second;
+    return nullptr;
 }
 
 double
@@ -85,6 +104,7 @@ toBool(const std::string &key, const std::string &value)
     fatal("bad boolean value '" + value + "' for option '" + key + "'");
 }
 
+/** The one integer grammar: any number that is a whole value >= 0. */
 std::size_t
 toCount(const std::string &key, const std::string &value)
 {
@@ -95,40 +115,28 @@ toCount(const std::string &key, const std::string &value)
     return static_cast<std::size_t>(v);
 }
 
-/** Topology keys every design accepts (consumed before dispatch). */
-const std::vector<std::string> &
-topologyKeys()
+ReplicaPolicy
+toPolicy(const std::string &, const std::string &value)
 {
-    static const std::vector<std::string> keys = {
-        "tp",      "tp2",    "pp",   "mb",       "dp",      "route",
-        "linkgbs", "linkpj", "hops", "linkgbs2", "linkpj2", "hops2"};
-    return keys;
+    return replicaPolicyFromString(toLower(value));
 }
 
 /**
- * Consume recognized keys; whatever remains is a user error. ALL
- * leftover keys are reported in one message, together with the keys
- * this design does accept (its own plus the topology keys), so a
- * multi-typo spec is fixed in one round trip.
+ * Consume option @p key: std::nullopt when absent, else its value
+ * read by @p parse (toCount, toDouble, toBool or toPolicy). Whatever
+ * no take() consumed is reported by rejectUnknown().
  */
-void
-rejectUnknown(const ParsedSpec &p, std::vector<std::string> accepted)
+template <typename Parse>
+std::optional<std::invoke_result_t<Parse, std::string, std::string>>
+take(ParsedSpec &p, const std::string &key, Parse parse)
 {
-    if (p.options.empty())
-        return;
-    for (const std::string &key : topologyKeys())
-        accepted.push_back(key);
-    std::sort(accepted.begin(), accepted.end());
-
-    std::string unknown;
-    for (const auto &kv : p.options)
-        unknown += (unknown.empty() ? "'" : ", '") + kv.first + "'";
-    std::string known;
-    for (const std::string &key : accepted)
-        known += (known.empty() ? "" : ", ") + key;
-    fatal("unknown option" + std::string(p.options.size() > 1 ? "s " : " ") +
-          unknown + " for accelerator '" + p.name +
-          "'; accepted keys: " + known);
+    for (auto it = p.options.begin(); it != p.options.end(); ++it)
+        if (it->first == key) {
+            auto v = parse(key, it->second);
+            p.options.erase(it);
+            return v;
+        }
+    return std::nullopt;
 }
 
 Capabilities
@@ -203,7 +211,193 @@ findBaseline(std::string name)
     return nullptr;
 }
 
+/** The parallel axes; an absent axis has degree 1. */
+enum Axis : std::size_t { kTp, kTp2, kPp, kDp, kAxisCount };
+constexpr std::array<const char *, kAxisCount> kAxisKeys = {"tp", "tp2",
+                                                            "pp", "dp"};
+using Axes = std::array<std::size_t, kAxisCount>;
+
+std::size_t
+axisOf(const ParsedSpec &p, Axis a)
+{
+    const std::string *v = findOption(p, kAxisKeys[a]);
+    return v != nullptr ? toCount(kAxisKeys[a], *v) : 1;
+}
+
+enum class KnobValue { Count, Real, Policy };
+
+/**
+ * One topology knob: every design accepts it, README "Topology" lists
+ * it. It applies when any axis in `needs` is >= 2 (always when
+ * `needs` is empty). make() rejects a present knob that does not
+ * apply, since it would be a silent no-op; degradedSpec() drops the
+ * knobs the halved topology no longer applies.
+ */
+struct TopologyKnob
+{
+    const char *key;
+    KnobValue value;
+    double min; ///< Smallest accepted value (numeric knobs).
+    std::vector<Axis> needs;
+};
+
+const std::vector<TopologyKnob> &
+topologyKnobs()
+{
+    // Tier 1 is the intra-group all-reduce ring. Tier 2 is the
+    // boundary fabric the tp2= outer ring and the pp= stage handoffs
+    // share; it inherits the tier-1 values unless the *2 knobs
+    // override them. Only a link bandwidth is a divisor: zero link
+    // energy or hop latency are meaningful ideal-fabric points.
+    static const std::vector<TopologyKnob> knobs = {
+        {"tp", KnobValue::Count, 1, {}},
+        {"tp2", KnobValue::Count, 1, {kTp}},
+        {"pp", KnobValue::Count, 1, {}},
+        {"mb", KnobValue::Count, 1, {kPp}},
+        {"dp", KnobValue::Count, 1, {}},
+        {"route", KnobValue::Policy, 0, {kDp}},
+        {"linkgbs", KnobValue::Real, 1e-12, {kTp, kPp}},
+        {"linkpj", KnobValue::Real, 0, {kTp, kPp}},
+        {"hops", KnobValue::Real, 0, {kTp, kPp}},
+        {"linkgbs2", KnobValue::Real, 1e-12, {kTp2, kPp}},
+        {"linkpj2", KnobValue::Real, 0, {kTp2, kPp}},
+        {"hops2", KnobValue::Real, 0, {kTp2, kPp}},
+    };
+    return knobs;
+}
+
+const TopologyKnob *
+findKnob(const std::string &key)
+{
+    for (const TopologyKnob &knob : topologyKnobs())
+        if (key == knob.key)
+            return &knob;
+    return nullptr;
+}
+
+bool
+applies(const TopologyKnob &knob, const Axes &axes)
+{
+    return knob.needs.empty() ||
+           std::any_of(knob.needs.begin(), knob.needs.end(),
+                       [&](Axis a) { return axes[a] >= 2; });
+}
+
+/** fatal() unless every topology knob of @p p applies and is in range. */
+void
+checkTopology(const ParsedSpec &p, const std::string &spec)
+{
+    const Axes axes = {axisOf(p, kTp), axisOf(p, kTp2), axisOf(p, kPp),
+                       axisOf(p, kDp)};
+    for (const TopologyKnob &knob : topologyKnobs()) {
+        const std::string *value = findOption(p, knob.key);
+        if (value == nullptr)
+            continue;
+        if (!applies(knob, axes)) {
+            std::string needs;
+            for (Axis a : knob.needs)
+                needs += (needs.empty() ? "" : " or ") +
+                         std::string(kAxisKeys[a]) + ">=2";
+            fatal("option '" + std::string(knob.key) + "' requires " +
+                  needs + " in spec '" + spec + "'");
+        }
+        double v = 0.0;
+        switch (knob.value) {
+        case KnobValue::Count:
+            v = static_cast<double>(toCount(knob.key, *value));
+            break;
+        case KnobValue::Real:
+            v = toDouble(knob.key, *value);
+            break;
+        case KnobValue::Policy:
+            continue; // make() reads it with toPolicy.
+        }
+        if (v < knob.min) {
+            std::ostringstream msg;
+            msg << "option '" << knob.key << "' must be >= " << knob.min
+                << ", got '" << *value << "' in spec '" << spec << "'";
+            fatal(msg.str());
+        }
+    }
+}
+
+/**
+ * Consume recognized keys; whatever remains is a user error. ALL
+ * leftover keys are reported in one message, together with the keys
+ * this design does accept (its own plus the topology keys), so a
+ * multi-typo spec is fixed in one round trip.
+ */
+void
+rejectUnknown(const ParsedSpec &p, std::vector<std::string> accepted)
+{
+    if (p.options.empty())
+        return;
+    for (const TopologyKnob &knob : topologyKnobs())
+        accepted.push_back(knob.key);
+    std::sort(accepted.begin(), accepted.end());
+
+    std::string unknown;
+    for (const auto &kv : p.options)
+        unknown += (unknown.empty() ? "'" : ", '") + kv.first + "'";
+    std::string known;
+    for (const std::string &key : accepted)
+        known += (known.empty() ? "" : ", ") + key;
+    fatal("unknown option" + std::string(p.options.size() > 1 ? "s " : " ") +
+          unknown + " for accelerator '" + p.name +
+          "'; accepted keys: " + known);
+}
+
 } // namespace
+
+std::string
+degradedSpec(const std::string &spec)
+{
+    const ParsedSpec p = parseSpec(spec);
+
+    // Halve the widest redundant axis. The outer tensor tier goes
+    // first: a chip failure excises its whole inner tp= group, so the
+    // tp2= ring loses a member while the surviving groups keep their
+    // shape (and tp2's tp>=2 requirement stays satisfiable). Then the
+    // inner tensor group loses a shard pair, then the pipeline
+    // re-partitions. dp= is NOT intra-replica redundancy — the fleet
+    // reroutes around a dead replica instead of shrinking one — so a
+    // spec whose only multi-chip axis is dp= has no degraded form, and
+    // dp= and the route= it gates pass through unread.
+    constexpr std::array<Axis, 3> redundant = {kTp2, kTp, kPp};
+    Axes axes = {1, 1, 1, 1}; // dp stays unread.
+    for (Axis a : redundant)
+        axes[a] = axisOf(p, a);
+    const auto failed =
+        std::find_if(redundant.begin(), redundant.end(),
+                     [&](Axis a) { return axes[a] >= 2; });
+    if (failed == redundant.end())
+        return "";
+    axes[*failed] /= 2;
+
+    std::string out = p.name;
+    char sep = ':';
+    for (const auto &[key, value] : p.options) {
+        std::string kept = value;
+        const auto axis =
+            std::find_if(redundant.begin(), redundant.end(),
+                         [&](Axis a) { return key == kAxisKeys[a]; });
+        if (axis != redundant.end()) {
+            if (axes[*axis] <= 1)
+                continue; // Degree 1 is the registry's identity.
+            kept = std::to_string(axes[*axis]);
+        } else if (const TopologyKnob *knob = findKnob(key);
+                   knob != nullptr && knob->needs != std::vector{kDp} &&
+                   !applies(*knob, axes)) {
+            continue; // No longer applies (a dp= gate cannot change).
+        }
+        out += sep;
+        sep = ',';
+        out += key;
+        out += '=';
+        out += kept;
+    }
+    return out;
+}
 
 Registry::Registry(sim::McbpConfig hw)
     : hw_(hw), profiles_(accel::makeProfileCache())
@@ -223,182 +417,52 @@ Registry::make(const std::string &spec) const
     // partitioning divides layer segments, so the three compose),
     // `mb=` micro-batches the pipeline's prefill, `dp=N` replicates
     // the whole group N ways behind a FleetAccelerator with `route=`
-    // replica selection, and the link knobs refine the fabrics: tier 1
-    // (`linkgbs`/`linkpj`/`hops`) is the intra-group all-reduce ring,
-    // tier 2 (`linkgbs2`/`linkpj2`/`hops2`) the boundary fabric the
-    // outer tensor tier and the pipeline's stage handoffs share —
-    // each requires the fabric it refines to exist.
+    // replica selection, and the link knobs refine the two fabric
+    // tiers. topologyKnobs() declares when each applies.
+    checkTopology(p, spec);
+    const std::optional<std::size_t> tp = take(p, "tp", toCount);
+    const std::optional<std::size_t> tp2 = take(p, "tp2", toCount);
+    const std::optional<std::size_t> pp = take(p, "pp", toCount);
+    const std::optional<std::size_t> dp = take(p, "dp", toCount);
     ClusterOptions cluster;
-    bool clustered = false;
-    if (auto it = p.options.find("tp"); it != p.options.end()) {
-        clustered = true;
-        cluster.tensorParallel = toCount("tp", it->second);
-        p.options.erase(it);
-        fatalIf(cluster.tensorParallel == 0,
-                "tp must be >= 1 in spec '" + spec + "'");
-    }
+    cluster.tensorParallel = tp.value_or(1);
     ClusterOptions outerCluster;
-    bool tiered = false;
-    if (auto it = p.options.find("tp2"); it != p.options.end()) {
-        // An outer tier needs inner tp >= 2 groups to join; anything
-        // else would be a silent no-op or an ambiguous flat degree.
-        fatalIf(!clustered || cluster.tensorParallel <= 1,
-                "option 'tp2" +
-                    std::string(clustered
-                                    ? "' has no effect at tp=1 in spec '"
-                                    : "' requires tp= in spec '") +
-                    spec + "'");
-        outerCluster.tensorParallel = toCount("tp2", it->second);
-        p.options.erase(it);
-        fatalIf(outerCluster.tensorParallel == 0,
-                "tp2 must be >= 1 in spec '" + spec + "'");
-        tiered = outerCluster.tensorParallel > 1;
-    }
+    outerCluster.tensorParallel = tp2.value_or(1);
     PipelineOptions pipe;
-    bool pipelined = false;
-    if (auto it = p.options.find("pp"); it != p.options.end()) {
-        pipelined = true;
-        pipe.pipelineParallel = toCount("pp", it->second);
-        p.options.erase(it);
-        fatalIf(pipe.pipelineParallel == 0,
-                "pp must be >= 1 in spec '" + spec + "'");
-    }
-    if (auto it = p.options.find("mb"); it != p.options.end()) {
-        // Micro-batching exists only inside a stage pipeline; at
-        // pp<=1 the knob would be a silent no-op, so reject it by
-        // presence (like the link knobs below).
-        fatalIf(!pipelined || pipe.pipelineParallel <= 1,
-                "option 'mb" +
-                    std::string(pipelined
-                                    ? "' has no effect at pp=1 in spec '"
-                                    : "' requires pp= in spec '") +
-                    spec + "'");
-        pipe.microBatches = toCount("mb", it->second);
-        p.options.erase(it);
-        fatalIf(pipe.microBatches == 0,
-                "mb must be >= 1 in spec '" + spec + "'");
-    }
-    // dp=: data-parallel replica fleet above the serving engine
-    // (engine/fleet.hpp); route= picks the replica-selection policy
-    // and would be a silent no-op with a single replica.
+    pipe.pipelineParallel = pp.value_or(1);
+    pipe.microBatches = take(p, "mb", toCount).value_or(pipe.microBatches);
     FleetOptions fleetOpts;
-    bool dataParallel = false;
-    if (auto it = p.options.find("dp"); it != p.options.end()) {
-        dataParallel = true;
-        fleetOpts.dataParallel = toCount("dp", it->second);
-        p.options.erase(it);
-        fatalIf(fleetOpts.dataParallel == 0,
-                "dp must be >= 1 in spec '" + spec + "'");
-    }
-    if (auto it = p.options.find("route"); it != p.options.end()) {
-        fatalIf(!dataParallel || fleetOpts.dataParallel <= 1,
-                "option 'route" +
-                    std::string(dataParallel
-                                    ? "' has no effect at dp=1 in spec '"
-                                    : "' requires dp= in spec '") +
-                    spec + "'");
-        fleetOpts.policy = replicaPolicyFromString(toLower(it->second));
-        p.options.erase(it);
-    }
-    const bool has_fabric =
-        (clustered && cluster.tensorParallel > 1) ||
-        (pipelined && pipe.pipelineParallel > 1) || tiered;
-    // The tier-2 (boundary) fabric exists whenever the topology
-    // crosses group boundaries: an outer tensor tier or stage
-    // handoffs between pipeline stages.
-    const bool has_tier2 =
-        tiered || (pipelined && pipe.pipelineParallel > 1);
-    if (has_fabric) {
-        auto takeLink = [&p](const char *key, double fallback,
-                             double min) {
-            auto it = p.options.find(key);
-            if (it == p.options.end())
-                return fallback;
-            const double v = toDouble(key, it->second);
-            fatalIf(v < min, "option '" + std::string(key) +
-                                 "' must be " +
-                                 (min > 0.0 ? "positive"
-                                            : "non-negative"));
-            p.options.erase(it);
-            return v;
-        };
-        // Only the bandwidth is a divisor; zero link energy or hop
-        // latency are meaningful ideal-fabric points. Tier 1 is the
-        // intra-group all-reduce ring; the boundary fabric (outer
-        // tensor tier + pp= stage handoffs) inherits the same link
-        // technology unless the *2 knobs override it, so specs
-        // without them price exactly as before.
-        sim::InterconnectConfig link;
-        link.linkGBs = takeLink("linkgbs", link.linkGBs, 1e-12);
-        link.pJPerBit = takeLink("linkpj", link.pJPerBit, 0.0);
-        link.hopCycles = takeLink("hops", link.hopCycles, 0.0);
-        cluster.interconnect = link;
-        sim::InterconnectConfig link2 = link;
-        if (has_tier2) {
-            link2.linkGBs = takeLink("linkgbs2", link2.linkGBs, 1e-12);
-            link2.pJPerBit = takeLink("linkpj2", link2.pJPerBit, 0.0);
-            link2.hopCycles = takeLink("hops2", link2.hopCycles, 0.0);
-        }
-        outerCluster.interconnect = link2;
-        pipe.interconnect = link2;
-    } else {
-        // Without a multi-chip fabric, link overrides would be silent
-        // no-ops (tp=1/pp=1 never touch it); reject them by presence.
-        for (const char *key : {"linkgbs", "linkpj", "hops"})
-            fatalIf(p.options.count(key) != 0,
-                    "option '" + std::string(key) +
-                        (clustered || pipelined
-                             ? "' has no effect at tp=1/pp=1 in spec '"
-                             : "' requires tp= or pp= in spec '") +
-                        spec + "'");
-    }
-    if (!has_tier2)
-        for (const char *key : {"linkgbs2", "linkpj2", "hops2"})
-            fatalIf(p.options.count(key) != 0,
-                    "option '" + std::string(key) +
-                        "' requires a boundary fabric (tp2 >= 2 or "
-                        "pp >= 2) in spec '" +
-                        spec + "'");
+    fleetOpts.dataParallel = dp.value_or(1);
+    fleetOpts.policy = take(p, "route", toPolicy).value_or(fleetOpts.policy);
+    sim::InterconnectConfig link;
+    link.linkGBs = take(p, "linkgbs", toDouble).value_or(link.linkGBs);
+    link.pJPerBit = take(p, "linkpj", toDouble).value_or(link.pJPerBit);
+    link.hopCycles = take(p, "hops", toDouble).value_or(link.hopCycles);
+    sim::InterconnectConfig link2 = link;
+    link2.linkGBs = take(p, "linkgbs2", toDouble).value_or(link2.linkGBs);
+    link2.pJPerBit = take(p, "linkpj2", toDouble).value_or(link2.pJPerBit);
+    link2.hopCycles = take(p, "hops2", toDouble).value_or(link2.hopCycles);
+    cluster.interconnect = link;
+    outerCluster.interconnect = link2;
+    pipe.interconnect = link2;
+
+    // A given tp=, pp= or dp= wraps even at degree 1 (a bit-identical
+    // identity); tp2=1 is the flat single-tier ring and adds no tier.
     auto finish = [&](std::unique_ptr<Accelerator> chip)
         -> std::unique_ptr<Accelerator> {
-        if (clustered)
+        if (tp)
             chip = std::make_unique<ClusterAccelerator>(std::move(chip),
                                                         cluster);
-        if (tiered)
+        if (outerCluster.tensorParallel > 1)
             chip = std::make_unique<ClusterAccelerator>(std::move(chip),
                                                         outerCluster);
-        if (pipelined)
+        if (pp)
             chip = std::make_unique<PipelineAccelerator>(std::move(chip),
                                                          pipe);
-        if (dataParallel)
+        if (dp)
             chip = std::make_unique<FleetAccelerator>(std::move(chip),
                                                       fleetOpts);
         return chip;
-    };
-
-    auto takeDouble = [&p](const char *key, double fallback) {
-        auto it = p.options.find(key);
-        if (it == p.options.end())
-            return fallback;
-        const double v = toDouble(key, it->second);
-        p.options.erase(it);
-        return v;
-    };
-    auto takeBool = [&p](const char *key, bool fallback) {
-        auto it = p.options.find(key);
-        if (it == p.options.end())
-            return fallback;
-        const bool v = toBool(key, it->second);
-        p.options.erase(it);
-        return v;
-    };
-    auto takeCount = [&p](const char *key, std::size_t fallback) {
-        auto it = p.options.find(key);
-        if (it == p.options.end())
-            return fallback;
-        const std::size_t v = toCount(key, it->second);
-        p.options.erase(it);
-        return v;
     };
 
     if (p.name == "mcbp" || p.name == "mcbp-standard" ||
@@ -412,12 +476,12 @@ Registry::make(const std::string &spec) const
              : p.name == "mcbp-baseline" ? accel::makeMcbpBaseline()
                                          : accel::makeMcbpStandard())
                 .options();
-        o.alpha = takeDouble("alpha", o.alpha);
-        o.seed = takeCount("seed", static_cast<std::size_t>(o.seed));
-        o.processors = takeCount("procs", o.processors);
-        o.enableBrcr = takeBool("brcr", o.enableBrcr);
-        o.enableBstc = takeBool("bstc", o.enableBstc);
-        o.enableBgpp = takeBool("bgpp", o.enableBgpp);
+        o.alpha = take(p, "alpha", toDouble).value_or(o.alpha);
+        o.seed = take(p, "seed", toCount).value_or(o.seed);
+        o.processors = take(p, "procs", toCount).value_or(o.processors);
+        o.enableBrcr = take(p, "brcr", toBool).value_or(o.enableBrcr);
+        o.enableBstc = take(p, "bstc", toBool).value_or(o.enableBstc);
+        o.enableBgpp = take(p, "bgpp", toBool).value_or(o.enableBgpp);
         rejectUnknown(p, {"alpha", "seed", "procs", "brcr", "bstc",
                           "bgpp"});
         return finish(std::make_unique<McbpAdapter>(
@@ -428,11 +492,11 @@ Registry::make(const std::string &spec) const
         accel::GpuSoftwareOptions sw;
         if (p.name == "a100-sw")
             sw.brcr = sw.bstc = sw.bgpp = true;
-        sw.brcr = takeBool("brcr", sw.brcr);
-        sw.bstc = takeBool("bstc", sw.bstc);
-        sw.bgpp = takeBool("bgpp", sw.bgpp);
-        const double alpha = takeDouble("alpha", 0.6);
-        const std::uint64_t seed = takeCount("seed", 1);
+        sw.brcr = take(p, "brcr", toBool).value_or(sw.brcr);
+        sw.bstc = take(p, "bstc", toBool).value_or(sw.bstc);
+        sw.bgpp = take(p, "bgpp", toBool).value_or(sw.bgpp);
+        const double alpha = take(p, "alpha", toDouble).value_or(0.6);
+        const std::uint64_t seed = take(p, "seed", toCount).value_or(1);
         rejectUnknown(p, {"brcr", "bstc", "bgpp", "alpha", "seed"});
         return finish(std::make_unique<GpuAdapter>(
             accel::GpuParams{}, sw, profiles_, alpha, seed));
@@ -446,16 +510,15 @@ Registry::make(const std::string &spec) const
         std::uint64_t seed = 1;
         std::vector<std::string> accepted;
         if (def->fromAttention != nullptr) {
-            alpha = takeDouble("alpha", alpha);
+            alpha = take(p, "alpha", toDouble).value_or(alpha);
             accepted.push_back("alpha");
         }
         if (def->fromAttention != nullptr ||
             def->fromWeights != nullptr) {
-            seed = takeCount("seed", 1);
+            seed = take(p, "seed", toCount).value_or(seed);
             accepted.push_back("seed");
         }
         rejectUnknown(p, std::move(accepted));
-
         BaselineAdapter::TraitsMaker maker;
         BaselineAdapter::ProfileNeeds needs;
         needs.alpha = alpha;

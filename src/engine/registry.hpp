@@ -4,6 +4,8 @@
  * from string specs, replacing the hand-rolled per-bench fleets.
  *
  * Spec grammar: `name[:key=value[,key=value...]]`, case-insensitive.
+ * A key may appear once (`tp=4,TP=2` is an error). N and M are counts:
+ * any whole number, so `4`, `4.0` and `4e0` read the same.
  *
  * Names:
  *   mcbp | mcbp-standard     paper standard point (alpha 0.6, all on)
@@ -15,7 +17,10 @@
  *
  * Options (silently ignored keys are an error; every unknown key of a
  * spec is collected into ONE message alongside the design's accepted
- * keys):
+ * keys). The topology knobs (tp= onwards) are one declared table in
+ * registry.cpp that degradedSpec() (health.hpp) reads too; a knob
+ * whose "requires" condition fails is rejected as
+ * "option 'mb' requires pp>=2 in spec '...'":
  *   procs=N                  ganged processors (MCBP only)
  *   alpha=X                  BGPP alpha_r / profiling alpha
  *   seed=N                   profiling seed
@@ -28,10 +33,10 @@
  *                            when both are given; N must divide the
  *                            model's layer count)
  *   mb=N                     prefill micro-batches per batch
- *                            (requires pp >= 2)
+ *                            (requires pp>=2)
  *   tp2=M                    tier M tp= groups over the boundary
  *                            fabric (hierarchical all-reduce; nested
- *                            ClusterAccelerator; requires tp >= 2)
+ *                            ClusterAccelerator; requires tp>=2)
  *   dp=N                     replicate the whole pp= x tp= group N
  *                            ways behind a FleetAccelerator (each
  *                            request served by one replica; dp=1 is
@@ -39,15 +44,15 @@
  *   route=least|rr           fleet replica-selection policy:
  *                            least-loaded by outstanding KV bytes
  *                            (default) or round-robin (requires
- *                            dp >= 2)
+ *                            dp>=2)
  *   linkgbs|linkpj|hops=X    tier-1 fabric knobs: link GB/s, pJ/bit,
  *                            per-hop cycles of the intra-group
- *                            all-reduce ring (require tp >= 2 or
- *                            pp >= 2)
+ *                            all-reduce ring (requires tp>=2 or
+ *                            pp>=2)
  *   linkgbs2|linkpj2|hops2=X tier-2 (boundary) fabric knobs, shared
  *                            by the tp2= outer ring and the pp= stage
  *                            handoffs; default to the tier-1 values
- *                            (require tp2 >= 2 or pp >= 2)
+ *                            (requires tp2>=2 or pp>=2)
  *
  * Examples: "mcbp:procs=148", "mcbp:bgpp=0", "a100:bstc=1,bgpp=1",
  *           "mcbp:procs=148,tp=4", "a100:tp=8,linkgbs=600",

@@ -1,20 +1,24 @@
 /**
  * @file
  * Unit tests for the engine/ layer: adapter parity with the wrapped
- * accel/ classes (bit-identical RunMetrics), registry spec parsing and
- * profile sharing, and the continuous-batching serving invariants.
+ * accel/ classes (bit-identical RunMetrics), registry spec parsing
+ * (with a fixed-seed grammar fuzz) and profile sharing, and the
+ * continuous-batching serving invariants.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <stdexcept>
 #include <thread>
 
 #include "accel/baselines.hpp"
 #include "accel/gpu_model.hpp"
 #include "accel/mcbp_accelerator.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "engine/adapters.hpp"
+#include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
 
@@ -133,6 +137,90 @@ TEST(Registry, RejectsUnknownSpecsAndOptions)
                  std::runtime_error);
     EXPECT_THROW((void)registry.make("mcbp:procs=1e30"),
                  std::runtime_error);
+}
+
+TEST(Registry, SpecGrammarFuzz)
+{
+    // Random specs over the whole grammar: make() either builds or
+    // throws std::runtime_error, and every spec it builds has a
+    // degraded twin that builds at half the chips (or, with no
+    // redundant axis, none).
+    constexpr std::uint64_t kSeed = 17;
+    Rng rng(kSeed);
+    std::vector<std::string> names = Registry::knownSpecs();
+    names.push_back("warp-drive");
+    const std::vector<std::string> keys = {
+        "tp",       "tp2",     "pp",    "mb",    "dp",   "route",
+        "linkgbs",  "linkpj",  "hops",  "linkgbs2", "linkpj2", "hops2",
+        "procs",    "alpha",   "seed",  "brcr",  "bstc", "bgpp",
+        "warp"};
+    const std::vector<std::string> values = {
+        "0", "1", "2", "4", "8", "2.5", "4.0", "1e1", "-1", "x", ""};
+    auto pick = [&rng](const std::vector<std::string> &pool) {
+        return pool[rng.uniformInt(pool.size())];
+    };
+
+    Registry registry;
+    std::size_t built = 0;
+    std::size_t degraded = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::string spec = pick(names);
+        std::vector<std::string> drawn;
+        const std::size_t options = rng.uniformInt(4);
+        for (std::size_t k = 0; k < options; ++k) {
+            std::string key = !drawn.empty() && rng.bernoulli(0.05)
+                                  ? pick(drawn)
+                                  : pick(keys);
+            drawn.push_back(key);
+            for (char &c : key)
+                if (rng.bernoulli(0.25))
+                    c = static_cast<char>(
+                        std::toupper(static_cast<unsigned char>(c)));
+            spec += (k == 0 ? ":" : ",") + key + "=" + pick(values);
+        }
+        SCOPED_TRACE("seed " + std::to_string(kSeed) + ", spec '" + spec +
+                     "'");
+
+        std::unique_ptr<Accelerator> accel;
+        try {
+            accel = registry.make(spec);
+        } catch (const std::runtime_error &) {
+            continue;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "make() threw a non-runtime_error: "
+                          << e.what();
+            continue;
+        }
+        ++built;
+        std::string deg;
+        try {
+            deg = degradedSpec(spec);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "degradedSpec() threw: " << e.what();
+            continue;
+        }
+        const Capabilities caps = accel->capabilities();
+        if (deg.empty()) {
+            EXPECT_EQ(caps.kvShards, caps.replicas);
+            continue;
+        }
+        ++degraded;
+        std::unique_ptr<Accelerator> twin;
+        try {
+            twin = registry.make(deg);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "degraded '" << deg
+                          << "' does not build: " << e.what();
+            continue;
+        }
+        const Capabilities half = twin->capabilities();
+        EXPECT_EQ(half.processors * 2, caps.processors) << deg;
+        EXPECT_EQ(half.kvShards * 2, caps.kvShards) << deg;
+        EXPECT_EQ(half.replicas, caps.replicas) << deg;
+    }
+    // The draw must reach both the building and the degrading paths.
+    EXPECT_GT(built, 250u);
+    EXPECT_GT(degraded, 20u);
 }
 
 TEST(Registry, FleetSharesOneProfileCache)

@@ -12,8 +12,9 @@
  *    drop everything into a zeroed-but-tagged report; with a degraded
  *    accelerator the fleet replans and serves through at degraded
  *    prices; deadlines drop queued work and dent SLO attainment;
- *  - degradedSpec()/degradedOptions() rewrite topologies the way a
- *    surviving fleet re-forms (halved axis, invalid knobs dropped).
+ *  - degradedSpec() rewrites topologies the way a surviving fleet
+ *    re-forms (halved axis, invalid knobs dropped), on the same spec
+ *    grammar Registry::make() reads.
  */
 #include <gtest/gtest.h>
 
@@ -22,9 +23,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "engine/cluster.hpp"
 #include "engine/health.hpp"
-#include "engine/pipeline.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
 #include "model/request.hpp"
@@ -484,34 +483,44 @@ TEST(Health, DegradedSpecRewritesTopologies)
     // No redundancy, no degraded form.
     EXPECT_EQ(degradedSpec("mcbp"), "");
     EXPECT_EQ(degradedSpec("mcbp:tp=1"), "");
+    // Axis values follow make()'s integer grammar: any whole number.
+    EXPECT_EQ(degradedSpec("mcbp:tp=4.0"), "mcbp:tp=2");
+    EXPECT_EQ(degradedSpec("mcbp:pp=4e0,mb=8"), "mcbp:pp=2,mb=8");
 
     // Every non-empty rewrite must actually build.
     Registry registry;
     for (const char *spec :
          {"mcbp:procs=148,tp=4", "mcbp:tp=2", "mcbp:pp=4,mb=8",
-          "mcbp:pp=2,mb=8,linkgbs=600", "mcbp:pp=2,tp=2"}) {
+          "mcbp:pp=2,mb=8,linkgbs=600", "mcbp:pp=2,tp=2", "mcbp:tp=4.0",
+          "mcbp:pp=4e0,mb=8"}) {
         const std::string deg = degradedSpec(spec);
         ASSERT_FALSE(deg.empty()) << spec;
         EXPECT_NO_THROW((void)registry.make(deg)) << deg;
     }
 }
 
-TEST(Health, DegradedOptionsHalveTheFailedAxis)
+TEST(Health, RepeatedOptionKeysFailInMakeAndDegradedSpec)
 {
-    ClusterOptions c;
-    c.tensorParallel = 4;
-    EXPECT_EQ(c.degradedOptions().tensorParallel, 2u);
-    c.tensorParallel = 1;
-    EXPECT_EQ(c.degradedOptions().tensorParallel, 1u);
-
-    PipelineOptions p;
-    p.pipelineParallel = 4;
-    p.microBatches = 8;
-    EXPECT_EQ(p.degradedOptions().pipelineParallel, 2u);
-    EXPECT_EQ(p.degradedOptions().microBatches, 8u);
-    p.pipelineParallel = 2;
-    EXPECT_EQ(p.degradedOptions().pipelineParallel, 1u);
-    EXPECT_EQ(p.degradedOptions().microBatches, 1u);
+    // Keys compare after lower-casing, so TP= repeats tp= too. Keeping
+    // either copy would silently ignore the other; the degraded twin
+    // would halve one copy and keep the other.
+    Registry registry;
+    for (const std::string spec : {"mcbp:tp=4,tp=2", "mcbp:tp=4,TP=2"}) {
+        for (const bool degraded : {false, true}) {
+            try {
+                if (degraded)
+                    (void)degradedSpec(spec);
+                else
+                    (void)registry.make(spec);
+                ADD_FAILURE() << "expected a repeated-key error: " << spec;
+            } catch (const std::runtime_error &e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find("'tp'"), std::string::npos) << msg;
+                EXPECT_NE(msg.find("repeated"), std::string::npos) << msg;
+                EXPECT_NE(msg.find(spec), std::string::npos) << msg;
+            }
+        }
+    }
 }
 
 } // namespace
