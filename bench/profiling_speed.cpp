@@ -24,6 +24,11 @@
  *     Section 1 doubles as the end-to-end bit-identity check: the
  *     serial fleet warms under a forced-scalar dispatch table and must
  *     match the SIMD-dispatched parallel fleet stat-for-stat.
+ *  5. decompose — the original per-element set() loop
+ *     (reference_kernels.hpp) vs the dispatched word-parallel slice
+ *     kernel on one Llama7B INT8 profile tile, then profileWeights end
+ *     to end on that model. The planes must match bit for bit; the
+ *     times are recorded, not gated.
  *
  * `--json <path>` archives the records (bench_util.hpp schema).
  */
@@ -39,6 +44,7 @@
 #include "common/aligned_buffer.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "accel/profiles.hpp"
 #include "common/simd/simd.hpp"
 #include "engine/adapters.hpp"
 #include "engine/registry.hpp"
@@ -327,9 +333,56 @@ main(int argc, char **argv)
         .field("bit_identical", pop_match && mask_match ? 1 : 0)
         .field("gate_enforced", vector_tier ? 1 : 0);
 
+    // ---- Section 5: decompose and the weight profile it feeds ---------
+    bench::banner(std::string("decompose: per-element set() vs slice "
+                              "kernel (") +
+                  simd::tierName(tier) + ")");
+    const model::LlmConfig &llama = model::findModel("Llama7B");
+    Rng tile_rng(99);
+    model::WeightProfile llama_profile;
+    llama_profile.dynamicRange = llama.dynamicRange;
+    const Int8Matrix tile =
+        model::synthesizeQuantizedWeight(tile_rng, 128, llama.hidden,
+                                         quant::BitWidth::Int8,
+                                         llama_profile)
+            .values;
+    constexpr int kSliceIters = 5;
+    bitslice::SignMagnitude sm_ref, sm_kernel;
+    const double ref_s = bestOf(kSliceIters, [&] {
+        sm_ref = bench::decomposePerElement(tile, quant::BitWidth::Int8);
+    });
+    const double kernel_s = bestOf(kSliceIters, [&] {
+        sm_kernel = bitslice::decompose(tile, quant::BitWidth::Int8);
+    });
+    bool planes_match = sm_ref.sign == sm_kernel.sign &&
+                        sm_ref.planeCount() == sm_kernel.planeCount();
+    for (std::size_t p = 0; planes_match && p < sm_ref.planeCount(); ++p)
+        planes_match = sm_ref.magnitude[p] == sm_kernel.magnitude[p];
+    const double slice_speedup = kernel_s > 0.0 ? ref_s / kernel_s : 1.0;
+    const double profile_s = bestOf(kSliceIters, [&] {
+        (void)accel::profileWeights(llama, quant::BitWidth::Int8, 1);
+    });
+    std::printf("  per-element set()  %8.2f ms/tile (128 x %zu)\n",
+                ref_s * 1e3, llama.hidden);
+    std::printf("  slice kernel       %8.2f ms/tile   speedup %.2fx  "
+                "(planes %s)\n",
+                kernel_s * 1e3, slice_speedup,
+                planes_match ? "match" : "MISMATCH");
+    std::printf("  profileWeights     %8.2f ms (Llama7B INT8, end to "
+                "end)\n",
+                profile_s * 1e3);
+    json.begin()
+        .field("section", "decompose")
+        .field("simd_tier", simd::tierName(tier))
+        .field("per_element_s", ref_s)
+        .field("kernel_s", kernel_s)
+        .field("speedup", slice_speedup)
+        .field("profile_weights_s", profile_s)
+        .field("bit_identical", planes_match ? 1 : 0);
+
     json.writeIfRequested(argc, argv);
     return identical && distinct_ref == distinct_fast &&
-                   scalar_adds == word_adds && simd_gate
+                   scalar_adds == word_adds && simd_gate && planes_match
                ? 0
                : 1;
 }

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "bitslice/bit_plane.hpp"
+#include "bitslice/sign_magnitude.hpp"
 #include "brcr/enumeration.hpp"
+#include "common/logging.hpp"
 
 namespace mcbp::bench {
 
@@ -91,6 +93,37 @@ fullMergeAddsScalar(const bitslice::BitPlane &plane)
     for (const auto &kv : uniq)
         recon_adds += kv.second;
     return merge_adds + recon_adds;
+}
+
+/**
+ * The pre-kernel bitslice::decompose: one BitPlane::set() per (value,
+ * set bit), with the range check on every element.
+ */
+inline bitslice::SignMagnitude
+decomposePerElement(const Int8Matrix &w, quant::BitWidth bw)
+{
+    const int planes = quant::magnitudeBits(bw);
+    const int level = quant::maxLevel(bw);
+    bitslice::SignMagnitude sm;
+    sm.rows = w.rows();
+    sm.cols = w.cols();
+    sm.sign = bitslice::BitPlane(w.rows(), w.cols());
+    sm.magnitude.assign(planes, bitslice::BitPlane(w.rows(), w.cols()));
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+        for (std::size_t c = 0; c < w.cols(); ++c) {
+            const int v = w.at(r, c);
+            fatalIf(v > level || v < -level,
+                    "value out of range for the requested bit width");
+            const unsigned mag = static_cast<unsigned>(v < 0 ? -v : v);
+            if (v < 0)
+                sm.sign.set(r, c, true);
+            for (int p = 0; p < planes; ++p) {
+                if ((mag >> p) & 1u)
+                    sm.magnitude[p].set(r, c, true);
+            }
+        }
+    }
+    return sm;
 }
 
 } // namespace mcbp::bench

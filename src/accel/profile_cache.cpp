@@ -11,14 +11,6 @@ namespace mcbp::accel {
 
 namespace {
 
-std::string
-weightKey(const model::LlmConfig &model, quant::BitWidth bw,
-          std::uint64_t seed)
-{
-    return model.name + "/" + std::to_string(static_cast<int>(bw)) + "/" +
-           std::to_string(seed);
-}
-
 /**
  * profileAttention() depends on the workload only through the clamped
  * context min(2048, max(64, promptLen)) and the task's attention
@@ -37,17 +29,23 @@ contextBucket(std::size_t prompt_len)
     return std::bit_ceil(ctx);
 }
 
-std::string
-attentionKey(const model::LlmConfig &model, const model::Workload &task,
-             double alpha, std::uint64_t seed)
+} // namespace
+
+ProfileCache::WeightKey
+ProfileCache::weightKey(const model::LlmConfig &model, quant::BitWidth bw,
+                        std::uint64_t seed)
 {
-    return model.name + "/ctx" +
-           std::to_string(contextBucket(task.promptLen)) + "/conc" +
-           std::to_string(task.attentionConcentration) + "/" +
-           std::to_string(alpha) + "/" + std::to_string(seed);
+    return {model.name, bw, seed};
 }
 
-} // namespace
+ProfileCache::AttentionKey
+ProfileCache::attentionKey(const model::LlmConfig &model,
+                           const model::Workload &task, double alpha,
+                           std::uint64_t seed)
+{
+    return {model.name, contextBucket(task.promptLen),
+            task.attentionConcentration, alpha, seed};
+}
 
 /**
  * Find-or-create the key's slot under the map mutex, then run the
@@ -57,11 +55,10 @@ attentionKey(const model::LlmConfig &model, const model::Workload &task,
  * it (singleflight). If compute throws, call_once lets the next caller
  * retry the key.
  */
-template <typename Stats, typename Compute>
+template <typename Key, typename Stats, typename Compute>
 const Stats &
-ProfileCache::lookup(
-    std::map<std::string, std::shared_ptr<Slot<Stats>>> &map,
-    const std::string &key, const Compute &compute)
+ProfileCache::lookup(std::map<Key, std::shared_ptr<Slot<Stats>>> &map,
+                     const Key &key, const Compute &compute)
 {
     std::shared_ptr<Slot<Stats>> slot;
     {
@@ -123,31 +120,31 @@ ProfileCache::warm(const std::vector<ProfileRequest> &requests,
 {
     // Deduplicate by final cache key so the fan-out is one task per
     // distinct profile, not per announcing accelerator.
-    std::map<std::string, std::function<void()>> distinct;
+    std::map<WeightKey, const ProfileRequest *> weightJobs;
+    std::map<AttentionKey, const ProfileRequest *> attentionJobs;
     for (const ProfileRequest &r : requests) {
-        if (r.wantWeights) {
-            distinct.try_emplace(
-                weightKey(r.model, r.bitWidth, r.seed),
-                [this, &r] { (void)weights(r.model, r.bitWidth, r.seed); });
-        }
-        if (r.wantAttention) {
-            // Propagate the cap into the per-query fan-out, so
-            // warm(…, 1) is serial end to end (the bench's reference
-            // baseline and the pinned-deployment escape hatch).
-            distinct.try_emplace(
-                attentionKey(r.model, r.task, r.alpha, r.seed),
-                [this, &r, threads] {
-                    (void)attentionAt(r.model, r.task, r.alpha, r.seed,
-                                      threads);
-                });
-        }
+        if (r.wantWeights)
+            weightJobs.try_emplace(weightKey(r.model, r.bitWidth, r.seed),
+                                   &r);
+        if (r.wantAttention)
+            attentionJobs.try_emplace(
+                attentionKey(r.model, r.task, r.alpha, r.seed), &r);
     }
-    std::vector<const std::function<void()> *> jobs;
-    jobs.reserve(distinct.size());
-    for (const auto &kv : distinct)
-        jobs.push_back(&kv.second);
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(weightJobs.size() + attentionJobs.size());
+    for (const auto &[key, r] : weightJobs)
+        jobs.push_back(
+            [this, r] { (void)weights(r->model, r->bitWidth, r->seed); });
+    // Propagate the cap into the per-query fan-out, so warm(…, 1) is
+    // serial end to end (the bench's reference baseline and the
+    // pinned-deployment escape hatch).
+    for (const auto &[key, r] : attentionJobs)
+        jobs.push_back([this, r, threads] {
+            (void)attentionAt(r->model, r->task, r->alpha, r->seed,
+                              threads);
+        });
     parallel::parallelFor(
-        jobs.size(), [&](std::size_t i) { (*jobs[i])(); }, threads);
+        jobs.size(), [&](std::size_t i) { jobs[i](); }, threads);
 }
 
 std::size_t

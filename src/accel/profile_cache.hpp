@@ -7,12 +7,15 @@
  * so every accelerator instance and every serving request should share
  * one cache, and no key may ever be profiled twice.
  *
- * The cache is keyed by everything profiling depends on (model, bit
- * width, alpha, seed, context bucket). Lookups are singleflight: each
- * key owns a once-initialized slot, so N threads racing on a cold key
- * block on the single in-flight computation instead of each paying the
- * full profiling cost, and the map mutex is never held while profiling
- * runs. profileCalls() counts the computations actually executed
+ * The cache is keyed by everything profiling depends on, as plain
+ * structs compared field by field: (model, bit width, seed) for weights
+ * and (model, context bucket, concentration, alpha, seed) for attention.
+ * Doubles compare exactly, so two alphas that differ anywhere are two
+ * keys. Lookups are singleflight: each key owns a once-initialized
+ * slot, so N threads racing on a cold key block on the single
+ * in-flight computation instead of each paying the full profiling
+ * cost, and the map mutex is never held while profiling runs.
+ * profileCalls() counts the computations actually executed
  * (tests assert it stays at 1 per key under contention). Entries are
  * never evicted and live on the heap, so returned references stay
  * valid for the cache's lifetime even while other threads insert.
@@ -23,6 +26,7 @@
  */
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -104,10 +108,35 @@ class ProfileCache
         bool ready = false; ///< Written once under the once-flag.
     };
 
-    template <typename Stats, typename Compute>
-    const Stats &lookup(std::map<std::string,
-                                 std::shared_ptr<Slot<Stats>>> &map,
-                        const std::string &key, const Compute &compute);
+    /** Everything profileWeights() output depends on. */
+    struct WeightKey
+    {
+        std::string model;
+        quant::BitWidth bitWidth;
+        std::uint64_t seed;
+        auto operator<=>(const WeightKey &) const = default;
+    };
+
+    /** Everything the bucketed profileAttention() depends on. */
+    struct AttentionKey
+    {
+        std::string model;
+        std::size_t contextBucket;
+        double concentration;
+        double alpha;
+        std::uint64_t seed;
+        auto operator<=>(const AttentionKey &) const = default;
+    };
+
+    static WeightKey weightKey(const model::LlmConfig &model,
+                               quant::BitWidth bw, std::uint64_t seed);
+    static AttentionKey attentionKey(const model::LlmConfig &model,
+                                     const model::Workload &task,
+                                     double alpha, std::uint64_t seed);
+
+    template <typename Key, typename Stats, typename Compute>
+    const Stats &lookup(std::map<Key, std::shared_ptr<Slot<Stats>>> &map,
+                        const Key &key, const Compute &compute);
 
     /** attention() with an explicit cap for profileAttention's own
      *  per-query fan-out (threads=1 keeps warm(…, 1) fully serial). */
@@ -117,9 +146,9 @@ class ProfileCache
                                       std::size_t threads);
 
     mutable Mutex mutex_;
-    std::map<std::string, std::shared_ptr<Slot<WeightStats>>> weights_
+    std::map<WeightKey, std::shared_ptr<Slot<WeightStats>>> weights_
         MCBP_GUARDED_BY(mutex_);
-    std::map<std::string, std::shared_ptr<Slot<AttentionStats>>>
+    std::map<AttentionKey, std::shared_ptr<Slot<AttentionStats>>>
         attention_ MCBP_GUARDED_BY(mutex_);
     std::uint64_t profileCalls_ MCBP_GUARDED_BY(mutex_) = 0;
 };

@@ -28,9 +28,12 @@ profileWeights(const model::LlmConfig &model, quant::BitWidth bw,
     quant::QuantizedWeight qw = model::synthesizeQuantizedWeight(
         rng, sample_rows, cols, bw, profile);
 
+    // Slice the tile once, as MCBP does offline; sparsity, BRCR and
+    // BSTC all read this one decomposition.
+    const bitslice::SignMagnitude sm = bitslice::decompose(qw.values, bw);
+
     WeightStats stats;
-    bitslice::SparsityReport sr =
-        bitslice::analyzeSparsity(qw.values, bw);
+    bitslice::SparsityReport sr = bitslice::analyzeSparsity(qw.values, sm);
     stats.valueSparsity = sr.valueSparsity;
     stats.meanBitSparsity = sr.meanBitSparsity;
     stats.planeSparsity = sr.planeSparsity;
@@ -42,7 +45,7 @@ profileWeights(const model::LlmConfig &model, quant::BitWidth bw,
         v = static_cast<std::int8_t>(
             static_cast<std::int64_t>(rng.uniformInt(255)) - 127);
     brcr::BrcrEngine engine({4, bw});
-    brcr::BrcrGemvResult res = engine.gemv(qw.values, x);
+    brcr::BrcrGemvResult res = engine.gemv(bitslice::splitSigns(sm), x);
     const double macs =
         static_cast<double>(sample_rows) * static_cast<double>(cols);
     const double total = static_cast<double>(res.ops.totalAdds());
@@ -60,7 +63,7 @@ profileWeights(const model::LlmConfig &model, quant::BitWidth bw,
     // BSTC compression with the paper's plane policy.
     bstc::PlanePolicy policy = bstc::paperDefaultPolicy(
         static_cast<std::size_t>(quant::magnitudeBits(bw)));
-    bstc::CompressedWeight cw(qw.values, bw, 4, policy);
+    bstc::CompressedWeight cw(sm, bw, 4, policy);
     stats.bstcCompressionRatio = cw.compressionRatio();
     stats.bstcSymbolsPerByte =
         static_cast<double>(cw.rowGroups()) * cols *

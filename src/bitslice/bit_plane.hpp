@@ -103,6 +103,14 @@ class BitPlane
 
     /** Whole backing buffer: rows() * rowStride() words, padding zero. */
     const std::uint64_t *data() const { return words_.data(); }
+
+    /**
+     * Writable backing buffer, for whole-plane word builders (the
+     * slice kernel, splitSigns). A writer must leave every bit at or
+     * beyond cols() zero.
+     */
+    std::uint64_t *data() { return words_.data(); }
+
     std::size_t totalWords() const { return words_.size(); }
 
     /**

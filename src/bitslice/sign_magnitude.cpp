@@ -1,34 +1,31 @@
 #include "bitslice/sign_magnitude.hpp"
 
-#include "common/bit_util.hpp"
 #include "common/logging.hpp"
+#include "common/simd/simd.hpp"
 
 namespace mcbp::bitslice {
 
 SignMagnitude
 decompose(const Int8Matrix &w, quant::BitWidth bw)
 {
-    const int planes = quant::magnitudeBits(bw);
-    const int level = quant::maxLevel(bw);
+    const std::size_t planes =
+        static_cast<std::size_t>(quant::magnitudeBits(bw));
     SignMagnitude sm;
     sm.rows = w.rows();
     sm.cols = w.cols();
     sm.sign = BitPlane(w.rows(), w.cols());
     sm.magnitude.assign(planes, BitPlane(w.rows(), w.cols()));
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-        for (std::size_t c = 0; c < w.cols(); ++c) {
-            const int v = w.at(r, c);
-            fatalIf(v > level || v < -level,
-                    "value out of range for the requested bit width");
-            const unsigned mag = static_cast<unsigned>(v < 0 ? -v : v);
-            if (v < 0)
-                sm.sign.set(r, c, true);
-            for (int p = 0; p < planes; ++p) {
-                if ((mag >> p) & 1u)
-                    sm.magnitude[p].set(r, c, true);
-            }
-        }
-    }
+    std::uint64_t *mag[8] = {};
+    for (std::size_t p = 0; p < planes; ++p)
+        mag[p] = sm.magnitude[p].data();
+    // One word-parallel pass over the matrix fills every plane. The
+    // widths' levels are 2^planes - 1, so a magnitude is in range iff
+    // it has no bit at or above `planes` (INT8 -128 has bit 7).
+    const std::uint8_t absOr = simd::kernels().sliceSignMagnitude(
+        w.rowPtr(0), w.rows(), w.cols(), planes, mag, sm.sign.data(),
+        sm.sign.rowStride());
+    fatalIf((absOr >> planes) != 0,
+            "value out of range for the requested bit width");
     return sm;
 }
 
@@ -73,21 +70,34 @@ bitSerialGemv(const SignMagnitude &sm, const std::vector<std::int8_t> &x)
 }
 
 SignSplit
-decomposeSignSplit(const Int8Matrix &w, quant::BitWidth bw)
+splitSigns(const SignMagnitude &sm)
 {
-    Int8Matrix pos(w.rows(), w.cols());
-    Int8Matrix neg(w.rows(), w.cols());
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-        for (std::size_t c = 0; c < w.cols(); ++c) {
-            const int v = w.at(r, c);
-            pos.at(r, c) = static_cast<std::int8_t>(v > 0 ? v : 0);
-            neg.at(r, c) = static_cast<std::int8_t>(v < 0 ? -v : 0);
+    SignSplit out;
+    for (SignMagnitude *half : {&out.positive, &out.negative}) {
+        half->rows = sm.rows;
+        half->cols = sm.cols;
+        half->sign = BitPlane(sm.rows, sm.cols);
+        half->magnitude.assign(sm.planeCount(), BitPlane(sm.rows, sm.cols));
+    }
+    // Padding words are zero in every input, so they stay zero here.
+    const std::uint64_t *sign = sm.sign.data();
+    const std::size_t n = sm.sign.totalWords();
+    for (std::size_t p = 0; p < sm.planeCount(); ++p) {
+        const std::uint64_t *mag = sm.magnitude[p].data();
+        std::uint64_t *pos = out.positive.magnitude[p].data();
+        std::uint64_t *neg = out.negative.magnitude[p].data();
+        for (std::size_t i = 0; i < n; ++i) {
+            pos[i] = mag[i] & ~sign[i];
+            neg[i] = mag[i] & sign[i];
         }
     }
-    SignSplit out;
-    out.positive = decompose(pos, bw);
-    out.negative = decompose(neg, bw);
     return out;
+}
+
+SignSplit
+decomposeSignSplit(const Int8Matrix &w, quant::BitWidth bw)
+{
+    return splitSigns(decompose(w, bw));
 }
 
 } // namespace mcbp::bitslice

@@ -41,8 +41,10 @@ struct SignMagnitude
 };
 
 /**
- * Decompose @p w into sign + magnitude planes.
- * @param w integer matrix (INT4 values must already be within [-7, 7]).
+ * Decompose @p w into sign + magnitude planes in one word-parallel pass
+ * (the dispatched simd::Kernels::sliceSignMagnitude).
+ * @param w integer matrix within the width's symmetric range: [-127, 127]
+ *        for INT8, [-7, 7] for INT4; anything else fatal()s.
  * @param bw bit width, controls the number of magnitude planes.
  */
 SignMagnitude decompose(const Int8Matrix &w, quant::BitWidth bw);
@@ -65,6 +67,13 @@ struct SignSplit
     SignMagnitude positive; ///< Magnitude planes of w where w > 0.
     SignMagnitude negative; ///< Magnitude planes of -w where w < 0.
 };
+
+/**
+ * Sign-split an existing decomposition with word operations: the
+ * positive half's planes are mag & ~sign, the negative half's mag & sign.
+ * Both halves carry an all-zero sign plane.
+ */
+SignSplit splitSigns(const SignMagnitude &sm);
 
 /** Split @p w by sign and bit-slice both halves. */
 SignSplit decomposeSignSplit(const Int8Matrix &w, quant::BitWidth bw);

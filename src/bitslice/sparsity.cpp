@@ -11,6 +11,12 @@ namespace mcbp::bitslice {
 SparsityReport
 analyzeSparsity(const Int8Matrix &w, quant::BitWidth bw)
 {
+    return analyzeSparsity(w, decompose(w, bw));
+}
+
+SparsityReport
+analyzeSparsity(const Int8Matrix &w, const SignMagnitude &sm)
+{
     SparsityReport rep;
     const double total = static_cast<double>(w.size());
     std::size_t zeros = 0, nonneg = 0;
@@ -23,7 +29,6 @@ analyzeSparsity(const Int8Matrix &w, quant::BitWidth bw)
     rep.valueSparsity = zeros / total;
     rep.signSparsity = nonneg / total;
 
-    SignMagnitude sm = decompose(w, bw);
     rep.planeSparsity.reserve(sm.magnitude.size());
     double acc = 0.0;
     for (const auto &plane : sm.magnitude) {

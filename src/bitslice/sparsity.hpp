@@ -28,6 +28,9 @@ struct SparsityReport
 /** Analyze an integer matrix at the given bit width. */
 SparsityReport analyzeSparsity(const Int8Matrix &w, quant::BitWidth bw);
 
+/** Analyze @p w given its decomposition @p sm (no re-slicing). */
+SparsityReport analyzeSparsity(const Int8Matrix &w, const SignMagnitude &sm);
+
 /** Repetition statistics for grouped bit-slice column vectors (Fig 5a). */
 struct RepetitionReport
 {

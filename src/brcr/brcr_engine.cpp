@@ -174,17 +174,24 @@ BrcrGemvResult
 BrcrEngine::gemv(const Int8Matrix &w, const std::vector<std::int8_t> &x) const
 {
     fatalIf(w.cols() != x.size(), "BRCR gemv shape mismatch");
+    return gemv(bitslice::decomposeSignSplit(w, cfg_.bitWidth), x);
+}
+
+BrcrGemvResult
+BrcrEngine::gemv(const bitslice::SignSplit &split,
+                 const std::vector<std::int8_t> &x) const
+{
+    const std::size_t rows = split.positive.rows;
+    fatalIf(split.positive.cols != x.size(), "BRCR gemv shape mismatch");
     Int8Matrix xt(1, x.size());
     std::copy(x.begin(), x.end(), xt.rowPtr(0));
-    bitslice::SignSplit split =
-        bitslice::decomposeSignSplit(w, cfg_.bitWidth);
-    Int32Matrix y(w.rows(), 1);
+    Int32Matrix y(rows, 1);
     BrcrGemvResult out;
     GroupScratch scratch; // one allocation serves both halves.
     accumulateHalf(split.positive, +1, xt, y, out.ops, scratch);
     accumulateHalf(split.negative, -1, xt, y, out.ops, scratch);
-    out.y.resize(w.rows());
-    for (std::size_t r = 0; r < w.rows(); ++r)
+    out.y.resize(rows);
+    for (std::size_t r = 0; r < rows; ++r)
         out.y[r] = y.at(r, 0);
     return out;
 }

@@ -94,6 +94,10 @@ class BrcrEngine
     BrcrGemvResult gemv(const Int8Matrix &w,
                         const std::vector<std::int8_t> &x) const;
 
+    /** gemv() over an existing sign split of W (no re-slicing). */
+    BrcrGemvResult gemv(const bitslice::SignSplit &split,
+                        const std::vector<std::int8_t> &x) const;
+
     /**
      * Y = W X, exact. Column patterns are extracted once per group-plane
      * and reused across all N activation columns (weight-stationary reuse,

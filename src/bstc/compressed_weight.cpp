@@ -61,7 +61,16 @@ packRawPlane(const bitslice::BitPlane &plane, std::size_t m,
 CompressedWeight::CompressedWeight(const Int8Matrix &w, quant::BitWidth bw,
                                    std::size_t m, const PlanePolicy &policy,
                                    std::size_t segment_cols)
-    : rows_(w.rows()), cols_(w.cols()), m_(m), segmentCols_(segment_cols),
+    : CompressedWeight(bitslice::decompose(w, bw), bw, m, policy,
+                       segment_cols)
+{
+}
+
+CompressedWeight::CompressedWeight(const bitslice::SignMagnitude &sm,
+                                   quant::BitWidth bw, std::size_t m,
+                                   const PlanePolicy &policy,
+                                   std::size_t segment_cols)
+    : rows_(sm.rows), cols_(sm.cols), m_(m), segmentCols_(segment_cols),
       bw_(bw)
 {
     fatalIf(m_ == 0 || m_ > 16, "group size must be in [1, 16]");
@@ -69,7 +78,9 @@ CompressedWeight::CompressedWeight(const Int8Matrix &w, quant::BitWidth bw,
     segmentsPerRow_ = ceilDiv(cols_, segmentCols_);
     rowGroups_ = ceilDiv(rows_, m_);
 
-    bitslice::SignMagnitude sm = bitslice::decompose(w, bw);
+    fatalIf(sm.planeCount() !=
+                static_cast<std::size_t>(quant::magnitudeBits(bw)),
+            "decomposition does not match bit width");
     fatalIf(policy.compress.size() != sm.magnitude.size(),
             "plane policy arity does not match bit width");
 

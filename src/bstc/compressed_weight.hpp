@@ -54,6 +54,11 @@ class CompressedWeight
                      const PlanePolicy &policy,
                      std::size_t segment_cols = 1024);
 
+    /** Compress an existing decomposition @p sm of a @p bw matrix. */
+    CompressedWeight(const bitslice::SignMagnitude &sm, quant::BitWidth bw,
+                     std::size_t m, const PlanePolicy &policy,
+                     std::size_t segment_cols = 1024);
+
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
     std::size_t groupSize() const { return m_; }

@@ -146,11 +146,15 @@ huffmanLengths(const std::array<std::uint64_t, kAlphabet> &freq)
 /** Canonical code assignment: symbols ordered by (length, symbol). */
 struct CanonicalCode
 {
-    std::array<std::uint32_t, kAlphabet> code{};
+    /** Codes up to 63 bits, read MSB-first. */
+    std::array<std::uint64_t, kAlphabet> code{};
+    /** Each code bit-reversed within its length: the LSB-first
+     *  BitWriter order, so one putBits emits the MSB-first code. */
+    std::array<std::uint64_t, kAlphabet> reversed{};
     std::array<std::uint8_t, kAlphabet> length{};
     std::uint8_t maxLen = 0;
     // Decoding tables.
-    std::array<std::uint32_t, 64> firstCode{};
+    std::array<std::uint64_t, 64> firstCode{};
     std::array<std::uint32_t, 64> countAtLen{};
     std::array<std::uint32_t, 64> offsetAtLen{};
     std::vector<std::uint8_t> symbolsSorted;
@@ -175,12 +179,14 @@ buildCanonical(const std::array<std::uint8_t, kAlphabet> &lengths)
                       return lengths[a] < lengths[b];
                   return a < b;
               });
-    std::uint32_t code = 0;
+    std::uint64_t code = 0;
     std::uint8_t prev_len = 0;
     for (std::size_t i = 0; i < order.size(); ++i) {
         const std::uint16_t s = order[i];
         code <<= (lengths[s] - prev_len);
         cc.code[s] = code;
+        for (unsigned b = 0; b < lengths[s]; ++b)
+            cc.reversed[s] |= ((code >> b) & 1u) << (lengths[s] - 1 - b);
         prev_len = lengths[s];
         ++code;
     }
@@ -189,7 +195,7 @@ buildCanonical(const std::array<std::uint8_t, kAlphabet> &lengths)
     std::uint32_t offset = 0;
     for (std::uint8_t len = 1; len <= cc.maxLen; ++len) {
         std::uint32_t count = 0;
-        std::uint32_t first = 0;
+        std::uint64_t first = 0;
         bool seen = false;
         for (std::uint16_t s : order) {
             if (lengths[s] == len) {
@@ -225,12 +231,18 @@ huffmanEncode(const Int8Matrix &w)
     // Header: 256 x 6-bit code lengths.
     for (std::size_t s = 0; s < kAlphabet; ++s)
         writer.putBits(lengths[s], 6);
-    // Body: canonical codes, MSB-first.
+    // Body: canonical codes, MSB-first, each written whole from its
+    // bit-reversed form (two writes for a code longer than 32 bits).
     w.forEach([&](std::size_t, std::size_t, std::int8_t v) {
         const std::uint8_t s = toSymbol(v);
-        const std::uint8_t len = cc.length[s];
-        for (int b = len - 1; b >= 0; --b)
-            writer.putBit((cc.code[s] >> b) & 1u);
+        const unsigned len = cc.length[s];
+        const std::uint64_t rev = cc.reversed[s];
+        if (len <= 32) {
+            writer.putBits(static_cast<std::uint32_t>(rev), len);
+        } else {
+            writer.putBits(static_cast<std::uint32_t>(rev), 32);
+            writer.putBits(static_cast<std::uint32_t>(rev >> 32), len - 32);
+        }
     });
     ValueCompressed blob;
     blob.bitCount = writer.bitCount();
@@ -252,10 +264,10 @@ huffmanDecode(const ValueCompressed &blob)
     Int8Matrix w(blob.rows, blob.cols);
     const std::size_t total = blob.rows * blob.cols;
     for (std::size_t idx = 0; idx < total; ++idx) {
-        std::uint32_t code = 0;
+        std::uint64_t code = 0;
         std::uint8_t len = 0;
         for (;;) {
-            code = (code << 1) | static_cast<std::uint32_t>(
+            code = (code << 1) | static_cast<std::uint64_t>(
                                      reader.getBit());
             ++len;
             panicIf(len > cc.maxLen, "corrupt Huffman stream");
@@ -263,7 +275,8 @@ huffmanDecode(const ValueCompressed &blob)
                 code >= cc.firstCode[len] &&
                 code - cc.firstCode[len] < cc.countAtLen[len]) {
                 const std::uint32_t pos =
-                    cc.offsetAtLen[len] + (code - cc.firstCode[len]);
+                    cc.offsetAtLen[len] + static_cast<std::uint32_t>(
+                                              code - cc.firstCode[len]);
                 w.at(idx / blob.cols, idx % blob.cols) =
                     fromSymbol(cc.symbolsSorted[pos]);
                 break;

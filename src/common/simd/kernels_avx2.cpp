@@ -15,6 +15,7 @@
 #if defined(__AVX2__)
 
 #include <bit>
+#include <cstring>
 #include <immintrin.h>
 
 namespace mcbp::simd::detail {
@@ -220,10 +221,69 @@ nonzeroMask32Avx2(const std::uint32_t *v, std::size_t n,
     }
 }
 
+/** Byte sign bits of a 64-byte block held as two vectors. */
+inline std::uint64_t
+movemask64(__m256i lo, __m256i hi)
+{
+    return static_cast<std::uint64_t>(
+               static_cast<std::uint32_t>(_mm256_movemask_epi8(lo))) |
+           static_cast<std::uint64_t>(
+               static_cast<std::uint32_t>(_mm256_movemask_epi8(hi)))
+               << 32;
+}
+
+std::uint8_t
+sliceSignMagnitudeAvx2(const std::int8_t *v, std::size_t rows,
+                       std::size_t cols, std::size_t planes,
+                       std::uint64_t *const *mag, std::uint64_t *sign,
+                       std::size_t stride)
+{
+    const std::size_t words = (cols + 63) / 64;
+    __m256i absOr = _mm256_setzero_si256();
+    // Each row's partial last block is staged through this zeroed line,
+    // so columns at or beyond cols slice to zero bits. Every row copies
+    // the same cols % 64 bytes, so the rest of the line stays zero.
+    alignas(64) std::int8_t tail[64] = {};
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::int8_t *row = v + r * cols;
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::size_t base = w << 6;
+            const std::int8_t *src = row + base;
+            if (cols - base < 64) {
+                std::memcpy(tail, src, cols - base);
+                src = tail;
+            }
+            const __m256i lo =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src));
+            const __m256i hi = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(src + 32));
+            const std::size_t at = r * stride + w;
+            sign[at] = movemask64(lo, hi);
+            const __m256i alo = _mm256_abs_epi8(lo);
+            const __m256i ahi = _mm256_abs_epi8(hi);
+            absOr = _mm256_or_si256(absOr, _mm256_or_si256(alo, ahi));
+            // A 16-bit left shift by 7 - p lifts bit p of every byte
+            // into that byte's top bit, where vpmovmskb reads it.
+            for (std::size_t p = 0; p < planes; ++p) {
+                const __m128i shift =
+                    _mm_cvtsi32_si128(static_cast<int>(7 - p));
+                mag[p][at] = movemask64(_mm256_sll_epi16(alo, shift),
+                                        _mm256_sll_epi16(ahi, shift));
+            }
+        }
+    }
+    alignas(32) std::uint8_t lanes[32] = {};
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), absOr);
+    std::uint8_t out = 0;
+    for (const std::uint8_t b : lanes)
+        out |= b;
+    return out;
+}
+
 constexpr Kernels kAvx2 = {
     Tier::Avx2,         popcountWordsAvx2, orWordsAvx2,
     andPopcountWordsAvx2, equalWordsAvx2,  countZero32Avx2,
-    nonzeroMask32Avx2,
+    nonzeroMask32Avx2,  sliceSignMagnitudeAvx2,
 };
 
 } // namespace

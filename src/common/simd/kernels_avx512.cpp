@@ -182,10 +182,47 @@ nonzeroMask32Avx512(const std::uint32_t *v, std::size_t n,
     }
 }
 
+std::uint8_t
+sliceSignMagnitudeAvx512(const std::int8_t *v, std::size_t rows,
+                         std::size_t cols, std::size_t planes,
+                         std::uint64_t *const *mag, std::uint64_t *sign,
+                         std::size_t stride)
+{
+    const std::size_t words = (cols + 63) / 64;
+    __m512i absOr = _mm512_setzero_si512();
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::int8_t *row = v + r * cols;
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::size_t base = w << 6;
+            // A masked load zeroes the lanes at or beyond cols.
+            const std::size_t lanes = cols - base < 64 ? cols - base : 64;
+            const __mmask64 live =
+                lanes == 64 ? ~__mmask64{0}
+                            : (__mmask64{1} << lanes) - 1;
+            const __m512i x = _mm512_maskz_loadu_epi8(live, row + base);
+            const std::size_t at = r * stride + w;
+            sign[at] = _mm512_movepi8_mask(x);
+            const __m512i a = _mm512_abs_epi8(x);
+            absOr = _mm512_or_si512(absOr, a);
+            // A 16-bit left shift by 7 - p lifts bit p of every byte
+            // into that byte's top bit, where vpmovb2m reads it.
+            for (std::size_t p = 0; p < planes; ++p)
+                mag[p][at] = _mm512_movepi8_mask(_mm512_sll_epi16(
+                    a, _mm_cvtsi32_si128(static_cast<int>(7 - p))));
+        }
+    }
+    const std::uint64_t folded =
+        static_cast<std::uint64_t>(_mm512_reduce_or_epi64(absOr));
+    std::uint8_t out = 0;
+    for (unsigned b = 0; b < 8; ++b)
+        out |= static_cast<std::uint8_t>(folded >> (8 * b));
+    return out;
+}
+
 constexpr Kernels kAvx512 = {
     Tier::Avx512,         popcountWordsAvx512, orWordsAvx512,
     andPopcountWordsAvx512, equalWordsAvx512,  countZero32Avx512,
-    nonzeroMask32Avx512,
+    nonzeroMask32Avx512,  sliceSignMagnitudeAvx512,
 };
 
 } // namespace

@@ -79,10 +79,44 @@ nonzeroMask32Scalar(const std::uint32_t *v, std::size_t n,
     }
 }
 
+std::uint8_t
+sliceSignMagnitudeScalar(const std::int8_t *v, std::size_t rows,
+                         std::size_t cols, std::size_t planes,
+                         std::uint64_t *const *mag, std::uint64_t *sign,
+                         std::size_t stride)
+{
+    const std::size_t words = (cols + 63) / 64;
+    unsigned absOr = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::int8_t *row = v + r * cols;
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::size_t base = w << 6;
+            const std::size_t lanes = cols - base < 64 ? cols - base : 64;
+            // One register word per plane, filled a column at a time.
+            std::uint64_t planeWord[8] = {};
+            std::uint64_t signWord = 0;
+            for (std::size_t j = 0; j < lanes; ++j) {
+                const int x = row[base + j];
+                const unsigned a = static_cast<unsigned>(x < 0 ? -x : x);
+                absOr |= a;
+                signWord |= static_cast<std::uint64_t>(x < 0) << j;
+                for (std::size_t p = 0; p < planes; ++p)
+                    planeWord[p] |= static_cast<std::uint64_t>((a >> p) & 1u)
+                                    << j;
+            }
+            const std::size_t at = r * stride + w;
+            sign[at] = signWord;
+            for (std::size_t p = 0; p < planes; ++p)
+                mag[p][at] = planeWord[p];
+        }
+    }
+    return static_cast<std::uint8_t>(absOr);
+}
+
 constexpr Kernels kScalar = {
     Tier::Scalar,       popcountWordsScalar, orWordsScalar,
     andPopcountWordsScalar, equalWordsScalar, countZero32Scalar,
-    nonzeroMask32Scalar,
+    nonzeroMask32Scalar, sliceSignMagnitudeScalar,
 };
 
 } // namespace

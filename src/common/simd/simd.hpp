@@ -5,7 +5,8 @@
  *
  * The bit-plane engines (bitslice/, brcr/, bstc/) reduce to a handful of
  * word-granular primitives — bulk popcount, OR/AND reductions, multi-word
- * compares, and zero-scans over pattern arrays. Each primitive has one
+ * compares, zero-scans over pattern arrays, and the INT8-to-bit-plane
+ * slice that feeds them all. Each primitive has one
  * scalar reference implementation plus AVX2 and AVX-512 ports, collected
  * in per-tier `Kernels` tables. The active table is chosen once, at first
  * use, from CPUID (the intgemm SSE2→AVX512VNNI dispatch scheme), so every
@@ -77,6 +78,24 @@ struct Kernels
      */
     void (*nonzeroMask32)(const std::uint32_t *v, std::size_t n,
                           std::uint64_t *mask);
+
+    /**
+     * Bit-slice a @p rows x @p cols row-major INT8 matrix (@p cols
+     * bytes per row) into sign-magnitude planes: bit (c & 63) of word
+     * (c >> 6) of row r of mag[p] is bit p of |v(r, c)| for p < @p
+     * planes (<= 8), and the same bit of @p sign is v(r, c) < 0. Plane
+     * row r starts @p stride words after row 0. Exactly ceil(cols / 64)
+     * words per row are stored, with the bits at or beyond cols zero;
+     * words past them (BitPlane stride padding) are never touched.
+     * @return OR of |v| over all values as an 8-bit magnitude
+     *         (|-128| = 128): the caller's range check.
+     */
+    std::uint8_t (*sliceSignMagnitude)(const std::int8_t *v,
+                                       std::size_t rows, std::size_t cols,
+                                       std::size_t planes,
+                                       std::uint64_t *const *mag,
+                                       std::uint64_t *sign,
+                                       std::size_t stride);
 };
 
 /** Best tier the CPU reports, ignoring build support and overrides. */

@@ -86,6 +86,8 @@ toDouble(const std::string &key, const std::string &value)
         std::size_t used = 0;
         const double v = std::stod(value, &used);
         fatalIf(used != value.size(), "trailing characters");
+        // NaN would slip through every later `v < min` range check.
+        fatalIf(std::isnan(v), "not a number");
         return v;
     } catch (const std::exception &) {
         fatal("bad numeric value '" + value + "' for option '" + key +

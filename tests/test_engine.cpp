@@ -139,6 +139,37 @@ TEST(Registry, RejectsUnknownSpecsAndOptions)
                  std::runtime_error);
 }
 
+TEST(Registry, RejectsNanOptionValues)
+{
+    // strtod reads "nan", and NaN passes every `v < min` range check,
+    // so the value parser itself refuses it and names the key. The
+    // same specs with a finite value build.
+    const struct
+    {
+        const char *spec;
+        const char *finite;
+        const char *key;
+    } cases[] = {
+        {"mcbp:alpha=nan", "mcbp:alpha=0.5", "alpha"},
+        {"mcbp:tp=2,linkgbs=nan", "mcbp:tp=2,linkgbs=50", "linkgbs"},
+        {"mcbp:tp=2,LinkPJ=NaN", "mcbp:tp=2,LinkPJ=5", "linkpj"},
+        {"mcbp:procs=-nan", "mcbp:procs=64", "procs"},
+    };
+    Registry registry;
+    for (const auto &c : cases) {
+        EXPECT_NO_THROW((void)registry.make(c.finite)) << c.finite;
+        try {
+            (void)registry.make(c.spec);
+            ADD_FAILURE() << c.spec << " built";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + c.key +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Registry, SpecGrammarFuzz)
 {
     // Random specs over the whole grammar: make() either builds or
@@ -155,7 +186,7 @@ TEST(Registry, SpecGrammarFuzz)
         "procs",    "alpha",   "seed",  "brcr",  "bstc", "bgpp",
         "warp"};
     const std::vector<std::string> values = {
-        "0", "1", "2", "4", "8", "2.5", "4.0", "1e1", "-1", "x", ""};
+        "0", "1", "2", "4", "8", "2.5", "4.0", "1e1", "-1", "x", "", "nan"};
     auto pick = [&rng](const std::vector<std::string> &pool) {
         return pool[rng.uniformInt(pool.size())];
     };
@@ -191,6 +222,8 @@ TEST(Registry, SpecGrammarFuzz)
                           << e.what();
             continue;
         }
+        EXPECT_EQ(spec.find("=nan"), std::string::npos)
+            << "a NaN option value built";
         ++built;
         std::string deg;
         try {

@@ -1,6 +1,9 @@
 /** @file Unit tests for bitslice/sign_magnitude. */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "bitslice/sign_magnitude.hpp"
 #include "common/rng.hpp"
 #include "quant/gemm.hpp"
@@ -61,6 +64,109 @@ TEST(SignMagnitude, OutOfRangeInt4Fatal)
     Int8Matrix w(1, 1);
     w.at(0, 0) = 9;
     EXPECT_THROW(decompose(w, quant::BitWidth::Int4), std::runtime_error);
+}
+
+TEST(SignMagnitude, OutsideSymmetricRangeFatal)
+{
+    // The quantizer is symmetric (+-maxLevel), so INT8 -128 and INT4
+    // +-8 never come from it; decompose() still refuses them.
+    const struct
+    {
+        std::int8_t value;
+        quant::BitWidth bw;
+    } cases[] = {{-128, quant::BitWidth::Int8},
+                 {8, quant::BitWidth::Int4},
+                 {-8, quant::BitWidth::Int4}};
+    for (const auto &c : cases) {
+        // In the middle of a multi-word row, not just at element 0.
+        Int8Matrix w(3, 130);
+        w.at(1, 97) = c.value;
+        try {
+            (void)decompose(w, c.bw);
+            ADD_FAILURE() << int{c.value} << " decomposed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "value out of range for the requested bit width"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    Int8Matrix edge(1, 2);
+    edge.at(0, 0) = -127;
+    edge.at(0, 1) = 127;
+    EXPECT_EQ(reconstruct(decompose(edge, quant::BitWidth::Int8)), edge);
+}
+
+/** The per-element decomposition: one BitPlane::set() per set bit. */
+SignMagnitude
+decomposeReference(const Int8Matrix &w, quant::BitWidth bw)
+{
+    const std::size_t planes =
+        static_cast<std::size_t>(quant::magnitudeBits(bw));
+    SignMagnitude sm;
+    sm.rows = w.rows();
+    sm.cols = w.cols();
+    sm.sign = BitPlane(w.rows(), w.cols());
+    sm.magnitude.assign(planes, BitPlane(w.rows(), w.cols()));
+    for (std::size_t r = 0; r < w.rows(); ++r)
+        for (std::size_t c = 0; c < w.cols(); ++c) {
+            const int v = w.at(r, c);
+            const unsigned mag = static_cast<unsigned>(v < 0 ? -v : v);
+            sm.sign.set(r, c, v < 0);
+            for (std::size_t p = 0; p < planes; ++p)
+                sm.magnitude[p].set(r, c, (mag >> p) & 1u);
+        }
+    return sm;
+}
+
+/** The value-level sign split decomposeSignSplit() used to build. */
+SignSplit
+signSplitReference(const Int8Matrix &w, quant::BitWidth bw)
+{
+    Int8Matrix pos(w.rows(), w.cols());
+    Int8Matrix neg(w.rows(), w.cols());
+    for (std::size_t r = 0; r < w.rows(); ++r)
+        for (std::size_t c = 0; c < w.cols(); ++c) {
+            const int v = w.at(r, c);
+            pos.at(r, c) = static_cast<std::int8_t>(v > 0 ? v : 0);
+            neg.at(r, c) = static_cast<std::int8_t>(v < 0 ? -v : 0);
+        }
+    return {decomposeReference(pos, bw), decomposeReference(neg, bw)};
+}
+
+void
+expectSameDecomposition(const SignMagnitude &a, const SignMagnitude &b)
+{
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.cols, b.cols);
+    // BitPlane equality compares whole buffers, stride padding included.
+    EXPECT_TRUE(a.sign == b.sign);
+    ASSERT_EQ(a.planeCount(), b.planeCount());
+    for (std::size_t p = 0; p < a.planeCount(); ++p)
+        EXPECT_TRUE(a.magnitude[p] == b.magnitude[p]) << "plane " << p;
+}
+
+TEST(SignMagnitude, WordParallelMatchesPerElementReference)
+{
+    for (const quant::BitWidth bw :
+         {quant::BitWidth::Int8, quant::BitWidth::Int4}) {
+        const int level = quant::maxLevel(bw);
+        for (const std::size_t cols : {1u, 63u, 64u, 65u, 127u, 4097u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "level " << level << " cols " << cols);
+            const Int8Matrix w = randomInt8(cols, 5, cols, level);
+            const SignMagnitude sm = decompose(w, bw);
+            expectSameDecomposition(sm, decomposeReference(w, bw));
+
+            const SignSplit split = splitSigns(sm);
+            const SignSplit ref = signSplitReference(w, bw);
+            expectSameDecomposition(split.positive, ref.positive);
+            expectSameDecomposition(split.negative, ref.negative);
+            const SignSplit wrapped = decomposeSignSplit(w, bw);
+            expectSameDecomposition(wrapped.positive, ref.positive);
+            expectSameDecomposition(wrapped.negative, ref.negative);
+        }
+    }
 }
 
 TEST(SignMagnitude, SignPlaneOnlyForNegatives)

@@ -170,6 +170,82 @@ TEST(SimdKernels, CountZeroAndNonzeroMaskMatchScalarReference)
     }
 }
 
+TEST(SimdKernels, SliceSignMagnitudeMatchesScalarReference)
+{
+    // Widths around the 64-column word and the 32/64-byte vector
+    // blocks, INT4 (3 planes) and INT7 magnitudes (7 planes), values in
+    // range and across the whole INT8 range (-128 included). The
+    // kernel must store every row word whole (tail bits zero) and
+    // leave the stride padding past the row's words zero.
+    Rng rng(105);
+    const std::size_t widths[] = {1, 63, 64, 65, 127, 4097};
+    constexpr std::size_t kRows = 3;
+    for (const std::size_t planes : {std::size_t{3}, std::size_t{7}}) {
+        for (const bool full_range : {false, true}) {
+            for (const std::size_t cols : widths) {
+                const int level = (1 << planes) - 1;
+                std::vector<std::int8_t> v(kRows * cols);
+                for (auto &x : v)
+                    x = full_range
+                            ? static_cast<std::int8_t>(rng.next())
+                            : static_cast<std::int8_t>(
+                                  static_cast<int>(rng.uniformInt(
+                                      2 * level + 1)) -
+                                  level);
+                const std::size_t words = (cols + 63) / 64;
+                const std::size_t stride = (words + 7) / 8 * 8;
+                // Reference: one bit at a time.
+                std::vector<std::vector<std::uint64_t>> ref_mag(
+                    planes, std::vector<std::uint64_t>(kRows * stride, 0));
+                std::vector<std::uint64_t> ref_sign(kRows * stride, 0);
+                unsigned ref_or = 0;
+                for (std::size_t r = 0; r < kRows; ++r)
+                    for (std::size_t c = 0; c < cols; ++c) {
+                        const int x = v[r * cols + c];
+                        const unsigned a =
+                            static_cast<unsigned>(x < 0 ? -x : x);
+                        ref_or |= a;
+                        const std::size_t at = r * stride + (c >> 6);
+                        const std::uint64_t bit = std::uint64_t{1}
+                                                  << (c & 63);
+                        if (x < 0)
+                            ref_sign[at] |= bit;
+                        for (std::size_t p = 0; p < planes; ++p)
+                            if ((a >> p) & 1u)
+                                ref_mag[p][at] |= bit;
+                    }
+                for (const Tier t : runnableTiers()) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << tierName(t) << " planes=" << planes
+                                 << " cols=" << cols
+                                 << (full_range ? " full range" : ""));
+                    // Poison the row words; padding starts zero.
+                    std::vector<std::vector<std::uint64_t>> mag(
+                        planes, std::vector<std::uint64_t>(kRows * stride, 0));
+                    std::vector<std::uint64_t> sign(kRows * stride, 0);
+                    for (std::size_t r = 0; r < kRows; ++r)
+                        for (std::size_t w = 0; w < words; ++w) {
+                            sign[r * stride + w] = ~std::uint64_t{0};
+                            for (auto &plane : mag)
+                                plane[r * stride + w] = ~std::uint64_t{0};
+                        }
+                    std::uint64_t *mag_ptrs[8] = {};
+                    for (std::size_t p = 0; p < planes; ++p)
+                        mag_ptrs[p] = mag[p].data();
+                    const std::uint8_t got_or =
+                        kernelsFor(t).sliceSignMagnitude(
+                            v.data(), kRows, cols, planes, mag_ptrs,
+                            sign.data(), stride);
+                    EXPECT_EQ(got_or, ref_or);
+                    EXPECT_EQ(sign, ref_sign);
+                    for (std::size_t p = 0; p < planes; ++p)
+                        EXPECT_EQ(mag[p], ref_mag[p]) << "plane " << p;
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdDispatch, TierTablesReportTheirTier)
 {
     for (const Tier t : runnableTiers())

@@ -1,6 +1,8 @@
 /** @file Unit + property tests for bstc/value_codec (RLE + Huffman). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bstc/value_codec.hpp"
 #include "common/rng.hpp"
 #include "model/synthetic.hpp"
@@ -87,6 +89,96 @@ TEST(Huffman, UniformDataBarelyCompresses)
     const double cr = valueCompressionRatio(blob);
     EXPECT_GT(cr, 0.85);
     EXPECT_LT(cr, 1.1);
+}
+
+/**
+ * Re-encode @p w one bit at a time from the canonical code lengths in
+ * @p blob's header: the emitter huffmanEncode() replaced. Canonical
+ * codes follow from the lengths alone (symbols ordered by length, then
+ * value), so this is an independent rebuild of the stream.
+ */
+BitWriter
+perBitHuffmanReference(const Int8Matrix &w, const ValueCompressed &blob,
+                       unsigned &max_len)
+{
+    BitReader header(blob.data, blob.bitCount);
+    std::uint8_t lengths[256] = {};
+    for (auto &len : lengths)
+        len = static_cast<std::uint8_t>(header.getBits(6));
+    std::uint64_t codes[256] = {};
+    std::uint64_t code = 0;
+    unsigned prev = 0;
+    max_len = 0;
+    for (unsigned len = 1; len < 64; ++len)
+        for (unsigned s = 0; s < 256; ++s) {
+            if (lengths[s] != len)
+                continue;
+            code <<= len - prev;
+            prev = len;
+            codes[s] = code++;
+            max_len = len;
+        }
+    BitWriter ref;
+    for (const std::uint8_t len : lengths)
+        ref.putBits(len, 6);
+    w.forEach([&](std::size_t, std::size_t, std::int8_t v) {
+        const auto s = static_cast<std::uint8_t>(v);
+        for (int b = lengths[s] - 1; b >= 0; --b)
+            ref.putBit((codes[s] >> b) & 1u);
+    });
+    return ref;
+}
+
+void
+expectStreamMatchesPerBitReference(const Int8Matrix &w,
+                                   unsigned &max_len)
+{
+    const ValueCompressed blob = huffmanEncode(w);
+    const BitWriter ref = perBitHuffmanReference(w, blob, max_len);
+    ASSERT_EQ(blob.bitCount, ref.bitCount());
+    EXPECT_TRUE(std::equal(ref.words(), ref.words() + ref.wordCount(),
+                           blob.data.data()));
+    EXPECT_EQ(huffmanDecode(blob), w);
+}
+
+TEST(Huffman, StreamMatchesPerBitEmitter)
+{
+    unsigned max_len = 0;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        expectStreamMatchesPerBitReference(randomInt8(seed, 17, 93, 0.3),
+                                           max_len);
+        EXPECT_LE(max_len, 32u);
+    }
+    Rng rng(5);
+    model::WeightProfile profile;
+    expectStreamMatchesPerBitReference(
+        model::synthesizeQuantizedWeight(rng, 64, 1024,
+                                         quant::BitWidth::Int8, profile)
+            .values,
+        max_len);
+}
+
+TEST(Huffman, CodesLongerThan32BitsSplit)
+{
+    // Fibonacci frequencies F1..F34 build a fully skewed Huffman tree,
+    // so the two rarest symbols get 33-bit codes: each is written in
+    // two pieces, and the stream must still match the per-bit emitter.
+    constexpr std::size_t kSymbols = 34;
+    std::uint64_t fib[kSymbols] = {1, 1};
+    for (std::size_t i = 2; i < kSymbols; ++i)
+        fib[i] = fib[i - 1] + fib[i - 2];
+    std::size_t total = 0;
+    for (const std::uint64_t f : fib)
+        total += f;
+    Int8Matrix w(1, total);
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < kSymbols; ++i)
+        for (std::uint64_t k = 0; k < fib[i]; ++k)
+            w.at(0, at++) = static_cast<std::int8_t>(
+                static_cast<int>(i) - 17);
+    unsigned max_len = 0;
+    expectStreamMatchesPerBitReference(w, max_len);
+    EXPECT_EQ(max_len, kSymbols - 1);
 }
 
 TEST(Huffman, EmptyMatrixFatal)
