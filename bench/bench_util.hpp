@@ -80,7 +80,8 @@ validatedJsonPathFromArgs(int argc, char **argv)
     const std::string path = jsonPathFromArgs(argc, argv);
     if (!path.empty()) {
         std::ofstream probe(path, std::ios::app); // no truncation
-        fatalIf(!probe, "cannot open '" + path + "' for writing");
+        if (!probe)
+            fatal("cannot open '" + path + "' for writing");
     }
     return path;
 }
@@ -175,9 +176,11 @@ class JsonRecords
     write(const std::string &path) const
     {
         std::ofstream out(path);
-        fatalIf(!out, "cannot open '" + path + "' for writing");
+        if (!out)
+            fatal("cannot open '" + path + "' for writing");
         out << toString();
-        fatalIf(!out.good(), "failed writing '" + path + "'");
+        if (!out.good())
+            fatal("failed writing '" + path + "'");
     }
 
     /** Honor a `--json <path>` flag if the caller passed one. */
@@ -217,8 +220,8 @@ class JsonRecords
         fatalIf(records_.empty(), "field() before begin()");
         auto &record = records_.back();
         for (const auto &field : record)
-            fatalIf(field.first == key,
-                    "JSON record already has key '" + key + "'");
+            if (field.first == key)
+                fatal("JSON record already has key '" + key + "'");
         record.emplace_back(key, std::move(rendered));
     }
 

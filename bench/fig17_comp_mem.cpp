@@ -90,7 +90,7 @@ main()
             for (std::size_t q = 0; q < 4; ++q) {
                 const accel::PlanSegment s =
                     plan.slice(q * quarter, quarter);
-                seg.addRow({fleet[idx]->name(), s.label,
+                seg.addRow({fleet[idx]->name(), s.label(),
                             fmt(s.decode.cycles, 0),
                             fmt(s.decode.weightStreamCycles, 0),
                             fmt(s.decode.linearWorkCycles, 0),

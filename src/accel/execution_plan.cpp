@@ -40,13 +40,19 @@ scalePhase(const PhaseMetrics &phase, double fraction)
     return out;
 }
 
+std::string
+PlanSegment::label() const
+{
+    std::string out = "layers[" + std::to_string(firstLayer) + "," +
+                      std::to_string(firstLayer + layerCount) + ")";
+    return stage ? "stage" + std::to_string(*stage) + " " + out : out;
+}
+
 RunMetrics
 ExecutionPlan::fold() const
 {
     RunMetrics rm;
     rm.accelerator = accelerator;
-    rm.modelName = modelName;
-    rm.taskName = taskName;
     rm.clockGhz = clockGhz;
     rm.processors = processors;
     rm.prefill = prefill; // verbatim copy: no arithmetic, so folding
@@ -59,17 +65,15 @@ ExecutionPlan::slice(std::size_t firstLayer,
                      std::size_t layerCount) const
 {
     fatalIf(layerCount == 0, "empty layer slice");
-    fatalIf(firstLayer + layerCount > modelLayers,
-            "layer slice [" + std::to_string(firstLayer) + "," +
-                std::to_string(firstLayer + layerCount) +
-                ") escapes the planned stack of " +
-                std::to_string(modelLayers) + " layers");
+    if (firstLayer + layerCount > modelLayers)
+        fatal("layer slice [" + std::to_string(firstLayer) + "," +
+              std::to_string(firstLayer + layerCount) +
+              ") escapes the planned stack of " +
+              std::to_string(modelLayers) + " layers");
     const std::size_t lo = firstLayer;
     const std::size_t hi = firstLayer + layerCount;
 
     PlanSegment out;
-    out.label = "layers[" + std::to_string(lo) + "," +
-                std::to_string(hi) + ")";
     out.firstLayer = lo;
     out.layerCount = layerCount;
 
@@ -110,15 +114,12 @@ planFromRun(const RunMetrics &rm, std::size_t modelLayers)
     fatalIf(modelLayers == 0, "a plan needs at least one layer");
     ExecutionPlan plan;
     plan.accelerator = rm.accelerator;
-    plan.modelName = rm.modelName;
-    plan.taskName = rm.taskName;
     plan.clockGhz = rm.clockGhz;
     plan.processors = rm.processors;
     plan.modelLayers = modelLayers;
     plan.prefill = rm.prefill;
     plan.decode = rm.decode;
     PlanSegment seg;
-    seg.label = "layers[0," + std::to_string(modelLayers) + ")";
     seg.firstLayer = 0;
     seg.layerCount = modelLayers;
     seg.prefill = rm.prefill;

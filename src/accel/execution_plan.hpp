@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,13 +45,17 @@ PhaseMetrics scalePhase(const PhaseMetrics &phase, double fraction);
 /** Cost of one contiguous layer range, per phase. */
 struct PlanSegment
 {
-    /** Display label, e.g. "layers[0,32)" or "stage2 layers[16,24)". */
-    std::string label;
     std::size_t firstLayer = 0;
     std::size_t layerCount = 0;
+    /** Pipeline stage that owns the range (unset outside a pipeline). */
+    std::optional<std::size_t> stage;
     /** Whole-phase cost of this segment's layers (all steps). */
     PhaseMetrics prefill;
     PhaseMetrics decode;
+
+    /** Display label, e.g. "layers[0,32)" or "stage2 layers[16,24)";
+     *  built on demand, so pricing never formats it. */
+    std::string label() const;
 };
 
 /**
@@ -60,8 +65,6 @@ struct PlanSegment
 struct ExecutionPlan
 {
     std::string accelerator;
-    std::string modelName;
-    std::string taskName;
     double clockGhz = 1.0;
     /** Chips ganged for the run (see RunMetrics::processors). */
     std::size_t processors = 1;

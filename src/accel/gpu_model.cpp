@@ -35,8 +35,6 @@ GpuA100Model::run(const model::LlmConfig &m, const model::Workload &task,
 {
     RunMetrics rm;
     rm.accelerator = name();
-    rm.modelName = m.name;
-    rm.taskName = task.name;
     rm.clockGhz = p_.clockGhz;
     rm.processors = 1;
 

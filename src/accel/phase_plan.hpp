@@ -64,21 +64,17 @@ composePlan(std::string acceleratorName, const model::LlmConfig &model,
 {
     ExecutionPlan plan;
     plan.accelerator = std::move(acceleratorName);
-    plan.modelName = model.name;
-    plan.taskName = task.name;
     plan.clockGhz = clockGhz;
     plan.processors = processors;
     plan.modelLayers = model.layers;
     plan.prefill = simulate(prefillPlan(task));
     if (task.decodeLen > 0)
         plan.decode = simulate(decodePlan(task));
-    PlanSegment seg;
-    seg.label = "layers[0," + std::to_string(model.layers) + ")";
+    PlanSegment &seg = plan.segments.emplace_back();
     seg.firstLayer = 0;
     seg.layerCount = model.layers;
     seg.prefill = plan.prefill;
     seg.decode = plan.decode;
-    plan.segments.push_back(std::move(seg));
     return plan;
 }
 

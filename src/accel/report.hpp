@@ -99,8 +99,6 @@ struct PhaseMetrics
 struct RunMetrics
 {
     std::string accelerator;
-    std::string modelName;
-    std::string taskName;
     PhaseMetrics prefill;
     PhaseMetrics decode;
     double clockGhz = 1.0;

@@ -29,13 +29,15 @@ fromSymbol(std::uint8_t s)
 ValueCompressed
 rleEncode(const Int8Matrix &w)
 {
+    // Each symbol is written whole, LSB first: a zero-run chunk is a
+    // 0 flag then its 4-bit length - 1 (5 bits), a literal a 1 flag
+    // then its 8-bit symbol (9 bits).
     BitWriter writer;
     std::size_t run = 0;
     auto flush_run = [&]() {
         while (run > 0) {
             const std::size_t chunk = std::min<std::size_t>(run, 16);
-            writer.putBit(false);
-            writer.putBits(static_cast<std::uint32_t>(chunk - 1), 4);
+            writer.putBits(static_cast<std::uint32_t>(chunk - 1) << 1, 5);
             run -= chunk;
         }
     };
@@ -46,8 +48,7 @@ rleEncode(const Int8Matrix &w)
                 ++run;
             } else {
                 flush_run();
-                writer.putBit(true);
-                writer.putBits(toSymbol(v), 8);
+                writer.putBits(1u | std::uint32_t{toSymbol(v)} << 1, 9);
             }
         }
     }

@@ -36,10 +36,10 @@ isRegistered(const char *name)
 const char *
 get(const char *name)
 {
-    fatalIf(!isRegistered(name),
-            std::string("env::get: '") + name +
-                "' is not declared in env::knobs(); register the knob "
-                "(name, default, consumer) before reading it");
+    if (!isRegistered(name))
+        fatal(std::string("env::get: '") + name +
+              "' is not declared in env::knobs(); register the knob "
+              "(name, default, consumer) before reading it");
     // The one sanctioned environment read in the tree; everything else
     // must route through this registry so the knob table stays
     // exhaustive (lint rule: stray-getenv).

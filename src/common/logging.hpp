@@ -47,4 +47,14 @@ fatalIf(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+/** fatal() when @p cond is true. A literal message becomes a
+ *  std::string only on failure, so a check that passes allocates
+ *  nothing. */
+inline void
+fatalIf(bool cond, const char *msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
 } // namespace mcbp

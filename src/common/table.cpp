@@ -13,9 +13,10 @@ Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 void
 Table::addRow(std::vector<std::string> row)
 {
-    panicIf(row.size() != header_.size(),
-            "table row arity mismatch: got " + std::to_string(row.size()) +
-                " columns, expected " + std::to_string(header_.size()));
+    if (row.size() != header_.size())
+        panic("table row arity mismatch: got " +
+              std::to_string(row.size()) + " columns, expected " +
+              std::to_string(header_.size()));
     rows_.push_back(std::move(row));
 }
 

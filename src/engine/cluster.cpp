@@ -29,9 +29,10 @@ ClusterAccelerator::ClusterAccelerator(std::unique_ptr<Accelerator> chip,
     // and prices collectives hierarchically (sim/collective.hpp) —
     // never the inner cluster's already-sharded plan, which would
     // double-count the inner fabric.
+    std::vector<sim::CollectiveTier> tiers;
     if (const auto *inner =
             dynamic_cast<const ClusterAccelerator *>(chip_.get())) {
-        tiers_ = inner->tiers_;
+        tiers = inner->tiers();
         base_ = inner->base_;
         totalDegree_ = inner->totalDegree_ * opts_.tensorParallel;
     } else {
@@ -39,16 +40,15 @@ ClusterAccelerator::ClusterAccelerator(std::unique_ptr<Accelerator> chip,
         totalDegree_ = opts_.tensorParallel;
     }
     if (opts_.tensorParallel > 1)
-        tiers_.push_back({opts_.tensorParallel, opts_.interconnect});
-}
-
-std::string
-ClusterAccelerator::name() const
-{
-    if (opts_.tensorParallel == 1)
-        return chip_->name();
-    return chip_->name() + "[tp" + std::to_string(opts_.tensorParallel) +
-           "]";
+        tiers.push_back({opts_.tensorParallel, opts_.interconnect});
+    // The fabric counts cycles at the base chip's clock; plan() checks
+    // that every plan it shards was priced at that clock.
+    topology_ = sim::CollectiveTopology(std::move(tiers),
+                                        base_->capabilities().clockGhz);
+    name_ = opts_.tensorParallel == 1
+                ? chip_->name()
+                : chip_->name() + "[tp" +
+                      std::to_string(opts_.tensorParallel) + "]";
 }
 
 Capabilities
@@ -97,7 +97,6 @@ ClusterAccelerator::configSummary() const
  */
 accel::PhaseMetrics
 ClusterAccelerator::shardPhase(const accel::PhaseMetrics &phase,
-                               const sim::CollectiveTopology &topo,
                                double hidden, double layerSpan,
                                double phaseTokens, double steps,
                                double gangProcessors) const
@@ -118,10 +117,11 @@ ClusterAccelerator::shardPhase(const accel::PhaseMetrics &phase,
     // is a property of the innermost (intra-group) fabric.
     const double bytes_per_collective =
         phaseTokens * hidden *
-        topo.tiers().front().link.bytesPerActivation / gangProcessors;
+        topology_.tiers().front().link.bytesPerActivation /
+        gangProcessors;
     const double collectives = 2.0 * layerSpan * steps;
     const sim::InterconnectCost per_collective =
-        topo.allReduce(bytes_per_collective);
+        topology_.allReduce(bytes_per_collective);
     const double ic_cycles = per_collective.cycles() * collectives;
     const double ic_pj = per_collective.energyPj * collectives;
 
@@ -168,36 +168,36 @@ accel::ExecutionPlan
 ClusterAccelerator::plan(const model::LlmConfig &model,
                          const model::Workload &task) const
 {
-    fatalIf(model.heads % totalDegree_ != 0,
-            "tensor-parallel degree " + std::to_string(totalDegree_) +
-                " must divide " + model.name + "'s " +
-                std::to_string(model.heads) + " attention heads");
+    if (model.heads % totalDegree_ != 0)
+        fatal("tensor-parallel degree " + std::to_string(totalDegree_) +
+              " must divide " + model.name + "'s " +
+              std::to_string(model.heads) + " attention heads");
     if (opts_.tensorParallel == 1)
         return chip_->plan(model, task); // identity: bit-for-bit.
 
-    // Shard the BASE chip's plan by the combined degree of the
-    // flattened tier stack — for an unnested cluster base_ is the
+    // Shard the BASE chip's plan, in place, by the combined degree of
+    // the flattened tier stack — for an unnested cluster base_ is the
     // wrapped chip and this is the single-tier path, bit-identical to
     // the flat ring (CollectiveTopology delegates).
-    accel::ExecutionPlan inner = base_->plan(model, task);
-    const sim::CollectiveTopology topo(tiers_, inner.clockGhz);
+    accel::ExecutionPlan out = base_->plan(model, task);
+    fatalIf(out.clockGhz != topology_.clockGhz(),
+            "cluster chip planned at a clock other than the one its "
+            "capabilities advertise");
 
-    const double gang = static_cast<double>(inner.processors);
+    const double gang = static_cast<double>(out.processors);
     const double hidden = static_cast<double>(model.hidden);
     const double prefill_tokens =
         static_cast<double>(task.promptLen * task.batch);
     const double decode_tokens = static_cast<double>(task.batch);
     const double steps = static_cast<double>(task.decodeLen);
 
-    accel::ExecutionPlan out = inner;
-    out.accelerator = name();
-    out.processors = inner.processors * totalDegree_;
-    out.prefill =
-        shardPhase(inner.prefill, topo, hidden,
-                   static_cast<double>(model.layers), prefill_tokens,
-                   1.0, gang);
+    out.accelerator = name_;
+    out.processors *= totalDegree_;
+    out.prefill = shardPhase(out.prefill, hidden,
+                             static_cast<double>(model.layers),
+                             prefill_tokens, 1.0, gang);
     if (task.decodeLen > 0)
-        out.decode = shardPhase(inner.decode, topo, hidden,
+        out.decode = shardPhase(out.decode, hidden,
                                 static_cast<double>(model.layers),
                                 decode_tokens, steps, gang);
     // Shard each layer segment the same way, each span paying the
@@ -205,10 +205,10 @@ ClusterAccelerator::plan(const model::LlmConfig &model,
     // shards to exactly the totals above.
     for (accel::PlanSegment &seg : out.segments) {
         const double span = static_cast<double>(seg.layerCount);
-        seg.prefill = shardPhase(seg.prefill, topo, hidden, span,
+        seg.prefill = shardPhase(seg.prefill, hidden, span,
                                  prefill_tokens, 1.0, gang);
         if (task.decodeLen > 0)
-            seg.decode = shardPhase(seg.decode, topo, hidden, span,
+            seg.decode = shardPhase(seg.decode, hidden, span,
                                     decode_tokens, steps, gang);
     }
     return out;

@@ -66,7 +66,7 @@ class ClusterAccelerator : public Accelerator
     ClusterAccelerator(std::unique_ptr<Accelerator> chip,
                        ClusterOptions opts);
 
-    std::string name() const override;
+    std::string name() const override { return name_; }
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     /**
@@ -95,22 +95,24 @@ class ClusterAccelerator : public Accelerator
     /** Flattened fabric hierarchy, innermost tier first. */
     const std::vector<sim::CollectiveTier> &tiers() const
     {
-        return tiers_;
+        return topology_.tiers();
     }
     /** Combined tensor degree across all nested tiers. */
     std::size_t totalDegree() const { return totalDegree_; }
 
   private:
     accel::PhaseMetrics shardPhase(const accel::PhaseMetrics &phase,
-                                   const sim::CollectiveTopology &topo,
                                    double hidden, double layerSpan,
                                    double phaseTokens, double steps,
                                    double gangProcessors) const;
 
     std::unique_ptr<Accelerator> chip_;
     ClusterOptions opts_;
-    /** Fabric tiers of the flattened cluster chain, innermost first. */
-    std::vector<sim::CollectiveTier> tiers_;
+    /** Display name, composed once at construction. */
+    std::string name_;
+    /** Fabric tiers of the flattened cluster chain, innermost first,
+     *  priced at the base chip's clock. */
+    sim::CollectiveTopology topology_{{}, 1.0};
     /** The innermost non-cluster accelerator (not owned; owned by the
      *  chip_ chain). Its plan is the sharding base for the whole
      *  hierarchy, so nested tiers never rescale an already-sharded

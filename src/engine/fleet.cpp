@@ -50,15 +50,10 @@ FleetAccelerator::FleetAccelerator(std::unique_ptr<Accelerator> replica,
                 nullptr,
             "nested fleet composition is not modeled; use a single "
             "dp= degree");
-}
-
-std::string
-FleetAccelerator::name() const
-{
-    if (opts_.dataParallel == 1)
-        return replica_->name();
-    return replica_->name() + "[dp" +
-           std::to_string(opts_.dataParallel) + "]";
+    name_ = opts_.dataParallel == 1
+                ? replica_->name()
+                : replica_->name() + "[dp" +
+                      std::to_string(opts_.dataParallel) + "]";
 }
 
 Capabilities

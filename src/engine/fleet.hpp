@@ -77,7 +77,7 @@ class FleetAccelerator : public Accelerator
     FleetAccelerator(std::unique_ptr<Accelerator> replica,
                      FleetOptions opts);
 
-    std::string name() const override;
+    std::string name() const override { return name_; }
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     /** A request runs on exactly one replica, so the fleet's plan for
@@ -106,6 +106,8 @@ class FleetAccelerator : public Accelerator
   private:
     std::unique_ptr<Accelerator> replica_;
     FleetOptions opts_;
+    /** Display name, composed once at construction. */
+    std::string name_;
 };
 
 /** Everything the fleet serving path produces (the merged report plus

@@ -69,11 +69,11 @@ composeStages(const accel::ExecutionPlan &inner,
               const PipelineOptions &opts)
 {
     const std::size_t pp = opts.pipelineParallel;
-    fatalIf(model.layers % pp != 0,
-            "pipeline degree " + std::to_string(pp) + " must divide " +
-                model.name + "'s " + std::to_string(model.layers) +
-                " decoder layers (even stages keep the per-stage KV "
-                "shards symmetric)");
+    if (model.layers % pp != 0)
+        fatal("pipeline degree " + std::to_string(pp) + " must divide " +
+              model.name + "'s " + std::to_string(model.layers) +
+              " decoder layers (even stages keep the per-stage KV "
+              "shards symmetric)");
     const std::size_t per_stage = model.layers / pp;
     const double mb = static_cast<double>(opts.microBatches);
 
@@ -83,9 +83,9 @@ composeStages(const accel::ExecutionPlan &inner,
     // rescaling a finished run.
     out.stages.reserve(pp);
     for (std::size_t s = 0; s < pp; ++s) {
-        accel::PlanSegment seg = inner.slice(s * per_stage, per_stage);
-        seg.label = "stage" + std::to_string(s) + " " + seg.label;
-        out.stages.push_back(std::move(seg));
+        accel::PlanSegment &seg = out.stages.emplace_back(
+            inner.slice(s * per_stage, per_stage));
+        seg.stage = s;
     }
 
     // One boundary transfer carries the layer's activations for the
@@ -122,15 +122,10 @@ PipelineAccelerator::PipelineAccelerator(std::unique_ptr<Accelerator> stage,
                 nullptr,
             "nested pipeline composition is not modeled; use a single "
             "pp= degree");
-}
-
-std::string
-PipelineAccelerator::name() const
-{
-    if (opts_.pipelineParallel == 1)
-        return stage_->name();
-    return stage_->name() + "[pp" +
-           std::to_string(opts_.pipelineParallel) + "]";
+    name_ = opts_.pipelineParallel == 1
+                ? stage_->name()
+                : stage_->name() + "[pp" +
+                      std::to_string(opts_.pipelineParallel) + "]";
 }
 
 Capabilities
@@ -173,28 +168,26 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
                           const model::Workload &task) const
 {
     const std::size_t pp = opts_.pipelineParallel;
-    accel::ExecutionPlan inner = stage_->plan(model, task);
+    // The wrapped plan is re-composed in place: every phase below is
+    // computed from its totals before they are overwritten at the end.
+    accel::ExecutionPlan out = stage_->plan(model, task);
     if (pp == 1)
-        return inner; // identity: bit-for-bit the wrapped accelerator.
+        return out; // identity: bit-for-bit the wrapped accelerator.
 
     const double n = static_cast<double>(pp);
-    const double gang = static_cast<double>(inner.processors);
+    const double gang = static_cast<double>(out.processors);
     const double hidden = static_cast<double>(model.hidden);
-    const sim::Interconnect fabric(opts_.interconnect, inner.clockGhz);
+    const sim::Interconnect fabric(opts_.interconnect, out.clockGhz);
 
-    PipelineComposition comp =
-        composeStages(inner, model, task, opts_);
+    PipelineComposition comp = composeStages(out, model, task, opts_);
     const std::vector<accel::PlanSegment> &stages = comp.stages;
     const sim::InterconnectCost &pf_send = comp.prefillSend;
     const PrefillTimes &times = comp.times;
     const double total_pf = comp.prefillCycles;
 
-    accel::ExecutionPlan out = inner;
-    out.accelerator = name();
-    out.processors = inner.processors * pp;
-
     // ---- Prefill: micro-batched stage pipeline -------------------------
-    accel::PhaseMetrics pf = accel::scalePhase(inner.prefill, 1.0 / n);
+    const accel::PhaseMetrics &inp = out.prefill;
+    accel::PhaseMetrics pf = accel::scalePhase(inp, 1.0 / n);
     pf.cycles = total_pf;
     // Per-stage weight residents load concurrently; the steady-state
     // stream/work view is the slowest stage's.
@@ -207,25 +200,23 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
     pf.linearWorkCycles = pf_lw;
     // Batch-invariant floor: the wrapped collectives' hop floors plus
     // the boundary fill hops; contained in cycles.
-    pf.fixedStepCycles =
-        inner.prefill.fixedStepCycles + times.hopFill;
+    pf.fixedStepCycles = inp.fixedStepCycles + times.hopFill;
     // Breakdown: the per-stage bottleneck share is in the scaled
     // contributors; everything the pipeline adds on top (bubbles,
     // boundary serialization) is exposed as other.
-    pf.otherCycles = inner.prefill.otherCycles / n +
-                     std::max(0.0, total_pf - inner.prefill.cycles / n);
+    pf.otherCycles = inp.otherCycles / n +
+                     std::max(0.0, total_pf - inp.cycles / n);
     // Logical work is conserved by stage partitioning.
-    pf.denseMacs = inner.prefill.denseMacs;
-    pf.executedAdds = inner.prefill.executedAdds;
+    pf.denseMacs = inp.denseMacs;
+    pf.executedAdds = inp.executedAdds;
     // Per-chip link energy share of the (pp-1) boundary transfers.
-    pf.energy.interconnectPj = inner.prefill.energy.interconnectPj / n +
+    pf.energy.interconnectPj = inp.energy.interconnectPj / n +
                                (n - 1.0) * pf_send.energyPj / n;
-    out.prefill = pf;
 
     // ---- Decode: token-serial traversal, per-stage weight streams ------
     if (task.decodeLen > 0) {
         const double steps = static_cast<double>(task.decodeLen);
-        const accel::PhaseMetrics &ind = inner.decode;
+        const accel::PhaseMetrics &ind = out.decode;
         const double dc_bytes = static_cast<double>(task.batch) *
                                 hidden *
                                 opts_.interconnect.bytesPerActivation /
@@ -271,6 +262,9 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
         out.decode = dc;
     }
 
+    out.prefill = pf;
+    out.accelerator = name_;
+    out.processors *= pp;
     // Segments: the per-stage layer costs (pure slices). The pipeline
     // overheads — bubbles and boundary transfers — live in the totals
     // only; no single layer range owns them.

@@ -72,7 +72,7 @@ class PipelineAccelerator : public Accelerator
     PipelineAccelerator(std::unique_ptr<Accelerator> stage,
                         PipelineOptions opts);
 
-    std::string name() const override;
+    std::string name() const override { return name_; }
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     accel::ExecutionPlan plan(const model::LlmConfig &model,
@@ -110,6 +110,8 @@ class PipelineAccelerator : public Accelerator
   private:
     std::unique_ptr<Accelerator> stage_;
     PipelineOptions opts_;
+    /** Display name, composed once at construction. */
+    std::string name_;
 };
 
 } // namespace mcbp::engine

@@ -54,14 +54,14 @@ parseSpec(const std::string &spec)
             rest.substr(pos, comma == std::string::npos ? std::string::npos
                                                         : comma - pos);
         const std::size_t eq = kv.find('=');
-        fatalIf(eq == std::string::npos || eq == 0,
-                "malformed option '" + kv + "' in spec '" + spec + "'");
+        if (eq == std::string::npos || eq == 0)
+            fatal("malformed option '" + kv + "' in spec '" + spec + "'");
         std::string key = toLower(kv.substr(0, eq));
         // Keeping either copy would silently ignore the other.
         for (const auto &seen : p.options)
-            fatalIf(seen.first == key, "option '" + key +
-                                           "' repeated in spec '" + spec +
-                                           "'");
+            if (seen.first == key)
+                fatal("option '" + key + "' repeated in spec '" + spec +
+                      "'");
         p.options.emplace_back(std::move(key), kv.substr(eq + 1));
         if (comma == std::string::npos)
             break;

@@ -58,9 +58,9 @@ class ShortestPromptScheduler final : public Scheduler
         // The queue orders requests by a key built from the weight: a
         // NaN key, or inf x 0 for a request arriving at t = 0, would
         // break that order.
-        fatalIf(!std::isfinite(agingWeight_) || agingWeight_ < 0.0,
-                "sjfAgingWeight must be finite and >= 0, got " +
-                    std::to_string(agingWeight_));
+        if (!std::isfinite(agingWeight_) || agingWeight_ < 0.0)
+            fatal("sjfAgingWeight must be finite and >= 0, got " +
+                  std::to_string(agingWeight_));
     }
 
     std::string name() const override { return "shortest-prompt"; }

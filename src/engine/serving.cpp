@@ -151,9 +151,9 @@ ShapeTable::find(const model::Request &req) const
         [](const PricedShape &s, const model::Request &r) {
             return shapeKey(s) < shapeKey(r);
         });
-    fatalIf(it == shapes.end() || shapeKey(*it) != shapeKey(req),
-            "request " + std::to_string(req.id) +
-                " has a shape the shape table never priced");
+    if (it == shapes.end() || shapeKey(*it) != shapeKey(req))
+        fatal("request " + std::to_string(req.id) +
+              " has a shape the shape table never priced");
     return *it;
 }
 

@@ -497,6 +497,66 @@ checkUnorderedAccumulation(const std::string &path,
 }
 
 // ---------------------------------------------------------------------------
+// eager-message: a fatalIf/panicIf message built with '+' or to_string
+// is evaluated before the call, so it allocates even when the check
+// passes. The message is the last top-level argument; a '+' counts at
+// the argument's own nesting level, a to_string anywhere inside it.
+// ---------------------------------------------------------------------------
+
+void
+checkEagerMessage(const std::string &path, const std::string &code,
+                  const std::vector<std::size_t> &lineStarts,
+                  std::vector<Finding> &out)
+{
+    for (const char *call : {"fatalIf", "panicIf"}) {
+        for (std::size_t hit : findAll(code, call)) {
+            std::size_t p = hit + std::strlen(call);
+            while (p < code.size() &&
+                   std::isspace(static_cast<unsigned char>(code[p])))
+                ++p;
+            if (p >= code.size() || code[p] != '(')
+                continue;
+            const std::size_t close = matchParen(code, p);
+            if (close == std::string::npos)
+                continue;
+            std::size_t msgBegin = std::string::npos;
+            int depth = 0;
+            for (std::size_t i = p + 1; i < close; ++i) {
+                const char c = code[i];
+                if (c == '(' || c == '[' || c == '{')
+                    ++depth;
+                else if (c == ')' || c == ']' || c == '}')
+                    --depth;
+                else if (c == ',' && depth == 0)
+                    msgBegin = i + 1;
+            }
+            if (msgBegin == std::string::npos)
+                continue;
+            const std::string msg = code.substr(msgBegin, close - msgBegin);
+            bool eager = !findAll(msg, "to_string").empty();
+            depth = 0;
+            for (std::size_t i = 0; i < msg.size() && !eager; ++i) {
+                const char c = msg[i];
+                if (c == '(' || c == '[' || c == '{')
+                    ++depth;
+                else if (c == ')' || c == ']' || c == '}')
+                    --depth;
+                else if (c == '+' && depth == 0)
+                    eager = true;
+            }
+            if (eager)
+                out.push_back(
+                    {path, lineOf(lineStarts, hit), "eager-message",
+                     std::string("'") + call +
+                         "' message is concatenated before the check "
+                         "runs, so it allocates even when the check "
+                         "passes; write 'if (cond) fatal(...)' / "
+                         "'panic(...)' instead"});
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // include-hygiene: runs over the ORIGINAL text (quoted include paths
 // would be blanked from the code stream).
 // ---------------------------------------------------------------------------
@@ -661,7 +721,7 @@ ruleNames()
         "raw-thread",     "raw-rng",
         "wall-clock",     "unordered-accumulation",
         "stray-getenv",   "include-hygiene",
-        "bad-suppression"};
+        "eager-message",  "bad-suppression"};
     return names;
 }
 
@@ -693,6 +753,7 @@ lintSource(const std::string &path, const std::string &text)
                                    rule.message});
     }
     checkUnorderedAccumulation(path, streams.code, lineStarts, raw);
+    checkEagerMessage(path, streams.code, lineStarts, raw);
     checkIncludeHygiene(path, text, raw);
 
     std::vector<Finding> findings = supp.malformed;

@@ -35,6 +35,11 @@
  *                          (catches headers that don't stand alone),
  *                          and nothing may include libstdc++ internal
  *                          headers (a "bits/" path).
+ *   eager-message          a fatalIf/panicIf message argument with a
+ *                          top-level '+' or a to_string — it is built
+ *                          before the check runs, so it allocates
+ *                          even when the check passes; write
+ *                          `if (cond) fatal(...)` instead.
  *   bad-suppression        a malformed suppression: unknown rule name
  *                          or missing justification text. Not itself
  *                          suppressible.

@@ -72,6 +72,7 @@ class CollectiveTopology
     InterconnectCost allGather(double bytes) const;
 
     const std::vector<CollectiveTier> &tiers() const { return tiers_; }
+    double clockGhz() const { return clockGhz_; }
 
   private:
     /** All-reduce over tiers_[first..], of a vector of @p bytes. */

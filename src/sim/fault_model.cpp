@@ -76,10 +76,10 @@ validateEvent(const FaultEvent &e, std::size_t chips)
     fatalIf(e.at < 0.0, "fault event time must be >= 0");
     switch (e.kind) {
     case FaultKind::ChipFail:
-        fatalIf(e.chip >= chips,
-                "fault event names chip " + std::to_string(e.chip) +
-                    " but the fleet has " + std::to_string(chips) +
-                    " fault domains");
+        if (e.chip >= chips)
+            fatal("fault event names chip " + std::to_string(e.chip) +
+                  " but the fleet has " + std::to_string(chips) +
+                  " fault domains");
         fatalIf(!e.permanent && e.repairAt <= e.at,
                 "transient chip failure needs repairAt > at");
         break;

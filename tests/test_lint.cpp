@@ -40,7 +40,8 @@ TEST(Lint, RuleNamesCoverEveryRule)
     const auto &names = ruleNames();
     for (const char *expected :
          {"raw-thread", "raw-rng", "wall-clock", "unordered-accumulation",
-          "stray-getenv", "include-hygiene", "bad-suppression"}) {
+          "stray-getenv", "include-hygiene", "eager-message",
+          "bad-suppression"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -227,6 +228,46 @@ TEST(Lint, IncludeHygieneHeadersAreExempt)
                                "#include <vector>\n"
                                "#include \"engine/foo.hpp\"\n");
     EXPECT_EQ(countRule(fs, "include-hygiene"), 0u);
+}
+
+// ---- eager-message --------------------------------------------------------
+
+TEST(Lint, EagerMessageFlagsConcatenatedMessages)
+{
+    const auto fs = lintSource(
+        "src/engine/x.cpp",
+        "void f(std::size_t n, const std::string &name) {\n"
+        "    fatalIf(n == 0, \"bad size \" + std::to_string(n));\n"
+        "    panicIf(n > 9,\n"
+        "            \"model \" + name + \" is too large\");\n"
+        "    fatalIf(n == 3, describe(std::to_string(n)));\n"
+        "}\n");
+    ASSERT_EQ(countRule(fs, "eager-message"), 3u);
+    EXPECT_EQ(firstOf(fs, "eager-message")->line, 2u);
+}
+
+TEST(Lint, EagerMessageAcceptsLiteralsAndStringVariables)
+{
+    const auto fs = lintSource(
+        "src/engine/x.cpp",
+        "void f(std::size_t a, std::size_t b, const std::string &msg) {\n"
+        "    fatalIf(a + b == 0, \"empty range + nothing to do\");\n"
+        "    panicIf(a > b, msg);\n"
+        "    if (a == b)\n"
+        "        fatal(\"bad size \" + std::to_string(a));\n"
+        "}\n");
+    EXPECT_EQ(countRule(fs, "eager-message"), 0u) << mcbp::lint::toText(
+        {fs, 1});
+}
+
+TEST(Lint, EagerMessageHonorsAJustifiedSuppression)
+{
+    const auto fs = lintSource(
+        "bench/x.cpp",
+        "// mcbp-lint: allow(eager-message): runs once per bench\n"
+        "fatalIf(!ok, \"cannot open \" + path);\n");
+    EXPECT_EQ(countRule(fs, "eager-message"), 0u);
+    EXPECT_EQ(countRule(fs, "bad-suppression"), 0u);
 }
 
 // ---- comment / string immunity --------------------------------------------

@@ -20,8 +20,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "engine/cluster.hpp"
+#include "engine/health.hpp"
 #include "engine/pipeline.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
@@ -76,6 +79,46 @@ TEST(ExecutionPlan, RunFoldsPlanBitForBitOnEveryAdapterFamily)
         expectPhaseIdentical(run.prefill, folded.prefill);
         expectPhaseIdentical(run.decode, folded.decode);
     }
+}
+
+TEST(ExecutionPlan, NamesAndLabelsArePinned)
+{
+    // Benches, reports and the JSON print these strings verbatim.
+    Registry registry;
+    const model::Workload &task = model::findTask("Dolly");
+    const std::string pod = "mcbp:procs=148,dp=4,pp=2,tp=2";
+    const struct
+    {
+        std::string spec, name, runName;
+    } pinned[] = {
+        {"mcbp", "MCBP(S)", "MCBP(S)"},
+        {"mcbp:tp=2", "MCBP(S)[tp2]", "MCBP(S)[tp2]"},
+        {"mcbp:pp=2,tp=2", "MCBP(S)[tp2][pp2]", "MCBP(S)[tp2][pp2]"},
+        {"mcbp:tp=2,tp2=2", "MCBP(S)[tp2][tp2]", "MCBP(S)[tp2][tp2]"},
+        {pod, "MCBP(S)[tp2][pp2][dp4]", "MCBP(S)[tp2][pp2]"},
+        {degradedSpec(pod), "MCBP(S)[pp2][dp4]", "MCBP(S)[pp2]"},
+    };
+    for (const auto &p : pinned) {
+        const auto accel = registry.make(p.spec);
+        EXPECT_EQ(accel->name(), p.name) << p.spec;
+        EXPECT_EQ(accel->run(llama7b(), task).accelerator, p.runName)
+            << p.spec;
+    }
+
+    const accel::ExecutionPlan flat =
+        registry.make("mcbp")->plan(llama7b(), task);
+    EXPECT_EQ(flat.segments.front().label(), "layers[0,32)");
+    EXPECT_EQ(flat.slice(8, 8).label(), "layers[8,16)");
+
+    const accel::ExecutionPlan staged =
+        registry.make("mcbp:pp=4")->plan(llama7b(), task);
+    std::vector<std::string> labels;
+    for (const accel::PlanSegment &seg : staged.segments)
+        labels.push_back(seg.label());
+    EXPECT_EQ(labels,
+              (std::vector<std::string>{
+                  "stage0 layers[0,8)", "stage1 layers[8,16)",
+                  "stage2 layers[16,24)", "stage3 layers[24,32)"}));
 }
 
 TEST(ExecutionPlan, SegmentsPartitionTheStackAndSliceExactly)

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "bstc/value_codec.hpp"
 #include "common/rng.hpp"
@@ -49,6 +50,58 @@ TEST(Rle, DenseDataExpands)
     Int8Matrix w(8, 64, 3); // no zeros: 9 bits per 8-bit value
     ValueCompressed blob = rleEncode(w);
     EXPECT_LT(valueCompressionRatio(blob), 1.0);
+}
+
+/** Re-encode @p w flag by flag and field by field: the emitter
+ *  rleEncode() replaced. */
+BitWriter
+perSymbolRleReference(const Int8Matrix &w)
+{
+    BitWriter ref;
+    std::size_t run = 0;
+    auto flush = [&] {
+        while (run > 0) {
+            const std::size_t chunk = std::min<std::size_t>(run, 16);
+            ref.putBit(false);
+            ref.putBits(static_cast<std::uint32_t>(chunk - 1), 4);
+            run -= chunk;
+        }
+    };
+    w.forEach([&](std::size_t, std::size_t, std::int8_t v) {
+        if (v == 0) {
+            ++run;
+            return;
+        }
+        flush();
+        ref.putBit(true);
+        ref.putBits(static_cast<std::uint8_t>(v), 8);
+    });
+    flush();
+    return ref;
+}
+
+TEST(Rle, StreamMatchesPerSymbolEmitter)
+{
+    // Zero runs of 1, 16, 17 and 33 straddle the 16-zero chunk limit,
+    // between negative, positive and extreme literals.
+    Int8Matrix w(1, 1 + 1 + 16 + 1 + 17 + 1 + 33 + 1);
+    std::size_t c = 0;
+    for (const auto &[zeros, literal] :
+         {std::pair<std::size_t, std::int8_t>{1, -128}, {16, 127},
+          {17, -1}, {33, 5}}) {
+        c += zeros;
+        w.at(0, c++) = literal;
+    }
+    for (const Int8Matrix &m :
+         {w, randomInt8(7, 13, 77, 0.6), randomInt8(8, 5, 200, 0.95)}) {
+        const ValueCompressed blob = rleEncode(m);
+        const BitWriter ref = perSymbolRleReference(m);
+        ASSERT_EQ(blob.bitCount, ref.bitCount());
+        EXPECT_TRUE(std::equal(ref.words(),
+                               ref.words() + ref.wordCount(),
+                               blob.data.data()));
+        EXPECT_EQ(rleDecode(blob), m);
+    }
 }
 
 TEST(Huffman, RoundTripRandom)
