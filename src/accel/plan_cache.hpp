@@ -5,7 +5,9 @@
  *
  * Its one consumer is the serving layer's paged recompute re-pricer,
  * which hits the same prefill-only shapes on every preemption of a
- * request at the same resident length. Accelerator::run() is
+ * request at the same resident length. A dp= fleet's replica runs all
+ * serve() on one replica simulator, so they share its cache from
+ * parallel threads. Accelerator::run() is
  * deterministic in its inputs, so the fold can be computed once per
  * key and shared; concurrent threads racing on a cold key block on the
  * single in-flight computation (the ProfileCache singleflight design)

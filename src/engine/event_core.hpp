@@ -318,7 +318,7 @@ struct Value
  * report holds it converted by the unit (cycles become seconds), a
  * fleet folds its replicas' report values by the rule, and
  * bench::appendServingFields writes it under the key. EventStats,
- * ServingReport, ServingSimulator::simulate(), the fleet merge and
+ * ServingReport, ServingSimulator::serve(), the fleet merge and
  * the JSON schema all expand this list, so a new counter is one line
  * here plus the code that produces it. Three fleet values override
  * the rule (engine/fleet.cpp): droppedRequests, retriesScheduled and

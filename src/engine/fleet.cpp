@@ -1,6 +1,7 @@
 #include "engine/fleet.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <iomanip>
 #include <limits>
 #include <map>
@@ -99,52 +100,31 @@ arrivesBefore(const model::Request &a, const model::Request &b)
 }
 
 /**
- * Slice one fleet fault timeline into per-replica specs. Chip events
- * land on the owning replica (chip index rebased to the replica's
- * local domain); fleet-wide link/straggler windows reach every
- * replica (their start AND end events — only transient chip repairs
- * are re-derived from ChipFail::repairAt by the explicit-events path,
- * so those are skipped to avoid double emission).
+ * Slice one fleet fault timeline into per-replica timelines, each in
+ * fleet order. Chip events land on the owning replica, rebased to its
+ * local fault domains; fleet-wide link/straggler windows reach every
+ * replica. Ids are re-stamped per replica, as timeline positions.
  */
-std::vector<sim::FaultSpec>
-sliceFaults(const std::vector<sim::FaultEvent> &timeline,
-            std::uint64_t seed, std::size_t dp,
+std::vector<std::vector<sim::FaultEvent>>
+sliceFaults(const std::vector<sim::FaultEvent> &timeline, std::size_t dp,
             std::size_t perReplicaChips)
 {
-    std::vector<sim::FaultSpec> specs(dp);
-    for (sim::FaultSpec &spec : specs)
-        spec.seed = seed; // rates stay 0: the slice IS the timeline.
-
-    std::set<std::pair<std::size_t, double>> autoRepairs;
-    for (const sim::FaultEvent &e : timeline)
-        if (e.kind == sim::FaultKind::ChipFail && !e.permanent)
-            autoRepairs.insert({e.chip, e.repairAt});
-
+    std::vector<std::vector<sim::FaultEvent>> slices(dp);
     for (const sim::FaultEvent &e : timeline) {
-        switch (e.kind) {
-        case sim::FaultKind::ChipFail: {
-            sim::FaultEvent local = e;
+        if (e.kind == sim::FaultKind::ChipFail ||
+            e.kind == sim::FaultKind::ChipRepair) {
+            sim::FaultEvent &local =
+                slices[e.chip / perReplicaChips].emplace_back(e);
             local.chip = e.chip % perReplicaChips;
-            specs[e.chip / perReplicaChips].events.push_back(local);
-            break;
-        }
-        case sim::FaultKind::ChipRepair: {
-            // Re-derived from the transient ChipFail on the replica;
-            // forward only hand-authored orphan repairs.
-            if (autoRepairs.count({e.chip, e.at}))
-                break;
-            sim::FaultEvent local = e;
-            local.chip = e.chip % perReplicaChips;
-            specs[e.chip / perReplicaChips].events.push_back(local);
-            break;
-        }
-        default:
-            for (sim::FaultSpec &spec : specs)
-                spec.events.push_back(e);
-            break;
+        } else {
+            for (std::vector<sim::FaultEvent> &slice : slices)
+                slice.push_back(e);
         }
     }
-    return specs;
+    for (std::vector<sim::FaultEvent> &slice : slices)
+        for (std::size_t i = 0; i < slice.size(); ++i)
+            slice[i].id = i;
+    return slices;
 }
 
 /**
@@ -186,9 +166,10 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     const std::size_t dp = fleet_->options().dataParallel;
     const Accelerator &replica = fleet_->replica();
 
-    // Per-replica serving options: the fleet-wide KV budget splits
-    // evenly (replicas are symmetric), the degraded fleet unwraps to
-    // its replica, and the fault spec is replaced per replica below.
+    // One simulator serves every replica: the fleet-wide KV budget
+    // splits evenly (replicas are symmetric), and the degraded fleet
+    // unwraps to its replica. The fault spec stays the fleet's, so the
+    // fault layer (retries, deadlines) is on in every replica run.
     ServingOptions ropts = opts_;
     if (opts_.degradedAccel != nullptr) {
         if (const auto *degFleet = dynamic_cast<const FleetAccelerator *>(
@@ -198,20 +179,20 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     if (!kvUnbounded(opts_.kvCapacityBytes))
         ropts.kvCapacityBytes =
             opts_.kvCapacityBytes / static_cast<double>(dp);
+    const ServingSimulator server(replica, ropts);
 
     FleetOutcome out;
     if (dp == 1) {
         // Identity: one replica serves the whole trace — bit-identical
         // to the flat (non-fleet) path by construction.
-        out.replicas.push_back(
-            ServingSimulator(replica, ropts).simulate(trace));
+        out.replicas.push_back(server.simulate(trace));
         out.fleet = out.replicas.back();
         out.assignment.assign(trace.size(), 0);
         return out;
     }
 
     if (trace.empty()) {
-        out.fleet = ServingSimulator(replica, ropts).simulate(trace);
+        out.fleet = server.simulate(trace);
         out.fleet.accelerator = fleet_->name();
         out.replicas.resize(dp, out.fleet);
         for (ServingReport &r : out.replicas)
@@ -237,10 +218,10 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     // on the replica and (when faults can degrade it) its degraded
     // replica. Its healthy entries feed (a) the routing estimates and
     // (b) the fleet serial baseline — each request counted exactly
-    // once however often failover re-dispatches it — and its table
-    // prices every replica run and failover re-run below.
-    const ServingSimulator::CostedTrace costed =
-        ServingSimulator(replica, ropts).costTrace(trace);
+    // once however often failover re-dispatches it — and copies of its
+    // costed requests are what every replica run and failover re-run
+    // serves below, so nothing is priced twice.
+    const ServingSimulator::CostedTrace costed = server.costTrace(trace);
     const double to_seconds = 1.0 / (costed.clockGhz * 1e9);
 
     std::vector<double> estSeconds(trace.size(), 0.0);
@@ -284,8 +265,8 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     if (opts_.faults.enabled())
         timeline =
             sim::buildFaultTimeline(opts_.faults, perReplicaChips * dp);
-    std::vector<sim::FaultSpec> replicaFaults =
-        sliceFaults(timeline, opts_.faults.seed, dp, perReplicaChips);
+    const std::vector<std::vector<sim::FaultEvent>> replicaTimeline =
+        sliceFaults(timeline, dp, perReplicaChips);
     const std::vector<double> deadAt = replicaDeathTimes(
         timeline, dp, perReplicaChips, ropts.degradedAccel != nullptr);
 
@@ -357,14 +338,34 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     }
 
     // ---- Per-replica simulation ------------------------------------------
-    std::vector<std::vector<model::Request>> sub(dp);
+    // A sub-trace entry is a trace index and the request the replica
+    // sees: the trace's own, or a failover copy re-dispatched later.
+    struct Routed
+    {
+        std::size_t index;
+        const model::Request *req;
+    };
+    std::vector<std::vector<Routed>> sub(dp);
     for (const std::size_t i : order)
-        sub[assign[i]].push_back(trace[i]);
+        sub[assign[i]].push_back({i, &trace[i]});
+    // Failover copies; a deque keeps their addresses stable.
+    std::deque<model::Request> redispatched;
 
+    // A replica serves copies of the fleet's pristine costed requests
+    // in sub-trace order, its serial sums taken in that order.
     auto runReplica = [&](std::size_t r) {
-        ServingOptions o = ropts;
-        o.faults = replicaFaults[r];
-        return ServingSimulator(replica, o).simulate(sub[r], costed.table);
+        ServingSimulator::CostedTrace slice;
+        slice.clockGhz = costed.clockGhz;
+        slice.table = costed.table;
+        slice.costs.reserve(sub[r].size());
+        for (const Routed &e : sub[r]) {
+            CostedRequest &c = slice.costs.emplace_back(costed.costs[e.index]);
+            c.req = e.req;
+            c.arrivalCycles = e.req->arrivalSeconds * c.shape->clockGhz * 1e9;
+            slice.serialSeconds += c.shape->seconds;
+            slice.serialJoules += c.shape->joules;
+        }
+        return server.serve(std::move(slice), replicaTimeline[r]);
     };
 
     std::vector<ServingReport> reports =
@@ -409,9 +410,9 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                     settled[idx] = true; // nowhere left to go.
                     continue;
                 }
-                model::Request moved = trace[idx];
+                model::Request &moved = redispatched.emplace_back(trace[idx]);
                 moved.arrivalSeconds = tNew;
-                sub[target].push_back(moved);
+                sub[target].push_back({idx, &moved});
                 assign[idx] = target;
                 ++rerouteCount[idx];
                 ++out.reroutes;
@@ -425,7 +426,9 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                     resim.end());
         for (const std::size_t r : resim) {
             std::stable_sort(sub[r].begin(), sub[r].end(),
-                             arrivesBefore);
+                             [](const Routed &a, const Routed &b) {
+                                 return arrivesBefore(*a.req, *b.req);
+                             });
             reports[r] = runReplica(r);
         }
     }

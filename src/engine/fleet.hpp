@@ -6,19 +6,23 @@
  * serving group — and a data-parallel degree N. Replicas are identical
  * stateless cost models, so the fleet holds the prototype once; what
  * makes them distinct at serving time is the traffic and the faults
- * routed to each. The FleetRouter is that serving path: it splits an
- * arrival trace across the replicas with a pluggable selection policy
- * (least-loaded by outstanding KV bytes, or round-robin), runs each
- * replica's sub-trace through its own ServingSimulator/event core
- * against one shape table priced once over the full trace, and
- * merges the per-replica reports into one fleet ServingReport whose
- * sample-derived aggregates follow the single-engine definitions
- * (finalizeServingAggregates).
+ * routed to each. The FleetRouter is that serving path, composed of
+ * the same two stages as a single engine (serving.hpp): it builds one
+ * replica ServingSimulator and calls costTrace() once over the full
+ * trace, splits the trace across the replicas with a pluggable
+ * selection policy (least-loaded by outstanding KV bytes, or
+ * round-robin), and runs each replica as serve() on copies of its
+ * sub-trace's costed requests. It merges the per-replica reports into
+ * one fleet ServingReport whose sample-derived aggregates follow the
+ * single-engine definitions (finalizeServingAggregates).
  *
  * Failover: the fleet builds ONE fault timeline over dp x kvShards
- * fault domains and slices it per replica (chip events land on the
- * owning replica; fleet-wide link/straggler windows reach every
- * replica). A replica with a fatal permanent failure drops its queued
+ * fault domains and hands each replica's serve() its slice (chip
+ * events land on the owning replica, rebased to its chips; fleet-wide
+ * link/straggler windows reach every replica). The fault layer is on
+ * in every replica run whenever the fleet's faults are, so retries and
+ * deadlines bind on a replica whose slice is empty too. A replica
+ * with a fatal permanent failure drops its queued
  * and future work — the router re-dispatches those drops to surviving
  * replicas at the fault time plus the retry backoff, bounded by the
  * per-request deadline and a fleet-size reroute budget, so the
@@ -135,7 +139,7 @@ struct FleetOutcome
  * replica is an independent continuous-batching engine); faults
  * describe the whole fleet over dp x kvShards domains; degradedAccel
  * may be the fleet's degraded twin (its replica is unwrapped for the
- * per-replica simulators). At dp=1 every knob keeps its flat meaning.
+ * replica simulator). At dp=1 every knob keeps its flat meaning.
  */
 class FleetRouter
 {

@@ -42,12 +42,6 @@ shapeKey(const model::Request &r)
     return std::tie(r.promptLen, r.decodeLen, r.model, r.task);
 }
 
-auto
-shapeKey(const PricedShape &s)
-{
-    return std::tie(s.promptLen, s.decodeLen, s.model, s.task);
-}
-
 /** Energy of @p rm's prefill phase, over all its processors. */
 double
 prefillJoules(const accel::RunMetrics &rm)
@@ -143,20 +137,6 @@ ServingSimulator::repricer(std::size_t t) const
     };
 }
 
-const PricedShape &
-ShapeTable::find(const model::Request &req) const
-{
-    const auto it = std::lower_bound(
-        shapes.begin(), shapes.end(), req,
-        [](const PricedShape &s, const model::Request &r) {
-            return shapeKey(s) < shapeKey(r);
-        });
-    if (it == shapes.end() || shapeKey(*it) != shapeKey(req))
-        fatal("request " + std::to_string(req.id) +
-              " has a shape the shape table never priced");
-    return *it;
-}
-
 std::shared_ptr<const ShapeTable>
 ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
                               std::vector<std::size_t> &shapeOf) const
@@ -225,8 +205,6 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
     // ratesOf(), so degraded decode windows compose the same way
     // healthy ones do.
     auto table = std::make_shared<ShapeTable>();
-    for (std::size_t t = 0; t < priced; ++t)
-        table->accels[t] = accels_[t];
     table->shapes = parallel::parallelMap<PricedShape>(
         firsts.size(),
         [&](std::size_t s) {
@@ -260,25 +238,14 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
 }
 
 ServingSimulator::CostedTrace
-ServingSimulator::costTrace(const std::vector<model::Request> &trace,
-                            std::shared_ptr<const ShapeTable> prices) const
+ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
 {
     CostedTrace out;
     if (trace.empty())
         return out;
 
-    const std::size_t priced = topologies();
-    // Shape index of each request: straight from the sort when this
-    // call prices the trace, by lookup in a table handed in.
     std::vector<std::size_t> shape_of;
-    if (prices == nullptr) {
-        prices = priceShapes(trace, shape_of);
-    } else {
-        for (std::size_t t = 0; t < priced; ++t)
-            fatalIf(prices->accels[t] != accels_[t],
-                    "shape table was priced on a different accelerator");
-    }
-
+    out.table = priceShapes(trace, shape_of);
     const KvOptions kv = kvOptions();
 
     // ---- Cost each request against its shape's prices ------------------
@@ -287,9 +254,7 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace,
     out.costs.reserve(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const model::Request &req = trace[i];
-        const PricedShape &shape = shape_of.empty()
-                                       ? prices->find(req)
-                                       : prices->shapes[shape_of[i]];
+        const PricedShape &shape = out.table->shapes[shape_of[i]];
         fatalIf(out.clockGhz != 0.0 && shape.clockGhz != out.clockGhz,
                 "accelerator changed clock between requests");
         out.clockGhz = shape.clockGhz;
@@ -302,8 +267,8 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace,
         c.recomputeShape = shape.recomputeShape;
         c.shape = &shape;
         // Admission charges the prefill energy, in the mode the
-        // prefill runs in.
-        for (std::size_t t = 0; t < priced; ++t) {
+        // prefill runs in (an unpriced topology's rates are 0).
+        for (std::size_t t = 0; t < kTopologies; ++t) {
             c.prefillCycles[t] = shape.rates[t].prefillCycles;
             c.pendingPrefillJoules[t] = shape.rates[t].prefillJoules;
         }
@@ -318,13 +283,11 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace,
                                      req.decodeLen);
         c.remainingTokens = req.decodeLen;
     }
-    out.table = std::move(prices);
     return out;
 }
 
 ServingReport
-ServingSimulator::simulate(const std::vector<model::Request> &trace,
-                           std::shared_ptr<const ShapeTable> prices) const
+ServingSimulator::simulate(const std::vector<model::Request> &trace) const
 {
     // A data-parallel fleet serves through the replica router: each
     // request runs on exactly one replica's event core and the
@@ -332,12 +295,29 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace,
     // dp=1 delegates wholesale to a single-replica simulator, so a
     // dp=1 fleet report is bit-identical to the flat path.
     if (const auto *fleet =
-            dynamic_cast<const FleetAccelerator *>(accels_[kHealthy])) {
-        fatalIf(prices != nullptr,
-                "a fleet prices its own trace; pass no shape table");
+            dynamic_cast<const FleetAccelerator *>(accels_[kHealthy]))
         return FleetRouter(*fleet, opts_).simulate(trace).fleet;
-    }
 
+    CostedTrace costed = costTrace(trace);
+    // The timeline is sampled in seconds (the trace's unit) over the
+    // fault domains (one per KV shard). Stream separation
+    // (kFaultStream) keeps it independent of trace synthesis at equal
+    // seeds.
+    std::vector<sim::FaultEvent> timeline;
+    if (opts_.faults.enabled() && !trace.empty())
+        timeline = sim::buildFaultTimeline(
+            opts_.faults,
+            std::max<std::size_t>(1,
+                                  accels_[kHealthy]->capabilities().kvShards));
+    return serve(std::move(costed), std::move(timeline));
+}
+
+ServingReport
+ServingSimulator::serve(CostedTrace costed,
+                        std::vector<sim::FaultEvent> timeline) const
+{
+    fatalIf(!opts_.faults.enabled() && !timeline.empty(),
+            "a fault timeline needs ServingOptions::faults enabled");
     ServingReport report;
     report.accelerator = accels_[kHealthy]->name();
     report.kvPolicy = toString(opts_.kvPolicy);
@@ -349,26 +329,20 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace,
     // An empty (or fully filtered) trace is a well-defined zeroed
     // report, not an error: no request metrics, no percentiles to
     // index into, every aggregate 0.
-    if (trace.empty())
+    const std::size_t trace_size = costed.costs.size();
+    if (trace_size == 0)
         return report;
 
-    CostedTrace costed = costTrace(trace, std::move(prices));
     report.serialSeconds = costed.serialSeconds;
     report.serialJoules = costed.serialJoules;
 
     // ---- Fault inputs, rescaled to cycles -------------------------------
-    // The timeline is sampled in seconds (the trace's unit) over the
-    // fleet's fault domains (one per KV shard) and converted once now
-    // that costing pinned the clock. Stream separation (kFaultStream)
-    // keeps it independent of trace synthesis at equal seeds.
+    // Converted once now that costing pinned the clock.
     FaultInputs faults;
     if (opts_.faults.enabled()) {
         const double to_cycles = costed.clockGhz * 1e9;
-        const std::size_t chips =
-            std::max<std::size_t>(1,
-                                  accels_[kHealthy]->capabilities().kvShards);
         faults.enabled = true;
-        faults.timeline = sim::buildFaultTimeline(opts_.faults, chips);
+        faults.timeline = std::move(timeline);
         for (sim::FaultEvent &e : faults.timeline) {
             e.at *= to_cycles;
             e.repairAt *= to_cycles;
@@ -457,7 +431,7 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace,
         report.faultLog.push_back(fi);
     }
 
-    finalizeServingAggregates(report, trace.size());
+    finalizeServingAggregates(report, trace_size);
     if (report.noCompletions)
         return report;
     report.meanBatchOccupancy =

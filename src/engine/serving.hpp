@@ -10,14 +10,17 @@
  * requests by one decode token, retiring finished ones immediately
  * (continuous batching, as in Orca/vLLM).
  *
- * The simulator splits into two layers:
- *  - this file prices each distinct request shape from a batch-1 run
- *    of the wrapped Accelerator (a ShapeTable), costs every request
- *    against it, and aggregates the report;
- *  - event_core.hpp plays the costed trace through a discrete-event
- *    loop, delegating admission order to a pluggable Scheduler
- *    (scheduler.hpp) and KV accounting to the selected KvPolicy
- *    (kv_block_manager.hpp).
+ * simulate() is two public stages, and every serving path runs both:
+ *  - costTrace() prices each distinct request shape from a batch-1 run
+ *    of the wrapped Accelerator (a ShapeTable) and costs every request
+ *    against it;
+ *  - serve() plays a costed trace and its fault timeline through the
+ *    discrete-event loop of event_core.hpp, which delegates admission
+ *    order to a pluggable Scheduler (scheduler.hpp) and KV accounting
+ *    to the selected KvPolicy (kv_block_manager.hpp), and aggregates
+ *    the report.
+ * A dp= fleet (fleet.hpp) costs its trace once and calls serve() per
+ * replica on a slice of that costed trace and of its fault timeline.
  *
  * The cost model is built from the per-phase PhaseMetrics the unified
  * run() interface already produces for a batch-1 run of each request:
@@ -308,7 +311,7 @@ struct ServingReport
  * requests vector (latency/queue/TTFT percentiles, mean TPOT,
  * tokens-per-second, goodput, SLO attainment, joules-per-token) —
  * makespanSeconds must already be set. Sets noCompletions and leaves
- * the fields zeroed when requests is empty. Shared by simulate()'s
+ * the fields zeroed when requests is empty. Shared by serve()'s
  * aggregation and the fleet report merge (engine/fleet.hpp), so a
  * merged fleet report's percentiles follow exactly the single-engine
  * definition.
@@ -321,18 +324,12 @@ void finalizeServingAggregates(ServingReport &report,
  * (promptLen, decodeLen, model, task): the prepare-once half of trace
  * costing. Each entry is priced once per topology, and every costed
  * request of that shape points at it. A fleet prices its full trace
- * once and hands the table to every replica run and failover re-run.
+ * once; every replica run and failover re-run serves copies of those
+ * costed requests, so they point into the same table.
  */
 struct ShapeTable
 {
     std::vector<PricedShape> shapes;
-    /** The accelerator each topology was priced on (null: that
-     *  topology was not priced). */
-    std::array<const Accelerator *, kTopologies> accels{};
-
-    /** The entry of @p req's shape; fatal() when the table never
-     *  priced it. */
-    const PricedShape &find(const model::Request &req) const;
 };
 
 /** Continuous-batching serving simulator over one accelerator. */
@@ -343,21 +340,22 @@ class ServingSimulator
                               ServingOptions opts = {});
 
     /**
-     * Simulate @p trace to completion. An empty trace yields a
-     * well-defined zeroed report (names set, every metric 0) rather
-     * than an error — callers filtering traces need no special case.
-     * @p prices as for costTrace(); a fleet accelerator prices its own
-     * trace and takes none.
+     * Simulate @p trace to completion: on a fleet accelerator through
+     * the FleetRouter, otherwise exactly serve(costTrace(trace), the
+     * timeline of ServingOptions::faults over the accelerator's
+     * kvShards fault domains). An empty trace yields a well-defined
+     * zeroed report (names set, every metric 0) rather than an error —
+     * callers filtering traces need no special case.
      */
-    ServingReport
-    simulate(const std::vector<model::Request> &trace,
-             std::shared_ptr<const ShapeTable> prices = nullptr) const;
+    ServingReport simulate(const std::vector<model::Request> &trace) const;
 
-    /** The costing half of simulate(): every request priced from a
-     *  batch-1 run, plus the serial-baseline totals. */
+    /** The costing stage's output: every request priced from a batch-1
+     *  run, plus the serial-baseline totals. */
     struct CostedTrace
     {
-        std::vector<CostedRequest> costs; ///< Trace order.
+        /** Trace order from costTrace(); serve() plays them in any
+         *  order its caller built. */
+        std::vector<CostedRequest> costs;
         double clockGhz = 0.0;
         /** Sum of the isolated single-request run times/energies. */
         double serialSeconds = 0.0;
@@ -373,29 +371,37 @@ class ServingSimulator
     };
 
     /**
-     * Cost @p trace without simulating it. Without @p prices: sort the
-     * trace once into its distinct shapes, warm the profile cache once
-     * per distinct (model, task, promptLen), then price each shape once
-     * per topology with Accelerator::run() on up to
-     * ServingOptions::costingThreads threads — no plan cache, no lock.
-     * With @p prices (a table this simulator's accelerators priced, for
-     * a trace whose shapes it covers): look every request's shape up
-     * in it and price nothing. Either way the serial sums accumulate
-     * in trace order, so the result is bit-identical at every thread
-     * count. Exposed so benches can time and verify costing in
-     * isolation; simulate() is exactly costTrace() + the event loop +
-     * aggregation.
+     * The costing stage: sort @p trace once into its distinct shapes,
+     * warm the profile cache once per distinct (model, task,
+     * promptLen), then price each shape once per topology with
+     * Accelerator::run() on up to ServingOptions::costingThreads
+     * threads — no plan cache, no lock. The serial sums accumulate in
+     * trace order, so the result is bit-identical at every thread
+     * count. The costed requests point into @p trace, which must
+     * outlive them.
      */
-    CostedTrace
-    costTrace(const std::vector<model::Request> &trace,
-              std::shared_ptr<const ShapeTable> prices = nullptr) const;
+    CostedTrace costTrace(const std::vector<model::Request> &trace) const;
+
+    /**
+     * The serving stage: play @p costed through the event loop and
+     * aggregate the report. @p timeline is the run's fault events in
+     * seconds, sorted and id-stamped (sim::buildFaultTimeline); the
+     * fault layer is on exactly when ServingOptions::faults is
+     * enabled, so retry and deadline knobs bind even when the timeline
+     * is empty. fatal() on a non-empty timeline with faults disabled.
+     * An empty costed trace yields the zeroed report.
+     */
+    ServingReport serve(CostedTrace costed,
+                        std::vector<sim::FaultEvent> timeline) const;
 
     /**
      * The folded-cost cache of the paged recompute re-pricer (trace
      * costing goes through the shape table and never touches it).
      * Owned per simulator (keyed by accelerator identity, so sharing
-     * wider would also be sound); exposed for tests and
-     * cache-effectiveness reporting.
+     * wider would also be sound); a fleet's parallel replica runs all
+     * serve() on one simulator and share it through its thread-safe
+     * singleflight. Exposed for tests and cache-effectiveness
+     * reporting.
      */
     std::shared_ptr<accel::PlanCache> planCache() const
     {

@@ -14,6 +14,12 @@
  *    fault event once, as its fault log does;
  *  - the fleet prices each distinct shape once per topology, and no
  *    replica run or failover re-run prices it again;
+ *  - goldens: twelve fleet configs (dp=2/3/4, pp=/tp= replicas,
+ *    reserve and paged KV, failover, degraded twins, sampled and
+ *    hand-authored faults) hash their merged report, every replica
+ *    report, the assignment and the reroute count;
+ *  - a deadline binds on a replica whose slice of the fleet's fault
+ *    timeline holds no event, as on its siblings and a flat engine;
  *  - the coalesced-vs-per-token step-mode identity contract survives
  *    the fleet under injected faults (decision orders verbatim,
  *    aggregates to 1e-9 relative);
@@ -24,7 +30,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -133,6 +142,316 @@ expectConservation(const ServingReport &report,
         ++seen[r.id];
     for (const model::Request &r : trace) {
         EXPECT_EQ(seen[r.id], 1u) << "request " << r.id;
+    }
+}
+
+// ---- Outcome goldens -------------------------------------------------
+
+/** FNV-1a over 64-bit words, doubles by their bits. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+    void add(bool v) { add(std::uint64_t{v}); }
+    void add(const std::string &s)
+    {
+        add(std::uint64_t{s.size()});
+        for (const char c : s)
+            add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+    void add(const std::vector<std::size_t> &ids)
+    {
+        add(std::uint64_t{ids.size()});
+        for (const std::size_t id : ids)
+            add(std::uint64_t{id});
+    }
+};
+
+/** Every field of @p r, requests and fault log included. */
+void
+hashReport(Fnv &h, const ServingReport &r)
+{
+    h.add(r.accelerator);
+    h.add(r.scheduler);
+    h.add(r.kvPolicy);
+#define MCBP_HASH_COUNTER(type, stat, member, key, rule, unit) h.add(r.member);
+    MCBP_SERVING_COUNTERS(MCBP_HASH_COUNTER)
+#undef MCBP_HASH_COUNTER
+    for (const double v :
+         {r.serialSeconds, r.serialJoules, r.meanLatencySeconds,
+          r.p50LatencySeconds, r.p90LatencySeconds, r.p99LatencySeconds,
+          r.p50QueueSeconds, r.p90QueueSeconds, r.p99QueueSeconds,
+          r.p50FirstTokenSeconds, r.p90FirstTokenSeconds,
+          r.p99FirstTokenSeconds, r.meanTpotSeconds, r.tokensPerSecond,
+          r.joulesPerToken, r.meanBatchOccupancy, r.kvUtilization,
+          r.kvBlockUtilization, r.degradedFraction,
+          r.goodputTokensPerSecond, r.sloAttainment})
+        h.add(v);
+    h.add(r.noCompletions);
+    h.add(r.admissionOrder);
+    h.add(r.preemptionOrder);
+    h.add(r.retryOrder);
+    h.add(r.dropOrder);
+    h.add(std::uint64_t{r.requests.size()});
+    for (const RequestMetrics &m : r.requests) {
+        h.add(std::uint64_t{m.id});
+        for (const double v :
+             {m.arrivalSeconds, m.admissionSeconds, m.firstTokenSeconds,
+              m.completionSeconds, m.kvBytes, m.joules})
+            h.add(v);
+        for (const std::size_t v : {m.decodeTokens, m.preemptions,
+                                    m.recomputedTokens, m.retries})
+            h.add(std::uint64_t{v});
+        h.add(m.sloMiss);
+    }
+    h.add(std::uint64_t{r.faultLog.size()});
+    for (const ServingReport::FaultImpact &f : r.faultLog) {
+        h.add(std::uint64_t{f.eventId});
+        h.add(f.seconds);
+        h.add(static_cast<std::uint64_t>(f.kind));
+        for (const std::size_t v : {f.chip, f.killed, f.dropped})
+            h.add(std::uint64_t{v});
+        h.add(f.permanent);
+    }
+}
+
+sim::FaultEvent
+transientFail(double at, double repairAt, std::size_t chip)
+{
+    sim::FaultEvent e;
+    e.at = at;
+    e.kind = sim::FaultKind::ChipFail;
+    e.chip = chip;
+    e.repairAt = repairAt;
+    return e;
+}
+
+/** A fleet-wide window of @p kind (LinkDegrade or StragglerStart) from
+ *  @p at to @p end. */
+void
+addWindow(sim::FaultSpec &spec, sim::FaultKind kind, double at, double end,
+          double factor)
+{
+    sim::FaultEvent open;
+    open.at = at;
+    open.kind = kind;
+    open.factor = factor;
+    sim::FaultEvent close = open;
+    close.at = end;
+    close.kind = kind == sim::FaultKind::LinkDegrade
+                     ? sim::FaultKind::LinkRestore
+                     : sim::FaultKind::StragglerEnd;
+    spec.events.push_back(open);
+    spec.events.push_back(close);
+}
+
+/** One fleet golden config: its outcome, and what it must exercise. */
+struct GoldenRun
+{
+    FleetOutcome out;
+    bool preempts = false;  ///< Config is built to preempt (paged KV).
+    bool reroutes = false;  ///< Config is built to fail over.
+    bool deadline = false;  ///< A deadline is set.
+};
+
+/**
+ * Serve fleet golden config @p k. Every config with a deadline gives
+ * every replica fault events (fleet-wide link/straggler windows reach
+ * all of them), so the fault layer is on in every replica run.
+ */
+GoldenRun
+fleetGolden(std::size_t k)
+{
+    Registry registry;
+    const char *specs[] = {
+        "mcbp:dp=2",
+        "mcbp:dp=3,route=rr",
+        "mcbp:tp=2,dp=4",
+        "mcbp:pp=2,dp=2",
+        "mcbp-s:dp=2,pp=2,tp=2",
+        "mcbp:tp=2,dp=2",
+        "mcbp:tp=2,dp=2",
+        "mcbp:tp=2,dp=3",
+        "mcbp:procs=148,dp=4,pp=2,tp=2",
+        "mcbp:tp=2,dp=4,route=rr",
+        "mcbp:dp=3",
+        "mcbp:tp=2,dp=2",
+    };
+    const std::string spec = specs[k];
+    const auto accel = registry.make(spec);
+    const auto *fleet = dynamic_cast<const FleetAccelerator *>(accel.get());
+    const std::string degSpec = degradedSpec(spec);
+    const std::unique_ptr<Accelerator> degraded =
+        degSpec.empty() ? nullptr : registry.make(degSpec);
+    const std::size_t dp = fleet->options().dataParallel;
+
+    GoldenRun run;
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    // Pinned, so MCBP_SERVING_STEP cannot move the aggregate bits.
+    opts.stepMode = StepMode::Coalesced;
+    std::vector<model::Request> trace = fleetTrace(24);
+    // A budget of @p perReplica largest footprints on every replica.
+    auto kvBudget = [&](double perReplica) {
+        double largest = 0.0;
+        for (const CostedRequest &c :
+             ServingSimulator(fleet->replica(), opts).costTrace(trace).costs)
+            largest = std::max(largest, c.kvBytes);
+        opts.kvCapacityBytes =
+            perReplica * largest * static_cast<double>(dp);
+    };
+    switch (k) {
+    case 0: // Healthy least-loaded.
+        break;
+    case 1: // Healthy round-robin under SJF.
+        trace = fleetTrace(30, 50.0, 3);
+        opts.maxBatch = 4;
+        opts.policy = SchedulerPolicy::ShortestPromptFirst;
+        break;
+    case 2: // Reserve KV under pressure, the whole trace at t=0.
+        trace = fleetTrace(40, 0.0, 5);
+        kvBudget(2.5);
+        break;
+    case 3: // Paged KV with preemptions.
+        trace = fleetTrace(32, 0.0, 7);
+        opts.maxBatch = 16;
+        opts.kvPolicy = KvPolicy::Paged;
+        kvBudget(3.0);
+        run.preempts = true;
+        break;
+    case 4: // Paged pod replicas, a transient kill and a replica death.
+        trace = fleetTrace(32, 0.0, 9);
+        opts.maxBatch = 16;
+        opts.kvPolicy = KvPolicy::Paged;
+        kvBudget(3.0);
+        opts.faults.events = {transientFail(0.01, 0.03, 1),
+                              permanentFail(0.05, 6)};
+        run.preempts = true;
+        run.reroutes = true;
+        break;
+    case 5: // Replica death without a degraded twin: failover.
+        opts.faults.events = {permanentFail(0.02, 2)};
+        run.reroutes = true;
+        break;
+    case 6: // Degraded twin: replica 1 degrades, then dies.
+        opts.degradedAccel = degraded.get();
+        opts.faults.events = {permanentFail(0.02, 2), permanentFail(2.0, 3)};
+        run.reroutes = true;
+        break;
+    case 7: // Sampled faults, degraded twin, paged KV, a deadline.
+        trace = fleetTrace(60, 40.0, 11);
+        opts.kvPolicy = KvPolicy::Paged;
+        kvBudget(4.0);
+        opts.degradedAccel = degraded.get();
+        opts.faults.seed = 5;
+        opts.faults.mtbfSeconds = 8.0;
+        opts.faults.repairSeconds = 0.5;
+        opts.faults.permanentFraction = 0.5;
+        opts.faults.linkDegradeRate = 1.0;
+        opts.faults.stragglerRate = 1.0;
+        opts.faults.horizonSeconds = 10.0;
+        opts.retry.deadlineSeconds = 15.0;
+        run.reroutes = true;
+        run.deadline = true;
+        break;
+    case 8: // The pod_faults shape at small scale.
+        trace = fleetTrace(80, 40.0, 13);
+        opts.maxBatch = 64;
+        opts.degradedAccel = degraded.get();
+        opts.faults.seed = 2;
+        opts.faults.mtbfSeconds = 2.0;
+        opts.faults.linkDegradeRate = 2.0;
+        opts.faults.stragglerRate = 2.0;
+        opts.faults.horizonSeconds = trace.back().arrivalSeconds;
+        opts.retry.maxRetries = 5;
+        opts.retry.deadlineSeconds = 1.5;
+        run.deadline = true;
+        break;
+    case 9: // Paged round-robin; one transient kill, no deadline, so
+            // three replicas see no fault event.
+        trace = fleetTrace(32, 0.0, 15);
+        opts.maxBatch = 16;
+        opts.kvPolicy = KvPolicy::Paged;
+        kvBudget(3.0);
+        opts.degradedAccel = degraded.get();
+        opts.faults.events = {transientFail(0.005, 0.02, 0)};
+        run.preempts = true;
+        break;
+    case 10: // Link and straggler windows, a replica death, a deadline.
+        trace = fleetTrace(36, 30.0, 17);
+        kvBudget(3.0);
+        addWindow(opts.faults, sim::FaultKind::LinkDegrade, 0.01, 0.2, 0.5);
+        addWindow(opts.faults, sim::FaultKind::StragglerStart, 0.05, 0.15,
+                  2.0);
+        opts.faults.events.push_back(permanentFail(3.0, 1));
+        opts.retry.deadlineSeconds = 15.0;
+        run.reroutes = true;
+        run.deadline = true;
+        break;
+    case 11: // Transient kills on both replicas, a tight retry budget.
+        opts.degradedAccel = degraded.get();
+        opts.faults.events = {transientFail(0.02, 0.05, 0),
+                              transientFail(0.03, 0.06, 3)};
+        opts.retry.maxRetries = 1;
+        opts.retry.backoffBaseSeconds = 0.01;
+        opts.retry.deadlineSeconds = 8.0;
+        run.deadline = true;
+        break;
+    }
+    run.out = FleetRouter(*fleet, opts).simulate(trace);
+    return run;
+}
+
+std::uint64_t
+outcomeHash(const FleetOutcome &out)
+{
+    Fnv h;
+    hashReport(h, out.fleet);
+    h.add(std::uint64_t{out.replicas.size()});
+    for (const ServingReport &r : out.replicas)
+        hashReport(h, r);
+    h.add(out.assignment);
+    h.add(std::uint64_t{out.reroutes});
+    return h.h;
+}
+
+/** outcomeHash(fleetGolden(k).out), recorded before replica runs
+ *  served slices of the fleet's costed trace. */
+constexpr std::array<std::uint64_t, 12> kFleetGoldens = {
+    0xd1167f69065c248bull, 0x4fc834bf90230a75ull, 0x312d8991d6122b30ull,
+    0xcd9de24c94d58f4full, 0xc1cc473226a08bbdull, 0x7533db8b0800d759ull,
+    0x3eba153df7669d1dull, 0x870d9c0e77c1df86ull, 0x44f23ebc6b247e2aull,
+    0xe32d9f37c2c8ab8bull, 0x1da2925cfc9c25b9ull, 0x12d946fa2b67fe86ull,
+};
+
+TEST(Fleet, OutcomesMatchGoldens)
+{
+    for (std::size_t k = 0; k < kFleetGoldens.size(); ++k) {
+        const GoldenRun run = fleetGolden(k);
+        // The configs exercise what they were built for.
+        if (run.preempts) {
+            EXPECT_GT(run.out.fleet.preemptions, 0u) << "config " << k;
+        }
+        EXPECT_EQ(run.out.reroutes > 0, run.reroutes) << "config " << k;
+        if (run.deadline) {
+            // Every replica that served work saw fault events.
+            for (const ServingReport &r : run.out.replicas) {
+                if (!r.admissionOrder.empty() || !r.dropOrder.empty()) {
+                    EXPECT_GT(r.faultEvents, 0u) << "config " << k;
+                }
+            }
+        }
+        const std::uint64_t h = outcomeHash(run.out);
+        EXPECT_EQ(h, kFleetGoldens[k])
+            << "config " << k << " hash 0x" << std::hex << h;
     }
 }
 
@@ -335,6 +654,47 @@ TEST(Fleet, CountsEachFleetWideFaultEventOnce)
         EXPECT_GT(report.faultEvents, 0u) << spec;
         EXPECT_EQ(report.faultEvents, report.faultLog.size()) << spec;
     }
+}
+
+TEST(Fleet, DeadlineBindsOnReplicasWithoutFaultEvents)
+{
+    // The whole trace waits at t = 0 behind a 50 ms deadline. The only
+    // fault event lands on replica 0 long after the run ends, so
+    // replica 1's slice of the timeline is empty; the deadline is a
+    // fleet-wide knob and must drop its queued work all the same.
+    model::TraceConfig tc;
+    tc.model = "OPT1B3";
+    tc.task = "Dolly";
+    tc.requests = 64;
+    tc.arrivalsPerSecond = 0.0;
+    tc.seed = 5;
+    const auto trace = model::synthesizeTrace(tc);
+
+    Registry registry;
+    auto accel = registry.make("mcbp:dp=2");
+    const auto *fleet = dynamic_cast<const FleetAccelerator *>(accel.get());
+    ASSERT_NE(fleet, nullptr);
+    ServingOptions opts;
+    opts.maxBatch = 4;
+    opts.faults.events = {transientFail(1e6, 1e6 + 1.0, 0)};
+    opts.retry.deadlineSeconds = 0.05;
+    const FleetOutcome out = FleetRouter(*fleet, opts).simulate(trace);
+
+    for (std::size_t r = 0; r < 2; ++r) {
+        const ServingReport &rep = out.replicas[r];
+        const auto assigned = static_cast<std::size_t>(
+            std::count(out.assignment.begin(), out.assignment.end(), r));
+        EXPECT_GT(rep.droppedRequests, 0u) << "replica " << r;
+        EXPECT_LT(rep.sloAttainment, 1.0) << "replica " << r;
+        EXPECT_EQ(rep.requests.size() + rep.droppedRequests, assigned)
+            << "replica " << r;
+    }
+    EXPECT_EQ(out.replicas[1].faultEvents, 0u);
+
+    // The flat engine enforces the same deadline.
+    const ServingReport flat =
+        ServingSimulator(*registry.make("mcbp"), opts).simulate(trace);
+    EXPECT_GT(flat.droppedRequests, 0u);
 }
 
 TEST(Fleet, KvBudgetTooSmallPerReplicaFailsUpFront)

@@ -7,8 +7,7 @@
  *    two accelerators (or two shapes) can never alias a cost;
  *  - trace costing prices each distinct (model, task, prompt, decode)
  *    shape exactly once per topology, never through the plan cache,
- *    and is bit-identical at every thread count; a shape table priced
- *    elsewhere is rejected;
+ *    and is bit-identical at every thread count;
  *  - a second simulate() on the same simulator recomputes nothing
  *    (full cache reuse by the paged recompute re-pricer).
  */
@@ -17,7 +16,6 @@
 #include <atomic>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -216,33 +214,6 @@ TEST(PlanCache, CostingRunsOncePerShapePerTopology)
     // Every request of one shape shares one entry.
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(costed.costs[i].shape, costed.costs[i + n].shape);
-
-    // A table handed back in prices nothing.
-    const auto again = sim.costTrace(reqs, costed.table);
-    EXPECT_EQ(healthy.runs(), shapes);
-    EXPECT_EQ(degraded.runs(), shapes);
-    expectCostsBitIdentical(costed, again);
-}
-
-TEST(PlanCache, ForeignShapeTableIsRejected)
-{
-    engine::Registry registry;
-    auto accel = registry.make("mcbp");
-    auto other = registry.make("mcbp:tp=2");
-    const auto reqs = trace(8);
-    const auto table =
-        engine::ServingSimulator(*accel).costTrace(reqs).table;
-
-    // Priced on another accelerator.
-    EXPECT_THROW(
-        (void)engine::ServingSimulator(*other).costTrace(reqs, table),
-        std::runtime_error);
-    // A shape the table never priced.
-    auto unseen = reqs;
-    unseen.front().promptLen += 100000;
-    EXPECT_THROW(
-        (void)engine::ServingSimulator(*accel).costTrace(unseen, table),
-        std::runtime_error);
 }
 
 TEST(PlanCache, EqualLengthsOnDifferentTasksPriceSeparately)

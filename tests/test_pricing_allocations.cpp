@@ -5,8 +5,6 @@
  * the plan's own segment vectors:
  *  - one run() allocates at most once on a flat chip, a small constant
  *    on a pp=2,tp=2 replica and on its degraded twin;
- *  - ShapeTable::find (one lookup per request in every fleet replica)
- *    allocates nothing;
  *  - costTrace allocates about once per distinct shape on a flat chip,
  *    and a small constant per shape and topology on the faulted
  *    pp=2,tp=2 set-up.
@@ -154,25 +152,6 @@ TEST(PricingAllocations, OneRunOnAComposedReplicaStaysSmall)
 {
     EXPECT_LE(runAllocations(kReplica), 6u);
     EXPECT_LE(runAllocations(degradedSpec(kReplica)), 3u);
-}
-
-TEST(PricingAllocations, ShapeTableFindAllocatesNothing)
-{
-    const Registry registry;
-    const std::unique_ptr<Accelerator> accel = registry.make(kFlat);
-    ServingOptions opts;
-    opts.costingThreads = 1;
-    const std::vector<model::Request> trace = dollyTrace(500);
-    const ServingSimulator::CostedTrace costed =
-        ServingSimulator(*accel, opts).costTrace(trace);
-    ASSERT_NE(costed.table, nullptr);
-    std::size_t found = 0;
-    const std::size_t n = allocationsOf([&] {
-        for (const model::Request &req : trace)
-            found += &costed.table->find(req) != nullptr;
-    });
-    EXPECT_EQ(found, trace.size());
-    EXPECT_EQ(n, 0u);
 }
 
 TEST(PricingAllocations, FlatCostTraceAllocatesAboutOncePerShape)
