@@ -124,9 +124,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     double stall_scale = 1.0; // Product of slowdowns (>= 1).
     std::vector<CostedRequest *> retrying; // Backoff queue.
 
-    if (deadlines)
+    if (deadlines) // A fleet failover copy arrives with its own.
         for (CostedRequest &c : requests)
-            c.deadlineCycles = c.arrivalCycles + faults_.deadlineCycles;
+            if (c.deadlineCycles == 0.0)
+                c.deadlineCycles = c.arrivalCycles + faults_.deadlineCycles;
 
     double clock = 0.0;
     std::size_t next_arrival = 0;

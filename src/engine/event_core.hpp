@@ -240,7 +240,10 @@ struct CostedRequest
     // ---- Fault-tolerant serving state (inert on zero-fault runs) ----
     std::size_t retries = 0;    ///< Fault-kill restarts so far.
     double retryAtCycles = 0.0; ///< Backoff expiry (earliest retry).
-    double deadlineCycles = 0.0; ///< Drop-dead clock (0 = none).
+    /** Drop-dead clock (0 = none): the run sets arrival + deadline
+     *  unless the request arrives with one, as a fleet failover copy
+     *  does (the deadline of its original arrival). */
+    double deadlineCycles = 0.0;
     /** The next admission is a post-kill restart: its prefill counts
      *  as fault-attributable recompute. */
     bool restartPending = false;

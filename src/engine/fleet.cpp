@@ -1,12 +1,12 @@
 #include "engine/fleet.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <iomanip>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -90,13 +90,19 @@ namespace {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/** Arrival-order request ordering shared by routing and sub-traces. */
-bool
-arrivesBefore(const model::Request &a, const model::Request &b)
+/** Put a replica's sub-trace in arrival order, ties by id, the order
+ *  route() walks the trace in (a sorted trace splits into sorted
+ *  sub-traces, so the sort is mostly skipped). */
+void
+sortByArrival(FleetRouter::SubTrace &sub)
 {
-    if (a.arrivalSeconds != b.arrivalSeconds)
-        return a.arrivalSeconds < b.arrivalSeconds;
-    return a.id < b.id;
+    auto before = [](const FleetRouter::Routed &a,
+                     const FleetRouter::Routed &b) {
+        return std::pair(a.req->arrivalSeconds, a.req->id) <
+               std::pair(b.req->arrivalSeconds, b.req->id);
+    };
+    if (!std::is_sorted(sub.begin(), sub.end(), before))
+        std::stable_sort(sub.begin(), sub.end(), before);
 }
 
 /**
@@ -152,11 +158,45 @@ replicaDeathTimes(const std::vector<sim::FaultEvent> &timeline,
     return deadAt;
 }
 
+/**
+ * The one replica-pick rule of routing and failover: the first replica
+ * alive at @p t, scanning cyclically from index @p s; deadAt.size()
+ * when every replica is dead by then.
+ */
+std::size_t
+firstAlive(const std::vector<double> &deadAt, std::size_t s, double t)
+{
+    const std::size_t dp = deadAt.size();
+    for (std::size_t k = 0; k < dp; ++k)
+        if (deadAt[(s + k) % dp] > t)
+            return (s + k) % dp;
+    return dp;
+}
+
+ServingOptions
+replicaOptions(const FleetAccelerator &fleet, ServingOptions opts)
+{
+    // Replicas are symmetric, so the fleet-wide KV budget splits
+    // evenly; the degraded fleet unwraps to its replica. The fault spec
+    // stays the fleet's, so the fault layer (retries, deadlines) is on
+    // in every replica run.
+    if (const auto *degFleet =
+            dynamic_cast<const FleetAccelerator *>(opts.degradedAccel))
+        opts.degradedAccel = &degFleet->replica();
+    if (!kvUnbounded(opts.kvCapacityBytes))
+        opts.kvCapacityBytes /=
+            static_cast<double>(fleet.options().dataParallel);
+    return opts;
+}
+
 } // namespace
 
 FleetRouter::FleetRouter(const FleetAccelerator &fleet,
                          ServingOptions opts)
-    : fleet_(&fleet), opts_(std::move(opts))
+    : fleet_(&fleet), opts_(std::move(opts)),
+      replicaOpts_(replicaOptions(fleet, opts_)),
+      server_(fleet.replica(), replicaOpts_),
+      chips_(std::max<std::size_t>(1, fleet.replica().capabilities().kvShards))
 {
 }
 
@@ -164,47 +204,23 @@ FleetOutcome
 FleetRouter::simulate(const std::vector<model::Request> &trace) const
 {
     const std::size_t dp = fleet_->options().dataParallel;
-    const Accelerator &replica = fleet_->replica();
-
-    // One simulator serves every replica: the fleet-wide KV budget
-    // splits evenly (replicas are symmetric), and the degraded fleet
-    // unwraps to its replica. The fault spec stays the fleet's, so the
-    // fault layer (retries, deadlines) is on in every replica run.
-    ServingOptions ropts = opts_;
-    if (opts_.degradedAccel != nullptr) {
-        if (const auto *degFleet = dynamic_cast<const FleetAccelerator *>(
-                opts_.degradedAccel))
-            ropts.degradedAccel = &degFleet->replica();
-    }
-    if (!kvUnbounded(opts_.kvCapacityBytes))
-        ropts.kvCapacityBytes =
-            opts_.kvCapacityBytes / static_cast<double>(dp);
-    const ServingSimulator server(replica, ropts);
-
     FleetOutcome out;
-    if (dp == 1) {
-        // Identity: one replica serves the whole trace — bit-identical
-        // to the flat (non-fleet) path by construction.
-        out.replicas.push_back(server.simulate(trace));
-        out.fleet = out.replicas.back();
-        out.assignment.assign(trace.size(), 0);
-        return out;
-    }
-
-    if (trace.empty()) {
-        out.fleet = server.simulate(trace);
+    if (dp == 1 || trace.empty()) {
+        // Identity at dp=1: one replica serves the whole trace —
+        // bit-identical to the flat (non-fleet) path by construction.
+        // An empty trace gives every replica the zeroed report.
+        out.replicas.assign(dp, server_.simulate(trace));
+        out.fleet = out.replicas[0];
         out.fleet.accelerator = fleet_->name();
-        out.replicas.resize(dp, out.fleet);
-        for (ServingReport &r : out.replicas)
-            r.accelerator = replica.name();
+        out.assignment.assign(trace.size(), 0);
         return out;
     }
 
     // Failover and the merge track requests by id across replicas, so
     // a repeated id would conflate two requests (a phantom drop).
-    std::map<std::size_t, std::size_t> indexById;
+    Dispatch run;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        const auto [it, fresh] = indexById.emplace(trace[i].id, i);
+        const auto [it, fresh] = run.indexById.emplace(trace[i].id, i);
         if (!fresh)
             fatal("request id " + std::to_string(trace[i].id) +
                   " repeats at trace positions " +
@@ -213,104 +229,82 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                   " fleet tracks requests by id, so ids must be unique");
     }
 
-    // ---- Fleet-level costing --------------------------------------------
     // One costing of the full trace prices every distinct shape once,
     // on the replica and (when faults can degrade it) its degraded
-    // replica. Its healthy entries feed (a) the routing estimates and
-    // (b) the fleet serial baseline — each request counted exactly
-    // once however often failover re-dispatches it — and copies of its
-    // costed requests are what every replica run and failover re-run
-    // serves below, so nothing is priced twice.
-    const ServingSimulator::CostedTrace costed = server.costTrace(trace);
-    const double to_seconds = 1.0 / (costed.clockGhz * 1e9);
+    // replica. Every stage reads it: routing estimates, copies for each
+    // replica run and failover re-run, and the fleet serial baseline,
+    // which counts each request once however often it is rerouted.
+    const CostedTrace costed = server_.costTrace(trace);
 
-    std::vector<double> estSeconds(trace.size(), 0.0);
-    std::vector<double> kvDemand(trace.size(), 0.0);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const CostedRequest &c = costed.costs[i];
-        const Rates &r = c.shape->rates[kHealthy];
-        const double perToken =
-            r.weightCyclesPerToken + r.linearCyclesPerToken +
-            r.otherCyclesPerToken + r.fixedCyclesPerToken;
-        estSeconds[i] =
-            (r.prefillCycles +
-             static_cast<double>(c.remainingTokens) * perToken) *
-            to_seconds;
-        kvDemand[i] = c.kvBytes;
+    std::vector<sim::FaultEvent> timeline;
+    if (opts_.faults.enabled())
+        timeline = sim::buildFaultTimeline(opts_.faults, chips_ * dp);
+    run.timelines = sliceFaults(timeline, dp, chips_);
+    run.deadAt = replicaDeathTimes(timeline, dp, chips_,
+                                   replicaOpts_.degradedAccel != nullptr);
+
+    run.assignment = route(costed, run.deadAt);
+    run.subTraces.resize(dp);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        run.subTraces[run.assignment[i]].push_back({i, &trace[i]});
+    for (SubTrace &sub : run.subTraces)
+        sortByArrival(sub);
+    std::vector<std::size_t> all(dp);
+    std::iota(all.begin(), all.end(), 0);
+    run.reports = serveReplicas(costed, run.subTraces, run.timelines, all);
+    failover(costed, run);
+    return merge(costed, std::move(run));
+}
+
+std::vector<std::size_t>
+FleetRouter::route(const CostedTrace &costed,
+                   const std::vector<double> &deadAt) const
+{
+    const std::vector<CostedRequest> &costs = costed.costs;
+    const std::size_t dp = fleet_->options().dataParallel;
+    fatalIf(deadAt.size() != dp, "route() needs one death time per replica");
+
+    // One pass over the costed trace: arrival-order keys (arrival, id,
+    // index), so the sort reads no costed request, and the largest KV
+    // footprint.
+    std::vector<std::tuple<double, std::size_t, std::size_t>> order;
+    order.reserve(costs.size());
+    double largest = 0.0;
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+        order.emplace_back(costs[i].req->arrivalSeconds, costs[i].req->id, i);
+        largest = std::max(largest, costs[i].kvBytes);
     }
+    std::sort(order.begin(), order.end());
 
     // The fleet budget splits evenly across replicas, so a budget that
     // holds every request can still leave a replica too small for one.
     // Fail here, before any replica runs, instead of mid-simulation.
-    if (!kvUnbounded(ropts.kvCapacityBytes)) {
-        const double largest =
-            *std::max_element(kvDemand.begin(), kvDemand.end());
-        if (largest > ropts.kvCapacityBytes) {
-            std::ostringstream msg;
-            msg << std::fixed << std::setprecision(0)
-                << "fleet KV budget of " << opts_.kvCapacityBytes
-                << " B splits over dp=" << dp << " replicas into a "
-                << "per-replica share of " << ropts.kvCapacityBytes
-                << " B, below the largest request KV footprint of "
-                << largest << " B; raise kvCapacityBytes to at least "
-                << largest * static_cast<double>(dp) << " B or lower dp";
-            fatal(msg.str());
-        }
+    const double share = replicaOpts_.kvCapacityBytes;
+    if (!kvUnbounded(share) && largest > share) {
+        std::ostringstream msg;
+        msg << std::fixed << std::setprecision(0)
+            << "fleet KV budget of " << opts_.kvCapacityBytes
+            << " B splits over dp=" << dp << " replicas into a "
+            << "per-replica share of " << share
+            << " B, below the largest request KV footprint of " << largest
+            << " B; raise kvCapacityBytes to at least "
+            << largest * static_cast<double>(dp) << " B or lower dp";
+        fatal(msg.str());
     }
 
-    // ---- Fault slicing ----------------------------------------------------
-    const std::size_t perReplicaChips =
-        std::max<std::size_t>(1, replica.capabilities().kvShards);
-    std::vector<sim::FaultEvent> timeline;
-    if (opts_.faults.enabled())
-        timeline =
-            sim::buildFaultTimeline(opts_.faults, perReplicaChips * dp);
-    const std::vector<std::vector<sim::FaultEvent>> replicaTimeline =
-        sliceFaults(timeline, dp, perReplicaChips);
-    const std::vector<double> deadAt = replicaDeathTimes(
-        timeline, dp, perReplicaChips, ropts.degradedAccel != nullptr);
-
-    // ---- Route in arrival order ------------------------------------------
     // Deterministic virtual-load balancer: outstanding KV bytes per
     // replica, retired at each request's estimated finish time.
-    std::vector<std::size_t> order(trace.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return arrivesBefore(trace[a], trace[b]);
-                     });
-
-    auto aliveAt = [&](std::size_t r, double t) {
-        return deadAt[r] > t;
-    };
-    // Route to the latest-dying replica when every replica is already
-    // dead at arrival — the request drops there deterministically.
-    auto lastResort = [&]() {
-        std::size_t best = 0;
-        for (std::size_t r = 1; r < dp; ++r)
-            if (deadAt[r] > deadAt[best])
-                best = r;
-        return best;
-    };
-
-    std::vector<std::size_t> assign(trace.size(), 0);
+    const double toSeconds = 1.0 / (costed.clockGhz * 1e9);
+    std::vector<std::size_t> assign(costs.size(), 0);
     // (finish time, kv bytes) of virtually in-flight requests.
     std::vector<std::vector<std::pair<double, double>>> inflight(dp);
     std::vector<double> outstanding(dp, 0.0);
     std::size_t rrSeq = 0;
-    for (const std::size_t i : order) {
-        const double t = trace[i].arrivalSeconds;
+    for (const auto &[t, id, i] : order) {
+        const CostedRequest &c = costs[i];
         std::size_t target = dp; // sentinel: none alive yet.
         if (fleet_->options().policy == ReplicaPolicy::RoundRobin) {
-            for (std::size_t k = 0; k < dp; ++k) {
-                const std::size_t r = (rrSeq + k) % dp;
-                if (aliveAt(r, t)) {
-                    target = r;
-                    break;
-                }
-            }
-            ++rrSeq;
+            target = firstAlive(deadAt, rrSeq++, t);
         } else {
             for (std::size_t r = 0; r < dp; ++r) {
                 // Retire virtually finished work before comparing.
@@ -324,126 +318,133 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                         ++k;
                     }
                 }
-                if (!aliveAt(r, t))
-                    continue;
-                if (target == dp || outstanding[r] < outstanding[target])
+                if (deadAt[r] > t &&
+                    (target == dp || outstanding[r] < outstanding[target]))
                     target = r;
             }
         }
-        if (target == dp)
-            target = lastResort();
+        if (target == dp) // every replica is dead: the last to die.
+            target = static_cast<std::size_t>(
+                std::max_element(deadAt.begin(), deadAt.end()) -
+                deadAt.begin());
+        // The request's KV retires at its healthy estimated finish.
+        const Rates &r = c.shape->rates[kHealthy];
+        const double perToken = r.weightCyclesPerToken +
+                                r.linearCyclesPerToken +
+                                r.otherCyclesPerToken + r.fixedCyclesPerToken;
+        const double finish =
+            t + (r.prefillCycles +
+                 static_cast<double>(c.remainingTokens) * perToken) *
+                    toSeconds;
         assign[i] = target;
-        outstanding[target] += kvDemand[i];
-        inflight[target].push_back({t + estSeconds[i], kvDemand[i]});
+        outstanding[target] += c.kvBytes;
+        inflight[target].push_back({finish, c.kvBytes});
     }
+    return assign;
+}
 
-    // ---- Per-replica simulation ------------------------------------------
-    // A sub-trace entry is a trace index and the request the replica
-    // sees: the trace's own, or a failover copy re-dispatched later.
-    struct Routed
-    {
-        std::size_t index;
-        const model::Request *req;
-    };
-    std::vector<std::vector<Routed>> sub(dp);
-    for (const std::size_t i : order)
-        sub[assign[i]].push_back({i, &trace[i]});
-    // Failover copies; a deque keeps their addresses stable.
-    std::deque<model::Request> redispatched;
-
+std::vector<ServingReport>
+FleetRouter::serveReplicas(
+    const CostedTrace &costed, const std::vector<SubTrace> &subTraces,
+    const std::vector<std::vector<sim::FaultEvent>> &timelines,
+    const std::vector<std::size_t> &which) const
+{
     // A replica serves copies of the fleet's pristine costed requests
     // in sub-trace order, its serial sums taken in that order.
-    auto runReplica = [&](std::size_t r) {
-        ServingSimulator::CostedTrace slice;
-        slice.clockGhz = costed.clockGhz;
-        slice.table = costed.table;
-        slice.costs.reserve(sub[r].size());
-        for (const Routed &e : sub[r]) {
-            CostedRequest &c = slice.costs.emplace_back(costed.costs[e.index]);
-            c.req = e.req;
-            c.arrivalCycles = e.req->arrivalSeconds * c.shape->clockGhz * 1e9;
-            slice.serialSeconds += c.shape->seconds;
-            slice.serialJoules += c.shape->joules;
-        }
-        return server.serve(std::move(slice), replicaTimeline[r]);
-    };
+    const double toCycles = costed.clockGhz * 1e9;
+    return parallel::parallelMap<ServingReport>(
+        which.size(), [&](std::size_t k) {
+            const std::size_t r = which[k];
+            CostedTrace slice;
+            slice.clockGhz = costed.clockGhz;
+            slice.table = costed.table;
+            slice.costs.reserve(subTraces[r].size());
+            for (const Routed &e : subTraces[r]) {
+                CostedRequest &c =
+                    slice.costs.emplace_back(costed.costs[e.index]);
+                if (e.req != c.req && opts_.retry.deadlineSeconds > 0.0)
+                    // A failover copy keeps its original deadline.
+                    c.deadlineCycles = c.arrivalCycles +
+                                       opts_.retry.deadlineSeconds * toCycles;
+                c.req = e.req;
+                c.arrivalCycles =
+                    e.req->arrivalSeconds * c.shape->clockGhz * 1e9;
+                slice.serialSeconds += c.shape->seconds;
+                slice.serialJoules += c.shape->joules;
+            }
+            return server_.serve(std::move(slice), timelines[r]);
+        });
+}
 
-    std::vector<ServingReport> reports =
-        parallel::parallelMap<ServingReport>(dp, runReplica);
-
-    // ---- Failover: re-dispatch drops off dead replicas -------------------
-    std::vector<std::size_t> rerouteCount(trace.size(), 0);
-    std::vector<bool> settled(trace.size(), false);
-    std::vector<std::size_t> rerouteOrder;
-    bool changed = true;
-    while (changed) {
-        changed = false;
+void
+FleetRouter::failover(const CostedTrace &costed, Dispatch &run) const
+{
+    const std::size_t dp = run.reports.size();
+    run.reroutes.assign(costed.costs.size(), 0);
+    std::vector<bool> settled(costed.costs.size(), false);
+    for (bool changed = true; changed;) {
         std::vector<std::size_t> resim;
         for (std::size_t r = 0; r < dp; ++r) {
-            if (deadAt[r] == kNever)
+            if (run.deadAt[r] == kNever)
                 continue; // healthy replicas drop for non-fault reasons.
-            for (const std::size_t id : reports[r].dropOrder) {
-                const std::size_t idx = indexById.at(id);
-                if (assign[idx] != r || settled[idx])
+            for (const std::size_t id : run.reports[r].dropOrder) {
+                const std::size_t idx = run.indexById.at(id);
+                if (run.assignment[idx] != r || settled[idx])
                     continue;
-                const double t0 = trace[idx].arrivalSeconds;
-                const double tNew = std::max(t0, deadAt[r]) +
+                const double t0 = costed.costs[idx].req->arrivalSeconds;
+                const double tNew = std::max(t0, run.deadAt[r]) +
                                     opts_.retry.backoffBaseSeconds;
                 // A reroute is a fleet-level retry: bounded by the
                 // request's deadline and one visit per other replica.
+                // Replica r is dead by tNew, so the scan passes it.
+                const std::size_t target = firstAlive(run.deadAt, r + 1, tNew);
                 const bool pastDeadline =
                     opts_.retry.deadlineSeconds > 0.0 &&
                     tNew > t0 + opts_.retry.deadlineSeconds;
-                if (pastDeadline || rerouteCount[idx] >= dp - 1) {
+                if (pastDeadline || run.reroutes[idx] >= dp - 1 ||
+                    target == dp) {
                     settled[idx] = true;
                     continue;
                 }
-                std::size_t target = dp;
-                for (std::size_t k = 1; k <= dp; ++k) {
-                    const std::size_t cand = (r + k) % dp;
-                    if (cand != r && aliveAt(cand, tNew)) {
-                        target = cand;
-                        break;
-                    }
-                }
-                if (target == dp) {
-                    settled[idx] = true; // nowhere left to go.
-                    continue;
-                }
-                model::Request &moved = redispatched.emplace_back(trace[idx]);
+                model::Request &moved =
+                    run.copies.emplace_back(*costed.costs[idx].req);
                 moved.arrivalSeconds = tNew;
-                sub[target].push_back({idx, &moved});
-                assign[idx] = target;
-                ++rerouteCount[idx];
-                ++out.reroutes;
-                rerouteOrder.push_back(id);
+                run.subTraces[target].push_back({idx, &moved});
+                run.assignment[idx] = target;
+                ++run.reroutes[idx];
+                run.rerouteOrder.push_back(id);
                 resim.push_back(target);
-                changed = true;
             }
         }
         std::sort(resim.begin(), resim.end());
-        resim.erase(std::unique(resim.begin(), resim.end()),
-                    resim.end());
-        for (const std::size_t r : resim) {
-            std::stable_sort(sub[r].begin(), sub[r].end(),
-                             [](const Routed &a, const Routed &b) {
-                                 return arrivesBefore(*a.req, *b.req);
-                             });
-            reports[r] = runReplica(r);
-        }
+        resim.erase(std::unique(resim.begin(), resim.end()), resim.end());
+        for (const std::size_t r : resim)
+            sortByArrival(run.subTraces[r]);
+        std::vector<ServingReport> fresh =
+            serveReplicas(costed, run.subTraces, run.timelines, resim);
+        for (std::size_t k = 0; k < resim.size(); ++k)
+            run.reports[resim[k]] = std::move(fresh[k]);
+        changed = !resim.empty();
     }
+}
 
-    // ---- Merge ------------------------------------------------------------
+FleetOutcome
+FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
+{
+    const std::vector<ServingReport> &reports = run.reports;
     ServingReport merged;
     merged.accelerator = fleet_->name();
     merged.scheduler = reports[0].scheduler;
     merged.kvPolicy = reports[0].kvPolicy;
     merged.serialSeconds = costed.serialSeconds;
     merged.serialJoules = costed.serialJoules;
-
+    auto append = [](std::vector<std::size_t> &to,
+                     const std::vector<std::size_t> &from) {
+        to.insert(to.end(), from.begin(), from.end());
+    };
     double occupancyWeighted = 0.0;
     double blockUtilWeighted = 0.0;
-    for (std::size_t r = 0; r < dp; ++r) {
+    for (std::size_t r = 0; r < reports.size(); ++r) {
         const ServingReport &rep = reports[r];
 #define MCBP_MERGE_COUNTER(type, stat, member, key, rule, unit)               \
     counter::rule::merge(merged.member, rep.member);
@@ -457,29 +458,19 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         // Decision logs concatenate in replica order: each replica's
         // per-token and coalesced runs produce identical sequences, so
         // the concatenation preserves the step-mode identity contract.
-        merged.admissionOrder.insert(merged.admissionOrder.end(),
-                                     rep.admissionOrder.begin(),
-                                     rep.admissionOrder.end());
-        merged.preemptionOrder.insert(merged.preemptionOrder.end(),
-                                      rep.preemptionOrder.begin(),
-                                      rep.preemptionOrder.end());
-        merged.retryOrder.insert(merged.retryOrder.end(),
-                                 rep.retryOrder.begin(),
-                                 rep.retryOrder.end());
+        append(merged.admissionOrder, rep.admissionOrder);
+        append(merged.preemptionOrder, rep.preemptionOrder);
+        append(merged.retryOrder, rep.retryOrder);
 
         for (const RequestMetrics &rm : rep.requests) {
             RequestMetrics fixed = rm;
-            const std::size_t idx = indexById.at(rm.id);
-            if (rerouteCount[idx] > 0) {
+            const std::size_t idx = run.indexById.at(rm.id);
+            if (run.reroutes[idx] > 0) {
                 // A rerouted request's latency runs from its ORIGINAL
-                // arrival; the replica only saw the re-dispatch time.
-                fixed.arrivalSeconds = trace[idx].arrivalSeconds;
-                fixed.retries += rerouteCount[idx];
-                if (opts_.retry.deadlineSeconds > 0.0)
-                    fixed.sloMiss =
-                        fixed.completionSeconds >
-                        fixed.arrivalSeconds +
-                            opts_.retry.deadlineSeconds;
+                // arrival; the replica only saw the re-dispatch time
+                // (its deadline, and so sloMiss, already ran from it).
+                fixed.arrivalSeconds = costed.costs[idx].req->arrivalSeconds;
+                fixed.retries += run.reroutes[idx];
             }
             merged.requests.push_back(fixed);
         }
@@ -494,31 +485,26 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                 continue;
             ServingReport::FaultImpact g = f;
             if (chipEvent)
-                g.chip = r * perReplicaChips + f.chip;
+                g.chip = r * chips_ + f.chip;
             merged.faultLog.push_back(g);
         }
     }
 
     // Fleet-level reroutes are retries too, logged after the
     // per-replica decision streams (an override of the Sum rule).
-    merged.retriesScheduled += out.reroutes;
-    merged.retryOrder.insert(merged.retryOrder.end(),
-                             rerouteOrder.begin(), rerouteOrder.end());
+    merged.retriesScheduled += run.rerouteOrder.size();
+    append(merged.retryOrder, run.rerouteOrder);
 
     std::stable_sort(merged.requests.begin(), merged.requests.end(),
-                     [](const RequestMetrics &a,
-                        const RequestMetrics &b) {
-                         if (a.completionSeconds != b.completionSeconds)
-                             return a.completionSeconds <
-                                    b.completionSeconds;
-                         return a.id < b.id;
+                     [](const RequestMetrics &a, const RequestMetrics &b) {
+                         return std::pair(a.completionSeconds, a.id) <
+                                std::pair(b.completionSeconds, b.id);
                      });
     std::stable_sort(merged.faultLog.begin(), merged.faultLog.end(),
                      [](const ServingReport::FaultImpact &a,
                         const ServingReport::FaultImpact &b) {
-                         if (a.seconds != b.seconds)
-                             return a.seconds < b.seconds;
-                         return a.chip < b.chip;
+                         return std::pair(a.seconds, a.chip) <
+                                std::pair(b.seconds, b.chip);
                      });
     for (std::size_t k = 0; k < merged.faultLog.size(); ++k)
         merged.faultLog[k].eventId = k;
@@ -529,8 +515,8 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     for (const RequestMetrics &rm : merged.requests)
         completedIds.insert(rm.id);
     std::set<std::size_t> droppedSeen;
-    for (std::size_t r = 0; r < dp; ++r)
-        for (const std::size_t id : reports[r].dropOrder)
+    for (const ServingReport &rep : reports)
+        for (const std::size_t id : rep.dropOrder)
             if (completedIds.count(id) == 0 &&
                 droppedSeen.insert(id).second)
                 merged.dropOrder.push_back(id);
@@ -538,39 +524,31 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     // by one replica may complete on another, and a fleet-wide link or
     // straggler event reached every replica but happened once (the
     // log keeps one copy).
-    merged.droppedRequests = trace.size() - completedIds.size();
+    merged.droppedRequests = costed.costs.size() - completedIds.size();
     merged.faultEvents = merged.faultLog.size();
 
     merged.kvUtilization =
-        !kvUnbounded(ropts.kvCapacityBytes)
-            ? merged.kvPeakBytes / ropts.kvCapacityBytes
+        !kvUnbounded(replicaOpts_.kvCapacityBytes)
+            ? merged.kvPeakBytes / replicaOpts_.kvCapacityBytes
             : 0.0;
     // degradedSeconds sums the replicas, each degraded for at most its
     // own makespan, so the fraction divides by dp x makespan.
     merged.degradedFraction =
         merged.makespanSeconds > 0.0
             ? merged.degradedSeconds /
-                  (static_cast<double>(dp) * merged.makespanSeconds)
+                  (static_cast<double>(reports.size()) *
+                   merged.makespanSeconds)
             : 0.0;
 
-    finalizeServingAggregates(merged, trace.size());
-    if (!merged.noCompletions) {
-        merged.meanBatchOccupancy =
-            merged.decodeIterations > 0
-                ? occupancyWeighted /
-                      static_cast<double>(merged.decodeIterations)
-                : 0.0;
-        merged.kvBlockUtilization =
-            merged.decodeIterations > 0
-                ? blockUtilWeighted /
-                      static_cast<double>(merged.decodeIterations)
-                : 0.0;
+    finalizeServingAggregates(merged, costed.costs.size());
+    if (!merged.noCompletions && merged.decodeIterations > 0) {
+        const double iters = static_cast<double>(merged.decodeIterations);
+        merged.meanBatchOccupancy = occupancyWeighted / iters;
+        merged.kvBlockUtilization = blockUtilWeighted / iters;
     }
 
-    out.fleet = std::move(merged);
-    out.replicas = std::move(reports);
-    out.assignment = std::move(assign);
-    return out;
+    return {std::move(merged), std::move(run.reports),
+            std::move(run.assignment), run.rerouteOrder.size()};
 }
 
 } // namespace mcbp::engine

@@ -6,15 +6,21 @@
  * serving group — and a data-parallel degree N. Replicas are identical
  * stateless cost models, so the fleet holds the prototype once; what
  * makes them distinct at serving time is the traffic and the faults
- * routed to each. The FleetRouter is that serving path, composed of
- * the same two stages as a single engine (serving.hpp): it builds one
- * replica ServingSimulator and calls costTrace() once over the full
- * trace, splits the trace across the replicas with a pluggable
- * selection policy (least-loaded by outstanding KV bytes, or
- * round-robin), and runs each replica as serve() on copies of its
- * sub-trace's costed requests. It merges the per-replica reports into
- * one fleet ServingReport whose sample-derived aggregates follow the
- * single-engine definitions (finalizeServingAggregates).
+ * routed to each. The FleetRouter is that serving path. It builds one
+ * replica ServingSimulator, calls its costTrace() once over the full
+ * trace, and then runs four named stages, each a public const member:
+ *  - route(): split the trace across the replicas with a pluggable
+ *    selection policy (least-loaded by outstanding KV bytes, or
+ *    round-robin);
+ *  - serveReplicas(): run replicas as serve() on copies of their
+ *    sub-traces' costed requests, fanned out over the thread pool —
+ *    the one replica-run path, failover re-runs included;
+ *  - failover(): re-dispatch the drops of dead replicas;
+ *  - merge(): fold the per-replica reports into one fleet
+ *    ServingReport whose sample-derived aggregates follow the
+ *    single-engine definitions (finalizeServingAggregates).
+ * route() and failover() place work by one rule: the first replica
+ * alive at time t, scanning from index s.
  *
  * Failover: the fleet builds ONE fault timeline over dp x kvShards
  * fault domains and hands each replica's serve() its slice (chip
@@ -27,7 +33,7 @@
  * replicas at the fault time plus the retry backoff, bounded by the
  * per-request deadline and a fleet-size reroute budget, so the
  * existing retry/backoff/deadline vocabulary covers replica failover
- * too.
+ * too. A rerouted request keeps the deadline of its original arrival.
  *
  * dp=1 is the identity: name/capabilities/configSummary forward
  * verbatim and the router delegates wholesale to a single-replica
@@ -41,6 +47,8 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,10 +136,10 @@ struct FleetOutcome
 };
 
 /**
- * The dp >= 1 serving path: route, simulate per replica, fail over,
+ * The dp >= 1 serving path: route, serve the replicas, fail over,
  * merge. ServingSimulator::simulate() delegates here for any
- * FleetAccelerator; the router is public so tests and benches can see
- * per-replica reports and the assignment.
+ * FleetAccelerator; the router and its stages are public so tests and
+ * benches can see per-replica reports, the assignment and each stage.
  *
  * ServingOptions semantics at dp > 1: kvCapacityBytes is the FLEET
  * budget, split evenly across replicas (matching the fixed-chip-count
@@ -144,15 +152,95 @@ struct FleetOutcome
 class FleetRouter
 {
   public:
+    using CostedTrace = ServingSimulator::CostedTrace;
+
+    /** One entry of a replica's sub-trace: a costed-trace index and
+     *  the request the replica sees — the trace's own, or a failover
+     *  copy re-dispatched later. */
+    struct Routed
+    {
+        std::size_t index;
+        const model::Request *req;
+    };
+    using SubTrace = std::vector<Routed>;
+
+    /** A fleet run between the stages: what simulate() set up, where
+     *  each request went, and what each replica reported. */
+    struct Dispatch
+    {
+        /** Trace index of each request id. */
+        std::map<std::size_t, std::size_t> indexById;
+        /** Each replica's slice of the fleet fault timeline. */
+        std::vector<std::vector<sim::FaultEvent>> timelines;
+        /** When each replica dies for good (infinity: never). */
+        std::vector<double> deadAt;
+        /** Current replica of each trace entry, trace order. */
+        std::vector<std::size_t> assignment;
+        /** Each replica's sub-trace, in arrival order. */
+        std::vector<SubTrace> subTraces;
+        /** Each replica's report of its current sub-trace. */
+        std::vector<ServingReport> reports;
+        /** Failover re-dispatches of each trace entry, trace order. */
+        std::vector<std::size_t> reroutes;
+        /** Rerouted request ids, in re-dispatch order. */
+        std::vector<std::size_t> rerouteOrder;
+        /** The failover copies sub-traces point at; a deque keeps
+         *  their addresses stable. */
+        std::deque<model::Request> copies;
+    };
+
+    /** fatal() when the options fail ServingSimulator's checks. */
     FleetRouter(const FleetAccelerator &fleet, ServingOptions opts);
 
-    /** fatal() at dp > 1 when a request id repeats in @p trace:
-     *  failover and the merge track requests by id. */
+    /** route(), serveReplicas(), failover() and merge() over the
+     *  replica simulator's costTrace(@p trace). fatal() at dp > 1 when
+     *  a request id repeats in @p trace: failover and the merge track
+     *  requests by id. */
     FleetOutcome simulate(const std::vector<model::Request> &trace) const;
+
+    /**
+     * Assign each costed request, in arrival order, to a replica alive
+     * at its arrival under the fleet's policy; when none is, to the
+     * replica that dies last (the request drops there). Least-loaded
+     * retires each request's KV bytes at its healthy estimated finish.
+     * fatal() when the per-replica KV share is below a request's
+     * footprint. Returns the replica of each entry, trace order.
+     */
+    std::vector<std::size_t> route(const CostedTrace &costed,
+                                   const std::vector<double> &deadAt) const;
+
+    /** Serve replicas @p which, in parallel, each on copies of its
+     *  sub-trace's costed requests and its @p timelines slice. A
+     *  failover copy arrives at its re-dispatch time but keeps the
+     *  deadline of its original arrival. Returns one report per entry
+     *  of @p which. */
+    std::vector<ServingReport>
+    serveReplicas(const CostedTrace &costed,
+                  const std::vector<SubTrace> &subTraces,
+                  const std::vector<std::vector<sim::FaultEvent>> &timelines,
+                  const std::vector<std::size_t> &which) const;
+
+    /** Re-dispatch what dead replicas dropped to the next replica alive
+     *  at the fault time plus the retry backoff, within the request's
+     *  deadline and dp - 1 reroutes, and re-serve the replicas that
+     *  took work, until nothing moves. */
+    void failover(const CostedTrace &costed, Dispatch &run) const;
+
+    /** Fold the replica reports of @p run into the fleet outcome: a
+     *  rerouted request counts from its original arrival, and a
+     *  request is dropped only when it completed on no replica. */
+    FleetOutcome merge(const CostedTrace &costed, Dispatch run) const;
 
   private:
     const FleetAccelerator *fleet_;
     ServingOptions opts_;
+    /** The fleet's options with the KV budget split across replicas
+     *  and the degraded twin unwrapped to its replica. */
+    ServingOptions replicaOpts_;
+    /** The one simulator every replica run serves on. */
+    ServingSimulator server_;
+    /** Fault domains per replica. */
+    std::size_t chips_;
 };
 
 } // namespace mcbp::engine

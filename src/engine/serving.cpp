@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -95,7 +96,17 @@ ServingSimulator::ServingSimulator(const Accelerator &accel,
     : accels_{&accel, opts.degradedAccel}, opts_(opts),
       planCache_(accel::makePlanCache())
 {
-    // Option bounds are enforced by EventCore, which owns them.
+    // Retry knobs are simulated seconds: a negative backoff would
+    // re-dispatch work into the past. Other option bounds are enforced
+    // by EventCore, which owns them.
+    for (const auto &[value, field] :
+         {std::pair{opts_.retry.backoffBaseSeconds, "backoffBaseSeconds"},
+          {opts_.retry.backoffCapSeconds, "backoffCapSeconds"},
+          {opts_.retry.deadlineSeconds, "deadlineSeconds"}})
+        if (!std::isfinite(value) || value < 0.0)
+            fatal(std::string("retry.") + field + " is " +
+                  std::to_string(value) +
+                  "; it must be finite and >= 0 seconds");
     for (std::size_t t = 0; t < kTopologies; ++t)
         if (accels_[t] != nullptr)
             identities_[t] =

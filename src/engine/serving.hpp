@@ -74,7 +74,9 @@
 namespace mcbp::engine {
 
 /** Retry/SLO knobs of fault-tolerant serving (only consulted when
- *  ServingOptions::faults is enabled). */
+ *  ServingOptions::faults is enabled). The ServingSimulator
+ *  constructor fatal()s on a negative or non-finite backoff or
+ *  deadline. */
 struct RetryOptions
 {
     /** Fault-kill restarts before a request is dropped. */

@@ -12,12 +12,16 @@
  *    drop everything into a zeroed-but-tagged report; with a degraded
  *    accelerator the fleet replans and serves through at degraded
  *    prices; deadlines drop queued work and dent SLO attainment;
+ *  - a negative or non-finite retry backoff or deadline is rejected
+ *    when the simulator is built;
  *  - degradedSpec() rewrites topologies the way a surviving fleet
  *    re-forms (halved axis, invalid knobs dropped), on the same spec
  *    grammar Registry::make() reads.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -429,6 +433,58 @@ TEST(FaultServing, DeadlinesDropQueuedWorkDuringOutage)
     EXPECT_EQ(r.dropOrder.size(), r.droppedRequests);
     // Dropped and completed partition the trace.
     EXPECT_EQ(r.requests.size() + r.droppedRequests, trace.size());
+}
+
+/** The fatal() message of constructing a simulator with @p opts, or
+ *  "" when it constructs. */
+std::string
+constructionError(const ServingOptions &opts)
+{
+    const auto accel = Registry().make("mcbp");
+    try {
+        (void)ServingSimulator(*accel, opts);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Every negative or non-finite value of one retry field is rejected
+ *  with a message naming the field and its range; 0 is accepted. */
+void
+expectRetryFieldChecked(double RetryOptions::*field, const char *name)
+{
+    for (const double bad : {-0.5, -1e-9, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+        ServingOptions opts;
+        opts.retry.*field = bad;
+        const std::string msg = constructionError(opts);
+        EXPECT_NE(msg.find(name), std::string::npos) << bad << ": " << msg;
+        EXPECT_NE(msg.find(">= 0"), std::string::npos) << msg;
+    }
+    ServingOptions zero;
+    zero.retry.*field = 0.0;
+    EXPECT_EQ(constructionError(zero), "") << name;
+}
+
+TEST(RetryOptions, NegativeOrNonFiniteBackoffBaseIsRejected)
+{
+    // A negative backoff would re-dispatch failover work into the
+    // past, before the request arrived.
+    expectRetryFieldChecked(&RetryOptions::backoffBaseSeconds,
+                            "backoffBaseSeconds");
+}
+
+TEST(RetryOptions, NegativeOrNonFiniteBackoffCapIsRejected)
+{
+    expectRetryFieldChecked(&RetryOptions::backoffCapSeconds,
+                            "backoffCapSeconds");
+}
+
+TEST(RetryOptions, NegativeOrNonFiniteDeadlineIsRejected)
+{
+    expectRetryFieldChecked(&RetryOptions::deadlineSeconds,
+                            "deadlineSeconds");
 }
 
 TEST(FaultServing, StragglerAndLinkWindowsSlowWithoutKilling)

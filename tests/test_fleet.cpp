@@ -18,8 +18,13 @@
  *    reserve and paged KV, failover, degraded twins, sampled and
  *    hand-authored faults) hash their merged report, every replica
  *    report, the assignment and the reroute count;
+ *  - the route() stage alone reproduces the assignment of every
+ *    golden config that does not reroute; it skips dead replicas and
+ *    sends work to the last to die when every replica is dead;
  *  - a deadline binds on a replica whose slice of the fleet's fault
- *    timeline holds no event, as on its siblings and a flat engine;
+ *    timeline holds no event, as on its siblings and a flat engine,
+ *    and a rerouted request keeps the deadline of its original
+ *    arrival;
  *  - the coalesced-vs-per-token step-mode identity contract survives
  *    the fleet under injected faults (decision orders verbatim,
  *    aggregates to 1e-9 relative);
@@ -34,6 +39,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -49,6 +55,8 @@
 
 namespace mcbp::engine {
 namespace {
+
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 std::vector<model::Request>
 fleetTrace(std::size_t n = 24, double rate = 100.0,
@@ -260,6 +268,9 @@ struct GoldenRun
     bool preempts = false;  ///< Config is built to preempt (paged KV).
     bool reroutes = false;  ///< Config is built to fail over.
     bool deadline = false;  ///< A deadline is set.
+    /** route() alone on configs that do not reroute: no replica of
+     *  theirs dies, so every replica is alive throughout. */
+    std::vector<std::size_t> routed;
 };
 
 /**
@@ -406,7 +417,12 @@ fleetGolden(std::size_t k)
         run.deadline = true;
         break;
     }
-    run.out = FleetRouter(*fleet, opts).simulate(trace);
+    const FleetRouter router(*fleet, opts);
+    run.out = router.simulate(trace);
+    if (!run.reroutes)
+        run.routed = router.route(
+            ServingSimulator(fleet->replica(), opts).costTrace(trace),
+            std::vector<double>(dp, kNever));
     return run;
 }
 
@@ -424,12 +440,13 @@ outcomeHash(const FleetOutcome &out)
 }
 
 /** outcomeHash(fleetGolden(k).out), recorded before replica runs
- *  served slices of the fleet's costed trace. */
+ *  served slices of the fleet's costed trace. Configs 7 and 10 were
+ *  re-recorded when a rerouted request kept its original deadline. */
 constexpr std::array<std::uint64_t, 12> kFleetGoldens = {
     0xd1167f69065c248bull, 0x4fc834bf90230a75ull, 0x312d8991d6122b30ull,
     0xcd9de24c94d58f4full, 0xc1cc473226a08bbdull, 0x7533db8b0800d759ull,
-    0x3eba153df7669d1dull, 0x870d9c0e77c1df86ull, 0x44f23ebc6b247e2aull,
-    0xe32d9f37c2c8ab8bull, 0x1da2925cfc9c25b9ull, 0x12d946fa2b67fe86ull,
+    0x3eba153df7669d1dull, 0xef6b8c25105e9f16ull, 0x44f23ebc6b247e2aull,
+    0xe32d9f37c2c8ab8bull, 0xf519db22437d0b59ull, 0x12d946fa2b67fe86ull,
 };
 
 TEST(Fleet, OutcomesMatchGoldens)
@@ -453,6 +470,82 @@ TEST(Fleet, OutcomesMatchGoldens)
         EXPECT_EQ(h, kFleetGoldens[k])
             << "config " << k << " hash 0x" << std::hex << h;
     }
+}
+
+TEST(Fleet, RouteStageReproducesAssignments)
+{
+    for (const std::size_t k : {0, 1, 2, 3, 8, 9, 11}) {
+        const GoldenRun run = fleetGolden(k);
+        ASSERT_EQ(run.out.reroutes, 0u) << "config " << k;
+        EXPECT_EQ(run.routed, run.out.assignment) << "config " << k;
+    }
+}
+
+TEST(Fleet, RouteSkipsDeadReplicasAndFallsBackToTheLastToDie)
+{
+    Registry registry;
+    const auto trace = fleetTrace(12);
+    ASSERT_TRUE(std::is_sorted(trace.begin(), trace.end(),
+                               [](const model::Request &a,
+                                  const model::Request &b) {
+                                   return a.arrivalSeconds <
+                                          b.arrivalSeconds;
+                               }));
+    const double t0 = trace.front().arrivalSeconds;
+    ASSERT_GT(t0, 0.0);
+    for (const char *spec : {"mcbp:dp=3,route=rr", "mcbp:dp=3"}) {
+        const auto accel = registry.make(spec);
+        const auto *fleet =
+            dynamic_cast<const FleetAccelerator *>(accel.get());
+        ASSERT_NE(fleet, nullptr);
+        const auto costed =
+            ServingSimulator(fleet->replica()).costTrace(trace);
+        const FleetRouter router(*fleet, {});
+
+        // Replica 1 is dead from the start: nothing lands on it, and
+        // round-robin hands its turns to the next replica alive.
+        const auto skip = router.route(costed, {kNever, 0.0, kNever});
+        for (std::size_t i = 0; i < skip.size(); ++i) {
+            EXPECT_NE(skip[i], 1u) << spec << " request " << i;
+            if (fleet->options().policy == ReplicaPolicy::RoundRobin) {
+                EXPECT_EQ(skip[i], i % 3 == 0 ? 0u : 2u) << "request " << i;
+            }
+        }
+
+        // Every replica dies before the first arrival: everything goes
+        // to the replica that dies last, and drops there.
+        const auto last =
+            router.route(costed, {0.2 * t0, 0.6 * t0, 0.4 * t0});
+        EXPECT_EQ(last, std::vector<std::size_t>(trace.size(), 1)) << spec;
+    }
+}
+
+TEST(Fleet, ReroutedRequestKeepsItsOriginalDeadline)
+{
+    // The whole trace waits at t = 0. Replica 0 dies for good at 0.5 s
+    // and its queue fails over to replica 1, where it waits behind
+    // replica 1's own queue. The survivor measures each rerouted
+    // request's deadline from its original arrival, not from the
+    // re-dispatch, so no request is admitted past that deadline.
+    Registry registry;
+    auto accel = registry.make("mcbp:dp=2");
+    const auto *fleet = dynamic_cast<const FleetAccelerator *>(accel.get());
+    ASSERT_NE(fleet, nullptr);
+    const auto trace = fleetTrace(64, 0.0, 5);
+    ServingOptions opts;
+    opts.maxBatch = 4;
+    opts.stepMode = StepMode::Coalesced;
+    opts.faults.events = {permanentFail(0.5, 0)};
+    opts.retry.deadlineSeconds = 40.0;
+    const FleetOutcome out = FleetRouter(*fleet, opts).simulate(trace);
+
+    EXPECT_GT(out.reroutes, 0u);
+    EXPECT_EQ(out.fleet.requests.size() + out.fleet.droppedRequests,
+              trace.size());
+    for (const RequestMetrics &r : out.fleet.requests)
+        EXPECT_LE(r.admissionSeconds,
+                  r.arrivalSeconds + opts.retry.deadlineSeconds)
+            << "request " << r.id;
 }
 
 TEST(Fleet, Dp1ReportIsBitIdenticalToFlatPath)

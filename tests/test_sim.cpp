@@ -1,4 +1,4 @@
-/** @file Unit tests for the sim/ layer: HBM, SRAM, area, energy,
+/** @file Unit tests for the sim/ layer: HBM, area, energy,
  *  PE-cluster cycle model, pipeline composition and McbpConfig. */
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "sim/mcbp_config.hpp"
 #include "sim/pe_cluster.hpp"
 #include "sim/pipeline.hpp"
-#include "sim/sram.hpp"
 
 namespace mcbp::sim {
 namespace {
@@ -66,33 +65,6 @@ TEST(Hbm, BadFractionFatal)
 {
     Hbm hbm(defaultConfig());
     EXPECT_THROW(hbm.read(10, 1.5), std::runtime_error);
-}
-
-TEST(Sram, CapacityAndStreaming)
-{
-    Sram s("weight", 768, 16, 8);
-    EXPECT_EQ(s.capacityBytes(), 768u * 1024u);
-    EXPECT_TRUE(s.fits(700 * 1024));
-    EXPECT_FALSE(s.fits(800 * 1024));
-    // 16 banks x 8 B/cycle = 128 B/cycle.
-    EXPECT_DOUBLE_EQ(s.streamCycles(1280), 10.0);
-}
-
-TEST(Sram, EnergyScalesWithCapacity)
-{
-    Sram small("temp", 96, 4, 8);
-    Sram large("weight", 768, 4, 8);
-    EXPECT_LT(small.accessEnergyPj(1000), large.accessEnergyPj(1000));
-}
-
-TEST(Sram, AccountsTraffic)
-{
-    Sram s("token", 384, 8, 8);
-    s.read(100);
-    s.write(50);
-    EXPECT_EQ(s.bytesRead(), 100u);
-    EXPECT_EQ(s.bytesWritten(), 50u);
-    EXPECT_GT(s.energyPj(), 0.0);
 }
 
 TEST(AreaModel, PaperTotalAndBreakdown)
