@@ -91,13 +91,44 @@ percentile(std::vector<double> samples, double p)
 double
 percentileSorted(const std::vector<double> &sorted, double p)
 {
-    fatalIf(sorted.empty(), "percentile of an empty sample set");
+    const QuantileRank q = quantileRank(sorted.size(), p);
+    return q.interpolate(sorted[q.lo], sorted[q.hi]);
+}
+
+QuantileRank
+quantileRank(std::size_t n, double p)
+{
+    fatalIf(n == 0, "percentile of an empty sample set");
     fatalIf(p < 0.0 || p > 1.0, "percentile p must be in [0, 1]");
-    const double rank = p * static_cast<double>(sorted.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-    const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+    const double rank = p * static_cast<double>(n - 1);
+    QuantileRank q;
+    q.lo = static_cast<std::size_t>(std::floor(rank));
+    q.hi = static_cast<std::size_t>(std::ceil(rank));
+    q.frac = rank - static_cast<double>(q.lo);
+    return q;
+}
+
+void
+selectPercentiles(std::vector<double> &samples, std::span<const double> ps,
+                  std::span<double> out)
+{
+    fatalIf(ps.size() != out.size(),
+            "selectPercentiles needs one output per quantile");
+    auto first = samples.begin();
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+        fatalIf(k > 0 && ps[k] < ps[k - 1],
+                "selectPercentiles needs ascending quantiles");
+        const QuantileRank q = quantileRank(samples.size(), ps[k]);
+        // After this, [lo, end) holds exactly the order statistics
+        // lo..n-1, so the next (higher) quantile searches only there,
+        // and statistic lo + 1 is the smallest value above lo.
+        const auto lo = samples.begin() + static_cast<std::ptrdiff_t>(q.lo);
+        std::nth_element(first, lo, samples.end());
+        const double atHi =
+            q.hi == q.lo ? *lo : *std::min_element(lo + 1, samples.end());
+        out[k] = q.interpolate(*lo, atHi);
+        first = lo;
+    }
 }
 
 } // namespace mcbp

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,5 +79,39 @@ double percentile(std::vector<double> samples, double p);
 
 /** percentile() for an already ascending-sorted sample set (no copy). */
 double percentileSorted(const std::vector<double> &sorted, double p);
+
+/**
+ * Where the p-quantile of n ascending samples falls: between the order
+ * statistics lo and hi (lo or lo + 1), a fraction frac of the way. The
+ * one rank and interpolation rule that percentileSorted() and
+ * selectPercentiles() share.
+ */
+struct QuantileRank
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+
+    /** The quantile, from the values of order statistics lo and hi. */
+    double interpolate(double atLo, double atHi) const
+    {
+        return atLo + (atHi - atLo) * frac;
+    }
+};
+
+/** The QuantileRank of the @p p-quantile of @p n samples. fatal() on
+ *  n == 0 or p outside [0, 1]. */
+QuantileRank quantileRank(std::size_t n, double p);
+
+/**
+ * The @p ps[k]-quantile of @p samples into @p out[k], for ascending
+ * @p ps: bit-identical to percentileSorted() over a sorted copy, but
+ * found by order-statistic selection (std::nth_element), each quantile
+ * narrowing the range the next one searches, so nothing is sorted.
+ * Reorders @p samples. fatal() on an empty sample set, on @p ps out of
+ * order, or on @p out not the size of @p ps.
+ */
+void selectPercentiles(std::vector<double> &samples,
+                       std::span<const double> ps, std::span<double> out);
 
 } // namespace mcbp

@@ -162,19 +162,18 @@ struct Rates
  * Batch-1 prices of one distinct request shape — (promptLen,
  * decodeLen, model, task), every input Accelerator::run() depends on —
  * on every priced topology. The serving layer's shape table holds one
- * immutable entry per distinct shape; every request of that shape
- * points at it (CostedRequest::shape).
+ * immutable entry per distinct shape, in the shape order; every
+ * request of that shape points at it (CostedRequest::shape), and the
+ * request itself carries the lengths. The model and task are handles
+ * into the static zoos (model::findModel, model::findTask), so an
+ * entry holds no string.
  */
 struct PricedShape
 {
-    std::size_t promptLen = 0;
-    std::size_t decodeLen = 0;
-    std::string model;
-    std::string task;
-    /** The resolved model, and the shape's prefill-only workload
-     *  (decodeLen 0) that a paged recompute re-prices. */
+    /** The resolved model, and the zoo task a paged recompute
+     *  re-prices at the request's own prompt length. */
     const model::LlmConfig *config = nullptr;
-    model::Workload recomputeShape;
+    const model::Workload *task = nullptr;
     /** Prices per topology. The degraded entry is set only when a
      *  degraded accelerator was priced (FaultInputs::hasDegraded). */
     std::array<Rates, kTopologies> rates{};

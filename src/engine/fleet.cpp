@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -444,6 +443,8 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
     };
     double occupancyWeighted = 0.0;
     double blockUtilWeighted = 0.0;
+    // Per trace index: the request completed on some replica.
+    std::vector<char> completed(costed.costs.size(), 0);
     for (std::size_t r = 0; r < reports.size(); ++r) {
         const ServingReport &rep = reports[r];
 #define MCBP_MERGE_COUNTER(type, stat, member, key, rule, unit)               \
@@ -465,6 +466,7 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
         for (const RequestMetrics &rm : rep.requests) {
             RequestMetrics fixed = rm;
             const std::size_t idx = run.indexById.at(rm.id);
+            completed[idx] = 1;
             if (run.reroutes[idx] > 0) {
                 // A rerouted request's latency runs from its ORIGINAL
                 // arrival; the replica only saw the re-dispatch time
@@ -511,20 +513,23 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
 
     // Final drops: a request that completed anywhere is not dropped,
     // however many dead replicas logged it on the way.
-    std::set<std::size_t> completedIds;
-    for (const RequestMetrics &rm : merged.requests)
-        completedIds.insert(rm.id);
-    std::set<std::size_t> droppedSeen;
+    std::vector<char> droppedSeen(costed.costs.size(), 0);
     for (const ServingReport &rep : reports)
-        for (const std::size_t id : rep.dropOrder)
-            if (completedIds.count(id) == 0 &&
-                droppedSeen.insert(id).second)
+        for (const std::size_t id : rep.dropOrder) {
+            const std::size_t idx = run.indexById.at(id);
+            if (!completed[idx] && !droppedSeen[idx]) {
+                droppedSeen[idx] = 1;
                 merged.dropOrder.push_back(id);
+            }
+        }
     // Two more counters override their merge rule: a request dropped
     // by one replica may complete on another, and a fleet-wide link or
     // straggler event reached every replica but happened once (the
     // log keeps one copy).
-    merged.droppedRequests = costed.costs.size() - completedIds.size();
+    merged.droppedRequests =
+        costed.costs.size() -
+        static_cast<std::size_t>(
+            std::count(completed.begin(), completed.end(), 1));
     merged.faultEvents = merged.faultLog.size();
 
     merged.kvUtilization =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -35,12 +36,108 @@ weightEnergyFraction(const accel::PhaseMetrics &decode)
     return std::clamp(frac, 0.0, 1.0);
 }
 
-/** The shape key a ShapeTable is sorted on: every input of a batch-1
- *  run, lengths first so most comparisons never reach the strings. */
-auto
-shapeKey(const model::Request &r)
+/**
+ * A request's shape as integers: every input of its batch-1 run, with
+ * the (model, task) pair replaced by its rank in name order, so the
+ * order on (promptLen, decodeLen, pair) is the order on (promptLen,
+ * decodeLen, model, task).
+ */
+struct ShapeKey
 {
-    return std::tie(r.promptLen, r.decodeLen, r.model, r.task);
+    std::size_t promptLen = 0;
+    std::size_t decodeLen = 0;
+    std::size_t pair = 0;
+    std::size_t request = 0; ///< Trace index.
+
+    auto shape() const { return std::tie(promptLen, decodeLen, pair); }
+};
+
+/** A (model, task) pair resolved to its entries in the static zoos. */
+struct ModelTask
+{
+    const model::LlmConfig *config = nullptr;
+    const model::Workload *task = nullptr;
+};
+
+/**
+ * The key of every request of @p trace, in trace order, and the
+ * trace's distinct (model, task) pairs in rank order. Each request's
+ * names are read once, against the pair of the request before it
+ * (consecutive requests mostly share one); ranking and zoo lookups are
+ * once per distinct pair.
+ */
+std::vector<ModelTask>
+shapeKeys(const std::vector<model::Request> &trace,
+          std::vector<ShapeKey> &keys)
+{
+    std::vector<const model::Request *> seen; // First of each pair.
+    keys.resize(trace.size());
+    std::size_t pair = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const model::Request &r = trace[i];
+        const auto same = [&](std::size_t s) {
+            return seen[s]->model == r.model && seen[s]->task == r.task;
+        };
+        if (seen.empty() || !same(pair)) {
+            pair = 0;
+            while (pair < seen.size() && !same(pair))
+                ++pair;
+            if (pair == seen.size())
+                seen.push_back(&r);
+        }
+        keys[i] = {r.promptLen, r.decodeLen, pair, i};
+    }
+
+    std::vector<std::size_t> byName(seen.size());
+    std::iota(byName.begin(), byName.end(), std::size_t{0});
+    std::sort(byName.begin(), byName.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return std::tie(seen[a]->model, seen[a]->task) <
+                         std::tie(seen[b]->model, seen[b]->task);
+              });
+    std::vector<std::size_t> rankOf(seen.size());
+    std::vector<ModelTask> pairs(seen.size());
+    for (std::size_t rank = 0; rank < byName.size(); ++rank) {
+        const model::Request &first = *seen[byName[rank]];
+        rankOf[byName[rank]] = rank;
+        pairs[rank] = {&model::findModel(first.model),
+                       &model::findTask(first.task)};
+    }
+    for (ShapeKey &k : keys)
+        k.pair = rankOf[k.pair];
+    return pairs;
+}
+
+/**
+ * Stable LSD radix sort of @p keys on (promptLen, decodeLen, pair):
+ * byte digits, least significant field first, each field taking only
+ * as many passes as its largest value has bytes.
+ */
+void
+radixSort(std::vector<ShapeKey> &keys)
+{
+    std::vector<ShapeKey> out(keys.size());
+    for (std::size_t ShapeKey::*field :
+         {&ShapeKey::pair, &ShapeKey::decodeLen, &ShapeKey::promptLen}) {
+        std::size_t largest = 0;
+        for (const ShapeKey &k : keys)
+            largest = std::max(largest, k.*field);
+        for (unsigned shift = 0;
+             shift < std::numeric_limits<std::size_t>::digits &&
+             (largest >> shift) != 0;
+             shift += 8) {
+            const auto digit = [&](const ShapeKey &k) {
+                return (k.*field >> shift) & 0xff;
+            };
+            std::array<std::size_t, 257> next{};
+            for (const ShapeKey &k : keys)
+                ++next[digit(k) + 1];
+            std::partial_sum(next.begin(), next.end(), next.begin());
+            for (const ShapeKey &k : keys)
+                out[next[digit(k)]++] = k;
+            keys.swap(out);
+        }
+    }
 }
 
 /** Energy of @p rm's prefill phase, over all its processors. */
@@ -152,20 +249,16 @@ std::shared_ptr<const ShapeTable>
 ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
                               std::vector<std::size_t> &shapeOf) const
 {
-    // ---- One sort dedupes the trace into its distinct shapes ------------
-    std::vector<std::size_t> order(trace.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return shapeKey(trace[a]) < shapeKey(trace[b]);
-              });
-    std::vector<const model::Request *> firsts; // One request per shape.
+    // ---- One radix sort dedupes the trace into its distinct shapes -----
+    std::vector<ShapeKey> keys;
+    const std::vector<ModelTask> pairs = shapeKeys(trace, keys);
+    radixSort(keys);
+    std::vector<const ShapeKey *> firsts; // One key per shape.
     shapeOf.resize(trace.size());
-    for (const std::size_t i : order) {
-        if (firsts.empty() ||
-            shapeKey(*firsts.back()) != shapeKey(trace[i]))
-            firsts.push_back(&trace[i]);
-        shapeOf[i] = firsts.size() - 1;
+    for (const ShapeKey &k : keys) {
+        if (firsts.empty() || firsts.back()->shape() != k.shape())
+            firsts.push_back(&k);
+        shapeOf[k.request] = firsts.size() - 1;
     }
 
     // ---- Warm the profile caches on all cores ---------------------------
@@ -183,22 +276,25 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
         if (const std::shared_ptr<accel::ProfileCache> cache =
                 device.profileCache()) {
             std::vector<accel::ProfileRequest> requests;
-            // Shapes sort by promptLen first, so the (model, task)
-            // pairs of one prompt length are contiguous.
-            std::vector<const model::Request *> announced;
-            for (const model::Request *req : firsts) {
-                if (!announced.empty() &&
-                    announced.front()->promptLen != req->promptLen)
+            // Shapes sort by promptLen first, so the pairs of one
+            // prompt length are contiguous.
+            std::vector<std::size_t> announced; // Pair ranks.
+            std::size_t promptLen = 0;
+            for (const ShapeKey *k : firsts) {
+                if (k->promptLen != promptLen) {
                     announced.clear();
-                if (std::any_of(announced.begin(), announced.end(),
-                                [&](const model::Request *a) {
-                                    return a->model == req->model &&
-                                           a->task == req->task;
-                                }))
+                    promptLen = k->promptLen;
+                }
+                if (std::find(announced.begin(), announced.end(),
+                              k->pair) != announced.end())
                     continue;
-                announced.push_back(req);
-                device.profileRequests(model::findModel(req->model),
-                                       req->workload(), requests);
+                announced.push_back(k->pair);
+                const ModelTask &mt = pairs[k->pair];
+                device.profileRequests(
+                    *mt.config,
+                    model::singleRequest(*mt.task, k->promptLen,
+                                         k->decodeLen),
+                    requests);
             }
             cache->warm(requests, opts_.profileThreads);
         }
@@ -210,23 +306,22 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
 
     // ---- Price each shape once per topology -----------------------------
     // Every shape is an independent task calling run() directly: no
-    // key string, no shared lock. parallelMap returns the entries in
-    // shape order, so the table is bit-identical at every thread
-    // count. Every topology splits its streams through the same
+    // key string, no shared lock. The table is sized once and each
+    // task writes only its own slot, so it is bit-identical at every
+    // thread count. Every topology splits its streams through the same
     // ratesOf(), so degraded decode windows compose the same way
     // healthy ones do.
     auto table = std::make_shared<ShapeTable>();
-    table->shapes = parallel::parallelMap<PricedShape>(
+    table->shapes.resize(firsts.size());
+    parallel::parallelFor(
         firsts.size(),
         [&](std::size_t s) {
-            const model::Request &req = *firsts[s];
-            PricedShape shape;
-            shape.promptLen = req.promptLen;
-            shape.decodeLen = req.decodeLen;
-            shape.model = req.model;
-            shape.task = req.task;
-            shape.config = &model::findModel(req.model);
-            const model::Workload w = req.workload();
+            const ShapeKey &key = *firsts[s];
+            PricedShape &shape = table->shapes[s];
+            shape.config = pairs[key.pair].config;
+            shape.task = pairs[key.pair].task;
+            const model::Workload w = model::singleRequest(
+                *shape.task, key.promptLen, key.decodeLen);
             for (std::size_t t = 0; t < priced; ++t) {
                 const accel::RunMetrics rm =
                     accels_[t]->run(*shape.config, w);
@@ -238,11 +333,8 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
                 fatalIf(rm.clockGhz != shape.clockGhz,
                         "degraded accelerator must run at the primary "
                         "accelerator's clock (cycle timelines merge)");
-                shape.rates[t] = ratesOf(rm, req.decodeLen, stages[t]);
+                shape.rates[t] = ratesOf(rm, key.decodeLen, stages[t]);
             }
-            shape.recomputeShape = w;
-            shape.recomputeShape.decodeLen = 0;
-            return shape;
         },
         opts_.costingThreads);
     return table;
@@ -275,7 +367,8 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
         CostedRequest &c = out.costs.emplace_back();
         c.req = &req;
         c.model = shape.config;
-        c.recomputeShape = shape.recomputeShape;
+        c.recomputeShape =
+            model::singleRequest(*shape.task, req.promptLen, 0);
         c.shape = &shape;
         // Admission charges the prefill energy, in the mode the
         // prefill runs in (an unpriced topology's rates are 0).
@@ -498,19 +591,22 @@ finalizeServingAggregates(ServingReport &report, std::size_t traceSize)
     report.meanLatencySeconds =
         std::accumulate(latencies.begin(), latencies.end(), 0.0) /
         static_cast<double>(latencies.size());
-    // One sort serves all three quantiles.
-    std::sort(latencies.begin(), latencies.end());
-    report.p50LatencySeconds = percentileSorted(latencies, 0.50);
-    report.p90LatencySeconds = percentileSorted(latencies, 0.90);
-    report.p99LatencySeconds = percentileSorted(latencies, 0.99);
-    std::sort(queue_waits.begin(), queue_waits.end());
-    report.p50QueueSeconds = percentileSorted(queue_waits, 0.50);
-    report.p90QueueSeconds = percentileSorted(queue_waits, 0.90);
-    report.p99QueueSeconds = percentileSorted(queue_waits, 0.99);
-    std::sort(first_tokens.begin(), first_tokens.end());
-    report.p50FirstTokenSeconds = percentileSorted(first_tokens, 0.50);
-    report.p90FirstTokenSeconds = percentileSorted(first_tokens, 0.90);
-    report.p99FirstTokenSeconds = percentileSorted(first_tokens, 0.99);
+    // Selection, not a sort: each series is partitioned around just
+    // the order statistics its three quantiles interpolate.
+    static constexpr std::array<double, 3> kQuantiles{0.50, 0.90, 0.99};
+    std::array<double, 3> q{};
+    selectPercentiles(latencies, kQuantiles, q);
+    report.p50LatencySeconds = q[0];
+    report.p90LatencySeconds = q[1];
+    report.p99LatencySeconds = q[2];
+    selectPercentiles(queue_waits, kQuantiles, q);
+    report.p50QueueSeconds = q[0];
+    report.p90QueueSeconds = q[1];
+    report.p99QueueSeconds = q[2];
+    selectPercentiles(first_tokens, kQuantiles, q);
+    report.p50FirstTokenSeconds = q[0];
+    report.p90FirstTokenSeconds = q[1];
+    report.p99FirstTokenSeconds = q[2];
     report.meanTpotSeconds =
         tpot_requests > 0
             ? tpot_sum / static_cast<double>(tpot_requests)

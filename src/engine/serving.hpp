@@ -316,18 +316,20 @@ struct ServingReport
  * the fields zeroed when requests is empty. Shared by serve()'s
  * aggregation and the fleet report merge (engine/fleet.hpp), so a
  * merged fleet report's percentiles follow exactly the single-engine
- * definition.
+ * definition. Percentiles come from order-statistic selection
+ * (selectPercentiles), bit-identical to percentileSorted() over sorted
+ * samples; the mean latency sums in report order.
  */
 void finalizeServingAggregates(ServingReport &report,
                                std::size_t traceSize);
 
 /**
- * The immutable prices of a trace's distinct request shapes, sorted on
- * (promptLen, decodeLen, model, task): the prepare-once half of trace
- * costing. Each entry is priced once per topology, and every costed
- * request of that shape points at it. A fleet prices its full trace
- * once; every replica run and failover re-run serves copies of those
- * costed requests, so they point into the same table.
+ * The immutable prices of a trace's distinct request shapes, in
+ * (promptLen, decodeLen, model, task) order: the prepare-once half of
+ * trace costing. Each entry is priced once per topology, in place, and
+ * every costed request of that shape points at it. A fleet prices its
+ * full trace once; every replica run and failover re-run serves copies
+ * of those costed requests, so they point into the same table.
  */
 struct ShapeTable
 {
@@ -373,14 +375,16 @@ class ServingSimulator
     };
 
     /**
-     * The costing stage: sort @p trace once into its distinct shapes,
+     * The costing stage: key each request of @p trace on integers
+     * (promptLen, decodeLen, the name-order rank of its (model, task)
+     * pair) and radix-sort the keys once into the distinct shapes,
      * warm the profile cache once per distinct (model, task,
-     * promptLen), then price each shape once per topology with
-     * Accelerator::run() on up to ServingOptions::costingThreads
-     * threads — no plan cache, no lock. The serial sums accumulate in
-     * trace order, so the result is bit-identical at every thread
-     * count. The costed requests point into @p trace, which must
-     * outlive them.
+     * promptLen), then price each shape once per topology into its own
+     * table slot with Accelerator::run() on up to
+     * ServingOptions::costingThreads threads — no plan cache, no lock,
+     * no string compared. The serial sums accumulate in trace order,
+     * so the result is bit-identical at every thread count. The costed
+     * requests point into @p trace, which must outlive them.
      */
     CostedTrace costTrace(const std::vector<model::Request> &trace) const;
 

@@ -12,9 +12,7 @@ namespace mcbp::model {
 Workload
 Request::workload() const
 {
-    Workload w = withLengths(findTask(task), promptLen, decodeLen);
-    w.batch = 1;
-    return w;
+    return singleRequest(findTask(task), promptLen, decodeLen);
 }
 
 std::vector<Request>

@@ -43,4 +43,12 @@ withLengths(const Workload &base, std::size_t prompt, std::size_t decode)
     return w;
 }
 
+Workload
+singleRequest(const Workload &base, std::size_t prompt, std::size_t decode)
+{
+    Workload w = withLengths(base, prompt, decode);
+    w.batch = 1;
+    return w;
+}
+
 } // namespace mcbp::model

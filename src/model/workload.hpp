@@ -43,4 +43,9 @@ const Workload &findTask(const std::string &name);
 Workload withLengths(const Workload &base, std::size_t prompt,
                      std::size_t decode);
 
+/** withLengths() as one request's batch-1 run: the workload a serving
+ *  request is priced with (model::Request::workload()). */
+Workload singleRequest(const Workload &base, std::size_t prompt,
+                       std::size_t decode);
+
 } // namespace mcbp::model

@@ -11,6 +11,8 @@
 #include <cctype>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "accel/baselines.hpp"
 #include "accel/gpu_model.hpp"
@@ -455,6 +457,67 @@ TEST(Serving, TtftAndTpotAggregatesMatchPerRequestMetrics)
     const ServingReport prefill_only = sim.simulate(trace);
     EXPECT_EQ(prefill_only.meanTpotSeconds, 0.0);
     EXPECT_GT(prefill_only.p50FirstTokenSeconds, 0.0);
+}
+
+TEST(Serving, PercentilesBySelectionMatchSortedSamples)
+{
+    // Sample patterns: ties, descending input and a fixed-seed shuffle.
+    const auto pattern = [](int kind, std::size_t n) {
+        std::vector<double> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = kind == 0 ? 0.25 * static_cast<double>(i % 3)
+                             : 0.5 * static_cast<double>(n - i);
+        if (kind == 2) {
+            Rng rng(41);
+            for (std::size_t i = n - 1; i > 0; --i)
+                std::swap(v[i], v[rng.uniformInt(i + 1)]);
+        }
+        return v;
+    };
+    for (const std::size_t n : {1, 2, 3, 100, 1001})
+        for (const int kind : {0, 1, 2}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " kind=" << kind);
+            // The three series follow different patterns, so each is
+            // selected from its own order.
+            const std::vector<double> queue = pattern(kind, n);
+            const std::vector<double> ttft = pattern((kind + 1) % 3, n);
+            const std::vector<double> latency = pattern((kind + 2) % 3, n);
+            ServingReport r;
+            r.makespanSeconds = 1.0;
+            for (std::size_t i = 0; i < n; ++i) {
+                RequestMetrics m;
+                m.id = i;
+                m.arrivalSeconds = 0.125 * static_cast<double>(i);
+                m.admissionSeconds = m.arrivalSeconds + queue[i];
+                m.firstTokenSeconds = m.arrivalSeconds + ttft[i];
+                m.completionSeconds = m.arrivalSeconds + latency[i];
+                m.decodeTokens = 4;
+                r.requests.push_back(m);
+            }
+            finalizeServingAggregates(r, n);
+
+            std::vector<double> lat, que, fir;
+            double sum = 0.0;
+            for (const RequestMetrics &m : r.requests) {
+                lat.push_back(m.latencySeconds());
+                que.push_back(m.queueSeconds());
+                fir.push_back(m.firstTokenSeconds - m.arrivalSeconds);
+                sum += m.latencySeconds();
+            }
+            EXPECT_EQ(r.meanLatencySeconds, sum / static_cast<double>(n));
+            std::sort(lat.begin(), lat.end());
+            std::sort(que.begin(), que.end());
+            std::sort(fir.begin(), fir.end());
+            EXPECT_EQ(r.p50LatencySeconds, percentileSorted(lat, 0.50));
+            EXPECT_EQ(r.p90LatencySeconds, percentileSorted(lat, 0.90));
+            EXPECT_EQ(r.p99LatencySeconds, percentileSorted(lat, 0.99));
+            EXPECT_EQ(r.p50QueueSeconds, percentileSorted(que, 0.50));
+            EXPECT_EQ(r.p90QueueSeconds, percentileSorted(que, 0.90));
+            EXPECT_EQ(r.p99QueueSeconds, percentileSorted(que, 0.99));
+            EXPECT_EQ(r.p50FirstTokenSeconds, percentileSorted(fir, 0.50));
+            EXPECT_EQ(r.p90FirstTokenSeconds, percentileSorted(fir, 0.90));
+            EXPECT_EQ(r.p99FirstTokenSeconds, percentileSorted(fir, 0.99));
+        }
 }
 
 TEST(Serving, BatchedBusyTimeNeverExceedsSerialSum)

@@ -7,21 +7,25 @@
  *    two accelerators (or two shapes) can never alias a cost;
  *  - trace costing prices each distinct (model, task, prompt, decode)
  *    shape exactly once per topology, never through the plan cache,
- *    and is bit-identical at every thread count;
+ *    into a table in (prompt, decode, model, task) order, and is
+ *    bit-identical at every thread count;
  *  - a second simulate() on the same simulator recomputes nothing
  *    (full cache reuse by the paged recompute re-pricer).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "accel/plan_cache.hpp"
+#include "common/rng.hpp"
 #include "counting_accelerator.hpp"
 #include "engine/health.hpp"
 #include "engine/registry.hpp"
@@ -238,7 +242,7 @@ TEST(PlanCache, EqualLengthsOnDifferentTasksPriceSeparately)
     const model::LlmConfig &m = model::findModel("OPT1B3");
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         const engine::CostedRequest &c = costed.costs[i];
-        EXPECT_EQ(c.shape->task, reqs[i].task);
+        EXPECT_EQ(c.shape->task->name, reqs[i].task);
         // Each request carries its own task's batch-1 price.
         const RunMetrics rm = accel.run(m, reqs[i].workload());
         EXPECT_EQ(c.shape->rates[engine::kHealthy].prefillCycles,
@@ -246,6 +250,77 @@ TEST(PlanCache, EqualLengthsOnDifferentTasksPriceSeparately)
         EXPECT_EQ(c.shape->seconds, rm.seconds());
     }
     EXPECT_NE(costed.costs[0].shape, costed.costs[1].shape);
+}
+
+TEST(PlanCache, ShapeTableOrdersOnLengthsThenNames)
+{
+    engine::Registry registry;
+    const auto accel = registry.make("mcbp");
+    // Three (model, task) pairs, shuffled so they are first seen out
+    // of name order, all at the same lengths. Prompt lengths need 1, 2
+    // and 3 radix bytes, and each longer one has lower bytes below the
+    // shorter ones', so a missing pass misorders them. Decode lengths
+    // need 1 and 2 bytes, and every shape appears twice.
+    const std::vector<std::pair<std::string, std::string>> pairs = {
+        {"OPT1B3", "MBPP"}, {"Llama7B", "Dolly"}, {"OPT1B3", "Dolly"}};
+    std::vector<model::Request> reqs;
+    for (int copy = 0; copy < 2; ++copy)
+        for (const auto &[name, task] : pairs)
+            for (const std::size_t prompt : {200, 3000, 65600})
+                for (const std::size_t decode : {5, 260}) {
+                    model::Request r;
+                    r.model = name;
+                    r.task = task;
+                    r.promptLen = prompt;
+                    r.decodeLen = decode;
+                    reqs.push_back(r);
+                }
+    // A fixed-seed shuffle, then ids and arrivals in trace order.
+    Rng rng(29);
+    for (std::size_t i = reqs.size() - 1; i > 0; --i)
+        std::swap(reqs[i], reqs[rng.uniformInt(i + 1)]);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].arrivalSeconds = 0.01 * static_cast<double>(i);
+    }
+    std::vector<std::pair<std::string, std::string>> firstSeen;
+    for (const model::Request &r : reqs)
+        if (std::find(firstSeen.begin(), firstSeen.end(),
+                      std::pair(r.model, r.task)) == firstSeen.end())
+            firstSeen.emplace_back(r.model, r.task);
+    ASSERT_FALSE(std::is_sorted(firstSeen.begin(), firstSeen.end()));
+
+    // Entries hold zoo handles, not names or a workload copy.
+    EXPECT_LE(sizeof(engine::PricedShape), 200u);
+    engine::ServingOptions serial;
+    serial.costingThreads = 1;
+    const auto a = engine::ServingSimulator(*accel, serial).costTrace(reqs);
+    ASSERT_EQ(a.shapeCount(), reqs.size() / 2);
+    const auto key = [&](std::size_t i) {
+        return std::tie(reqs[i].promptLen, reqs[i].decodeLen, reqs[i].model,
+                        reqs[i].task);
+    };
+    const auto index = [&](std::size_t i) {
+        return a.costs[i].shape - a.table->shapes.data();
+    };
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(a.costs[i].shape->task->name, reqs[i].task);
+        EXPECT_EQ(a.costs[i].shape->config->name, reqs[i].model);
+        for (std::size_t j = 0; j < reqs.size(); ++j) {
+            // One entry per distinct shape, in shape order.
+            EXPECT_EQ(a.costs[i].shape == a.costs[j].shape, key(i) == key(j))
+                << i << " vs " << j;
+            EXPECT_EQ(index(i) < index(j), key(i) < key(j))
+                << i << " vs " << j;
+        }
+    }
+
+    engine::ServingOptions pooled;
+    pooled.costingThreads = 0;
+    const auto b = engine::ServingSimulator(*accel, pooled).costTrace(reqs);
+    expectCostsBitIdentical(a, b);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        EXPECT_EQ(b.costs[i].shape - b.table->shapes.data(), index(i));
 }
 
 TEST(PlanCache, SecondSimulateRecomputesNothing)
