@@ -12,7 +12,11 @@
  *     exactly the trace's distinct shapes, and costing leaves the plan
  *     cache untouched (0 computes). The >= 4x speedup gate binds only
  *     when the host grants >= 8 hardware threads (the fan-out cannot
- *     win on a 1-2 core runner).
+ *     win on a 1-2 core runner). A faulted tp=2 trace with a degraded
+ *     twin then gates lazy degraded pricing, host-independently:
+ *     costing runs the twin 0 times, and a run with one transient
+ *     chip failure prices each shape it reads once, fewer than the
+ *     table holds (degraded_shapes_priced).
  *  2. Decode-iteration coalescing — the same long-decode trace played
  *     through the event core per-token vs coalesced, under reserve
  *     and under a preempting paged pool. Scheduling decisions
@@ -41,8 +45,10 @@
 #include <string>
 #include <tuple>
 
+#include "../tests/counting_accelerator.hpp"
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
+#include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
 #include "model/request.hpp"
@@ -230,6 +236,51 @@ main(int argc, char **argv)
         .field("plan_cache_computes",
                par_sim.planCache()->computeCalls())
         .field("gate_enforced", cost_gate_enforced ? 1 : 0);
+
+    // ---- Section 1b: degraded prices on first read --------------------
+    bench::banner("Degraded costing: the twin prices only what runs read");
+    {
+        const auto replica = registry.make("mcbp:tp=2");
+        const engine::CountingAccelerator twin(
+            registry.make(engine::degradedSpec("mcbp:tp=2")));
+        engine::ServingOptions opts;
+        const double makespan = engine::ServingSimulator(*replica, opts)
+                                    .simulate(costing_trace)
+                                    .makespanSeconds;
+        opts.degradedAccel = &twin;
+        // One chip down for a twentieth of the healthy run.
+        sim::FaultEvent fail;
+        fail.at = makespan / 4.0;
+        fail.kind = sim::FaultKind::ChipFail;
+        fail.repairAt = fail.at + makespan / 20.0;
+        opts.faults.events = {fail};
+        const engine::ServingSimulator sim(*replica, opts);
+        const engine::ServingSimulator::CostedTrace costed =
+            sim.costTrace(costing_trace);
+        const std::size_t costing_runs = twin.runs();
+        const engine::ServingReport report = sim.serve(
+            costed,
+            sim::buildFaultTimeline(
+                opts.faults,
+                std::max<std::size_t>(1, replica->capabilities().kvShards)));
+        const std::size_t priced = costed.degradedShapesPriced();
+        const bool lazy_gate = costing_runs == 0 && twin.runs() == priced &&
+                               priced > 0 && priced < costed.shapeCount() &&
+                               report.degradedSeconds > 0.0;
+        all_gates = all_gates && lazy_gate;
+        std::printf("  twin runs at costing %zu   degraded shapes priced "
+                    "%zu of %zu   gate: %s\n",
+                    costing_runs, priced, costed.shapeCount(),
+                    lazy_gate ? "pass" : "FAIL");
+        json.begin()
+            .field("section", "degraded_costing")
+            .field("requests", costing_trace.size())
+            .field("distinct_shapes", costed.shapeCount())
+            .field("twin_runs_at_costing", costing_runs)
+            .field("degraded_shapes_priced", priced)
+            .field("degraded_s", report.degradedSeconds)
+            .field("gate", lazy_gate ? 1 : 0);
+    }
 
     // ---- Section 2: decode-iteration coalescing ----------------------
     bench::banner("Decode coalescing: per-token vs coalesced stepping");

@@ -42,6 +42,36 @@ stepModeFromEnv()
           value + "'");
 }
 
+LazyRates::LazyRates(const std::vector<PricedShape> &shapes, Pricer pricer)
+    : shapes_(shapes.data()), size_(shapes.size()),
+      pricer_(std::move(pricer)),
+      slots_(std::make_unique<std::atomic<const Rates *>[]>(size_))
+{
+}
+
+const Rates &
+LazyRates::of(const CostedRequest &request) const
+{
+    const std::size_t s = static_cast<std::size_t>(request.shape - shapes_);
+    panicIf(s >= size_, "lazy rates read for a shape of another table");
+    std::atomic<const Rates *> &slot = slots_[s];
+    if (const Rates *rates = slot.load(std::memory_order_acquire))
+        return *rates;
+    const std::lock_guard<std::mutex> lock(fill_);
+    if (const Rates *rates = slot.load(std::memory_order_relaxed))
+        return *rates; // Another run priced it while this one waited.
+    const Rates &rates = filled_.emplace_back(pricer_(request));
+    slot.store(&rates, std::memory_order_release);
+    return rates;
+}
+
+std::size_t
+LazyRates::priced() const
+{
+    const std::lock_guard<std::mutex> lock(fill_);
+    return filled_.size();
+}
+
 EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
                      KvOptions kv, PrefillPricer repricer, StepMode step,
                      FaultInputs faults, PrefillPricer degradedRepricer)
@@ -54,7 +84,8 @@ EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
     // A preemption re-prices the recompute on every topology the
     // re-admission could land in, so each needs its own re-pricer.
     for (std::size_t t = 0;
-         t < pricedTopologies(faults_.enabled, faults_.hasDegraded); ++t)
+         t < pricedTopologies(faults_.enabled, faults_.degraded != nullptr);
+         ++t)
         fatalIf(kv_.policy == KvPolicy::Paged && !repricers_[t],
                 "paged KV needs a prefill re-pricer for recompute on "
                 "every topology it serves");
@@ -108,8 +139,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
 
     // ---- Fault state (inert when faults are off) -----------------------
     const bool faulty = faults_.enabled;
+    const LazyRates *degraded = faults_.degraded;
     const std::size_t priced =
-        pricedTopologies(faults_.enabled, faults_.hasDegraded);
+        pricedTopologies(faults_.enabled, degraded != nullptr);
     const bool deadlines = faulty && faults_.deadlineCycles > 0.0;
     const std::vector<sim::FaultEvent> &timeline = faults_.timeline;
     std::size_t next_fault = 0;
@@ -132,7 +164,28 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     double clock = 0.0;
     std::size_t next_arrival = 0;
     WaitingQueue waiting(scheduler_->prefillAging(), priced, deadlines);
+    // The queue keys every entry on its degraded prefill too.
+    const bool degraded_order =
+        scheduler_->prefillAging().has_value() && priced == kTopologies;
     std::vector<CostedRequest *> active; // Admission order.
+
+    // The rates of c's shape in the current mode. A degraded price is
+    // computed the first time any run on the table reads it.
+    auto rates = [&](const CostedRequest &c) -> const Rates & {
+        return mode == kHealthy ? c.shape->rates : degraded->of(c);
+    };
+
+    // Copy the shape's full-prompt degraded prefill into c's degraded
+    // slots unless they already hold their values (a preemption's
+    // re-price, or an earlier read).
+    auto fill_degraded_prefill = [&](CostedRequest &c) {
+        if (c.degradedPrefillFilled)
+            return;
+        const Rates &r = degraded->of(c);
+        c.prefillCycles[kDegraded] = r.prefillCycles;
+        c.pendingPrefillJoules[kDegraded] = r.prefillJoules;
+        c.degradedPrefillFilled = true;
+    };
 
     // Clock advancement attributing degraded time. The arithmetic is
     // the zero-fault engine's plain `clock += delta` / `clock = to`,
@@ -187,6 +240,17 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         stats.completed.push_back(&c);
     };
 
+    // Queue c at the tail (an arrival or a retry) or at the head (a
+    // preemption). A degraded prefill order reads c's degraded prefill.
+    auto enqueue = [&](CostedRequest &c, bool atHead) {
+        if (degraded_order)
+            fill_degraded_prefill(c);
+        if (atHead)
+            waiting.pushFront(c, admit_bytes(c));
+        else
+            waiting.pushBack(c, admit_bytes(c));
+    };
+
     // Preempt the youngest running request (vLLM's recompute rule):
     // free its blocks, re-price its recompute prefill — the prompt
     // plus every token it has generated, replayed through the
@@ -215,7 +279,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             if (t == mode)
                 c->joules += price.joules;
         }
-        waiting.pushFront(*c, admit_bytes(*c));
+        c->degradedPrefillFilled = priced == kTopologies;
+        enqueue(*c, /*atHead=*/true);
     };
 
     // Pull every request that has arrived by the current clock into
@@ -223,8 +288,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     auto pull_arrivals = [&] {
         while (next_arrival < order.size() &&
                requests[order[next_arrival]].arrivalCycles <= clock) {
-            CostedRequest &c = requests[order[next_arrival++]];
-            waiting.pushBack(c, admit_bytes(c));
+            enqueue(requests[order[next_arrival++]], /*atHead=*/false);
         }
     };
 
@@ -252,11 +316,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             stats.faultLostTokens += progress;
             c->remainingTokens = c->req->decodeLen;
             c->firstTokenSeen = false;
-            for (std::size_t t = 0; t < kTopologies; ++t) {
-                const Rates &r = c->shape->rates[t];
-                c->prefillCycles[t] = r.prefillCycles;
-                c->pendingPrefillJoules[t] = r.prefillJoules;
-            }
+            c->prefillCycles[kHealthy] = c->shape->rates.prefillCycles;
+            c->pendingPrefillJoules[kHealthy] = c->shape->rates.prefillJoules;
+            c->degradedPrefillFilled = false;
             c->restartPending = true;
             ++stats.killedInFlight;
             ++impact.killed;
@@ -311,9 +373,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // The fleet runs degraded while a chip is down and the degraded
     // plan survives.
     auto update_mode = [&] {
-        const bool degraded = faults_.hasDegraded && !dead &&
-                              (permanent_down || chips_down > 0);
-        mode = degraded ? kDegraded : kHealthy;
+        mode = degraded != nullptr && !dead &&
+                       (permanent_down || chips_down > 0)
+                   ? kDegraded
+                   : kHealthy;
     };
 
     // Process every fault event due by the current clock, in timeline
@@ -337,14 +400,14 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                     // The degraded replan absorbs one permanent loss;
                     // a second one (or any loss on a fleet without a
                     // degraded plan) is fatal.
-                    if (!faults_.hasDegraded || permanent_down)
+                    if (degraded == nullptr || permanent_down)
                         dead = true;
                     permanent_down = true;
                 } else {
                     ++chips_down;
                     // Nothing to replan onto: the fleet is an outage
                     // until this chip's repair lands.
-                    if (!faults_.hasDegraded || permanent_down)
+                    if (degraded == nullptr || permanent_down)
                         outage_until =
                             std::max(outage_until, e.repairAt);
                 }
@@ -397,7 +460,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             if (c->deadlineCycles > 0.0 && clock >= c->deadlineCycles)
                 drop_request(c, nullptr);
             else
-                waiting.pushBack(*c, admit_bytes(*c));
+                enqueue(*c, /*atHead=*/false);
         }
     };
 
@@ -557,7 +620,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         double linear_max = 0.0;
         double other_max = 0.0;
         for (const CostedRequest *c : active) {
-            const Rates &r = c->shape->rates[mode];
+            const Rates &r = rates(*c);
             weight_cycles = std::max(weight_cycles, r.weightCyclesPerToken);
             weight_joules = std::max(weight_joules, r.weightJoulesPerToken);
             linear_cycles += r.linearCyclesPerToken;
@@ -570,7 +633,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         }
         // Everyone in the batch runs on the same accelerator, so the
         // stage count and composition rule are uniform across it.
-        const Rates &front = active.front()->shape->rates[mode];
+        const Rates &front = rates(*active.front());
         // Stage-aware costing: on a pipeline, distinct requests'
         // traversals overlap across the stages, so the batch's summed
         // work drains at the bottleneck stage (sum/stages) — but a
@@ -693,6 +756,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             // The prefill runs now, in the current mode: charge its
             // energy (nothing after a paged preemption, which charged
             // the recompute when it fired).
+            if (mode == kDegraded)
+                fill_degraded_prefill(*c);
             const double prefill = c->prefillCycles[mode];
             advance(prefill);
             stats.busyCycles += prefill;
@@ -817,8 +882,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             cost.weightJoules / static_cast<double>(active.size());
         for (auto it = active.begin(); it != active.end();) {
             CostedRequest *c = *it;
-            c->joules += kd * (c->shape->rates[mode].otherJoulesPerToken +
-                               weight_joules_share);
+            c->joules +=
+                kd * (rates(*c).otherJoulesPerToken + weight_joules_share);
             if (!c->firstTokenSeen) {
                 c->firstTokenSeen = true;
                 // End of the window's first iteration — exact for any

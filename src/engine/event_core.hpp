@@ -56,8 +56,9 @@
  * retry with capped exponential backoff in simulated time; past the
  * retry budget or the per-request deadline the request drops. A
  * failed chip puts the fleet in degraded mode (requests prefill and
- * decode at their degraded-topology rates) when the caller supplied
- * them, in outage (no decode, no admission until repair) otherwise;
+ * decode at their degraded-topology rates, priced per shape the first
+ * time a run reads them) when the caller supplied a degraded
+ * topology, in outage (no decode, no admission until repair) otherwise;
  * a second permanent failure is fatal to the fleet and drops all remaining
  * work. Deadlines apply to queued work only: an actively decoding
  * request runs to completion and merely misses the SLO. With
@@ -68,8 +69,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -103,7 +108,7 @@ StepMode stepModeFromEnv();
  * Topology modes a request is priced on, indexing the per-topology
  * arrays of CostedRequest: the healthy fleet, and the surviving fleet
  * after a chip failure (health.hpp), whose prices the event core
- * switches to while the fleet runs degraded.
+ * switches to while the fleet runs degraded (FaultInputs::degraded).
  */
 inline constexpr std::size_t kHealthy = 0;
 inline constexpr std::size_t kDegraded = 1;
@@ -112,7 +117,7 @@ inline constexpr std::size_t kTopologies = 2;
 /**
  * Topologies a run prices: the healthy one, plus the degraded one when
  * faults are on and a degraded accelerator exists (only then can the
- * fleet run on it).
+ * fleet run on it). The degraded one is priced per shape on first read.
  */
 inline std::size_t
 pricedTopologies(bool faultsEnabled, bool hasDegraded)
@@ -161,12 +166,13 @@ struct Rates
 /**
  * Batch-1 prices of one distinct request shape — (promptLen,
  * decodeLen, model, task), every input Accelerator::run() depends on —
- * on every priced topology. The serving layer's shape table holds one
+ * on the healthy topology. The serving layer's shape table holds one
  * immutable entry per distinct shape, in the shape order; every
  * request of that shape points at it (CostedRequest::shape), and the
  * request itself carries the lengths. The model and task are handles
  * into the static zoos (model::findModel, model::findTask), so an
- * entry holds no string.
+ * entry holds no string. Degraded-topology prices live in the shape
+ * table's LazyRates, priced only for the shapes a run reads.
  */
 struct PricedShape
 {
@@ -174,9 +180,8 @@ struct PricedShape
      *  re-prices at the request's own prompt length. */
     const model::LlmConfig *config = nullptr;
     const model::Workload *task = nullptr;
-    /** Prices per topology. The degraded entry is set only when a
-     *  degraded accelerator was priced (FaultInputs::hasDegraded). */
-    std::array<Rates, kTopologies> rates{};
+    /** Prices on the healthy topology. */
+    Rates rates{};
     /** The healthy batch-1 run: time, energy and clock, which the
      *  serial baseline sums per request. */
     double seconds = 0.0;
@@ -199,16 +204,17 @@ struct CostedRequest
      */
     model::Workload recomputeShape;
     double arrivalCycles = 0.0;
-    /** The request's shape entry: its prices per topology. Owned by
-     *  the shape table the costed trace holds, never by the request. */
+    /** The request's shape entry: its healthy prices. Owned by the
+     *  shape table the costed trace holds, never by the request. */
     const PricedShape *shape = nullptr;
     /** Prefill cycles the next admission pays, per topology (re-priced
-     *  to the recompute length after a preemption). */
+     *  to the recompute length after a preemption). Costing fills only
+     *  the healthy slot; see degradedPrefillFilled. */
     std::array<double, kTopologies> prefillCycles{};
     /** Prefill energy the next admission charges, in the mode the
-     *  prefill runs in, per topology. Costing fills it and leaves
-     *  `joules` at 0; admission charges it and clears it, so a
-     *  re-admission after a paged preemption (whose recompute energy
+     *  prefill runs in, per topology. Costing fills the healthy slot
+     *  and leaves `joules` at 0; admission charges it and clears it, so
+     *  a re-admission after a paged preemption (whose recompute energy
      *  is charged at the preemption) adds nothing, and a fault kill
      *  re-arms it at the full-prompt price. */
     std::array<double, kTopologies> pendingPrefillJoules{};
@@ -247,6 +253,51 @@ struct CostedRequest
      *  as fault-attributable recompute. */
     bool restartPending = false;
     bool dropped = false;
+    /**
+     * The degraded slots of prefillCycles and pendingPrefillJoules hold
+     * their values. While false they stand for the shape's full-prompt
+     * degraded price, which the event core copies in the first time it
+     * reads them (FaultInputs::degraded). Costing and a fault kill
+     * leave them unfilled; a paged preemption fills them with its
+     * re-price.
+     */
+    bool degradedPrefillFilled = false;
+};
+
+/**
+ * One topology's prices of a shape table, each computed the first time
+ * a run reads it: the degraded topology, which most shapes never run
+ * on. A slot is priced at most once, under a lock, and published
+ * through an atomic pointer, so the replica runs of a fleet that read
+ * one table concurrently share every price, race-free, and get the
+ * same bits at any thread count.
+ */
+class LazyRates
+{
+  public:
+    /** Prices the shape of @p request. */
+    using Pricer = std::function<Rates(const CostedRequest &request)>;
+
+    /** One empty slot per entry of @p shapes, which must outlive this
+     *  and keep its size. */
+    LazyRates(const std::vector<PricedShape> &shapes, Pricer pricer);
+
+    /** The rates of @p request's shape, an entry of the shapes this was
+     *  built over; priced on the first call for that shape. */
+    const Rates &of(const CostedRequest &request) const;
+
+    /** Shapes priced so far. */
+    std::size_t priced() const;
+
+  private:
+    const PricedShape *shapes_;
+    std::size_t size_;
+    Pricer pricer_;
+    /** Each shape's rates once priced, else null. */
+    std::unique_ptr<std::atomic<const Rates *>[]> slots_;
+    mutable std::mutex fill_;
+    /** The priced rates, in pricing order; a deque keeps addresses. */
+    mutable std::deque<Rates> filled_;
 };
 
 /**
@@ -270,9 +321,12 @@ struct FaultInputs
     /** Per-request completion deadline from arrival (0 = none):
      *  queued or retrying work past it is dropped. */
     double deadlineCycles = 0.0;
-    /** Degraded-topology rates are present on every request, so chip
-     *  failures degrade the fleet instead of taking it down. */
-    bool hasDegraded = false;
+    /** The degraded-topology prices of the requests' shape table, or
+     *  null when there is no degraded topology. When set, chip
+     *  failures degrade the fleet instead of taking it down, and a
+     *  degraded price is computed the first time the run reads it. Not
+     *  owned; must outlive the run. */
+    const LazyRates *degraded = nullptr;
 };
 
 /**
@@ -445,8 +499,8 @@ class EventCore
      * @p step Auto resolves MCBP_SERVING_STEP at construction.
      * @p faults default-constructed disables fault injection.
      * @p degradedRepricer prices a recompute prefill on the degraded
-     * topology (required when faults.hasDegraded and the KV policy is
-     * paged, so a preemption keeps both prefill prices fresh).
+     * topology (required when faults.degraded is set and the KV policy
+     * is paged, so a preemption keeps both prefill prices fresh).
      */
     EventCore(const Scheduler &scheduler, std::size_t maxBatch,
               KvOptions kv, PrefillPricer repricer = nullptr,

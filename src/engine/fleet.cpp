@@ -203,22 +203,10 @@ FleetOutcome
 FleetRouter::simulate(const std::vector<model::Request> &trace) const
 {
     const std::size_t dp = fleet_->options().dataParallel;
-    FleetOutcome out;
-    if (dp == 1 || trace.empty()) {
-        // Identity at dp=1: one replica serves the whole trace —
-        // bit-identical to the flat (non-fleet) path by construction.
-        // An empty trace gives every replica the zeroed report.
-        out.replicas.assign(dp, server_.simulate(trace));
-        out.fleet = out.replicas[0];
-        out.fleet.accelerator = fleet_->name();
-        out.assignment.assign(trace.size(), 0);
-        return out;
-    }
-
     // Failover and the merge track requests by id across replicas, so
     // a repeated id would conflate two requests (a phantom drop).
     Dispatch run;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
+    for (std::size_t i = 0; dp > 1 && i < trace.size(); ++i) {
         const auto [it, fresh] = run.indexById.emplace(trace[i].id, i);
         if (!fresh)
             fatal("request id " + std::to_string(trace[i].id) +
@@ -228,16 +216,32 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
                   " fleet tracks requests by id, so ids must be unique");
     }
 
-    // One costing of the full trace prices every distinct shape once,
-    // on the replica and (when faults can degrade it) its degraded
-    // replica. Every stage reads it: routing estimates, copies for each
-    // replica run and failover re-run, and the fleet serial baseline,
-    // which counts each request once however often it is rerouted.
-    const CostedTrace costed = server_.costTrace(trace);
-
+    // One costing of the full trace prices every distinct shape once
+    // on the replica; the degraded replica prices a shape the first
+    // time any run reads it. Every stage reads it: routing estimates,
+    // copies for each replica run and failover re-run, and the fleet
+    // serial baseline, which counts each request once however often it
+    // is rerouted.
+    CostedTrace costed = server_.costTrace(trace);
     std::vector<sim::FaultEvent> timeline;
-    if (opts_.faults.enabled())
+    if (opts_.faults.enabled() && !trace.empty())
         timeline = sim::buildFaultTimeline(opts_.faults, chips_ * dp);
+
+    FleetOutcome out;
+    if (dp == 1 || trace.empty()) {
+        // Identity at dp=1: one replica serves the whole trace, exactly
+        // as the flat (non-fleet) path simulate()s it. An empty trace
+        // gives every replica the zeroed report.
+        const std::shared_ptr<const ShapeTable> table = costed.table;
+        out.replicas.assign(
+            dp, server_.serve(std::move(costed), std::move(timeline)));
+        out.fleet = out.replicas[0];
+        out.fleet.accelerator = fleet_->name();
+        out.assignment.assign(trace.size(), 0);
+        out.degradedShapesPriced = table ? table->degradedShapesPriced() : 0;
+        return out;
+    }
+
     run.timelines = sliceFaults(timeline, dp, chips_);
     run.deadAt = replicaDeathTimes(timeline, dp, chips_,
                                    replicaOpts_.degradedAccel != nullptr);
@@ -252,7 +256,9 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
     std::iota(all.begin(), all.end(), 0);
     run.reports = serveReplicas(costed, run.subTraces, run.timelines, all);
     failover(costed, run);
-    return merge(costed, std::move(run));
+    out = merge(costed, std::move(run));
+    out.degradedShapesPriced = costed.degradedShapesPriced();
+    return out;
 }
 
 std::vector<std::size_t>
@@ -327,7 +333,7 @@ FleetRouter::route(const CostedTrace &costed,
                 std::max_element(deadAt.begin(), deadAt.end()) -
                 deadAt.begin());
         // The request's KV retires at its healthy estimated finish.
-        const Rates &r = c.shape->rates[kHealthy];
+        const Rates &r = c.shape->rates;
         const double perToken = r.weightCyclesPerToken +
                                 r.linearCyclesPerToken +
                                 r.otherCyclesPerToken + r.fixedCyclesPerToken;

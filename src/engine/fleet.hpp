@@ -133,6 +133,10 @@ struct FleetOutcome
     std::vector<std::size_t> assignment;
     /** Failover re-dispatches performed (0 on healthy runs). */
     std::size_t reroutes = 0;
+    /** Distinct shapes the fleet's runs priced on the degraded
+     *  topology, counted once every replica run and failover re-run is
+     *  done (CostedTrace::degradedShapesPriced). */
+    std::size_t degradedShapesPriced = 0;
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <tuple>
 #include <utility>
 
@@ -204,6 +205,21 @@ ServingSimulator::ServingSimulator(const Accelerator &accel,
             fatal(std::string("retry.") + field + " is " +
                   std::to_string(value) +
                   "; it must be finite and >= 0 seconds");
+    // Both topologies' cycles land on one timeline, so a twin at
+    // another clock is rejected here, before any costing or run.
+    if (opts_.degradedAccel != nullptr) {
+        const double primary = accel.capabilities().clockGhz;
+        const double degraded = opts_.degradedAccel->capabilities().clockGhz;
+        if (degraded != primary) {
+            std::ostringstream msg;
+            msg << "degraded accelerator " << opts_.degradedAccel->name()
+                << " runs at " << degraded << " GHz, but the primary "
+                << accel.name() << " runs at " << primary
+                << " GHz; the degraded accelerator must run at the "
+                   "primary's clock (cycle timelines merge)";
+            fatal(msg.str());
+        }
+    }
     for (std::size_t t = 0; t < kTopologies; ++t)
         if (accels_[t] != nullptr)
             identities_[t] =
@@ -304,13 +320,11 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
             std::max<std::size_t>(1, device.capabilities().pipelineStages);
     }
 
-    // ---- Price each shape once per topology -----------------------------
+    // ---- Price each shape on the healthy topology -----------------------
     // Every shape is an independent task calling run() directly: no
     // key string, no shared lock. The table is sized once and each
     // task writes only its own slot, so it is bit-identical at every
-    // thread count. Every topology splits its streams through the same
-    // ratesOf(), so degraded decode windows compose the same way
-    // healthy ones do.
+    // thread count.
     auto table = std::make_shared<ShapeTable>();
     table->shapes.resize(firsts.size());
     parallel::parallelFor(
@@ -320,23 +334,34 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
             PricedShape &shape = table->shapes[s];
             shape.config = pairs[key.pair].config;
             shape.task = pairs[key.pair].task;
-            const model::Workload w = model::singleRequest(
-                *shape.task, key.promptLen, key.decodeLen);
-            for (std::size_t t = 0; t < priced; ++t) {
-                const accel::RunMetrics rm =
-                    accels_[t]->run(*shape.config, w);
-                if (t == kHealthy) {
-                    shape.seconds = rm.seconds();
-                    shape.joules = rm.joules();
-                    shape.clockGhz = rm.clockGhz;
-                }
-                fatalIf(rm.clockGhz != shape.clockGhz,
-                        "degraded accelerator must run at the primary "
-                        "accelerator's clock (cycle timelines merge)");
-                shape.rates[t] = ratesOf(rm, key.decodeLen, stages[t]);
-            }
+            const accel::RunMetrics rm = accels_[kHealthy]->run(
+                *shape.config, model::singleRequest(
+                                   *shape.task, key.promptLen, key.decodeLen));
+            shape.seconds = rm.seconds();
+            shape.joules = rm.joules();
+            shape.clockGhz = rm.clockGhz;
+            shape.rates = ratesOf(rm, key.decodeLen, stages[kHealthy]);
         },
         opts_.costingThreads);
+
+    // ---- Degraded prices, on first read ---------------------------------
+    // Only the shapes a run reads in degraded mode (or queues in a
+    // degraded prefill order) are ever priced there. The profiles were
+    // announced above, so a lazy price never profiles mid-run. Both
+    // topologies split their streams through the same ratesOf(), so
+    // degraded decode windows compose the same way healthy ones do.
+    if (priced == kTopologies)
+        table->degraded = std::make_unique<const LazyRates>(
+            table->shapes,
+            [device = accels_[kDegraded],
+             stages = stages[kDegraded]](const CostedRequest &c) {
+                const model::Request &r = *c.req;
+                return ratesOf(device->run(*c.shape->config,
+                                           model::singleRequest(
+                                               *c.shape->task, r.promptLen,
+                                               r.decodeLen)),
+                               r.decodeLen, stages);
+            });
     return table;
 }
 
@@ -371,11 +396,10 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             model::singleRequest(*shape.task, req.promptLen, 0);
         c.shape = &shape;
         // Admission charges the prefill energy, in the mode the
-        // prefill runs in (an unpriced topology's rates are 0).
-        for (std::size_t t = 0; t < kTopologies; ++t) {
-            c.prefillCycles[t] = shape.rates[t].prefillCycles;
-            c.pendingPrefillJoules[t] = shape.rates[t].prefillJoules;
-        }
+        // prefill runs in. The degraded slots stay unfilled until the
+        // event core reads them (CostedRequest::degradedPrefillFilled).
+        c.prefillCycles[kHealthy] = shape.rates.prefillCycles;
+        c.pendingPrefillJoules[kHealthy] = shape.rates.prefillJoules;
         c.arrivalCycles = req.arrivalSeconds * shape.clockGhz * 1e9;
         // Largest-residency footprint, quantized by the KV policy:
         // exact (prompt + decode) bytes under reserve, whole blocks
@@ -457,7 +481,12 @@ ServingSimulator::serve(CostedTrace costed,
         faults.backoffCapCycles =
             opts_.retry.backoffCapSeconds * to_cycles;
         faults.deadlineCycles = opts_.retry.deadlineSeconds * to_cycles;
-        faults.hasDegraded = opts_.degradedAccel != nullptr;
+        // costTrace() builds the lazy degraded prices exactly when this
+        // simulator has faults on and a degraded accelerator.
+        faults.degraded = costed.table->degraded.get();
+        fatalIf((topologies() == kTopologies) != (faults.degraded != nullptr),
+                "serve() needs a trace costed by a simulator with the "
+                "same faults and degraded accelerator");
     }
 
     // ---- Discrete-event loop under the selected policies ----------------

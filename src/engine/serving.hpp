@@ -159,8 +159,10 @@ struct ServingOptions
      * chip failure; see health.hpp's degradedSpec to derive its spec
      * string). When set, chip failures put serving in degraded mode
      * at this accelerator's prices instead of a full outage, and one
-     * permanent failure is survivable. Not owned; must outlive the
-     * simulator. Must run at the same clock as the primary.
+     * permanent failure is survivable. Its prices are computed per
+     * shape the first time a run reads them (LazyRates). Not owned;
+     * must outlive the simulator and every trace it costs. Must run at
+     * the primary's clock: the constructor fatal()s otherwise.
      */
     const Accelerator *degradedAccel = nullptr;
 };
@@ -324,16 +326,28 @@ void finalizeServingAggregates(ServingReport &report,
                                std::size_t traceSize);
 
 /**
- * The immutable prices of a trace's distinct request shapes, in
- * (promptLen, decodeLen, model, task) order: the prepare-once half of
- * trace costing. Each entry is priced once per topology, in place, and
- * every costed request of that shape points at it. A fleet prices its
- * full trace once; every replica run and failover re-run serves copies
- * of those costed requests, so they point into the same table.
+ * The prices of a trace's distinct request shapes, in (promptLen,
+ * decodeLen, model, task) order: the prepare-once half of trace
+ * costing. Each entry is priced once on the healthy topology, in
+ * place, and every costed request of that shape points at it. The
+ * degraded topology's prices are filled lazily, each at most once. A
+ * fleet prices its full trace once; every replica run and failover
+ * re-run serves copies of those costed requests, so they point into,
+ * and share the degraded prices of, the same table.
  */
 struct ShapeTable
 {
+    /** Immutable healthy prices. */
     std::vector<PricedShape> shapes;
+    /** Degraded prices of `shapes`, priced on first read; null unless
+     *  faults are on and a degraded accelerator is set. */
+    std::unique_ptr<const LazyRates> degraded;
+
+    /** Shapes priced on the degraded topology so far. */
+    std::size_t degradedShapesPriced() const
+    {
+        return degraded ? degraded->priced() : 0;
+    }
 };
 
 /** Continuous-batching serving simulator over one accelerator. */
@@ -372,6 +386,13 @@ class ServingSimulator
         {
             return table ? table->shapes.size() : 0;
         }
+
+        /** Shapes the runs on this trace's table have priced on the
+         *  degraded topology so far: 0 after costing. */
+        std::size_t degradedShapesPriced() const
+        {
+            return table ? table->degradedShapesPriced() : 0;
+        }
     };
 
     /**
@@ -379,12 +400,14 @@ class ServingSimulator
      * (promptLen, decodeLen, the name-order rank of its (model, task)
      * pair) and radix-sort the keys once into the distinct shapes,
      * warm the profile cache once per distinct (model, task,
-     * promptLen), then price each shape once per topology into its own
-     * table slot with Accelerator::run() on up to
-     * ServingOptions::costingThreads threads — no plan cache, no lock,
-     * no string compared. The serial sums accumulate in trace order,
-     * so the result is bit-identical at every thread count. The costed
-     * requests point into @p trace, which must outlive them.
+     * promptLen) and priced topology, then price each shape once on
+     * the healthy topology into its own table slot with
+     * Accelerator::run() on up to ServingOptions::costingThreads
+     * threads — no plan cache, no lock, no string compared. Degraded
+     * prices are left for the runs to compute on first read. The
+     * serial sums accumulate in trace order, so the result is
+     * bit-identical at every thread count. The costed requests point
+     * into @p trace, which must outlive them.
      */
     CostedTrace costTrace(const std::vector<model::Request> &trace) const;
 

@@ -12,14 +12,19 @@
  *    drop everything into a zeroed-but-tagged report; with a degraded
  *    accelerator the fleet replans and serves through at degraded
  *    prices; deadlines drop queued work and dent SLO attainment;
- *  - a negative or non-finite retry backoff or deadline is rejected
- *    when the simulator is built;
+ *  - a negative or non-finite retry backoff or deadline, or a degraded
+ *    accelerator at another clock, is rejected when the simulator is
+ *    built;
+ *  - degraded prices are computed on first read: costing prices none,
+ *    a run prices each shape it reads in degraded mode once, and the
+ *    parallel replica runs of a fleet share them;
  *  - degradedSpec() rewrites topologies the way a surviving fleet
  *    re-forms (halved axis, invalid knobs dropped), on the same spec
  *    grammar Registry::make() reads.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -27,6 +32,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "counting_accelerator.hpp"
+#include "engine/fleet.hpp"
 #include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
@@ -210,7 +217,7 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         EXPECT_EQ(f.joules, 0.0);
         EXPECT_EQ(h.pendingPrefillJoules[kHealthy],
                   f.pendingPrefillJoules[kHealthy]);
-        EXPECT_EQ(f.shape->rates[kHealthy].prefillCycles,
+        EXPECT_EQ(f.shape->rates.prefillCycles,
                   f.prefillCycles[kHealthy]);
     }
 }
@@ -408,6 +415,118 @@ TEST(FaultServing, FailureAtTimeZeroServesLikeTheDegradedAccelerator)
     EXPECT_EQ(r.joulesPerToken, survivor.joulesPerToken);
 }
 
+TEST(FaultServing, DegradedPricesOnlyWhatADegradedWindowReads)
+{
+    const auto trace = smallTrace(64, 30.0);
+    Registry registry;
+    const auto accel = registry.make("mcbp:tp=2");
+    const CountingAccelerator twin(registry.make(degradedSpec("mcbp:tp=2")));
+
+    ServingOptions plain;
+    plain.maxBatch = 8;
+    const double makespan =
+        ServingSimulator(*accel, plain).simulate(trace).makespanSeconds;
+
+    // A twin without faults, or with faults that fail no chip, is
+    // never read.
+    ServingOptions off = plain;
+    off.degradedAccel = &twin;
+    (void)ServingSimulator(*accel, off).simulate(trace);
+    ServingOptions slow = off;
+    slow.faults.seed = 3;
+    slow.faults.stragglerRate = 20.0;
+    slow.faults.horizonSeconds = makespan;
+    EXPECT_GT(ServingSimulator(*accel, slow).simulate(trace).faultEvents, 0u);
+    EXPECT_EQ(twin.runs(), 0u);
+
+    // One transient chip failure: costing prices no degraded shape, and
+    // the run prices each shape it reads in degraded mode exactly once.
+    ServingOptions opts = off;
+    opts.faults = transientFailAt(makespan / 3.0, makespan / 10.0);
+    const ServingSimulator sim(*accel, opts);
+    const ServingSimulator::CostedTrace costed = sim.costTrace(trace);
+    EXPECT_EQ(twin.runs(), 0u);
+    EXPECT_EQ(costed.degradedShapesPriced(), 0u);
+    const ServingReport r = sim.serve(
+        costed,
+        sim::buildFaultTimeline(
+            opts.faults,
+            std::max<std::size_t>(1, accel->capabilities().kvShards)));
+    EXPECT_GT(r.degradedSeconds, 0.0);
+    const std::size_t priced = costed.degradedShapesPriced();
+    EXPECT_GT(priced, 0u);
+    EXPECT_LT(priced, costed.shapeCount());
+    EXPECT_EQ(twin.runs(), priced);
+    // simulate() is that costing and run: the same report, on a fresh
+    // table that prices the same shapes again.
+    const ServingReport again = sim.simulate(trace);
+    EXPECT_EQ(again.makespanSeconds, r.makespanSeconds);
+    EXPECT_EQ(again.admissionOrder, r.admissionOrder);
+    EXPECT_EQ(twin.runs(), 2 * priced);
+
+    // A dp=2 fleet's replicas read one table in parallel. They price
+    // the shapes its replicas price when served one at a time.
+    const auto fleetAccel = registry.make("mcbp:tp=2,dp=2");
+    const auto &fleet = dynamic_cast<const FleetAccelerator &>(*fleetAccel);
+    const std::size_t chips =
+        std::max<std::size_t>(1, fleet.replica().capabilities().kvShards);
+    const CountingAccelerator parallelTwin(
+        registry.make(degradedSpec("mcbp:tp=2")));
+    ServingOptions fleetOpts = plain;
+    fleetOpts.degradedAccel = &parallelTwin;
+    fleetOpts.faults = transientFailAt(makespan / 4.0, makespan / 10.0);
+    sim::FaultEvent second = fleetOpts.faults.events[0];
+    second.at = makespan / 2.0;
+    second.repairAt = second.at + makespan / 10.0;
+    second.chip = chips; // Replica 1's first chip.
+    fleetOpts.faults.events.push_back(second);
+    const FleetOutcome out = FleetRouter(fleet, fleetOpts).simulate(trace);
+    ASSERT_EQ(out.reroutes, 0u);
+    EXPECT_GT(out.degradedShapesPriced, 0u);
+    EXPECT_EQ(parallelTwin.runs(), out.degradedShapesPriced);
+
+    const CountingAccelerator serialTwin(
+        registry.make(degradedSpec("mcbp:tp=2")));
+    ServingOptions serialOpts = fleetOpts;
+    serialOpts.degradedAccel = &serialTwin;
+    const FleetRouter router(fleet, serialOpts);
+    const ServingSimulator::CostedTrace fleetCosted =
+        ServingSimulator(fleet.replica(), serialOpts).costTrace(trace);
+    const std::vector<std::size_t> assignment = router.route(
+        fleetCosted,
+        std::vector<double>(2, std::numeric_limits<double>::infinity()));
+    ASSERT_EQ(assignment, out.assignment);
+    std::vector<FleetRouter::SubTrace> subTraces(2);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        subTraces[assignment[i]].push_back({i, &trace[i]});
+    for (FleetRouter::SubTrace &sub : subTraces)
+        std::stable_sort(sub.begin(), sub.end(),
+                         [](const FleetRouter::Routed &a,
+                            const FleetRouter::Routed &b) {
+                             return std::pair(a.req->arrivalSeconds,
+                                              a.req->id) <
+                                    std::pair(b.req->arrivalSeconds,
+                                              b.req->id);
+                         });
+    std::vector<std::vector<sim::FaultEvent>> timelines;
+    for (sim::FaultEvent e : fleetOpts.faults.events) {
+        e.chip %= chips;
+        sim::FaultSpec local;
+        local.events = {e};
+        timelines.push_back(sim::buildFaultTimeline(local, chips));
+    }
+    for (std::size_t replica = 0; replica < 2; ++replica) {
+        const ServingReport alone = router.serveReplicas(
+            fleetCosted, subTraces, timelines, {replica})[0];
+        EXPECT_EQ(alone.makespanSeconds,
+                  out.replicas[replica].makespanSeconds);
+        EXPECT_EQ(alone.admissionOrder,
+                  out.replicas[replica].admissionOrder);
+    }
+    EXPECT_EQ(fleetCosted.degradedShapesPriced(), out.degradedShapesPriced);
+    EXPECT_EQ(serialTwin.runs(), out.degradedShapesPriced);
+}
+
 TEST(FaultServing, DeadlinesDropQueuedWorkDuringOutage)
 {
     const auto trace = smallTrace(16, 60.0); // Dense arrivals queue up.
@@ -465,6 +584,28 @@ expectRetryFieldChecked(double RetryOptions::*field, const char *name)
     ServingOptions zero;
     zero.retry.*field = 0.0;
     EXPECT_EQ(constructionError(zero), "") << name;
+}
+
+TEST(FaultServing, DegradedTwinAtAnotherClockIsRejectedAtConstruction)
+{
+    // The A100 model runs at 1.41 GHz, the MCBP chip at 1 GHz.
+    Registry registry;
+    const CountingAccelerator twin(registry.make("a100"));
+    ASSERT_NE(twin.capabilities().clockGhz, 1.0);
+    ServingOptions opts;
+    opts.degradedAccel = &twin;
+    opts.faults.mtbfSeconds = 1.0;
+    opts.faults.horizonSeconds = 2.0;
+    const std::string msg = constructionError(opts);
+    EXPECT_NE(msg.find("1.41 GHz"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at 1 GHz"), std::string::npos) << msg;
+    // A fleet's replica simulator checks its unwrapped twin too.
+    const auto fleetAccel = registry.make("mcbp:dp=2");
+    const auto &fleet = dynamic_cast<const FleetAccelerator &>(*fleetAccel);
+    EXPECT_THROW((void)FleetRouter(fleet, opts), std::runtime_error);
+    EXPECT_THROW((void)ServingSimulator(fleet, opts), std::runtime_error);
+    // Rejected before any costing ran the twin.
+    EXPECT_EQ(twin.runs(), 0u);
 }
 
 TEST(RetryOptions, NegativeOrNonFiniteBackoffBaseIsRejected)

@@ -12,8 +12,10 @@
  *  - the fleet's degraded fraction stays within [0, 1] although its
  *    degraded time sums the replicas, and it counts each fleet-wide
  *    fault event once, as its fault log does;
- *  - the fleet prices each distinct shape once per topology, and no
- *    replica run or failover re-run prices it again;
+ *  - the fleet prices each distinct shape once on the healthy
+ *    topology and at most once on the degraded one (on its first
+ *    degraded read), and no replica run or failover re-run prices it
+ *    again;
  *  - goldens: twelve fleet configs (dp=2/3/4, pp=/tp= replicas,
  *    reserve and paged KV, failover, degraded twins, sampled and
  *    hand-authored faults) hash their merged report, every replica
@@ -702,10 +704,13 @@ TEST(Fleet, PricesEachShapeOnceAcrossReplicasAndFailover)
     EXPECT_GT(out.fleet.degradedSeconds, 0.0);
     expectConservation(out.fleet, trace);
 
-    // The fleet priced the full trace once per topology; no replica
-    // run or failover re-run priced anything again.
+    // The fleet priced the full trace once on the healthy topology,
+    // and each shape a degraded window read once on the degraded one;
+    // no replica run or failover re-run priced anything again.
     EXPECT_EQ(healthy.runs(), shapes.size());
-    EXPECT_EQ(degraded.runs(), shapes.size());
+    EXPECT_GT(out.degradedShapesPriced, 0u);
+    EXPECT_LE(out.degradedShapesPriced, shapes.size());
+    EXPECT_EQ(degraded.runs(), out.degradedShapesPriced);
 }
 
 TEST(Fleet, DegradedFractionStaysWithinOne)

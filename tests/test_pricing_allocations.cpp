@@ -6,8 +6,9 @@
  *  - one run() allocates at most once on a flat chip, a small constant
  *    on a pp=2,tp=2 replica and on its degraded twin;
  *  - costTrace allocates about once per distinct shape on a flat chip,
- *    and a small constant per shape and topology on the faulted
- *    pp=2,tp=2 set-up.
+ *    and a small constant per shape on the faulted pp=2,tp=2 set-up,
+ *    whose degraded twin costing never runs (its prices are computed
+ *    on first read, in the event core).
  *
  * This binary replaces the global operator new/delete with a counting
  * pair that forwards to malloc/free. Counting is switched on only
@@ -194,9 +195,11 @@ TEST(PricingAllocations, FaultedReplicaCostTraceStaysSmallPerShape)
     ServingSimulator::CostedTrace costed;
     const std::size_t n =
         allocationsOf([&] { costed = sim.costTrace(trace); });
-    const std::size_t priced = costed.shapeCount() * kTopologies;
-    ASSERT_GT(costed.shapeCount(), 500u);
-    EXPECT_LE(n, 8 * priced) << priced << " shape-topology prices";
+    // About 4 per shape: one healthy run each. Pricing the twin too
+    // would add 2 more per shape.
+    const std::size_t shapes = costed.shapeCount();
+    ASSERT_GT(shapes, 500u);
+    EXPECT_LE(n, 5 * shapes) << shapes << " shapes";
 }
 
 } // namespace
