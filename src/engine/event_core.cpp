@@ -83,16 +83,14 @@ EventCore::EventCore(const Scheduler &scheduler, std::size_t maxBatch,
     fatalIf(maxBatch_ == 0, "maxBatch must be positive");
     // A preemption re-prices the recompute on every topology the
     // re-admission could land in, so each needs its own re-pricer.
-    for (std::size_t t = 0;
-         t < pricedTopologies(faults_.enabled, faults_.degraded != nullptr);
-         ++t)
+    const std::size_t priced = faults_.degraded != nullptr ? kTopologies : 1;
+    for (std::size_t t = 0; t < priced; ++t)
         fatalIf(kv_.policy == KvPolicy::Paged && !repricers_[t],
                 "paged KV needs a prefill re-pricer for recompute on "
                 "every topology it serves");
-    if (faults_.enabled)
-        for (std::size_t i = 1; i < faults_.timeline.size(); ++i)
-            fatalIf(faults_.timeline[i - 1].at > faults_.timeline[i].at,
-                    "fault timeline must be sorted by time");
+    for (std::size_t i = 1; i < faults_.timeline.size(); ++i)
+        fatalIf(faults_.timeline[i - 1].at > faults_.timeline[i].at,
+                "fault timeline must be sorted by time");
 }
 
 EventStats
@@ -137,12 +135,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                                 requests[b].arrivalCycles;
                      });
 
-    // ---- Fault state (inert when faults are off) -----------------------
-    const bool faulty = faults_.enabled;
+    // ---- Fault state (empty on a fault-free run) -----------------------
     const LazyRates *degraded = faults_.degraded;
-    const std::size_t priced =
-        pricedTopologies(faults_.enabled, degraded != nullptr);
-    const bool deadlines = faulty && faults_.deadlineCycles > 0.0;
+    const std::size_t priced = degraded != nullptr ? kTopologies : 1;
     const std::vector<sim::FaultEvent> &timeline = faults_.timeline;
     std::size_t next_fault = 0;
     bool dead = false;           // Fleet lost beyond any replan.
@@ -156,14 +151,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     double stall_scale = 1.0; // Product of slowdowns (>= 1).
     std::vector<CostedRequest *> retrying; // Backoff queue.
 
-    if (deadlines) // A fleet failover copy arrives with its own.
-        for (CostedRequest &c : requests)
-            if (c.deadlineCycles == 0.0)
-                c.deadlineCycles = c.arrivalCycles + faults_.deadlineCycles;
-
     double clock = 0.0;
     std::size_t next_arrival = 0;
-    WaitingQueue waiting(scheduler_->prefillAging(), priced, deadlines);
+    WaitingQueue waiting(scheduler_->prefillAging(), priced);
     // The queue keys every entry on its degraded prefill too.
     const bool degraded_order =
         scheduler_->prefillAging().has_value() && priced == kTopologies;
@@ -176,20 +166,18 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     };
 
     // Copy the shape's full-prompt degraded prefill into c's degraded
-    // slots unless they already hold their values (a preemption's
-    // re-price, or an earlier read).
+    // slot unless it already holds its value (a preemption's re-price,
+    // or an earlier read).
     auto fill_degraded_prefill = [&](CostedRequest &c) {
         if (c.degradedPrefillFilled)
             return;
-        const Rates &r = degraded->of(c);
-        c.prefillCycles[kDegraded] = r.prefillCycles;
-        c.pendingPrefillJoules[kDegraded] = r.prefillJoules;
+        c.prefillCycles[kDegraded] = degraded->of(c).prefillCycles;
         c.degradedPrefillFilled = true;
     };
 
     // Clock advancement attributing degraded time. The arithmetic is
     // the zero-fault engine's plain `clock += delta` / `clock = to`,
-    // so disabled faults change no bit of the result.
+    // so a run that never degrades changes no bit of the result.
     auto advance = [&](double delta) {
         clock += delta;
         if (mode == kDegraded)
@@ -209,7 +197,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     auto resident_tokens = [](const CostedRequest &c) -> std::size_t {
         if (c.req->decodeLen == 0)
             return 0;
-        return c.promptTokens + (c.req->decodeLen - c.remainingTokens);
+        return c.req->promptLen + (c.req->decodeLen - c.remainingTokens);
     };
 
     // The one KV ledger, under either policy: c now holds @p alloc
@@ -274,7 +262,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // — the loop runs the trace to completion).
         for (std::size_t t = 0; t < priced; ++t) {
             const PrefillPrice price =
-                repricers_[t](*c, c->promptTokens + progress);
+                repricers_[t](*c, c->req->promptLen + progress);
             c->prefillCycles[t] = price.cycles;
             if (t == mode)
                 c->joules += price.joules;
@@ -317,7 +305,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             c->remainingTokens = c->req->decodeLen;
             c->firstTokenSeen = false;
             c->prefillCycles[kHealthy] = c->shape->rates.prefillCycles;
-            c->pendingPrefillJoules[kHealthy] = c->shape->rates.prefillJoules;
+            c->prefillJoulesDue = true;
             c->degradedPrefillFilled = false;
             c->restartPending = true;
             ++stats.killedInFlight;
@@ -473,21 +461,17 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     };
 
     // The next instant the engine must wake at, whatever it is doing:
-    // the next arrival and, under faults, the earliest retry expiry,
-    // fault event or queued-request deadline. Infinity when none is
-    // left.
+    // the next arrival, retry expiry, fault event or queued-request
+    // deadline. Infinity when none is left.
     auto next_wake = [&] {
         double wake = std::numeric_limits<double>::infinity();
         if (next_arrival < order.size())
             wake = requests[order[next_arrival]].arrivalCycles;
-        if (faulty) {
-            for (const CostedRequest *c : retrying)
-                wake = std::min(wake, c->retryAtCycles);
-            if (next_fault < timeline.size())
-                wake = std::min(wake, timeline[next_fault].at);
-            wake = std::min(wake, waiting.earliestDeadline());
-        }
-        return wake;
+        for (const CostedRequest *c : retrying)
+            wake = std::min(wake, c->retryAtCycles);
+        if (next_fault < timeline.size())
+            wake = std::min(wake, timeline[next_fault].at);
+        return std::min(wake, waiting.earliestDeadline());
     };
 
     // Growth-extra bytes of the next decode iteration with every
@@ -668,29 +652,25 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         if (active.empty())
             pool.clearIdleResidual();
 
-        if (faulty) {
-            process_faults();
-            // Outage (a transient failure with nothing to replan
-            // onto): no decode and no admission until the repair, or
-            // until the next fault event — processed at its own
-            // instant so overlapping events stack correctly.
-            if (!dead && clock < outage_until) {
-                double wake = outage_until;
-                if (next_fault < timeline.size())
-                    wake = std::min(wake, timeline[next_fault].at);
-                stats.outageCycles += wake - clock;
-                clock = wake; // Outage time is not degraded time.
-                continue;
-            }
+        process_faults();
+        // Outage (a transient failure with nothing to replan onto): no
+        // decode and no admission until the repair, or until the next
+        // fault event — processed at its own instant so overlapping
+        // events stack correctly.
+        if (!dead && clock < outage_until) {
+            double wake = outage_until;
+            if (next_fault < timeline.size())
+                wake = std::min(wake, timeline[next_fault].at);
+            stats.outageCycles += wake - clock;
+            clock = wake; // Outage time is not degraded time.
+            continue;
         }
 
         pull_arrivals();
-        if (faulty) {
-            pull_retries();
-            drop_expired_waiting();
-            if (stats.completed.size() + stats.droppedRequests == total)
-                break;
-        }
+        pull_retries();
+        drop_expired_waiting();
+        if (stats.completed.size() + stats.droppedRequests == total)
+            break;
 
         // Idle engine: jump to the next wake-up.
         if (active.empty() && waiting.empty()) {
@@ -719,12 +699,10 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             // visible to order-sensitive policies (SJF, skip-ahead).
             // FIFO is unaffected — late arrivals only join the tail.
             pull_arrivals();
-            if (faulty) {
-                pull_retries();
-                drop_expired_waiting();
-                if (waiting.empty())
-                    break;
-            }
+            pull_retries();
+            drop_expired_waiting();
+            if (waiting.empty())
+                break;
             const bool watermark = paged && !active.empty();
             const AdmissionPass pass(
                 pool, watermark,
@@ -761,8 +739,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             const double prefill = c->prefillCycles[mode];
             advance(prefill);
             stats.busyCycles += prefill;
-            c->joules += c->pendingPrefillJoules[mode];
-            c->pendingPrefillJoules = {};
+            if (c->prefillJoulesDue)
+                c->joules += rates(*c).prefillJoules;
+            c->prefillJoulesDue = false;
             if (c->restartPending) {
                 stats.faultRecomputeCycles += prefill;
                 c->restartPending = false;
@@ -800,8 +779,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         //    batch;
         //  - a scheduler deferral is a live decision revisited every
         //    iteration (k = 1, above);
-        //  - the next wake-up (an arrival; under faults a fault
-        //    event, retry expiry or queued deadline) changes the
+        //  - the next wake-up (an arrival, a fault event, a retry
+        //    expiry or a queued deadline) changes the
         //    waiting queue or the fleet (bounded below, once the
         //    iteration cost is known);
         //  - a paged preemption changes the batch (grow_batch_

@@ -61,9 +61,10 @@
  * topology, in outage (no decode, no admission until repair) otherwise;
  * a second permanent failure is fatal to the fleet and drops all remaining
  * work. Deadlines apply to queued work only: an actively decoding
- * request runs to completion and merely misses the SLO. With
- * FaultInputs disabled every fault branch is skipped and the run is
- * bit-identical to the pre-fault engine.
+ * request runs to completion and merely misses the SLO. A fault-free
+ * run is the same loop with nothing in it: an empty timeline, an empty
+ * retry backlog and no deadline, so every fault step runs, finds
+ * nothing to do, and the run is bit-identical to the pre-fault engine.
  */
 #pragma once
 
@@ -113,17 +114,6 @@ StepMode stepModeFromEnv();
 inline constexpr std::size_t kHealthy = 0;
 inline constexpr std::size_t kDegraded = 1;
 inline constexpr std::size_t kTopologies = 2;
-
-/**
- * Topologies a run prices: the healthy one, plus the degraded one when
- * faults are on and a degraded accelerator exists (only then can the
- * fleet run on it). The degraded one is priced per shape on first read.
- */
-inline std::size_t
-pricedTopologies(bool faultsEnabled, bool hasDegraded)
-{
-    return faultsEnabled && hasDegraded ? kTopologies : 1;
-}
 
 /** Batch-1 prices of one request on one topology. */
 struct Rates
@@ -211,13 +201,6 @@ struct CostedRequest
      *  to the recompute length after a preemption). Costing fills only
      *  the healthy slot; see degradedPrefillFilled. */
     std::array<double, kTopologies> prefillCycles{};
-    /** Prefill energy the next admission charges, in the mode the
-     *  prefill runs in, per topology. Costing fills the healthy slot
-     *  and leaves `joules` at 0; admission charges it and clears it, so
-     *  a re-admission after a paged preemption (whose recompute energy
-     *  is charged at the preemption) adds nothing, and a fault kill
-     *  re-arms it at the full-prompt price. */
-    std::array<double, kTopologies> pendingPrefillJoules{};
     double joules = 0.0; ///< Accumulated as the request is served.
     /** KV-cache bytes of this request's full footprint (its largest
      *  residency; policy-quantized — see kvFootprintBytes). Reserve
@@ -226,8 +209,6 @@ struct CostedRequest
     double kvBytes = 0.0;
     /** Per-token KV bytes of the request's model. */
     double kvBytesPerToken = 0.0;
-    /** Prompt tokens resident after (re)prefill. */
-    std::size_t promptTokens = 0;
     std::size_t remainingTokens = 0;
     bool firstTokenSeen = false;
     double firstTokenCycles = 0.0;
@@ -242,24 +223,30 @@ struct CostedRequest
     std::size_t preemptions = 0;
     std::size_t recomputedTokens = 0;
 
-    // ---- Fault-tolerant serving state (inert on zero-fault runs) ----
+    // ---- Fault-tolerant serving state, and the prefill flags ----
     std::size_t retries = 0;    ///< Fault-kill restarts so far.
     double retryAtCycles = 0.0; ///< Backoff expiry (earliest retry).
-    /** Drop-dead clock (0 = none): the run sets arrival + deadline
-     *  unless the request arrives with one, as a fleet failover copy
-     *  does (the deadline of its original arrival). */
+    /** Drop-dead clock (0 = none), stamped once by costing: arrival +
+     *  RetryOptions::deadlineSeconds when faults are on and the
+     *  deadline is positive. A fleet failover copy keeps the deadline
+     *  of its original arrival, because it copies this request. */
     double deadlineCycles = 0.0;
     /** The next admission is a post-kill restart: its prefill counts
      *  as fault-attributable recompute. */
     bool restartPending = false;
     bool dropped = false;
+    /** The next admission charges the shape's full-prompt prefill
+     *  energy in the mode the prefill runs in. Costing and a fault kill
+     *  set it; admission clears it, so a re-admission after a paged
+     *  preemption (whose recompute energy is charged at the
+     *  preemption) adds nothing. */
+    bool prefillJoulesDue = false;
     /**
-     * The degraded slots of prefillCycles and pendingPrefillJoules hold
-     * their values. While false they stand for the shape's full-prompt
-     * degraded price, which the event core copies in the first time it
-     * reads them (FaultInputs::degraded). Costing and a fault kill
-     * leave them unfilled; a paged preemption fills them with its
-     * re-price.
+     * The degraded slot of prefillCycles holds its value. While false
+     * it stands for the shape's full-prompt degraded prefill, which the
+     * event core copies in the first time it reads it
+     * (FaultInputs::degraded). Costing and a fault kill leave it
+     * unfilled; a paged preemption fills it with its re-price.
      */
     bool degradedPrefillFilled = false;
 };
@@ -303,13 +290,13 @@ class LazyRates
 /**
  * Fault-injection inputs of one run, pre-converted to CYCLES (the
  * serving layer rescales the seconds timeline once the accelerator's
- * clock is known). Default-constructed = faults off: every fault
- * branch in the loop is skipped and the run is bit-identical to the
- * pre-fault engine.
+ * clock is known). Default-constructed inputs are inert by their
+ * values: no event, no degraded topology, and the retry knobs bind
+ * only on a kill. Per-request deadlines are not here; costing stamps
+ * them (CostedRequest::deadlineCycles).
  */
 struct FaultInputs
 {
-    bool enabled = false;
     /** Discrete fault events, sorted ascending by `at` (cycles). */
     std::vector<sim::FaultEvent> timeline;
     /** Fault-kill retries before a request is dropped. */
@@ -318,9 +305,6 @@ struct FaultInputs
      *  min(cap, base * 2^(n-1)) simulated cycles after the kill. */
     double backoffBaseCycles = 0.0;
     double backoffCapCycles = 0.0;
-    /** Per-request completion deadline from arrival (0 = none):
-     *  queued or retrying work past it is dropped. */
-    double deadlineCycles = 0.0;
     /** The degraded-topology prices of the requests' shape table, or
      *  null when there is no degraded topology. When set, chip
      *  failures degrade the fleet instead of taking it down, and a
@@ -497,7 +481,7 @@ class EventCore
   public:
     /**
      * @p step Auto resolves MCBP_SERVING_STEP at construction.
-     * @p faults default-constructed disables fault injection.
+     * @p faults default-constructed injects no fault.
      * @p degradedRepricer prices a recompute prefill on the degraded
      * topology (required when faults.degraded is set and the KV policy
      * is paged, so a preemption keeps both prefill prices fresh).

@@ -177,8 +177,8 @@ replicaOptions(const FleetAccelerator &fleet, ServingOptions opts)
 {
     // Replicas are symmetric, so the fleet-wide KV budget splits
     // evenly; the degraded fleet unwraps to its replica. The fault spec
-    // stays the fleet's, so the fault layer (retries, deadlines) is on
-    // in every replica run.
+    // stays the fleet's, so the replica's costing stamps deadlines and
+    // its runs retry.
     if (const auto *degFleet =
             dynamic_cast<const FleetAccelerator *>(opts.degradedAccel))
         opts.degradedAccel = &degFleet->replica();
@@ -355,8 +355,9 @@ FleetRouter::serveReplicas(
     const std::vector<std::size_t> &which) const
 {
     // A replica serves copies of the fleet's pristine costed requests
-    // in sub-trace order, its serial sums taken in that order.
-    const double toCycles = costed.clockGhz * 1e9;
+    // in sub-trace order, its serial sums taken in that order. A
+    // failover copy keeps the deadline costing stamped on its original
+    // arrival.
     return parallel::parallelMap<ServingReport>(
         which.size(), [&](std::size_t k) {
             const std::size_t r = which[k];
@@ -367,10 +368,6 @@ FleetRouter::serveReplicas(
             for (const Routed &e : subTraces[r]) {
                 CostedRequest &c =
                     slice.costs.emplace_back(costed.costs[e.index]);
-                if (e.req != c.req && opts_.retry.deadlineSeconds > 0.0)
-                    // A failover copy keeps its original deadline.
-                    c.deadlineCycles = c.arrivalCycles +
-                                       opts_.retry.deadlineSeconds * toCycles;
                 c.req = e.req;
                 c.arrivalCycles =
                     e.req->arrivalSeconds * c.shape->clockGhz * 1e9;

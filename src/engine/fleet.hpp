@@ -25,15 +25,16 @@
  * Failover: the fleet builds ONE fault timeline over dp x kvShards
  * fault domains and hands each replica's serve() its slice (chip
  * events land on the owning replica, rebased to its chips; fleet-wide
- * link/straggler windows reach every replica). The fault layer is on
- * in every replica run whenever the fleet's faults are, so retries and
- * deadlines bind on a replica whose slice is empty too. A replica
- * with a fatal permanent failure drops its queued
- * and future work — the router re-dispatches those drops to surviving
+ * link/straggler windows reach every replica). The fleet costs its
+ * trace once with the fleet's fault spec, which stamps each request's
+ * deadline, so deadlines bind on a replica whose slice is empty too. A
+ * replica with a fatal permanent failure drops its queued and future
+ * work — the router re-dispatches those drops to surviving
  * replicas at the fault time plus the retry backoff, bounded by the
  * per-request deadline and a fleet-size reroute budget, so the
  * existing retry/backoff/deadline vocabulary covers replica failover
- * too. A rerouted request keeps the deadline of its original arrival.
+ * too. A rerouted request is a copy of its costed request, so it keeps
+ * the deadline of its original arrival.
  *
  * dp=1 is the identity: name/capabilities/configSummary forward
  * verbatim and the router delegates wholesale to a single-replica

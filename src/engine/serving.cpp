@@ -195,8 +195,7 @@ ServingSimulator::ServingSimulator(const Accelerator &accel,
       planCache_(accel::makePlanCache())
 {
     // Retry knobs are simulated seconds: a negative backoff would
-    // re-dispatch work into the past. Other option bounds are enforced
-    // by EventCore, which owns them.
+    // re-dispatch work into the past.
     for (const auto &[value, field] :
          {std::pair{opts_.retry.backoffBaseSeconds, "backoffBaseSeconds"},
           {opts_.retry.backoffCapSeconds, "backoffCapSeconds"},
@@ -224,6 +223,14 @@ ServingSimulator::ServingSimulator(const Accelerator &accel,
         if (accels_[t] != nullptr)
             identities_[t] =
                 accels_[t]->name() + "\n" + accels_[t]->configSummary();
+    // Every other bound is checked now too, before any costing, by the
+    // code that owns it: the scheduler (sjfAgingWeight), the KV ledger
+    // (kvBlockTokens, kvLowWatermark) and the event core (maxBatch).
+    const std::unique_ptr<Scheduler> scheduler =
+        makeScheduler(opts_.policy, opts_.sjfAgingWeight);
+    (void)KvBlockManager(kvOptions());
+    (void)EventCore(*scheduler, opts_.maxBatch, kvOptions(), repricer(kHealthy),
+                    StepMode::Coalesced);
 }
 
 KvOptions
@@ -240,8 +247,10 @@ ServingSimulator::kvOptions() const
 std::size_t
 ServingSimulator::topologies() const
 {
-    return pricedTopologies(opts_.faults.enabled(),
-                            opts_.degradedAccel != nullptr);
+    // Only a run with faults can fail over onto the degraded topology.
+    return opts_.faults.enabled() && opts_.degradedAccel != nullptr
+               ? kTopologies
+               : 1;
 }
 
 PrefillPricer
@@ -375,6 +384,9 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
     std::vector<std::size_t> shape_of;
     out.table = priceShapes(trace, shape_of);
     const KvOptions kv = kvOptions();
+    // The per-request deadline binds only through the fault layer.
+    const double deadline_seconds =
+        opts_.faults.enabled() ? opts_.retry.deadlineSeconds : 0.0;
 
     // ---- Cost each request against its shape's prices ------------------
     // Trace order, so the serial sums accumulate exactly as they
@@ -396,17 +408,19 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
             model::singleRequest(*shape.task, req.promptLen, 0);
         c.shape = &shape;
         // Admission charges the prefill energy, in the mode the
-        // prefill runs in. The degraded slots stay unfilled until the
-        // event core reads them (CostedRequest::degradedPrefillFilled).
+        // prefill runs in. The degraded slot stays unfilled until the
+        // event core reads it (CostedRequest::degradedPrefillFilled).
         c.prefillCycles[kHealthy] = shape.rates.prefillCycles;
-        c.pendingPrefillJoules[kHealthy] = shape.rates.prefillJoules;
+        c.prefillJoulesDue = true;
         c.arrivalCycles = req.arrivalSeconds * shape.clockGhz * 1e9;
+        const double deadline = deadline_seconds * (shape.clockGhz * 1e9);
+        if (deadline > 0.0)
+            c.deadlineCycles = c.arrivalCycles + deadline;
         // Largest-residency footprint, quantized by the KV policy:
         // exact (prompt + decode) bytes under reserve, whole blocks
         // under paged, 0 when no token is ever generated.
         c.kvBytesPerToken =
             static_cast<double>(shape.config->kvBytesPerToken());
-        c.promptTokens = req.promptLen;
         c.kvBytes = kvFootprintBytes(kv, c.kvBytesPerToken, req.promptLen,
                                      req.decodeLen);
         c.remainingTokens = req.decodeLen;
@@ -465,29 +479,25 @@ ServingSimulator::serve(CostedTrace costed,
     report.serialJoules = costed.serialJoules;
 
     // ---- Fault inputs, rescaled to cycles -------------------------------
-    // Converted once now that costing pinned the clock.
+    // Converted once now that costing pinned the clock. Without faults
+    // the timeline is empty and there is no degraded twin, so the
+    // event core's fault steps find nothing to do.
     FaultInputs faults;
-    if (opts_.faults.enabled()) {
-        const double to_cycles = costed.clockGhz * 1e9;
-        faults.enabled = true;
-        faults.timeline = std::move(timeline);
-        for (sim::FaultEvent &e : faults.timeline) {
-            e.at *= to_cycles;
-            e.repairAt *= to_cycles;
-        }
-        faults.maxRetries = opts_.retry.maxRetries;
-        faults.backoffBaseCycles =
-            opts_.retry.backoffBaseSeconds * to_cycles;
-        faults.backoffCapCycles =
-            opts_.retry.backoffCapSeconds * to_cycles;
-        faults.deadlineCycles = opts_.retry.deadlineSeconds * to_cycles;
-        // costTrace() builds the lazy degraded prices exactly when this
-        // simulator has faults on and a degraded accelerator.
-        faults.degraded = costed.table->degraded.get();
-        fatalIf((topologies() == kTopologies) != (faults.degraded != nullptr),
-                "serve() needs a trace costed by a simulator with the "
-                "same faults and degraded accelerator");
+    const double to_cycles = costed.clockGhz * 1e9;
+    faults.timeline = std::move(timeline);
+    for (sim::FaultEvent &e : faults.timeline) {
+        e.at *= to_cycles;
+        e.repairAt *= to_cycles;
     }
+    faults.maxRetries = opts_.retry.maxRetries;
+    faults.backoffBaseCycles = opts_.retry.backoffBaseSeconds * to_cycles;
+    faults.backoffCapCycles = opts_.retry.backoffCapSeconds * to_cycles;
+    // costTrace() builds the lazy degraded prices exactly when this
+    // simulator has faults on and a degraded accelerator.
+    faults.degraded = costed.table->degraded.get();
+    fatalIf((topologies() == kTopologies) != (faults.degraded != nullptr),
+            "serve() needs a trace costed by a simulator with the same "
+            "faults and degraded accelerator");
 
     // ---- Discrete-event loop under the selected policies ----------------
     // The paged policy re-prices a preempted request's recompute —

@@ -73,7 +73,7 @@
 
 namespace mcbp::engine {
 
-/** Retry/SLO knobs of fault-tolerant serving (only consulted when
+/** Retry/SLO knobs of fault-tolerant serving (they bind only when
  *  ServingOptions::faults is enabled). The ServingSimulator
  *  constructor fatal()s on a negative or non-finite backoff or
  *  deadline. */
@@ -145,11 +145,13 @@ struct ServingOptions
     StepMode stepMode = StepMode::Auto;
     /**
      * Fault injection (sim/fault_model.hpp). Defaults off; a disabled
-     * spec skips every fault branch and the report is bit-identical
-     * to a build without the fault layer. The timeline is built over
-     * the accelerator's kvShards fault domains and stream-separated
-     * from trace synthesis (kFaultStream), so enabling faults never
-     * perturbs the costed trace.
+     * spec gives the run an empty timeline, no deadline and no
+     * degraded topology, so its report is bit-identical to a build
+     * without the fault layer. The timeline is built over the
+     * accelerator's kvShards fault domains and stream-separated from
+     * trace synthesis (kFaultStream), so enabling faults changes no
+     * bit of the costed trace but the deadline costing stamps
+     * (CostedRequest::deadlineCycles, when retry.deadlineSeconds > 0).
      */
     sim::FaultSpec faults{};
     /** Retry/backoff/deadline knobs of the fault layer. */
@@ -354,6 +356,9 @@ struct ShapeTable
 class ServingSimulator
 {
   public:
+    /** fatal() on any out-of-range option (maxBatch, kvBlockTokens,
+     *  kvLowWatermark, sjfAgingWeight, the retry knobs, or a degraded
+     *  accelerator at another clock), before anything is costed. */
     explicit ServingSimulator(const Accelerator &accel,
                               ServingOptions opts = {});
 
@@ -404,21 +409,24 @@ class ServingSimulator
      * the healthy topology into its own table slot with
      * Accelerator::run() on up to ServingOptions::costingThreads
      * threads — no plan cache, no lock, no string compared. Degraded
-     * prices are left for the runs to compute on first read. The
-     * serial sums accumulate in trace order, so the result is
-     * bit-identical at every thread count. The costed requests point
-     * into @p trace, which must outlive them.
+     * prices are left for the runs to compute on first read. With
+     * faults on and a positive retry.deadlineSeconds, each request's
+     * deadline is stamped here, the one place it is set. The serial
+     * sums accumulate in trace order, so the result is bit-identical
+     * at every thread count. The costed requests point into @p trace,
+     * which must outlive them.
      */
     CostedTrace costTrace(const std::vector<model::Request> &trace) const;
 
     /**
      * The serving stage: play @p costed through the event loop and
      * aggregate the report. @p timeline is the run's fault events in
-     * seconds, sorted and id-stamped (sim::buildFaultTimeline); the
-     * fault layer is on exactly when ServingOptions::faults is
-     * enabled, so retry and deadline knobs bind even when the timeline
-     * is empty. fatal() on a non-empty timeline with faults disabled.
-     * An empty costed trace yields the zeroed report.
+     * seconds, sorted and id-stamped (sim::buildFaultTimeline). A run
+     * has one fault path: an empty timeline kills nothing, and the
+     * deadlines costTrace() stamped bind whether or not any event
+     * fires. fatal() on a non-empty timeline with faults disabled, and
+     * on a trace whose degraded prices do not match this simulator's
+     * topologies. An empty costed trace yields the zeroed report.
      */
     ServingReport serve(CostedTrace costed,
                         std::vector<sim::FaultEvent> timeline) const;
@@ -439,8 +447,8 @@ class ServingSimulator
 
   private:
     KvOptions kvOptions() const;
-    /** pricedTopologies() of this simulator's faults and degraded
-     *  accelerator. */
+    /** Topologies a run prices: the healthy one, plus the degraded one
+     *  when faults are on and a degraded accelerator is set. */
     std::size_t topologies() const;
     /** Recompute prefill re-pricer on topology @p t. */
     PrefillPricer repricer(std::size_t t) const;

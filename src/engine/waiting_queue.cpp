@@ -20,9 +20,8 @@ eraseNode(Order &order, const Node &n)
 } // namespace
 
 WaitingQueue::WaitingQueue(std::optional<double> prefillAging,
-                           std::size_t topologies, bool indexDeadlines)
-    : prefillAging_(prefillAging), topologies_(topologies),
-      indexDeadlines_(indexDeadlines)
+                           std::size_t topologies)
+    : prefillAging_(prefillAging), topologies_(topologies)
 {
     panicIf(topologies_ == 0 || topologies_ > kTopologies,
             "waiting queue needs 1..kTopologies priced topologies");
@@ -65,7 +64,7 @@ WaitingQueue::push(CostedRequest &c, double admitBytes, std::int64_t seq)
         }
     }
     group.footprint.insert({admitBytes, seq, &e});
-    if (indexDeadlines_ && c.deadlineCycles > 0.0)
+    if (c.deadlineCycles > 0.0)
         deadlines_.insert({c.deadlineCycles, seq, &e});
     ++size_;
 }
@@ -80,7 +79,7 @@ WaitingQueue::erase(const WaitingEntry &entry)
         for (std::size_t t = 0; t < topologies_; ++t)
             eraseNode(group.prefill[t], Node{entry.prefillKey[t], seq});
     eraseNode(group.footprint, Node{entry.admitBytes, seq});
-    if (indexDeadlines_ && c.deadlineCycles > 0.0)
+    if (c.deadlineCycles > 0.0)
         eraseNode(deadlines_, Node{c.deadlineCycles, seq});
     eraseNode(group.arrival, seq); // Destroys the entry: last.
     --size_;

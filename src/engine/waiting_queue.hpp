@@ -25,8 +25,10 @@
  * answers "does anything in it fit?" with one check, which rejects a
  * KV-blocked group in O(1).
  *
- * The queue also indexes queued deadlines (deadlineCycles, seq), so
- * expiring the queue and finding the next deadline take O(log n).
+ * The queue also indexes every queued request that has a deadline
+ * (deadlineCycles, seq), so expiring the queue and finding the next
+ * deadline take O(log n). Costing stamps deadlines only when faults are
+ * on, so a fault-free run's index stays empty.
  *
  * An AdmissionPass carries what one admission decision is made
  * against (the batch's model, the topology, the KV pool) and runs the
@@ -114,11 +116,10 @@ class WaitingQueue
     /**
      * @p prefillAging is the aging weight w of the prefill order, or
      * nullopt to keep no prefill order. @p topologies is how many
-     * topologies are priced. @p indexDeadlines indexes each queued
-     * request's deadlineCycles.
+     * topologies are priced.
      */
     WaitingQueue(std::optional<double> prefillAging,
-                 std::size_t topologies, bool indexDeadlines);
+                 std::size_t topologies);
 
     bool empty() const { return size_ == 0; }
 
@@ -130,14 +131,15 @@ class WaitingQueue
     /** Remove @p entry (a policy's pick); returns its request. */
     CostedRequest &erase(const WaitingEntry &entry);
 
-    /** Remove every request whose indexed deadline is at or before
-     *  @p clock and return them in queue order. */
+    /** Remove every request whose deadline is at or before @p clock
+     *  and return them in queue order. */
     std::vector<CostedRequest *> takeExpired(double clock);
 
     /** Remove every request and return them in queue order. */
     std::vector<CostedRequest *> takeAll();
 
-    /** Earliest queued deadline; infinity when none is indexed. */
+    /** Earliest queued deadline; infinity when no queued request has
+     *  one. */
     double earliestDeadline() const;
 
     // ---- Walks an admission policy makes ---------------------------
@@ -194,7 +196,6 @@ class WaitingQueue
 
     std::optional<double> prefillAging_;
     std::size_t topologies_;
-    bool indexDeadlines_;
     std::int64_t lo_ = 0;
     std::int64_t hi_ = 0;
     std::size_t size_ = 0;

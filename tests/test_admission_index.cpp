@@ -278,7 +278,7 @@ TEST(AdmissionIndex, ShortestPromptTiesGoToQueuePosition)
     CostedRequest &p = reqs.add("m", 250.0, 50.0, 0.0, 30.0);
     CostedRequest &d = reqs.add("m", 100.0, 0.0, 0.0, 400.0);
     for (std::size_t topology : {kHealthy, kDegraded}) {
-        WaitingQueue q(sjf->prefillAging(), kTopologies, false);
+        WaitingQueue q(sjf->prefillAging(), kTopologies);
         q.pushBack(a, 0.0);
         q.pushBack(b, 0.0);
         q.pushFront(p, 0.0); // A preemption re-queues at the head.
@@ -349,7 +349,7 @@ TEST(AdmissionIndex, SkipAheadPassesKvBlockedHead)
     CostedRequest &tail = reqs.add("m", 2.0, 0.0);
     const auto skip = makeScheduler(SchedulerPolicy::SkipAhead);
     const auto fifo = makeScheduler(SchedulerPolicy::Fifo);
-    WaitingQueue q(std::nullopt, 1, false);
+    WaitingQueue q(std::nullopt, 1);
     q.pushBack(head, 500.0); // 600 + 500 > 1000: blocked.
     q.pushBack(mid, 300.0);
     q.pushBack(tail, 100.0);
@@ -378,7 +378,7 @@ TEST(AdmissionIndex, KvBlockedQueueCostsOneCheckPerPass)
     pool.add(950.0, 950.0);
     HandQueue reqs;
     const auto sjf = makeScheduler(SchedulerPolicy::ShortestPromptFirst);
-    WaitingQueue q(sjf->prefillAging(), 1, false);
+    WaitingQueue q(sjf->prefillAging(), 1);
     for (std::size_t i = 0; i < 1000; ++i)
         q.pushBack(reqs.add("m", static_cast<double>(i % 7), 0.0),
                    100.0 + static_cast<double>(i % 13));
@@ -404,7 +404,7 @@ TEST(AdmissionIndex, DeadlineDropsComeOutInQueueOrder)
     CostedRequest &preempted = reqs.add("m", 1.0, 0.0, 30.0);
     CostedRequest &retry = reqs.add("x", 1.0, 0.0, 10.0);
     CostedRequest &late = reqs.add("m", 1.0, 0.0, 500.0);
-    WaitingQueue q(std::nullopt, 1, true);
+    WaitingQueue q(std::nullopt, 1);
     q.pushBack(a, 0.0);
     q.pushBack(b, 0.0);
     q.pushFront(preempted, 0.0);

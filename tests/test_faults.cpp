@@ -12,9 +12,10 @@
  *    drop everything into a zeroed-but-tagged report; with a degraded
  *    accelerator the fleet replans and serves through at degraded
  *    prices; deadlines drop queued work and dent SLO attainment;
- *  - a negative or non-finite retry backoff or deadline, or a degraded
- *    accelerator at another clock, is rejected when the simulator is
- *    built;
+ *  - a negative or non-finite retry backoff or deadline, a degraded
+ *    accelerator at another clock, or an out-of-range maxBatch, KV
+ *    block size, KV watermark or SJF aging weight, is rejected when
+ *    the simulator is built;
  *  - degraded prices are computed on first read: costing prices none,
  *    a run prices each shape it reads in degraded mode once, and the
  *    parallel replica runs of a fleet share them;
@@ -27,8 +28,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -201,7 +204,19 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
     const auto healthy = ServingSimulator(*accel, plain).costTrace(trace);
     const auto injected =
         ServingSimulator(*accel, faulted).costTrace(trace);
+    // A deadline is stamped only when faults are on.
+    const double deadline = 0.25;
+    ServingOptions plainDeadline = plain;
+    plainDeadline.retry.deadlineSeconds = deadline;
+    ServingOptions faultedDeadline = faulted;
+    faultedDeadline.retry.deadlineSeconds = deadline;
+    const auto unstamped =
+        ServingSimulator(*accel, plainDeadline).costTrace(trace);
+    const auto stamped =
+        ServingSimulator(*accel, faultedDeadline).costTrace(trace);
     ASSERT_EQ(healthy.costs.size(), injected.costs.size());
+    ASSERT_EQ(healthy.costs.size(), unstamped.costs.size());
+    ASSERT_EQ(healthy.costs.size(), stamped.costs.size());
     EXPECT_EQ(healthy.clockGhz, injected.clockGhz);
     EXPECT_EQ(healthy.serialSeconds, injected.serialSeconds);
     for (std::size_t i = 0; i < healthy.costs.size(); ++i) {
@@ -215,10 +230,16 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         // price: faults change no bit of the costing.
         EXPECT_EQ(h.joules, 0.0);
         EXPECT_EQ(f.joules, 0.0);
-        EXPECT_EQ(h.pendingPrefillJoules[kHealthy],
-                  f.pendingPrefillJoules[kHealthy]);
+        EXPECT_TRUE(h.prefillJoulesDue);
+        EXPECT_EQ(h.prefillJoulesDue, f.prefillJoulesDue);
         EXPECT_EQ(f.shape->rates.prefillCycles,
                   f.prefillCycles[kHealthy]);
+        EXPECT_EQ(h.deadlineCycles, 0.0);
+        EXPECT_EQ(f.deadlineCycles, 0.0);
+        EXPECT_EQ(unstamped.costs[i].deadlineCycles, 0.0);
+        EXPECT_EQ(stamped.costs[i].arrivalCycles, h.arrivalCycles);
+        EXPECT_EQ(stamped.costs[i].deadlineCycles,
+                  h.arrivalCycles + deadline * (healthy.clockGhz * 1e9));
     }
 }
 
@@ -236,27 +257,40 @@ TEST(FaultServing, ZeroEventRunBitIdenticalToPlainRun)
     armed.faults.mtbfSeconds = 1e9;
     armed.faults.horizonSeconds = 1e-6;
 
+    // Faults off with a deadline far below the makespan: the retry
+    // knobs bind only through the fault layer, so nothing drops.
+    ServingOptions deadlined = plain;
+    deadlined.retry.deadlineSeconds = 1e-6;
+
     const ServingReport a = ServingSimulator(*accel, plain).simulate(trace);
     const ServingReport b = ServingSimulator(*accel, armed).simulate(trace);
+    const ServingReport c =
+        ServingSimulator(*accel, deadlined).simulate(trace);
     ASSERT_EQ(b.faultEvents, 0u);
     EXPECT_FALSE(b.noCompletions);
 
     // Bit-identical, not approximately equal.
-    EXPECT_EQ(a.makespanSeconds, b.makespanSeconds);
-    EXPECT_EQ(a.busySeconds, b.busySeconds);
-    EXPECT_EQ(a.tokensPerSecond, b.tokensPerSecond);
-    EXPECT_EQ(a.joulesPerToken, b.joulesPerToken);
-    EXPECT_EQ(a.meanLatencySeconds, b.meanLatencySeconds);
-    EXPECT_EQ(a.p99LatencySeconds, b.p99LatencySeconds);
-    EXPECT_EQ(a.admissionOrder, b.admissionOrder);
-    ASSERT_EQ(a.requests.size(), b.requests.size());
-    for (std::size_t i = 0; i < a.requests.size(); ++i) {
-        EXPECT_EQ(a.requests[i].id, b.requests[i].id);
-        EXPECT_EQ(a.requests[i].completionSeconds,
-                  b.requests[i].completionSeconds);
-        EXPECT_EQ(a.requests[i].firstTokenSeconds,
-                  b.requests[i].firstTokenSeconds);
-        EXPECT_EQ(a.requests[i].joules, b.requests[i].joules);
+    for (const ServingReport *r : {&b, &c}) {
+        EXPECT_EQ(a.makespanSeconds, r->makespanSeconds);
+        EXPECT_EQ(a.busySeconds, r->busySeconds);
+        EXPECT_EQ(a.tokensPerSecond, r->tokensPerSecond);
+        EXPECT_EQ(a.goodputTokensPerSecond, r->goodputTokensPerSecond);
+        EXPECT_EQ(a.sloAttainment, r->sloAttainment);
+        EXPECT_EQ(a.joulesPerToken, r->joulesPerToken);
+        EXPECT_EQ(a.meanLatencySeconds, r->meanLatencySeconds);
+        EXPECT_EQ(a.p99LatencySeconds, r->p99LatencySeconds);
+        EXPECT_EQ(a.admissionOrder, r->admissionOrder);
+        EXPECT_EQ(r->droppedRequests, 0u);
+        ASSERT_EQ(a.requests.size(), r->requests.size());
+        for (std::size_t i = 0; i < a.requests.size(); ++i) {
+            EXPECT_EQ(a.requests[i].id, r->requests[i].id);
+            EXPECT_EQ(a.requests[i].completionSeconds,
+                      r->requests[i].completionSeconds);
+            EXPECT_EQ(a.requests[i].firstTokenSeconds,
+                      r->requests[i].firstTokenSeconds);
+            EXPECT_EQ(a.requests[i].joules, r->requests[i].joules);
+            EXPECT_EQ(a.requests[i].sloMiss, r->requests[i].sloMiss);
+        }
     }
     // Availability on a clean run: full goodput, full SLO attainment.
     EXPECT_EQ(b.goodputTokensPerSecond, b.tokensPerSecond);
@@ -606,6 +640,59 @@ TEST(FaultServing, DegradedTwinAtAnotherClockIsRejectedAtConstruction)
     EXPECT_THROW((void)ServingSimulator(fleet, opts), std::runtime_error);
     // Rejected before any costing ran the twin.
     EXPECT_EQ(twin.runs(), 0u);
+}
+
+TEST(ServingOptions, BoundsAreCheckedAtConstruction)
+{
+    // Each bound fires when the simulator is built, before costing, so
+    // no trace is needed to see it and a fleet inherits it.
+    auto bad = [](auto set) {
+        ServingOptions opts;
+        set(opts);
+        return opts;
+    };
+    const std::vector<std::pair<ServingOptions, std::string>> cases = {
+        {bad([](ServingOptions &o) { o.maxBatch = 0; }), "maxBatch"},
+        {bad([](ServingOptions &o) { o.kvBlockTokens = 0; }), "block size"},
+        {bad([](ServingOptions &o) { o.kvLowWatermark = -0.1; }),
+         "watermark"},
+        {bad([](ServingOptions &o) { o.kvLowWatermark = 1.0; }),
+         "watermark"},
+        {bad([](ServingOptions &o) {
+             o.policy = SchedulerPolicy::ShortestPromptFirst;
+             o.sjfAgingWeight = -1.0;
+         }),
+         "sjfAgingWeight"},
+        {bad([](ServingOptions &o) {
+             o.policy = SchedulerPolicy::ShortestPromptFirst;
+             o.sjfAgingWeight = std::numeric_limits<double>::infinity();
+         }),
+         "sjfAgingWeight"},
+    };
+    Registry registry;
+    const CountingAccelerator flat(registry.make("mcbp"));
+    const FleetAccelerator fleet(
+        std::make_unique<CountingAccelerator>(registry.make("mcbp")),
+        FleetOptions{2});
+    const auto &replica =
+        dynamic_cast<const CountingAccelerator &>(fleet.replica());
+    const auto trace = smallTrace(4);
+    for (const auto &[opts, field] : cases) {
+        const std::string msg = constructionError(opts);
+        EXPECT_NE(msg.find(field), std::string::npos) << field << ": " << msg;
+        EXPECT_THROW((void)ServingSimulator(flat, opts).simulate(trace),
+                     std::runtime_error)
+            << field;
+        EXPECT_THROW((void)FleetRouter(fleet, opts).simulate(trace),
+                     std::runtime_error)
+            << field;
+        EXPECT_THROW((void)ServingSimulator(fleet, opts).simulate(trace),
+                     std::runtime_error)
+            << field;
+    }
+    // Rejected before any costing ran either accelerator.
+    EXPECT_EQ(flat.runs(), 0u);
+    EXPECT_EQ(replica.runs(), 0u);
 }
 
 TEST(RetryOptions, NegativeOrNonFiniteBackoffBaseIsRejected)

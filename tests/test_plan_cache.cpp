@@ -295,6 +295,8 @@ TEST(PlanCache, ShapeTableOrdersOnLengthsThenNames)
 
     // Entries hold zoo handles, not names or a workload copy.
     EXPECT_LE(sizeof(engine::PricedShape), 120u);
+    // A costed request restates none of its shape's prices.
+    EXPECT_LE(sizeof(engine::CostedRequest), 256u);
     engine::ServingOptions serial;
     serial.costingThreads = 1;
     const auto a = engine::ServingSimulator(*accel, serial).costTrace(reqs);
