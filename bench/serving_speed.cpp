@@ -88,7 +88,7 @@ costsIdentical(const engine::ServingSimulator::CostedTrace &a,
         const engine::CostedRequest &y = b.costs[i];
         if (x.req->id != y.req->id ||
             x.arrivalCycles != y.arrivalCycles ||
-            x.prefillCycles != y.prefillCycles ||
+            x.recomputeCycles != y.recomputeCycles || x.next != y.next ||
             x.shape->rates != y.shape->rates ||
             x.kvBytes != y.kvBytes ||
             x.kvBytesPerToken != y.kvBytesPerToken ||

@@ -283,7 +283,7 @@ main(int argc, char **argv)
                   << fmtPct(r.sloAttainment) << "\n";
         for (const engine::ServingReport::FaultImpact &f : r.faultLog)
             std::cout << "  [fault " << f.eventId << "] t="
-                      << fmt(f.seconds, 3) << "s " << sim::toString(f.kind)
+                      << fmt(f.at, 3) << "s " << sim::toString(f.kind)
                       << " chip=" << f.chip
                       << (f.permanent ? " (permanent)" : "")
                       << ": killed " << f.killed << ", dropped "

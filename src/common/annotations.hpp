@@ -4,12 +4,12 @@
  * the analysis needs to see.
  *
  * Every mutex-protected structure in the tree (ProfileCache,
- * PlanCache, the common/parallel pool, KvBlockManager) declares WHICH
- * data each lock guards via these macros, and the clang CI lane
- * compiles with `-Wthread-safety -Werror` so an unguarded access is a
- * build break, not a latent race. Under gcc (and any compiler without
- * the attributes) everything expands to nothing — zero overhead, same
- * semantics.
+ * PlanCache, the common/parallel pool, KvBlockManager, LazyRates)
+ * declares WHICH data each lock guards via these macros, and the
+ * clang CI lane compiles with `-Wthread-safety -Werror` so an
+ * unguarded access is a build break, not a latent race. Under gcc (and
+ * any compiler without the attributes) everything expands to nothing —
+ * zero overhead, same semantics.
  *
  * std::mutex itself carries no capability attributes under libstdc++,
  * so the analysis cannot see through std::lock_guard. The annotated

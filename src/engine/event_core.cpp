@@ -57,7 +57,7 @@ LazyRates::of(const CostedRequest &request) const
     std::atomic<const Rates *> &slot = slots_[s];
     if (const Rates *rates = slot.load(std::memory_order_acquire))
         return *rates;
-    const std::lock_guard<std::mutex> lock(fill_);
+    const MutexLock lock(fill_);
     if (const Rates *rates = slot.load(std::memory_order_relaxed))
         return *rates; // Another run priced it while this one waited.
     const Rates &rates = filled_.emplace_back(pricer_(request));
@@ -68,7 +68,7 @@ LazyRates::of(const CostedRequest &request) const
 std::size_t
 LazyRates::priced() const
 {
-    const std::lock_guard<std::mutex> lock(fill_);
+    const MutexLock lock(fill_);
     return filled_.size();
 }
 
@@ -154,25 +154,21 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     double clock = 0.0;
     std::size_t next_arrival = 0;
     WaitingQueue waiting(scheduler_->prefillAging(), priced);
-    // The queue keys every entry on its degraded prefill too.
-    const bool degraded_order =
-        scheduler_->prefillAging().has_value() && priced == kTopologies;
+    const bool prefill_order = scheduler_->prefillAging().has_value();
     std::vector<CostedRequest *> active; // Admission order.
 
-    // The rates of c's shape in the current mode. A degraded price is
+    // The rates of c's shape on topology t. A degraded price is
     // computed the first time any run on the table reads it.
-    auto rates = [&](const CostedRequest &c) -> const Rates & {
-        return mode == kHealthy ? c.shape->rates : degraded->of(c);
+    auto rates = [&](const CostedRequest &c,
+                     std::size_t t) -> const Rates & {
+        return t == kHealthy ? c.shape->rates : degraded->of(c);
     };
 
-    // Copy the shape's full-prompt degraded prefill into c's degraded
-    // slot unless it already holds its value (a preemption's re-price,
-    // or an earlier read).
-    auto fill_degraded_prefill = [&](CostedRequest &c) {
-        if (c.degradedPrefillFilled)
-            return;
-        c.prefillCycles[kDegraded] = degraded->of(c).prefillCycles;
-        c.degradedPrefillFilled = true;
+    // Cycles of c's next prefill on topology t: a recompute's re-price,
+    // else the full prompt at the shape's rates on t.
+    auto prefill_cycles = [&](const CostedRequest &c, std::size_t t) {
+        return c.next == NextPrefill::Recompute ? c.recomputeCycles[t]
+                                                : rates(c, t).prefillCycles;
     };
 
     // Clock advancement attributing degraded time. The arithmetic is
@@ -229,14 +225,17 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     };
 
     // Queue c at the tail (an arrival or a retry) or at the head (a
-    // preemption). A degraded prefill order reads c's degraded prefill.
+    // preemption), keyed on its next prefill on every priced topology
+    // when the scheduler keeps a prefill order.
     auto enqueue = [&](CostedRequest &c, bool atHead) {
-        if (degraded_order)
-            fill_degraded_prefill(c);
+        std::array<double, kTopologies> prefill{};
+        if (prefill_order)
+            for (std::size_t t = 0; t < priced; ++t)
+                prefill[t] = prefill_cycles(c, t);
         if (atHead)
-            waiting.pushFront(c, admit_bytes(c));
+            waiting.pushFront(c, admit_bytes(c), prefill);
         else
-            waiting.pushBack(c, admit_bytes(c));
+            waiting.pushBack(c, admit_bytes(c), prefill);
     };
 
     // Preempt the youngest running request (vLLM's recompute rule):
@@ -255,7 +254,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         ++c->preemptions;
         ++stats.preemptions;
         stats.preemptionOrder.push_back(c->req->id);
-        // Keep every topology's prefill price fresh, whatever mode the
+        // Price the recompute on every topology, whatever mode the
         // re-admission lands in. The recompute's energy is genuinely
         // spent on top of whatever the request already burned; charge
         // it now, in the current mode (the re-admission always happens
@@ -263,11 +262,11 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         for (std::size_t t = 0; t < priced; ++t) {
             const PrefillPrice price =
                 repricers_[t](*c, c->req->promptLen + progress);
-            c->prefillCycles[t] = price.cycles;
+            c->recomputeCycles[t] = price.cycles;
             if (t == mode)
                 c->joules += price.joules;
         }
-        c->degradedPrefillFilled = priced == kTopologies;
+        c->next = NextPrefill::Recompute;
         enqueue(*c, /*atHead=*/true);
     };
 
@@ -281,7 +280,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     };
 
     auto drop_request = [&](CostedRequest *c,
-                            EventStats::FaultImpact *impact) {
+                            FaultImpact *impact) {
         panicIf(c->dropped, "request dropped twice");
         c->dropped = true;
         ++stats.droppedRequests;
@@ -291,12 +290,12 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     };
 
     // Kill every in-flight request: free its KV, void its decode
-    // progress, re-arm the full-prompt restart prefill, and either
+    // progress, make its next prefill a full-prompt restart, and either
     // schedule a backoff retry or drop it (retry budget exhausted,
     // deadline passed, or the fleet is dead). Active order is
     // admission order, so the retry queue and the decision logs are
     // deterministic and step-mode independent.
-    auto kill_active = [&](EventStats::FaultImpact &impact) {
+    auto kill_active = [&](FaultImpact &impact) {
         for (CostedRequest *c : active) {
             release(*c);
             const std::size_t progress =
@@ -304,10 +303,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             stats.faultLostTokens += progress;
             c->remainingTokens = c->req->decodeLen;
             c->firstTokenSeen = false;
-            c->prefillCycles[kHealthy] = c->shape->rates.prefillCycles;
-            c->prefillJoulesDue = true;
-            c->degradedPrefillFilled = false;
-            c->restartPending = true;
+            c->next = NextPrefill::Restart;
             ++stats.killedInFlight;
             ++impact.killed;
             ++c->retries;
@@ -332,7 +328,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
 
     // A dead fleet serves nothing more: drop the queue, the retry
     // backlog, and every not-yet-arrived request.
-    auto drop_all_pending = [&](EventStats::FaultImpact &impact) {
+    auto drop_all_pending = [&](FaultImpact &impact) {
         for (CostedRequest *c : waiting.takeAll())
             drop_request(c, &impact);
         for (CostedRequest *c : retrying)
@@ -376,9 +372,9 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                timeline[next_fault].at <= clock) {
             const sim::FaultEvent &e = timeline[next_fault++];
             ++stats.faultEvents;
-            EventStats::FaultImpact impact;
+            FaultImpact impact;
             impact.eventId = e.id;
-            impact.atCycles = e.at;
+            impact.at = e.at;
             impact.kind = e.kind;
             impact.chip = e.chip;
             impact.permanent = e.permanent;
@@ -604,7 +600,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         double linear_max = 0.0;
         double other_max = 0.0;
         for (const CostedRequest *c : active) {
-            const Rates &r = rates(*c);
+            const Rates &r = rates(*c, mode);
             weight_cycles = std::max(weight_cycles, r.weightCyclesPerToken);
             weight_joules = std::max(weight_joules, r.weightJoulesPerToken);
             linear_cycles += r.linearCyclesPerToken;
@@ -617,7 +613,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         }
         // Everyone in the batch runs on the same accelerator, so the
         // stage count and composition rule are uniform across it.
-        const Rates &front = rates(*active.front());
+        const Rates &front = rates(*active.front(), mode);
         // Stage-aware costing: on a pipeline, distinct requests'
         // traversals overlap across the stages, so the batch's summed
         // work drains at the bottleneck stage (sum/stages) — but a
@@ -732,20 +728,16 @@ EventCore::run(std::vector<CostedRequest> &requests) const
                              static_cast<double>(resident_tokens(*c))
                        : c->kvBytes);
             // The prefill runs now, in the current mode: charge its
-            // energy (nothing after a paged preemption, which charged
-            // the recompute when it fired).
-            if (mode == kDegraded)
-                fill_degraded_prefill(*c);
-            const double prefill = c->prefillCycles[mode];
+            // energy (nothing for a recompute, whose preemption charged
+            // it) and count a restart as fault recompute.
+            const double prefill = prefill_cycles(*c, mode);
             advance(prefill);
             stats.busyCycles += prefill;
-            if (c->prefillJoulesDue)
-                c->joules += rates(*c).prefillJoules;
-            c->prefillJoulesDue = false;
-            if (c->restartPending) {
+            if (c->next != NextPrefill::Recompute)
+                c->joules += rates(*c, mode).prefillJoules;
+            if (c->next == NextPrefill::Restart)
                 stats.faultRecomputeCycles += prefill;
-                c->restartPending = false;
-            }
+            c->next = NextPrefill::Prompt;
             admitted_any = true;
             if (c->remainingTokens == 0)
                 finish(*c);
@@ -862,7 +854,8 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         for (auto it = active.begin(); it != active.end();) {
             CostedRequest *c = *it;
             c->joules +=
-                kd * (rates(*c).otherJoulesPerToken + weight_joules_share);
+                kd * (rates(*c, mode).otherJoulesPerToken +
+                      weight_joules_share);
             if (!c->firstTokenSeen) {
                 c->firstTokenSeen = true;
                 // End of the window's first iteration — exact for any

@@ -27,8 +27,9 @@
  *    block when the last one fills), and when the pool cannot hold
  *    the batch's growth the youngest running request is preempted:
  *    its blocks are freed, its recompute prefill (prompt + generated
- *    tokens) is re-priced through the caller-supplied PrefillPricer,
- *    and it rejoins the head of the waiting queue.
+ *    tokens) is re-priced through the caller-supplied PrefillPricer
+ *    (NextPrefill::Recompute), and it rejoins the head of the waiting
+ *    queue.
  *
  * Either way, in-flight KV never exceeds the configured capacity
  * (<= 0 = unbounded, the unified sentinel), the peak and
@@ -51,8 +52,8 @@
  * crosses the next fault instant, a pending retry's backoff expiry,
  * or a waiting request's deadline, so the per-token and coalesced
  * paths make identical kill/retry/drop decisions. A chip failure
- * kills every in-flight request (KV freed, decode progress lost,
- * restart prefill re-armed at the full prompt) and schedules a
+ * kills every in-flight request (KV freed, decode progress lost, its
+ * next prefill a full-prompt Restart) and schedules a
  * retry with capped exponential backoff in simulated time; past the
  * retry budget or the per-request deadline the request drops. A
  * failed chip puts the fleet in degraded mode (requests prefill and
@@ -72,13 +73,14 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/annotations.hpp"
 #include "engine/kv_block_manager.hpp"
 #include "engine/scheduler.hpp"
 #include "model/llm_config.hpp"
@@ -118,9 +120,8 @@ inline constexpr std::size_t kTopologies = 2;
 /** Batch-1 prices of one request on one topology. */
 struct Rates
 {
-    /** Full-prompt prefill: a fault kill loses all decode progress, so
-     *  the restart replays exactly this (unlike a paged preemption,
-     *  which re-prices prompt + progress). */
+    /** Full-prompt prefill: a first admission and a post-kill restart
+     *  pay it (a paged recompute re-prices prompt + progress). */
     double prefillCycles = 0.0;
     double prefillJoules = 0.0;
     /** Per-token weight-stream cycles (shared across a decode batch). */
@@ -179,6 +180,22 @@ struct PricedShape
     double clockGhz = 0.0;
 };
 
+/**
+ * The prefill a request's next admission pays, priced only by the
+ * event core, on the topology the admission runs in. Kills and
+ * preemptions hit only admitted requests, and an admission resets the
+ * state to Prompt, so Restart and Recompute never coexist.
+ */
+enum class NextPrefill : std::uint8_t
+{
+    Prompt,    ///< The shape's full prompt (a request as costed).
+    Restart,   ///< The full prompt again after a fault kill; counts
+               ///< as fault-attributable recompute.
+    Recompute, ///< Prompt + decode progress after a paged preemption,
+               ///< priced into recomputeCycles; its energy was charged
+               ///< when the preemption fired.
+};
+
 /** Precomputed cost model of one request (from a batch-1 run). */
 struct CostedRequest
 {
@@ -197,10 +214,9 @@ struct CostedRequest
     /** The request's shape entry: its healthy prices. Owned by the
      *  shape table the costed trace holds, never by the request. */
     const PricedShape *shape = nullptr;
-    /** Prefill cycles the next admission pays, per topology (re-priced
-     *  to the recompute length after a preemption). Costing fills only
-     *  the healthy slot; see degradedPrefillFilled. */
-    std::array<double, kTopologies> prefillCycles{};
+    /** The last paged preemption's recompute prefill cycles, per
+     *  priced topology; read only while next == Recompute. */
+    std::array<double, kTopologies> recomputeCycles{};
     double joules = 0.0; ///< Accumulated as the request is served.
     /** KV-cache bytes of this request's full footprint (its largest
      *  residency; policy-quantized — see kvFootprintBytes). Reserve
@@ -210,10 +226,8 @@ struct CostedRequest
     /** Per-token KV bytes of the request's model. */
     double kvBytesPerToken = 0.0;
     std::size_t remainingTokens = 0;
-    bool firstTokenSeen = false;
     double firstTokenCycles = 0.0;
     /** Written by the event core as the request is served. */
-    bool admitted = false;
     double admissionCycles = 0.0; ///< First admission (queue wait ends).
     double completionCycles = 0.0;
     /** KV the request holds in the pool right now: block-rounded and
@@ -223,7 +237,7 @@ struct CostedRequest
     std::size_t preemptions = 0;
     std::size_t recomputedTokens = 0;
 
-    // ---- Fault-tolerant serving state, and the prefill flags ----
+    // ---- Fault-tolerant serving state ----
     std::size_t retries = 0;    ///< Fault-kill restarts so far.
     double retryAtCycles = 0.0; ///< Backoff expiry (earliest retry).
     /** Drop-dead clock (0 = none), stamped once by costing: arrival +
@@ -231,24 +245,12 @@ struct CostedRequest
      *  deadline is positive. A fleet failover copy keeps the deadline
      *  of its original arrival, because it copies this request. */
     double deadlineCycles = 0.0;
-    /** The next admission is a post-kill restart: its prefill counts
-     *  as fault-attributable recompute. */
-    bool restartPending = false;
+
+    // ---- Flags, packed together ----
+    bool firstTokenSeen = false;
+    bool admitted = false;
     bool dropped = false;
-    /** The next admission charges the shape's full-prompt prefill
-     *  energy in the mode the prefill runs in. Costing and a fault kill
-     *  set it; admission clears it, so a re-admission after a paged
-     *  preemption (whose recompute energy is charged at the
-     *  preemption) adds nothing. */
-    bool prefillJoulesDue = false;
-    /**
-     * The degraded slot of prefillCycles holds its value. While false
-     * it stands for the shape's full-prompt degraded prefill, which the
-     * event core copies in the first time it reads it
-     * (FaultInputs::degraded). Costing and a fault kill leave it
-     * unfilled; a paged preemption fills it with its re-price.
-     */
-    bool degradedPrefillFilled = false;
+    NextPrefill next = NextPrefill::Prompt;
 };
 
 /**
@@ -282,9 +284,9 @@ class LazyRates
     Pricer pricer_;
     /** Each shape's rates once priced, else null. */
     std::unique_ptr<std::atomic<const Rates *>[]> slots_;
-    mutable std::mutex fill_;
+    mutable Mutex fill_;
     /** The priced rates, in pricing order; a deque keeps addresses. */
-    mutable std::deque<Rates> filled_;
+    mutable std::deque<Rates> filled_ MCBP_GUARDED_BY(fill_);
 };
 
 /**
@@ -416,6 +418,20 @@ struct Value
     X(double, degradedCycles, degradedSeconds, "degraded_s", Sum, Cycles)  \
     X(double, outageCycles, outageSeconds, "outage_s", Sum, Cycles)
 
+/** One fault event's blast radius. */
+struct FaultImpact
+{
+    std::size_t eventId = 0;
+    /** Scheduled instant: cycles in EventStats, seconds in a
+     *  ServingReport. */
+    double at = 0.0;
+    sim::FaultKind kind = sim::FaultKind::ChipFail;
+    std::size_t chip = 0;
+    bool permanent = false;
+    std::size_t killed = 0;  ///< In-flight requests killed.
+    std::size_t dropped = 0; ///< Requests dropped outright.
+};
+
 /** Aggregate outcome of one event-loop run, in cycles. */
 struct EventStats
 {
@@ -445,17 +461,7 @@ struct EventStats
      *  admissionOrder/preemptionOrder). */
     std::vector<std::size_t> retryOrder;
     std::vector<std::size_t> dropOrder;
-    /** Per-fault-event blast radius. */
-    struct FaultImpact
-    {
-        std::size_t eventId = 0;
-        double atCycles = 0.0;
-        sim::FaultKind kind = sim::FaultKind::ChipFail;
-        std::size_t chip = 0;
-        bool permanent = false;
-        std::size_t killed = 0;  ///< In-flight requests killed.
-        std::size_t dropped = 0; ///< Requests dropped outright.
-    };
+    /** Per-fault-event blast radius, in timeline order. */
     std::vector<FaultImpact> faultLog;
 };
 

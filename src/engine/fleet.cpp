@@ -508,8 +508,8 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
     std::stable_sort(merged.faultLog.begin(), merged.faultLog.end(),
                      [](const ServingReport::FaultImpact &a,
                         const ServingReport::FaultImpact &b) {
-                         return std::pair(a.seconds, a.chip) <
-                                std::pair(b.seconds, b.chip);
+                         return std::pair(a.at, a.chip) <
+                                std::pair(b.at, b.chip);
                      });
     for (std::size_t k = 0; k < merged.faultLog.size(); ++k)
         merged.faultLog[k].eventId = k;

@@ -407,11 +407,6 @@ ServingSimulator::costTrace(const std::vector<model::Request> &trace) const
         c.recomputeShape =
             model::singleRequest(*shape.task, req.promptLen, 0);
         c.shape = &shape;
-        // Admission charges the prefill energy, in the mode the
-        // prefill runs in. The degraded slot stays unfilled until the
-        // event core reads it (CostedRequest::degradedPrefillFilled).
-        c.prefillCycles[kHealthy] = shape.rates.prefillCycles;
-        c.prefillJoulesDue = true;
         c.arrivalCycles = req.arrivalSeconds * shape.clockGhz * 1e9;
         const double deadline = deadline_seconds * (shape.clockGhz * 1e9);
         if (deadline > 0.0)
@@ -561,18 +556,9 @@ ServingSimulator::serve(CostedTrace costed,
             : 0.0;
     report.retryOrder = std::move(stats.retryOrder);
     report.dropOrder = std::move(stats.dropOrder);
-    report.faultLog.reserve(stats.faultLog.size());
-    for (const EventStats::FaultImpact &f : stats.faultLog) {
-        ServingReport::FaultImpact fi;
-        fi.eventId = f.eventId;
-        fi.seconds = f.atCycles * to_seconds;
-        fi.kind = f.kind;
-        fi.chip = f.chip;
-        fi.permanent = f.permanent;
-        fi.killed = f.killed;
-        fi.dropped = f.dropped;
-        report.faultLog.push_back(fi);
-    }
+    report.faultLog = std::move(stats.faultLog);
+    for (FaultImpact &f : report.faultLog)
+        f.at *= to_seconds;
 
     finalizeServingAggregates(report, trace_size);
     if (report.noCompletions)

@@ -292,17 +292,9 @@ struct ServingReport
      *  part of the coalescing equivalence contract. */
     std::vector<std::size_t> retryOrder;
     std::vector<std::size_t> dropOrder;
-    /** Per-fault-event blast radius, in timeline order. */
-    struct FaultImpact
-    {
-        std::size_t eventId = 0;
-        double seconds = 0.0; ///< Scheduled instant.
-        sim::FaultKind kind = sim::FaultKind::ChipFail;
-        std::size_t chip = 0;
-        bool permanent = false;
-        std::size_t killed = 0;
-        std::size_t dropped = 0;
-    };
+    /** Per-fault-event blast radius, in timeline order (`at` in
+     *  seconds). */
+    using FaultImpact = engine::FaultImpact;
     std::vector<FaultImpact> faultLog;
 
     /** Throughput gain of batching vs serving the trace serially. */

@@ -28,19 +28,23 @@ WaitingQueue::WaitingQueue(std::optional<double> prefillAging,
 }
 
 void
-WaitingQueue::pushBack(CostedRequest &c, double admitBytes)
+WaitingQueue::pushBack(CostedRequest &c, double admitBytes,
+                       const std::array<double, kTopologies> &prefill)
 {
-    push(c, admitBytes, ++hi_);
+    push(c, admitBytes, prefill, ++hi_);
 }
 
 void
-WaitingQueue::pushFront(CostedRequest &c, double admitBytes)
+WaitingQueue::pushFront(CostedRequest &c, double admitBytes,
+                        const std::array<double, kTopologies> &prefill)
 {
-    push(c, admitBytes, --lo_);
+    push(c, admitBytes, prefill, --lo_);
 }
 
 void
-WaitingQueue::push(CostedRequest &c, double admitBytes, std::int64_t seq)
+WaitingQueue::push(CostedRequest &c, double admitBytes,
+                   const std::array<double, kTopologies> &prefill,
+                   std::int64_t seq)
 {
     std::size_t g = 0;
     while (g < groups_.size() && groups_[g].model != c.req->model)
@@ -59,7 +63,7 @@ WaitingQueue::push(CostedRequest &c, double admitBytes, std::int64_t seq)
         // arrival): the w x clock term is common to every entry.
         for (std::size_t t = 0; t < topologies_; ++t) {
             e.prefillKey[t] =
-                c.prefillCycles[t] + *prefillAging_ * c.arrivalCycles;
+                prefill[t] + *prefillAging_ * c.arrivalCycles;
             group.prefill[t].insert({e.prefillKey[t], seq, &e});
         }
     }

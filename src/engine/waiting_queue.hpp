@@ -13,7 +13,10 @@
  *
  *  - arrival order (by sequence number);
  *  - when the scheduler walks it, the prefill order of every priced
- *    topology, keyed (prefillCycles[t] + w x arrivalCycles, seq);
+ *    topology, keyed (prefill[t] + w x arrivalCycles, seq), where
+ *    prefill[t] is the cycles of the request's next prefill on
+ *    topology t, which the caller prices and passes to the push (the
+ *    queue reads no prefill field of the request);
  *  - the admit footprint: the KV bytes an admission would hold.
  *
  * No key ever changes while a request waits: a preemption re-prices
@@ -123,10 +126,16 @@ class WaitingQueue
 
     bool empty() const { return size_ == 0; }
 
-    /** Queue @p c at the tail (an arrival or a retry) or at the head
-     *  (a preemption); admitting it holds @p admitBytes. */
-    void pushBack(CostedRequest &c, double admitBytes);
-    void pushFront(CostedRequest &c, double admitBytes);
+    /**
+     * Queue @p c at the tail (an arrival or a retry) or at the head (a
+     * preemption); admitting it holds @p admitBytes. @p prefill is the
+     * cycles of its next prefill on each priced topology, read only
+     * when the queue keeps a prefill order.
+     */
+    void pushBack(CostedRequest &c, double admitBytes,
+                  const std::array<double, kTopologies> &prefill);
+    void pushFront(CostedRequest &c, double admitBytes,
+                   const std::array<double, kTopologies> &prefill);
 
     /** Remove @p entry (a policy's pick); returns its request. */
     CostedRequest &erase(const WaitingEntry &entry);
@@ -187,7 +196,9 @@ class WaitingQueue
         Order footprint;
     };
 
-    void push(CostedRequest &c, double admitBytes, std::int64_t seq);
+    void push(CostedRequest &c, double admitBytes,
+              const std::array<double, kTopologies> &prefill,
+              std::int64_t seq);
     const WaitingEntry *groupFirstFit(const Group &g, WaitOrder order,
                                       const AdmissionPass &pass) const;
     /** Sort key of @p e in @p order on @p topology. */

@@ -316,6 +316,17 @@ patternRules()
          "raw threading primitive outside common/parallel; use "
          "parallel::parallelFor/parallelMap (deterministic pool, "
          "index-ordered joins)"},
+        {"raw-mutex",
+         "common/annotations",
+         {},
+         {"std::mutex", "std::recursive_mutex", "std::timed_mutex",
+          "std::shared_mutex", "std::lock_guard", "std::unique_lock",
+          "std::scoped_lock", "std::shared_lock",
+          "std::condition_variable", "std::condition_variable_any"},
+         "raw lock primitive outside common/annotations; use the "
+         "annotated Mutex/MutexLock/CondVar and mark what the lock "
+         "guards with MCBP_GUARDED_BY, so the clang -Wthread-safety "
+         "lane can check it"},
         {"raw-rng",
          "common/rng",
          {},
@@ -718,10 +729,11 @@ const std::vector<std::string> &
 ruleNames()
 {
     static const std::vector<std::string> names = {
-        "raw-thread",     "raw-rng",
-        "wall-clock",     "unordered-accumulation",
-        "stray-getenv",   "include-hygiene",
-        "eager-message",  "bad-suppression"};
+        "raw-thread",      "raw-mutex",
+        "raw-rng",         "wall-clock",
+        "unordered-accumulation",
+        "stray-getenv",    "include-hygiene",
+        "eager-message",   "bad-suppression"};
     return names;
 }
 

@@ -239,15 +239,24 @@ class HandQueue
         r.model = model;
         CostedRequest &c = costs_.emplace_back();
         c.req = &r;
-        c.prefillCycles = {prefill, degradedPrefill};
         c.arrivalCycles = arrival;
         c.deadlineCycles = deadline;
+        prefill_.push_back({prefill, degradedPrefill});
         return c;
+    }
+
+    /** The healthy/degraded prefill prices @p c was added with: the
+     *  keys its push passes to the queue. */
+    const std::array<double, kTopologies> &
+    prefill(const CostedRequest &c) const
+    {
+        return prefill_[c.req->id];
     }
 
   private:
     std::deque<model::Request> reqs_;
     std::deque<CostedRequest> costs_;
+    std::deque<std::array<double, kTopologies>> prefill_;
 };
 
 /** Ids @p scheduler admits from @p q, draining it one pick at a time. */
@@ -279,10 +288,11 @@ TEST(AdmissionIndex, ShortestPromptTiesGoToQueuePosition)
     CostedRequest &d = reqs.add("m", 100.0, 0.0, 0.0, 400.0);
     for (std::size_t topology : {kHealthy, kDegraded}) {
         WaitingQueue q(sjf->prefillAging(), kTopologies);
-        q.pushBack(a, 0.0);
-        q.pushBack(b, 0.0);
-        q.pushFront(p, 0.0); // A preemption re-queues at the head.
-        q.pushBack(d, 0.0);
+        q.pushBack(a, 0.0, reqs.prefill(a));
+        q.pushBack(b, 0.0, reqs.prefill(b));
+        // A preemption re-queues at the head.
+        q.pushFront(p, 0.0, reqs.prefill(p));
+        q.pushBack(d, 0.0, reqs.prefill(d));
         std::size_t probes = 0;
         const AdmissionPass pass(pool, false, nullptr, topology, probes);
         const std::vector<std::size_t> want =
@@ -350,9 +360,10 @@ TEST(AdmissionIndex, SkipAheadPassesKvBlockedHead)
     const auto skip = makeScheduler(SchedulerPolicy::SkipAhead);
     const auto fifo = makeScheduler(SchedulerPolicy::Fifo);
     WaitingQueue q(std::nullopt, 1);
-    q.pushBack(head, 500.0); // 600 + 500 > 1000: blocked.
-    q.pushBack(mid, 300.0);
-    q.pushBack(tail, 100.0);
+    // 600 + 500 > 1000: blocked.
+    q.pushBack(head, 500.0, reqs.prefill(head));
+    q.pushBack(mid, 300.0, reqs.prefill(mid));
+    q.pushBack(tail, 100.0, reqs.prefill(tail));
 
     std::size_t probes = 0;
     const AdmissionPass pass(pool, false, nullptr, kHealthy, probes);
@@ -379,9 +390,11 @@ TEST(AdmissionIndex, KvBlockedQueueCostsOneCheckPerPass)
     HandQueue reqs;
     const auto sjf = makeScheduler(SchedulerPolicy::ShortestPromptFirst);
     WaitingQueue q(sjf->prefillAging(), 1);
-    for (std::size_t i = 0; i < 1000; ++i)
-        q.pushBack(reqs.add("m", static_cast<double>(i % 7), 0.0),
-                   100.0 + static_cast<double>(i % 13));
+    for (std::size_t i = 0; i < 1000; ++i) {
+        CostedRequest &c = reqs.add("m", static_cast<double>(i % 7), 0.0);
+        q.pushBack(c, 100.0 + static_cast<double>(i % 13),
+                   reqs.prefill(c));
+    }
     std::size_t probes = 0;
     const AdmissionPass pass(pool, true, nullptr, kHealthy, probes);
     for (const SchedulerPolicy policy : allSchedulerPolicies()) {
@@ -405,11 +418,12 @@ TEST(AdmissionIndex, DeadlineDropsComeOutInQueueOrder)
     CostedRequest &retry = reqs.add("x", 1.0, 0.0, 10.0);
     CostedRequest &late = reqs.add("m", 1.0, 0.0, 500.0);
     WaitingQueue q(std::nullopt, 1);
-    q.pushBack(a, 0.0);
-    q.pushBack(b, 0.0);
-    q.pushFront(preempted, 0.0);
-    q.pushBack(retry, 0.0); // A retry re-enters at the tail.
-    q.pushBack(late, 0.0);
+    q.pushBack(a, 0.0, reqs.prefill(a));
+    q.pushBack(b, 0.0, reqs.prefill(b));
+    q.pushFront(preempted, 0.0, reqs.prefill(preempted));
+    // A retry re-enters at the tail.
+    q.pushBack(retry, 0.0, reqs.prefill(retry));
+    q.pushBack(late, 0.0, reqs.prefill(late));
     EXPECT_EQ(q.earliestDeadline(), 10.0);
     EXPECT_TRUE(q.takeExpired(9.0).empty());
     const std::vector<CostedRequest *> dropped = q.takeExpired(50.0);

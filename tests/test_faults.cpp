@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -39,6 +40,7 @@
 #include "engine/fleet.hpp"
 #include "engine/health.hpp"
 #include "engine/registry.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/serving.hpp"
 #include "model/request.hpp"
 #include "sim/fault_model.hpp"
@@ -223,17 +225,19 @@ TEST(FaultServing, CostedTraceBitIdenticalWithFaultsEnabled)
         const CostedRequest &h = healthy.costs[i];
         const CostedRequest &f = injected.costs[i];
         EXPECT_EQ(h.arrivalCycles, f.arrivalCycles);
-        EXPECT_EQ(h.prefillCycles, f.prefillCycles);
+        EXPECT_EQ(h.recomputeCycles, f.recomputeCycles);
         EXPECT_EQ(h.shape->rates, f.shape->rates);
         EXPECT_EQ(h.kvBytes, f.kvBytes);
-        // Both defer the prefill charge to admission, at the same
-        // price: faults change no bit of the costing.
+        // Both defer the prefill charge to admission, where the
+        // event core prices the full prompt from the shape's rates:
+        // faults change no bit of the costing.
         EXPECT_EQ(h.joules, 0.0);
         EXPECT_EQ(f.joules, 0.0);
-        EXPECT_TRUE(h.prefillJoulesDue);
-        EXPECT_EQ(h.prefillJoulesDue, f.prefillJoulesDue);
-        EXPECT_EQ(f.shape->rates.prefillCycles,
-                  f.prefillCycles[kHealthy]);
+        EXPECT_EQ(h.next, NextPrefill::Prompt);
+        EXPECT_EQ(f.next, NextPrefill::Prompt);
+        const std::array<double, kTopologies> unpriced{};
+        EXPECT_EQ(h.recomputeCycles, unpriced);
+        EXPECT_EQ(f.recomputeCycles, unpriced);
         EXPECT_EQ(h.deadlineCycles, 0.0);
         EXPECT_EQ(f.deadlineCycles, 0.0);
         EXPECT_EQ(unstamped.costs[i].deadlineCycles, 0.0);
@@ -559,6 +563,108 @@ TEST(FaultServing, DegradedPricesOnlyWhatADegradedWindowReads)
     }
     EXPECT_EQ(fleetCosted.degradedShapesPriced(), out.degradedShapesPriced);
     EXPECT_EQ(serialTwin.runs(), out.degradedShapesPriced);
+}
+
+TEST(FaultServing, NextPrefillFollowsEvictionAndMode)
+{
+    // Two requests of one shape (4 prompt + 4 decode tokens), served
+    // paged by FIFO on a 12-byte pool of 1-byte tokens and 1-token
+    // blocks, with a transient chip failure at 245 cycles onto a
+    // degraded twin. Every price is a small integer, so every expected
+    // sum below is exact:
+    //  - healthy: prompt prefill 100 cycles / 1 J, 10 cycles a token;
+    //  - degraded: prompt prefill 300 cycles / 3 J, 30 cycles a token;
+    //  - a recompute re-prices to 500 cycles / 5 J healthy and
+    //    700 cycles / 7 J degraded.
+    // Decode costs no energy, so a request's joules are its prefills'.
+    Rates healthy;
+    healthy.prefillCycles = 100.0;
+    healthy.prefillJoules = 1.0;
+    healthy.otherCyclesPerToken = 10.0;
+    Rates degraded;
+    degraded.prefillCycles = 300.0;
+    degraded.prefillJoules = 3.0;
+    degraded.otherCyclesPerToken = 30.0;
+    std::vector<PricedShape> shapes(1);
+    shapes[0].rates = healthy;
+    const LazyRates lazy(shapes,
+                         [&](const CostedRequest &) { return degraded; });
+    const PrefillPricer healthyRecompute = [](const CostedRequest &,
+                                              std::size_t) {
+        return PrefillPrice{500.0, 5.0};
+    };
+    const PrefillPricer degradedRecompute = [](const CostedRequest &,
+                                               std::size_t) {
+        return PrefillPrice{700.0, 7.0};
+    };
+
+    std::vector<model::Request> reqs(2);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].id = i;
+        reqs[i].model = "m";
+        reqs[i].promptLen = 4;
+        reqs[i].decodeLen = 4;
+    }
+    KvOptions kv;
+    kv.policy = KvPolicy::Paged;
+    kv.capacityBytes = 12.0;
+    kv.blockTokens = 1;
+    kv.lowWatermark = 0.0;
+    FaultInputs faults;
+    sim::FaultEvent fail;
+    fail.at = 245.0;
+    fail.kind = sim::FaultKind::ChipFail;
+    fail.repairAt = 1e9;
+    faults.timeline.push_back(fail);
+    faults.backoffBaseCycles = 1000.0;
+    faults.backoffCapCycles = 1000.0;
+    faults.degraded = &lazy;
+    const auto fifo = makeScheduler(SchedulerPolicy::Fifo);
+
+    for (const StepMode step : {StepMode::Coalesced, StepMode::PerToken}) {
+        std::vector<CostedRequest> requests(reqs.size());
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            requests[i].req = &reqs[i];
+            requests[i].shape = &shapes[0];
+            requests[i].kvBytesPerToken = 1.0;
+            requests[i].kvBytes = 8.0;
+            requests[i].remainingTokens = reqs[i].decodeLen;
+        }
+        const EventCore core(*fifo, 2, kv, healthyRecompute, step, faults,
+                             degradedRecompute);
+        const EventStats stats = core.run(requests);
+        const std::string mode = toString(step);
+        // Both admit healthy (clock 200) and decode two tokens; the
+        // third overflows the pool, so B (the youngest) is preempted at
+        // 240. A decodes alone to 250, where the failure (due at 245)
+        // kills it and degrades the fleet.
+        EXPECT_EQ(stats.admissionOrder,
+                  (std::vector<std::size_t>{0, 1, 1, 0}))
+            << mode;
+        EXPECT_EQ(stats.preemptionOrder, std::vector<std::size_t>{1})
+            << mode;
+        EXPECT_EQ(stats.retryOrder, std::vector<std::size_t>{0}) << mode;
+        const CostedRequest &a = requests[0];
+        const CostedRequest &b = requests[1];
+        // B re-admits at 250, degraded: its recompute runs at the
+        // degraded re-price, and charges no second prefill energy (its
+        // healthy recompute energy was charged at the preemption).
+        EXPECT_EQ(b.completionCycles, 250.0 + 700.0 + 2.0 * 30.0) << mode;
+        EXPECT_EQ(b.joules, 1.0 + 5.0) << mode;
+        // A's retry expires at 1250 and it re-admits degraded: it pays
+        // the full-prompt prefill again, energy included, at degraded
+        // prices, and that prefill is the run's fault recompute.
+        EXPECT_EQ(a.completionCycles, 1250.0 + 300.0 + 4.0 * 30.0) << mode;
+        EXPECT_EQ(a.joules, 1.0 + 3.0) << mode;
+        EXPECT_EQ(stats.faultRecomputeCycles, 300.0) << mode;
+        EXPECT_EQ(stats.busyCycles,
+                  2.0 * 100.0 + 2.0 * 20.0 + 10.0 + 700.0 + 2.0 * 30.0 +
+                      300.0 + 4.0 * 30.0)
+            << mode;
+        EXPECT_EQ(a.next, NextPrefill::Prompt) << mode;
+        EXPECT_EQ(b.next, NextPrefill::Prompt) << mode;
+    }
+    EXPECT_EQ(lazy.priced(), 1u);
 }
 
 TEST(FaultServing, DeadlinesDropQueuedWorkDuringOutage)

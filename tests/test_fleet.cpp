@@ -225,7 +225,7 @@ hashReport(Fnv &h, const ServingReport &r)
     h.add(std::uint64_t{r.faultLog.size()});
     for (const ServingReport::FaultImpact &f : r.faultLog) {
         h.add(std::uint64_t{f.eventId});
-        h.add(f.seconds);
+        h.add(f.at);
         h.add(static_cast<std::uint64_t>(f.kind));
         for (const std::size_t v : {f.chip, f.killed, f.dropped})
             h.add(std::uint64_t{v});

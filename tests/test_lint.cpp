@@ -39,9 +39,9 @@ TEST(Lint, RuleNamesCoverEveryRule)
 {
     const auto &names = ruleNames();
     for (const char *expected :
-         {"raw-thread", "raw-rng", "wall-clock", "unordered-accumulation",
-          "stray-getenv", "include-hygiene", "eager-message",
-          "bad-suppression"}) {
+         {"raw-thread", "raw-mutex", "raw-rng", "wall-clock",
+          "unordered-accumulation", "stray-getenv", "include-hygiene",
+          "eager-message", "bad-suppression"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
@@ -74,6 +74,44 @@ TEST(Lint, RawThreadFlagsOpenMpAndAsync)
                                "#pragma omp parallel for\n"
                                "auto fut = std::async(work);\n");
     EXPECT_EQ(countRule(fs, "raw-thread"), 2u);
+}
+
+// ---- raw-mutex ------------------------------------------------------------
+
+TEST(Lint, RawMutexFlagsStdLocksOutsideAnnotations)
+{
+    const auto fs = lintSource("src/engine/foo.hpp",
+                               "class Cache {\n"
+                               "    mutable std::mutex m_;\n"
+                               "    void f() const {\n"
+                               "        std::lock_guard<std::mutex> g(m_);\n"
+                               "        std::unique_lock<std::mutex> u(m_);\n"
+                               "        std::scoped_lock s(m_);\n"
+                               "    }\n"
+                               "    std::condition_variable cv_;\n"
+                               "};\n");
+    ASSERT_EQ(countRule(fs, "raw-mutex"), 5u);
+    EXPECT_EQ(firstOf(fs, "raw-mutex")->line, 2u);
+}
+
+TEST(Lint, RawMutexAllowedInsideCommonAnnotations)
+{
+    const auto fs = lintSource("src/common/annotations.hpp",
+                               "std::mutex m_;\n"
+                               "std::condition_variable_any cv_;\n");
+    EXPECT_EQ(countRule(fs, "raw-mutex"), 0u);
+}
+
+TEST(Lint, RawMutexHonorsAJustifiedSuppression)
+{
+    const auto fs = lintSource(
+        "bench/x.cpp",
+        "// mcbp-lint: allow(raw-mutex): guards a bench-local log\n"
+        "std::mutex logMutex;\n"
+        "std::mutex other;\n");
+    ASSERT_EQ(countRule(fs, "raw-mutex"), 1u);
+    EXPECT_EQ(firstOf(fs, "raw-mutex")->line, 3u);
+    EXPECT_EQ(countRule(fs, "bad-suppression"), 0u);
 }
 
 // ---- raw-rng --------------------------------------------------------------

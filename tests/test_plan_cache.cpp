@@ -144,7 +144,8 @@ expectCostsBitIdentical(const engine::ServingSimulator::CostedTrace &a,
         const engine::CostedRequest &y = b.costs[i];
         EXPECT_EQ(x.req->id, y.req->id);
         EXPECT_EQ(x.arrivalCycles, y.arrivalCycles);
-        EXPECT_EQ(x.prefillCycles, y.prefillCycles);
+        EXPECT_EQ(x.recomputeCycles, y.recomputeCycles);
+        EXPECT_EQ(x.next, y.next);
         EXPECT_EQ(x.shape->rates, y.shape->rates);
         EXPECT_EQ(x.kvBytes, y.kvBytes);
         EXPECT_EQ(x.kvBytesPerToken, y.kvBytesPerToken);
@@ -296,7 +297,7 @@ TEST(PlanCache, ShapeTableOrdersOnLengthsThenNames)
     // Entries hold zoo handles, not names or a workload copy.
     EXPECT_LE(sizeof(engine::PricedShape), 120u);
     // A costed request restates none of its shape's prices.
-    EXPECT_LE(sizeof(engine::CostedRequest), 256u);
+    EXPECT_LE(sizeof(engine::CostedRequest), 240u);
     engine::ServingOptions serial;
     serial.costingThreads = 1;
     const auto a = engine::ServingSimulator(*accel, serial).costTrace(reqs);
