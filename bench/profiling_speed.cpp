@@ -4,7 +4,7 @@
  * measure-then-model loop that gates every figure, serving run and
  * cluster sweep.
  *
- * Three sections:
+ * Six sections:
  *  1. Cold fleet warm-up — a registry fleet's full profile working set
  *     ((model, bw) weight keys + (model, ctx-bucket, alpha) attention
  *     keys), filled serially vs fanned out over the thread pool via
@@ -29,10 +29,16 @@
  *     kernel on one Llama7B INT8 profile tile, then profileWeights end
  *     to end on that model. The planes must match bit for bit; the
  *     times are recorded, not gated.
+ *  6. Gaussian synthesis — the per-call libm Box-Muller
+ *     (reference_kernels.hpp) vs the dispatched boxMuller kernel in
+ *     draws/s, then synthesizeAttention at context 2048. Every tier
+ *     must give the same bits; how many draws differ from libm is
+ *     recorded, and the times are recorded, not gated.
  *
  * `--json <path>` archives the records (bench_util.hpp schema).
  */
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <iostream>
 
@@ -380,9 +386,94 @@ main(int argc, char **argv)
         .field("profile_weights_s", profile_s)
         .field("bit_identical", planes_match ? 1 : 0);
 
+    // ---- Section 6: Gaussian synthesis ----------------------------------
+    bench::banner(std::string("Gaussian draws: per-call libm vs block "
+                              "kernel (") +
+                  simd::tierName(tier) + ")");
+    constexpr std::size_t kPairs = std::size_t{1} << 18;
+    std::vector<double> bm_u1(kPairs), bm_u2(kPairs);
+    Rng urng(11);
+    for (std::size_t i = 0; i < kPairs; ++i) {
+        do {
+            bm_u1[i] = urng.uniform();
+        } while (bm_u1[i] <= 1e-300);
+        bm_u2[i] = urng.uniform();
+    }
+    std::vector<double> libm_c(kPairs), libm_s(kPairs), kern_c(kPairs),
+        kern_s(kPairs);
+    const double libm_t = bestOf(3, [&] {
+        bench::boxMullerLibm(bm_u1.data(), bm_u2.data(), kPairs,
+                             libm_c.data(), libm_s.data());
+    });
+    const double kernel_t = bestOf(3, [&] {
+        simd_k.boxMuller(bm_u1.data(), bm_u2.data(), kPairs, kern_c.data(),
+                         kern_s.data());
+    });
+    const auto same_bits = [](const std::vector<double> &a,
+                              const std::vector<double> &b) {
+        return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+               0;
+    };
+    bool tiers_match = true;
+    for (const simd::Tier t :
+         {simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512}) {
+        if (t > simd::availableTier())
+            continue;
+        std::vector<double> c(kPairs), sn(kPairs);
+        simd::kernelsFor(t).boxMuller(bm_u1.data(), bm_u2.data(), kPairs,
+                                      c.data(), sn.data());
+        tiers_match = tiers_match && same_bits(c, kern_c) &&
+                      same_bits(sn, kern_s);
+    }
+    std::size_t differ = 0, float_differ = 0;
+    for (std::size_t i = 0; i < kPairs; ++i) {
+        differ += (kern_c[i] != libm_c[i]) + (kern_s[i] != libm_s[i]);
+        float_differ += (static_cast<float>(kern_c[i]) !=
+                         static_cast<float>(libm_c[i])) +
+                        (static_cast<float>(kern_s[i]) !=
+                         static_cast<float>(libm_s[i]));
+    }
+    const double draws = 2.0 * static_cast<double>(kPairs);
+    const double libm_rate = draws / libm_t;
+    const double kernel_rate = draws / kernel_t;
+    const double differ_share = static_cast<double>(differ) / draws;
+
+    const model::LlmConfig &attn_model = model::findModel("Llama7B");
+    const double attention_s = bestOf(3, [&] {
+        for (std::size_t q = 0; q < accel::kProfileQueries; ++q) {
+            Rng qrng(0xa77e4710ull ^ q);
+            (void)model::synthesizeAttention(
+                qrng, accel::kProfileMaxContext, attn_model.headDim(), 0.10);
+        }
+    });
+    std::printf("  per-call libm   %8.1f M draws/s\n", libm_rate * 1e-6);
+    std::printf("  %-7s kernel  %8.1f M draws/s   speedup %.2fx  "
+                "(tiers %s)\n",
+                simd::tierName(tier), kernel_rate * 1e-6,
+                kernel_rate / libm_rate,
+                tiers_match ? "bit-identical" : "DIFFER");
+    std::printf("  vs libm: %.1f%% of doubles differ (last bits), %zu of "
+                "%.0f float casts\n",
+                differ_share * 100.0, float_differ, draws);
+    std::printf("  synthesizeAttention %7.2f ms (context %zu, %zu "
+                "queries, Llama7B head)\n",
+                attention_s * 1e3, accel::kProfileMaxContext,
+                accel::kProfileQueries);
+    json.begin()
+        .field("section", "gaussian")
+        .field("simd_tier", simd::tierName(tier))
+        .field("libm_draws_per_s", libm_rate)
+        .field("kernel_draws_per_s", kernel_rate)
+        .field("speedup", kernel_rate / libm_rate)
+        .field("libm_differ_share", differ_share)
+        .field("float_casts_differ", float_differ)
+        .field("synthesize_attention_s", attention_s)
+        .field("bit_identical", tiers_match ? 1 : 0);
+
     json.writeIfRequested(argc, argv);
     return identical && distinct_ref == distinct_fast &&
-                   scalar_adds == word_adds && simd_gate && planes_match
+                   scalar_adds == word_adds && simd_gate && planes_match &&
+                   tiers_match
                ? 0
                : 1;
 }

@@ -2,12 +2,14 @@
  * @file
  * Pre-rewrite reference implementations of the profiling-path kernels,
  * kept verbatim as the "before" side of the before/after timings in
- * bench_micro_kernels and bench_profiling_speed. One copy here so both
+ * bench_micro_kernels and bench_profiling_speed, and as the reference
+ * loops tests compare the fast paths against. One copy here so both
  * benches measure against the same baseline. Do not "improve" these:
  * their whole value is being the original code.
  */
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "bitslice/sign_magnitude.hpp"
 #include "brcr/enumeration.hpp"
 #include "common/logging.hpp"
+#include "common/rng.hpp"
+#include "model/synthetic.hpp"
 
 namespace mcbp::bench {
 
@@ -124,6 +128,48 @@ decomposePerElement(const Int8Matrix &w, quant::BitWidth bw)
         }
     }
     return sm;
+}
+
+/**
+ * The per-element model::gaussianWeights loop before block Gaussian
+ * synthesis: one Rng::gaussian() call, then that element's outlier
+ * draws.
+ */
+inline FloatMatrix
+gaussianWeightsPerElement(Rng &rng, std::size_t rows, std::size_t cols,
+                          const model::WeightProfile &profile)
+{
+    fatalIf(profile.sigma <= 0.0, "weight sigma must be positive");
+    FloatMatrix w(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            double v = rng.gaussian(0.0, profile.sigma);
+            if (rng.bernoulli(profile.outlierFraction)) {
+                const double mag = profile.dynamicRange *
+                                   profile.sigma *
+                                   rng.uniform(0.8, 1.2);
+                v = rng.bernoulli(0.5) ? mag : -mag;
+            }
+            w.at(r, c) = static_cast<float>(v);
+        }
+    }
+    return w;
+}
+
+/**
+ * The pre-kernel Box-Muller evaluation inside Rng::gaussian(): one
+ * libm log, sin and cos per pair.
+ */
+inline void
+boxMullerLibm(const double *u1, const double *u2, std::size_t n,
+              double *cosOut, double *sinOut)
+{
+    const double two_pi = 6.283185307179586;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double mag = std::sqrt(-2.0 * std::log(u1[i]));
+        sinOut[i] = mag * std::sin(two_pi * u2[i]);
+        cosOut[i] = mag * std::cos(two_pi * u2[i]);
+    }
 }
 
 } // namespace mcbp::bench

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/simd/simd.hpp"
+
 namespace mcbp {
 
 namespace {
@@ -70,6 +72,15 @@ Rng::uniformInt(std::uint64_t n)
     return v % n;
 }
 
+void
+Rng::pairUniforms(double &u1, double &u2)
+{
+    do {
+        u1 = uniform();
+    } while (u1 <= 1e-300);
+    u2 = uniform();
+}
+
 double
 Rng::gaussian()
 {
@@ -77,16 +88,34 @@ Rng::gaussian()
         haveSpare_ = false;
         return spare_;
     }
-    double u1, u2;
-    do {
-        u1 = uniform();
-    } while (u1 <= 1e-300);
-    u2 = uniform();
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    const double two_pi = 6.283185307179586;
-    spare_ = mag * std::sin(two_pi * u2);
+    double u1, u2, c;
+    pairUniforms(u1, u2);
+    simd::kernelsFor(simd::Tier::Scalar).boxMuller(&u1, &u2, 1, &c, &spare_);
     haveSpare_ = true;
-    return mag * std::cos(two_pi * u2);
+    return c;
+}
+
+void
+Rng::gaussianBlock(double *out, std::size_t n)
+{
+    gaussianBlock(out, n, [](std::size_t) {});
+}
+
+void
+Rng::emitPairs(const double *u1, const double *u2, std::size_t pairs,
+               double *out, std::size_t room)
+{
+    double c[kBlockPairs], s[kBlockPairs];
+    simd::kernels().boxMuller(u1, u2, pairs, c, s);
+    for (std::size_t p = 0; p < pairs; ++p) {
+        out[2 * p] = c[p];
+        if (2 * p + 1 < room) {
+            out[2 * p + 1] = s[p];
+        } else {
+            spare_ = s[p];
+            haveSpare_ = true;
+        }
+    }
 }
 
 double

@@ -18,6 +18,8 @@
 #include <cstring>
 #include <immintrin.h>
 
+#include "common/simd/box_muller.hpp"
+
 namespace mcbp::simd::detail {
 
 namespace {
@@ -280,10 +282,103 @@ sliceSignMagnitudeAvx2(const std::int8_t *v, std::size_t rows,
     return out;
 }
 
+inline __m256i
+splat64(std::uint64_t v)
+{
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+}
+
+/** boxMullerLanes()'s bit-level steps for four doubles. */
+struct Avx2Lanes
+{
+    static __m256d
+    splitLog(__m256d x, __m256d &xn, __m256d &dk)
+    {
+        const __m256i bits = _mm256_castpd_si256(x);
+        const __m256i high = _mm256_srli_epi64(bits, 32);
+        const __m256i hx = _mm256_and_si256(high, splat64(0xfffff));
+        const __m256i half = _mm256_and_si256(
+            _mm256_add_epi64(hx, splat64(0x95f64)), splat64(0x100000));
+        const __m256i newHigh =
+            _mm256_or_si256(hx, _mm256_xor_si256(half, splat64(0x3ff00000)));
+        xn = _mm256_castsi256_pd(
+            _mm256_or_si256(_mm256_slli_epi64(newHigh, 32),
+                            _mm256_and_si256(bits, splat64(0xffffffff))));
+        // The biased exponent (< 2^11) in the low mantissa bits of 2^52
+        // converts exactly, with no 64-bit integer convert.
+        const __m256i biased = _mm256_add_epi64(
+            _mm256_srli_epi64(high, 20), _mm256_srli_epi64(half, 20));
+        dk = _mm256_castsi256_pd(_mm256_or_si256(
+                 biased, _mm256_castpd_si256(_mm256_set1_pd(0x1p52)))) -
+             (0x1p52 + 1023.0);
+        // hx is below 2^20, so signed 64-bit compares are exact.
+        return _mm256_castsi256_pd(_mm256_and_si256(
+            _mm256_cmpgt_epi64(hx, splat64(bm::kLogHfsqLo - 1)),
+            _mm256_cmpgt_epi64(splat64(bm::kLogHfsqHi + 1), hx)));
+    }
+
+    static __m256d
+    select(__m256d mask, __m256d a, __m256d b)
+    {
+        return _mm256_blendv_pd(b, a, mask);
+    }
+
+    static __m256d
+    sqrt(__m256d v)
+    {
+        return _mm256_sqrt_pd(v);
+    }
+
+    static void
+    quadrant(__m256d rounded, __m256d ks, __m256d kc, __m256d &sinR,
+             __m256d &cosR)
+    {
+        const __m256i n = _mm256_castpd_si256(rounded);
+        const __m256d odd = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+            _mm256_and_si256(n, splat64(1)), splat64(1)));
+        const __m256d sinSign = _mm256_castsi256_pd(
+            _mm256_slli_epi64(_mm256_and_si256(n, splat64(2)), 62));
+        const __m256d cosSign = _mm256_castsi256_pd(_mm256_slli_epi64(
+            _mm256_and_si256(_mm256_add_epi64(n, splat64(1)), splat64(2)),
+            62));
+        sinR = _mm256_xor_pd(_mm256_blendv_pd(ks, kc, odd), sinSign);
+        cosR = _mm256_xor_pd(_mm256_blendv_pd(kc, ks, odd), cosSign);
+    }
+};
+
+void
+boxMullerAvx2(const double *u1, const double *u2, std::size_t n,
+              double *cosOut, double *sinOut)
+{
+    std::size_t i = 0;
+    __m256d c, s;
+    for (; i + 4 <= n; i += 4) {
+        boxMullerLanes<Avx2Lanes>(_mm256_loadu_pd(u1 + i),
+                                  _mm256_loadu_pd(u2 + i), c, s);
+        _mm256_storeu_pd(cosOut + i, c);
+        _mm256_storeu_pd(sinOut + i, s);
+    }
+    if (i < n) {
+        // The tail runs as a padded vector: u1 = 1, u2 = 0 in the
+        // unused lanes keeps them finite.
+        alignas(32) double a[4] = {1.0, 1.0, 1.0, 1.0};
+        alignas(32) double b[4] = {0.0, 0.0, 0.0, 0.0};
+        const std::size_t rest = n - i;
+        std::memcpy(a, u1 + i, rest * sizeof(double));
+        std::memcpy(b, u2 + i, rest * sizeof(double));
+        boxMullerLanes<Avx2Lanes>(_mm256_load_pd(a), _mm256_load_pd(b), c,
+                                  s);
+        _mm256_store_pd(a, c);
+        _mm256_store_pd(b, s);
+        std::memcpy(cosOut + i, a, rest * sizeof(double));
+        std::memcpy(sinOut + i, b, rest * sizeof(double));
+    }
+}
+
 constexpr Kernels kAvx2 = {
     Tier::Avx2,         popcountWordsAvx2, orWordsAvx2,
     andPopcountWordsAvx2, equalWordsAvx2,  countZero32Avx2,
-    nonzeroMask32Avx2,  sliceSignMagnitudeAvx2,
+    nonzeroMask32Avx2,  sliceSignMagnitudeAvx2, boxMullerAvx2,
 };
 
 } // namespace

@@ -12,7 +12,17 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__)
 
 #include <bit>
+// g++ 12's avx512fintrin.h builds its "undefined" vectors with a
+// deliberate self-initialization (`__m512i __Y = __Y;`), which
+// -Wuninitialized reports at every inlined use; the warnings point
+// into that header, not at this file, so they are silenced for it alone.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
+
+#include "common/simd/box_muller.hpp"
 
 namespace mcbp::simd::detail {
 
@@ -219,10 +229,99 @@ sliceSignMagnitudeAvx512(const std::int8_t *v, std::size_t rows,
     return out;
 }
 
+inline __m512i
+splat64(std::uint64_t v)
+{
+    return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+/** boxMullerLanes()'s bit-level steps for eight doubles. */
+struct Avx512Lanes
+{
+    static __mmask8
+    splitLog(__m512d x, __m512d &xn, __m512d &dk)
+    {
+        const __m512i bits = _mm512_castpd_si512(x);
+        const __m512i high = _mm512_srli_epi64(bits, 32);
+        const __m512i hx = _mm512_and_si512(high, splat64(0xfffff));
+        const __m512i half = _mm512_and_si512(
+            _mm512_add_epi64(hx, splat64(0x95f64)), splat64(0x100000));
+        const __m512i newHigh =
+            _mm512_or_si512(hx, _mm512_xor_si512(half, splat64(0x3ff00000)));
+        xn = _mm512_castsi512_pd(
+            _mm512_or_si512(_mm512_slli_epi64(newHigh, 32),
+                            _mm512_and_si512(bits, splat64(0xffffffff))));
+        // As in AVX2: a 64-bit integer convert would need AVX512DQ.
+        const __m512i biased = _mm512_add_epi64(
+            _mm512_srli_epi64(high, 20), _mm512_srli_epi64(half, 20));
+        dk = _mm512_castsi512_pd(_mm512_or_si512(
+                 biased, _mm512_castpd_si512(_mm512_set1_pd(0x1p52)))) -
+             (0x1p52 + 1023.0);
+        return _mm512_cmpge_epu64_mask(hx, splat64(bm::kLogHfsqLo)) &
+               _mm512_cmple_epu64_mask(hx, splat64(bm::kLogHfsqHi));
+    }
+
+    static __m512d
+    select(__mmask8 mask, __m512d a, __m512d b)
+    {
+        return _mm512_mask_blend_pd(mask, b, a);
+    }
+
+    static __m512d
+    sqrt(__m512d v)
+    {
+        return _mm512_sqrt_pd(v);
+    }
+
+    static void
+    quadrant(__m512d rounded, __m512d ks, __m512d kc, __m512d &sinR,
+             __m512d &cosR)
+    {
+        const __m512i n = _mm512_castpd_si512(rounded);
+        const __mmask8 odd = _mm512_test_epi64_mask(n, splat64(1));
+        const __m512i sinSign =
+            _mm512_slli_epi64(_mm512_and_si512(n, splat64(2)), 62);
+        const __m512i cosSign = _mm512_slli_epi64(
+            _mm512_and_si512(_mm512_add_epi64(n, splat64(1)), splat64(2)),
+            62);
+        // vxorpd is AVX512DQ; the integer xor keeps the tier at F + BW.
+        sinR = _mm512_castsi512_pd(_mm512_xor_si512(
+            _mm512_castpd_si512(_mm512_mask_blend_pd(odd, ks, kc)),
+            sinSign));
+        cosR = _mm512_castsi512_pd(_mm512_xor_si512(
+            _mm512_castpd_si512(_mm512_mask_blend_pd(odd, kc, ks)),
+            cosSign));
+    }
+};
+
+void
+boxMullerAvx512(const double *u1, const double *u2, std::size_t n,
+                double *cosOut, double *sinOut)
+{
+    std::size_t i = 0;
+    __m512d c, s;
+    for (; i + 8 <= n; i += 8) {
+        boxMullerLanes<Avx512Lanes>(_mm512_loadu_pd(u1 + i),
+                                    _mm512_loadu_pd(u2 + i), c, s);
+        _mm512_storeu_pd(cosOut + i, c);
+        _mm512_storeu_pd(sinOut + i, s);
+    }
+    if (i < n) {
+        // Masked loads fill the unused lanes with u1 = 1, u2 = 0, which
+        // keeps them finite; masked stores drop them.
+        const __mmask8 live = static_cast<__mmask8>((1u << (n - i)) - 1);
+        boxMullerLanes<Avx512Lanes>(
+            _mm512_mask_loadu_pd(_mm512_set1_pd(1.0), live, u1 + i),
+            _mm512_maskz_loadu_pd(live, u2 + i), c, s);
+        _mm512_mask_storeu_pd(cosOut + i, live, c);
+        _mm512_mask_storeu_pd(sinOut + i, live, s);
+    }
+}
+
 constexpr Kernels kAvx512 = {
     Tier::Avx512,         popcountWordsAvx512, orWordsAvx512,
     andPopcountWordsAvx512, equalWordsAvx512,  countZero32Avx512,
-    nonzeroMask32Avx512,  sliceSignMagnitudeAvx512,
+    nonzeroMask32Avx512,  sliceSignMagnitudeAvx512, boxMullerAvx512,
 };
 
 } // namespace

@@ -6,7 +6,9 @@
  * so they stay readable as the specification.
  */
 #include <bit>
+#include <cmath>
 
+#include "common/simd/box_muller.hpp"
 #include "common/simd/kernels_internal.hpp"
 
 namespace mcbp::simd::detail {
@@ -113,10 +115,61 @@ sliceSignMagnitudeScalar(const std::int8_t *v, std::size_t rows,
     return static_cast<std::uint8_t>(absOr);
 }
 
+/** boxMullerLanes()'s bit-level steps for one double. */
+struct ScalarLanes
+{
+    static bool
+    splitLog(double x, double &xn, double &dk)
+    {
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+        const std::uint64_t high = bits >> 32;
+        const std::uint64_t hx = high & 0xfffff;
+        // Normalize x or x/2, whichever puts the mantissa below sqrt(2).
+        const std::uint64_t half = (hx + 0x95f64) & 0x100000;
+        xn = std::bit_cast<double>(((hx | (half ^ 0x3ff00000)) << 32) |
+                                   (bits & 0xffffffff));
+        dk = static_cast<double>((high >> 20) + (half >> 20)) - 1023.0;
+        return hx >= bm::kLogHfsqLo && hx <= bm::kLogHfsqHi;
+    }
+
+    static double
+    select(bool mask, double a, double b)
+    {
+        return mask ? a : b;
+    }
+
+    static double
+    sqrt(double v)
+    {
+        return std::sqrt(v);
+    }
+
+    static void
+    quadrant(double rounded, double ks, double kc, double &sinR,
+             double &cosR)
+    {
+        const std::uint64_t n = std::bit_cast<std::uint64_t>(rounded);
+        const bool odd = (n & 1) != 0;
+        sinR = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(odd ? kc : ks) ^ ((n & 2) << 62));
+        cosR = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(odd ? ks : kc) ^
+            (((n + 1) & 2) << 62));
+    }
+};
+
+void
+boxMullerScalar(const double *u1, const double *u2, std::size_t n,
+                double *cosOut, double *sinOut)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        boxMullerLanes<ScalarLanes>(u1[i], u2[i], cosOut[i], sinOut[i]);
+}
+
 constexpr Kernels kScalar = {
     Tier::Scalar,       popcountWordsScalar, orWordsScalar,
     andPopcountWordsScalar, equalWordsScalar, countZero32Scalar,
-    nonzeroMask32Scalar, sliceSignMagnitudeScalar,
+    nonzeroMask32Scalar, sliceSignMagnitudeScalar, boxMullerScalar,
 };
 
 } // namespace

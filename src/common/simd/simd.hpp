@@ -6,7 +6,8 @@
  * The bit-plane engines (bitslice/, brcr/, bstc/) reduce to a handful of
  * word-granular primitives — bulk popcount, OR/AND reductions, multi-word
  * compares, zero-scans over pattern arrays, and the INT8-to-bit-plane
- * slice that feeds them all. Each primitive has one
+ * slice that feeds them all — and the synthetic tiles they scan are
+ * drawn through a Box-Muller kernel. Each primitive has one
  * scalar reference implementation plus AVX2 and AVX-512 ports, collected
  * in per-tier `Kernels` tables. The active table is chosen once, at first
  * use, from CPUID (the intgemm SSE2→AVX512VNNI dispatch scheme), so every
@@ -96,6 +97,18 @@ struct Kernels
                                        std::uint64_t *const *mag,
                                        std::uint64_t *sign,
                                        std::size_t stride);
+
+    /**
+     * Box-Muller on @p n uniform pairs: with m = sqrt(-2 log u1[i]) and
+     * theta = 6.283185307179586 * u2[i] (rounded to a double first),
+     * cosOut[i] = m cos(theta) and sinOut[i] = m sin(theta). Needs
+     * u1 in [2^-1022, 1] and u2 in [0, 1). log, sin and cos are
+     * fdlibm's routines (each within 1 ulp), evaluated with + - * /,
+     * sqrt and bit operations only: no libm call and no FMA, so every
+     * tier gives the same bits on every libm (common/simd/box_muller.hpp).
+     */
+    void (*boxMuller)(const double *u1, const double *u2, std::size_t n,
+                      double *cosOut, double *sinOut);
 };
 
 /** Best tier the CPU reports, ignoring build support and overrides. */

@@ -73,8 +73,9 @@ splitStreams(const std::string &text)
                     std::size_t j = i + 1;
                     while (j < text.size() && text[j] != '(')
                         ++j;
-                    rawDelim =
-                        ")" + text.substr(i + 1, j - i - 1) + "\"";
+                    rawDelim.assign(1, ')');
+                    rawDelim.append(text, i + 1, j - i - 1);
+                    rawDelim.push_back('"');
                     state = State::RawString;
                     out.code[i] = '"';
                 } else {

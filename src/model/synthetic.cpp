@@ -13,17 +13,28 @@ gaussianWeights(Rng &rng, std::size_t rows, std::size_t cols,
 {
     fatalIf(profile.sigma <= 0.0, "weight sigma must be positive");
     FloatMatrix w(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-            double v = rng.gaussian(0.0, profile.sigma);
-            if (rng.bernoulli(profile.outlierFraction)) {
-                const double mag = profile.dynamicRange *
-                                   profile.sigma *
+    // Element order is the stream order: each element draws its normal,
+    // then its outlier draws. A chunk at a time, the outlier draws ride
+    // in the block walk and the chunk's normals come from one kernel
+    // call; fixed-size scratch keeps a large tile's peak memory flat.
+    constexpr std::size_t kChunk = 512;
+    double normal[kChunk], outlier[kChunk];
+    bool isOutlier[kChunk];
+    float *out = w.data();
+    const std::size_t total = rows * cols;
+    for (std::size_t base = 0; base < total; base += kChunk) {
+        const std::size_t m = std::min(kChunk, total - base);
+        rng.gaussianBlock(normal, m, [&](std::size_t e) {
+            isOutlier[e] = rng.bernoulli(profile.outlierFraction);
+            if (isOutlier[e]) {
+                const double mag = profile.dynamicRange * profile.sigma *
                                    rng.uniform(0.8, 1.2);
-                v = rng.bernoulli(0.5) ? mag : -mag;
+                outlier[e] = rng.bernoulli(0.5) ? mag : -mag;
             }
-            w.at(r, c) = static_cast<float>(v);
-        }
+        });
+        for (std::size_t e = 0; e < m; ++e)
+            out[base + e] = static_cast<float>(
+                isOutlier[e] ? outlier[e] : profile.sigma * normal[e]);
     }
     return w;
 }
@@ -41,9 +52,12 @@ gaussianActivations(Rng &rng, std::size_t rows, std::size_t cols,
                     double sigma, double mean)
 {
     FloatMatrix x(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r)
+    std::vector<double> normal(cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        rng.gaussianBlock(normal.data(), cols);
         for (std::size_t c = 0; c < cols; ++c)
-            x.at(r, c) = static_cast<float>(rng.gaussian(mean, sigma));
+            x.at(r, c) = static_cast<float>(mean + sigma * normal[c]);
+    }
     return x;
 }
 
@@ -57,11 +71,10 @@ synthesizeAttention(Rng &rng, std::size_t s, std::size_t d,
 
     // Float query.
     std::vector<double> qf(d);
+    rng.gaussianBlock(qf.data(), d);
     double qnorm2 = 0.0;
-    for (auto &v : qf) {
-        v = rng.gaussian();
+    for (double v : qf)
         qnorm2 += v * v;
-    }
     fatalIf(qnorm2 == 0.0, "degenerate query");
 
     // Target logits: a concentrated subset sits near the max, the rest
@@ -70,13 +83,11 @@ synthesizeAttention(Rng &rng, std::size_t s, std::size_t d,
         std::max<std::size_t>(1, static_cast<std::size_t>(
                                      concentration * static_cast<double>(s)));
     std::vector<double> logits(s);
-    for (std::size_t j = 0; j < s; ++j) {
-        if (j < vital) {
-            logits[j] = -rng.uniform(0.0, 1.5); // near the max (0).
-        } else {
-            logits[j] = -5.0 - std::abs(rng.gaussian(0.0, 2.0));
-        }
-    }
+    for (std::size_t j = 0; j < vital; ++j)
+        logits[j] = -rng.uniform(0.0, 1.5); // near the max (0).
+    rng.gaussianBlock(logits.data() + vital, s - vital);
+    for (std::size_t j = vital; j < s; ++j)
+        logits[j] = -5.0 - std::abs(2.0 * logits[j]);
     // Shuffle key positions so vital keys are scattered through the cache.
     std::vector<std::size_t> perm(s);
     for (std::size_t j = 0; j < s; ++j)
@@ -87,12 +98,14 @@ synthesizeAttention(Rng &rng, std::size_t s, std::size_t d,
     // Keys: k_j = q * (l_j * sqrt(d) / ||q||^2) + noise.
     const double sqrt_d = std::sqrt(static_cast<double>(d));
     FloatMatrix keys_f(s, d);
+    std::vector<double> noise(d);
     for (std::size_t j = 0; j < s; ++j) {
         const double l = logits[perm[j]];
         const double coef = l * sqrt_d / qnorm2;
+        rng.gaussianBlock(noise.data(), d);
         for (std::size_t i = 0; i < d; ++i) {
-            keys_f.at(j, i) = static_cast<float>(
-                coef * qf[i] + rng.gaussian(0.0, 0.35));
+            keys_f.at(j, i) =
+                static_cast<float>(coef * qf[i] + 0.35 * noise[i]);
         }
     }
 

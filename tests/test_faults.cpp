@@ -601,7 +601,7 @@ TEST(FaultServing, NextPrefillFollowsEvictionAndMode)
     std::vector<model::Request> reqs(2);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         reqs[i].id = i;
-        reqs[i].model = "m";
+        reqs[i].model.assign(1, 'm'); // `= "m"` trips g++ 12 -Wrestrict
         reqs[i].promptLen = 4;
         reqs[i].decodeLen = 4;
     }

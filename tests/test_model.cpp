@@ -1,12 +1,14 @@
 /** @file Unit tests for model/: llm_config, workload, synthetic. */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.hpp"
 #include "model/llm_config.hpp"
 #include "model/synthetic.hpp"
 #include "model/workload.hpp"
+#include "reference_kernels.hpp"
 
 namespace mcbp::model {
 namespace {
@@ -98,6 +100,49 @@ TEST(Synthetic, GaussianWeightsMoments)
     const double n = 64.0 * 256.0;
     EXPECT_NEAR(sum / n, 0.0, 0.001);
     EXPECT_NEAR(std::sqrt(sum2 / n), 0.02, 0.002);
+}
+
+TEST(Synthetic, GaussianWeightsMatchPerElementLoop)
+{
+    // The chunked block walk draws exactly what one gaussian() plus
+    // its outlier draws per element draw: odd sizes leave a spare
+    // behind, a pre-drawn normal brings one in, and a high outlier
+    // fraction exercises the interleaved draws.
+    struct Case
+    {
+        std::size_t rows, cols;
+        double outlierFraction;
+        bool spareIn;
+    };
+    const Case cases[] = {{1, 1, 0.0015, false}, {3, 171, 0.0015, true},
+                          {7, 73, 0.3, false},   {16, 64, 0.3, true},
+                          {33, 257, 0.0015, false}, {0, 5, 0.0015, false}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message() << c.rows << "x" << c.cols
+                                          << " spare " << c.spareIn);
+        WeightProfile profile;
+        profile.outlierFraction = c.outlierFraction;
+        profile.dynamicRange = 40.0;
+        Rng block(41), loop(41);
+        if (c.spareIn) {
+            (void)block.gaussian();
+            (void)loop.gaussian();
+        }
+        const FloatMatrix got =
+            gaussianWeights(block, c.rows, c.cols, profile);
+        const FloatMatrix want =
+            bench::gaussianWeightsPerElement(loop, c.rows, c.cols, profile);
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        for (std::size_t r = 0; r < got.rows(); ++r)
+            for (std::size_t col = 0; col < got.cols(); ++col)
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(r, col)),
+                          std::bit_cast<std::uint32_t>(want.at(r, col)))
+                    << "element (" << r << ", " << col << ")";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(block.gaussian()),
+                  std::bit_cast<std::uint64_t>(loop.gaussian()));
+        EXPECT_EQ(block.next(), loop.next());
+    }
 }
 
 TEST(Synthetic, OutliersWidenRange)

@@ -216,6 +216,67 @@ TEST(WeightProfile, Int4SparserValues)
     EXPECT_EQ(w4.planeSparsity.size(), 3u);
 }
 
+/**
+ * Exact bit patterns of every AttentionStats field: Llama7B at the
+ * 512, 1024 and 2048 context buckets, plus a second model, task and
+ * alpha. Attention synthesis makes most of the profile warm-up's
+ * Gaussian draws, so a change to how a normal is drawn, how a set is
+ * synthesized or how BGPP selects must leave every double identical.
+ */
+struct GoldenAttentionStats
+{
+    const char *model;
+    const char *task;
+    std::size_t context;
+    double alpha;
+    std::uint64_t seed;
+    /** bgppSelectedFraction, topkFraction, bgppPredBitsPerElem,
+     *  valuePredBitsPerElem, bgppBitMacsPerElem, bgppRecall,
+     *  valueTopkRecall. */
+    std::uint64_t fields[7];
+};
+
+const GoldenAttentionStats kGoldenAttentionStats[] = {
+    {"Llama7B", "Dolly", 512, 0.6, 1,
+     {0x3fb8800000000000, 0x3fb8800000000000, 0x4008f90000000000,
+      0x4014000000000000, 0x4000f90000000000, 0x3ff0000000000000,
+      0x3fefeb851eb851ec}},
+    {"Llama7B", "Dolly", 1024, 0.6, 1,
+     {0x3fb8900000000000, 0x3fb8900000000000, 0x4009200000000000,
+      0x4014000000000000, 0x4001200000000000, 0x3fefca5ab8000cb2,
+      0x3fef8908a39fd01b}},
+    {"Llama7B", "Dolly", 2048, 0.6, 1,
+     {0x3fb7800000000000, 0x3fb7800000000000, 0x40095a6000000000,
+      0x4014000000000000, 0x40015a6000000000, 0x3fef995c31d16d14,
+      0x3fef2b26ad6d58e7}},
+    {"OPT1B3", "MMLU", 512, 0.5, 3,
+     {0x3fc9c80000000000, 0x3fc9c80000000000, 0x400a0c0000000000,
+      0x4014000000000000, 0x40020c0000000000, 0x3fef9c1184877727,
+      0x3fef015785ca6715}},
+};
+
+TEST(AttentionProfile, GoldenBitPatterns)
+{
+    for (const GoldenAttentionStats &g : kGoldenAttentionStats) {
+        SCOPED_TRACE(::testing::Message()
+                     << g.model << " " << g.task << " context "
+                     << g.context << " alpha " << g.alpha << " seed "
+                     << g.seed);
+        model::Workload task = model::findTask(g.task);
+        task.promptLen = g.context;
+        const AttentionStats as = profileAttention(
+            model::findModel(g.model), task, g.alpha, g.seed);
+        const double got[7] = {
+            as.bgppSelectedFraction, as.topkFraction,
+            as.bgppPredBitsPerElem,  as.valuePredBitsPerElem,
+            as.bgppBitMacsPerElem,   as.bgppRecall,
+            as.valueTopkRecall,
+        };
+        for (int f = 0; f < 7; ++f)
+            EXPECT_EQ(bits(got[f]), g.fields[f]) << "field " << f;
+    }
+}
+
 TEST(AttentionProfile, RangesAreRealistic)
 {
     const model::LlmConfig &m = model::findModel("Llama7B");

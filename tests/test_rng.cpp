@@ -1,7 +1,9 @@
 /** @file Unit tests for common/rng: determinism and distribution sanity. */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -82,6 +84,64 @@ TEST(Rng, GaussianScaled)
     for (int i = 0; i < n; ++i)
         sum += rng.gaussian(5.0, 2.0);
     EXPECT_NEAR(sum / n, 5.0, 0.1);
+}
+
+/** Bit patterns, so -0.0 / 0.0 and NaN payloads compare exactly. */
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &v)
+{
+    std::vector<std::uint64_t> out;
+    for (const double d : v)
+        out.push_back(std::bit_cast<std::uint64_t>(d));
+    return out;
+}
+
+TEST(Rng, GaussianBlockEqualsSuccessiveCalls)
+{
+    for (const bool spare_in : {false, true}) {
+        for (const std::size_t n : {0, 1, 2, 3, 255, 256, 257, 513}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n " << n << " spare in " << spare_in);
+            Rng block(31), calls(31);
+            if (spare_in) { // leave each generator holding a spare
+                (void)block.gaussian();
+                (void)calls.gaussian();
+            }
+            std::vector<double> got(n), want(n);
+            block.gaussianBlock(got.data(), n);
+            for (double &v : want)
+                v = calls.gaussian();
+            EXPECT_EQ(bitsOf(got), bitsOf(want));
+            // The spare left behind and the stream position match too.
+            for (int k = 0; k < 3; ++k)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(block.gaussian()),
+                          std::bit_cast<std::uint64_t>(calls.gaussian()));
+            EXPECT_EQ(block.next(), calls.next());
+        }
+    }
+}
+
+TEST(Rng, GaussianBlockInterleavesDrawsInStreamOrder)
+{
+    // Uniform draws after each normal land where the per-element loop
+    // puts them, across chunk boundaries and an odd spare-out tail.
+    for (const std::size_t n : {1, 7, 512, 515, 1031}) {
+        SCOPED_TRACE(::testing::Message() << "n " << n);
+        Rng block(37), calls(37);
+        std::vector<double> got(n), want(n), side_got(n), side_want(n);
+        block.gaussianBlock(got.data(), n, [&](std::size_t i) {
+            side_got[i] = block.bernoulli(0.3) ? block.uniform() : -1.0;
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+            want[i] = calls.gaussian();
+            side_want[i] = calls.bernoulli(0.3) ? calls.uniform() : -1.0;
+        }
+        EXPECT_EQ(bitsOf(got), bitsOf(want));
+        EXPECT_EQ(bitsOf(side_got), bitsOf(side_want));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(block.gaussian()),
+                  std::bit_cast<std::uint64_t>(calls.gaussian()));
+        EXPECT_EQ(block.next(), calls.next());
+    }
 }
 
 TEST(Rng, BernoulliFrequency)

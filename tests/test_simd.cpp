@@ -4,11 +4,16 @@
  * compiled-and-runnable tier must be bit-identical to a local naive
  * reference on every shape — including empty spans, single words,
  * partial tail words and block-boundary sizes — plus the MCBP_SIMD
- * override-resolution rule and forceTier() plane-op identity.
+ * override-resolution rule and forceTier() plane-op identity. The
+ * Box-Muller kernel has no naive reference to match bit for bit; its
+ * tiers must agree with each other and stay within 4 ulp of libm.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "bitslice/bit_plane.hpp"
@@ -244,6 +249,148 @@ TEST(SimdKernels, SliceSignMagnitudeMatchesScalarReference)
             }
         }
     }
+}
+
+double
+fromBits(std::uint64_t b)
+{
+    return std::bit_cast<double>(b);
+}
+
+/**
+ * Box-Muller uniforms: fixed-seed pairs drawn as Rng::gaussian() draws
+ * them, after the edges of every select in the kernel — u1 at 2^-53,
+ * next to 1, next to the sqrt(2)/2 normalization points and next to
+ * fdlibm's 0x6147a / 0x6b851 hfsq selects; u2 next to the quadrant
+ * boundaries 0.25, 0.5 and 0.75 and the rounding ties between them.
+ */
+void
+boxMullerInputs(std::size_t random_pairs, std::vector<double> &u1,
+                std::vector<double> &u2)
+{
+    std::vector<double> edge1 = {0x1p-53, 0x1p-52, 0x1.8p-53, 0.5, 0.25,
+                                 1.0};
+    for (int k = 1; k <= 4; ++k)
+        edge1.push_back(1.0 - k * 0x1p-53);
+    for (const double r : {std::sqrt(0.5), std::sqrt(0.125),
+                           std::sqrt(2.0) / 1024.0}) {
+        double v = r;
+        for (int k = 0; k < 3; ++k)
+            v = std::nextafter(v, 0.0);
+        for (int k = 0; k < 7; ++k, v = std::nextafter(v, 1.0))
+            edge1.push_back(v);
+    }
+    Rng low_words(109);
+    for (const std::uint64_t hx : {0x6147aull, 0x6b851ull}) {
+        for (const std::uint64_t exp : {0x3fe00000ull, 0x3fd00000ull}) {
+            for (const std::int64_t dh : {-1, 0, 1}) {
+                const std::uint64_t high = exp | (hx + dh);
+                edge1.push_back(fromBits(high << 32));
+                edge1.push_back(fromBits((high << 32) | 0xffffffffull));
+                for (int k = 0; k < 32; ++k)
+                    edge1.push_back(
+                        fromBits((high << 32) | (low_words.next() >> 32)));
+            }
+        }
+    }
+    std::vector<double> edge2 = {0.0, 0x1p-53, 1.0 - 0x1p-53};
+    for (const double q : {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875}) {
+        double v = q;
+        for (int k = 0; k < 3; ++k)
+            v = std::nextafter(v, 0.0);
+        for (int k = 0; k < 7; ++k, v = std::nextafter(v, 1.0))
+            edge2.push_back(v);
+    }
+    u1.clear();
+    u2.clear();
+    for (const double a : edge1) {
+        for (const double b : edge2) {
+            u1.push_back(a);
+            u2.push_back(b);
+        }
+    }
+    Rng rng(107);
+    for (std::size_t i = 0; i < random_pairs; ++i) {
+        double a;
+        do {
+            a = rng.uniform();
+        } while (a <= 1e-300);
+        u1.push_back(a);
+        u2.push_back(rng.uniform());
+    }
+}
+
+/** Distance in units in the last place between two finite doubles. */
+std::uint64_t
+ulpDistance(double a, double b)
+{
+    const auto ordered = [](double v) {
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+        return bits >> 63 ? -static_cast<std::int64_t>(bits << 1 >> 1)
+                          : static_cast<std::int64_t>(bits);
+    };
+    const std::int64_t d = ordered(a) - ordered(b);
+    return static_cast<std::uint64_t>(d < 0 ? -d : d);
+}
+
+TEST(SimdKernels, BoxMullerIdenticalAcrossTiers)
+{
+    std::vector<double> u1, u2;
+    boxMullerInputs(100000, u1, u2);
+    const std::size_t n = u1.size();
+    std::vector<double> ref_c(n), ref_s(n);
+    kernelsFor(Tier::Scalar).boxMuller(u1.data(), u2.data(), n,
+                                       ref_c.data(), ref_s.data());
+    for (const Tier t : runnableTiers()) {
+        std::vector<double> c(n), s(n);
+        kernelsFor(t).boxMuller(u1.data(), u2.data(), n, c.data(),
+                                s.data());
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(c[i]),
+                      std::bit_cast<std::uint64_t>(ref_c[i]))
+                << tierName(t) << " cos of pair " << i << " (u1 "
+                << u1[i] << ", u2 " << u2[i] << ")";
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(s[i]),
+                      std::bit_cast<std::uint64_t>(ref_s[i]))
+                << tierName(t) << " sin of pair " << i << " (u1 "
+                << u1[i] << ", u2 " << u2[i] << ")";
+        }
+        // Tails: every short length writes exactly its n outputs.
+        for (const std::size_t m : kWordSizes) {
+            if (m > 20)
+                continue;
+            std::vector<double> tc(m + 1, -7.0), ts(m + 1, -7.0);
+            kernelsFor(t).boxMuller(u1.data() + 5, u2.data() + 5, m,
+                                    tc.data(), ts.data());
+            for (std::size_t i = 0; i < m; ++i) {
+                EXPECT_EQ(tc[i], ref_c[5 + i]) << tierName(t) << " m=" << m;
+                EXPECT_EQ(ts[i], ref_s[5 + i]) << tierName(t) << " m=" << m;
+            }
+            EXPECT_EQ(tc[m], -7.0) << tierName(t) << " m=" << m;
+            EXPECT_EQ(ts[m], -7.0) << tierName(t) << " m=" << m;
+        }
+        kernelsFor(t).boxMuller(nullptr, nullptr, 0, nullptr, nullptr);
+    }
+}
+
+TEST(SimdKernels, BoxMullerWithinFourUlpOfLibm)
+{
+    std::vector<double> u1, u2;
+    boxMullerInputs(1000000, u1, u2);
+    const std::size_t n = u1.size();
+    std::vector<double> c(n), s(n);
+    kernels().boxMuller(u1.data(), u2.data(), n, c.data(), s.data());
+    std::uint64_t worst = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double theta = 6.283185307179586 * u2[i];
+        const double mag = std::sqrt(-2.0 * std::log(u1[i]));
+        const std::uint64_t dc = ulpDistance(c[i], mag * std::cos(theta));
+        const std::uint64_t ds = ulpDistance(s[i], mag * std::sin(theta));
+        worst = std::max(worst, std::max(dc, ds));
+        ASSERT_LE(dc, 4u) << "cos: u1 " << u1[i] << ", u2 " << u2[i];
+        ASSERT_LE(ds, 4u) << "sin: u1 " << u1[i] << ", u2 " << u2[i];
+    }
+    RecordProperty("worst_ulp", static_cast<int>(worst));
 }
 
 TEST(SimdDispatch, TierTablesReportTheirTier)
