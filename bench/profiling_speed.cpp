@@ -34,6 +34,12 @@
  *     draws/s, then synthesizeAttention at context 2048. Every tier
  *     must give the same bits; how many draws differ from libm is
  *     recorded, and the times are recorded, not gated.
+ *  7. Profile announcement — an MCBP accelerator announces its needs
+ *     once per distinct shape of a 100k-request jittered Dolly trace,
+ *     the way a serving warm-up does, and a fresh cache is warmed from
+ *     them. Host-independent gate: the needs announced may not exceed
+ *     the profile keys they name (profileCalls() of the warm). The
+ *     times are recorded, not gated.
  *
  * `--json <path>` archives the records (bench_util.hpp schema).
  */
@@ -41,6 +47,8 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <set>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "reference_kernels.hpp"
@@ -54,6 +62,7 @@
 #include "common/simd/simd.hpp"
 #include "engine/adapters.hpp"
 #include "engine/registry.hpp"
+#include "model/request.hpp"
 #include "model/synthetic.hpp"
 
 using namespace mcbp;
@@ -470,10 +479,49 @@ main(int argc, char **argv)
         .field("synthesize_attention_s", attention_s)
         .field("bit_identical", tiers_match ? 1 : 0);
 
+    // ---- Section 7: profile announcement ---------------------------------
+    bench::banner("Profile announcement: one need per profile key");
+    model::TraceConfig tc;
+    tc.task = "Dolly";
+    tc.requests = 100000;
+    tc.lengthJitter = 0.5;
+    const std::vector<model::Request> trace = model::synthesizeTrace(tc);
+    const std::unique_ptr<engine::Accelerator> announcer =
+        parallel_registry.make("mcbp");
+    std::vector<accel::ProfileRequest> needs;
+    std::size_t shapes = 0;
+    const double announce_s = seconds([&] {
+        std::set<std::pair<std::size_t, std::size_t>> seen;
+        for (const model::Request &r : trace)
+            if (seen.insert({r.promptLen, r.decodeLen}).second)
+                announcer->profileRequests(model::findModel(r.model),
+                                           r.workload(), needs);
+        shapes = seen.size();
+    });
+    accel::ProfileCache keys;
+    const double announce_warm_s = seconds([&] { keys.warm(needs); });
+    const std::uint64_t profile_keys = keys.profileCalls();
+    const bool announce_gate = needs.size() <= profile_keys;
+    std::printf("  %zu requests, %zu shapes -> %zu needs announced, %llu "
+                "profile keys  (gate needs <= keys: %s)\n",
+                trace.size(), shapes, needs.size(),
+                static_cast<unsigned long long>(profile_keys),
+                announce_gate ? "pass" : "FAIL");
+    std::printf("  announce %8.2f ms   warm %8.2f ms\n", announce_s * 1e3,
+                announce_warm_s * 1e3);
+    json.begin()
+        .field("section", "profile_announcement")
+        .field("requests", trace.size())
+        .field("shapes", shapes)
+        .field("needs_announced", needs.size())
+        .field("profile_keys", profile_keys)
+        .field("announce_s", announce_s)
+        .field("warm_s", announce_warm_s);
+
     json.writeIfRequested(argc, argv);
     return identical && distinct_ref == distinct_fast &&
                    scalar_adds == word_adds && simd_gate && planes_match &&
-                   tiers_match
+                   tiers_match && announce_gate
                ? 0
                : 1;
 }

@@ -31,20 +31,49 @@ contextBucket(std::size_t prompt_len)
 
 } // namespace
 
-ProfileCache::WeightKey
+template <typename Name>
+ProfileCache::WeightKeyOf<Name>
 ProfileCache::weightKey(const model::LlmConfig &model, quant::BitWidth bw,
                         std::uint64_t seed)
 {
-    return {model.name, bw, seed};
+    return {Name(model.name), bw, seed};
 }
 
-ProfileCache::AttentionKey
+template <typename Name>
+ProfileCache::AttentionKeyOf<Name>
 ProfileCache::attentionKey(const model::LlmConfig &model,
                            const model::Workload &task, double alpha,
                            std::uint64_t seed)
 {
-    return {model.name, contextBucket(task.promptLen),
+    return {Name(model.name), contextBucket(task.promptLen),
             task.attentionConcentration, alpha, seed};
+}
+
+void
+announce(std::vector<ProfileRequest> &out, const model::LlmConfig &model,
+         const model::Workload &task, const ProfileNeeds &needs)
+{
+    if (!needs.weights && !needs.attention)
+        return;
+    using View = std::string_view;
+    const auto weights =
+        ProfileCache::weightKey<View>(model, needs.bitWidth, needs.seed);
+    const auto attention = ProfileCache::attentionKey<View>(
+        model, task, needs.alpha, needs.seed);
+    // out holds distinct needs only, a handful per trace, and the
+    // latest is the likeliest match: scan from the back.
+    for (auto r = out.rbegin(); r != out.rend(); ++r)
+        if (r->wantWeights == needs.weights &&
+            r->wantAttention == needs.attention &&
+            (!needs.weights ||
+             ProfileCache::weightKey<View>(r->model, r->bitWidth,
+                                           r->seed) == weights) &&
+            (!needs.attention ||
+             ProfileCache::attentionKey<View>(r->model, r->task, r->alpha,
+                                              r->seed) == attention))
+            return;
+    out.push_back({model, needs.bitWidth, needs.seed, needs.weights,
+                   needs.attention, task, needs.alpha});
 }
 
 /**

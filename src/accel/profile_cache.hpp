@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/profiles.hpp"
@@ -44,9 +45,9 @@ namespace mcbp::accel {
 
 /**
  * One profiling need an accelerator announces for (model, task), fed
- * to ProfileCache::warm(). Equal keys are deduplicated there, so
- * callers may append requests per (accelerator, model, task) without
- * caring which ones coincide.
+ * to ProfileCache::warm(). Accelerators append theirs through
+ * announce(), which keeps one request per distinct need; warm() still
+ * deduplicates by cache key, for vectors built by hand.
  */
 struct ProfileRequest
 {
@@ -60,6 +61,31 @@ struct ProfileRequest
     model::Workload task;
     double alpha = 0.6;
 };
+
+/**
+ * Which profiles an accelerator's run(model, task) demands, fixed by
+ * its options: the same for every (model, task) it serves.
+ */
+struct ProfileNeeds
+{
+    bool weights = false;
+    bool attention = false;
+    double alpha = 0.6;
+    std::uint64_t seed = 1;
+    quant::BitWidth bitWidth = quant::BitWidth::Int8;
+};
+
+/**
+ * Append @p needs of (@p model, @p task) to @p out as one
+ * ProfileRequest, unless @p out already holds an equal need: the same
+ * flags and the same weight and attention cache keys (the context
+ * bucket, not the prompt length). The comparison copies nothing, so
+ * announcing every shape of a trace costs one comparison per shape
+ * and leaves @p out holding one request per profile key.
+ */
+void announce(std::vector<ProfileRequest> &out,
+              const model::LlmConfig &model, const model::Workload &task,
+              const ProfileNeeds &needs);
 
 /** Shared, singleflight profile store. */
 class ProfileCache
@@ -108,31 +134,46 @@ class ProfileCache
         bool ready = false; ///< Written once under the once-flag.
     };
 
-    /** Everything profileWeights() output depends on. */
-    struct WeightKey
+    friend void announce(std::vector<ProfileRequest> &,
+                         const model::LlmConfig &, const model::Workload &,
+                         const ProfileNeeds &);
+
+    /**
+     * Everything profileWeights() output depends on. The map owns its
+     * model name (Name = std::string); announce() compares keys that
+     * view it (std::string_view), so a comparison copies nothing.
+     */
+    template <typename Name> struct WeightKeyOf
     {
-        std::string model;
+        Name model;
         quant::BitWidth bitWidth;
         std::uint64_t seed;
-        auto operator<=>(const WeightKey &) const = default;
+        auto operator<=>(const WeightKeyOf &) const = default;
     };
 
     /** Everything the bucketed profileAttention() depends on. */
-    struct AttentionKey
+    template <typename Name> struct AttentionKeyOf
     {
-        std::string model;
+        Name model;
         std::size_t contextBucket;
         double concentration;
         double alpha;
         std::uint64_t seed;
-        auto operator<=>(const AttentionKey &) const = default;
+        auto operator<=>(const AttentionKeyOf &) const = default;
     };
 
-    static WeightKey weightKey(const model::LlmConfig &model,
-                               quant::BitWidth bw, std::uint64_t seed);
-    static AttentionKey attentionKey(const model::LlmConfig &model,
-                                     const model::Workload &task,
-                                     double alpha, std::uint64_t seed);
+    using WeightKey = WeightKeyOf<std::string>;
+    using AttentionKey = AttentionKeyOf<std::string>;
+
+    template <typename Name = std::string>
+    static WeightKeyOf<Name> weightKey(const model::LlmConfig &model,
+                                       quant::BitWidth bw,
+                                       std::uint64_t seed);
+    template <typename Name = std::string>
+    static AttentionKeyOf<Name> attentionKey(const model::LlmConfig &model,
+                                             const model::Workload &task,
+                                             double alpha,
+                                             std::uint64_t seed);
 
     template <typename Key, typename Stats, typename Compute>
     const Stats &lookup(std::map<Key, std::shared_ptr<Slot<Stats>>> &map,

@@ -121,8 +121,12 @@ class Accelerator
      * Append the measured profiles a run(model, task) would demand to
      * @p out, so callers (Registry::warmFleet, ServingSimulator) can
      * precompute them in parallel via ProfileCache::warm() before the
-     * serial simulation path needs them. Designs that profile nothing
-     * (the dense systolic reference) append nothing.
+     * serial simulation path needs them. Implementations append
+     * through accel::announce(), which skips a need @p out already
+     * holds: calling this once per trace shape leaves one request per
+     * profile key, at the cost of one comparison per call. Designs
+     * that profile nothing (the dense systolic reference) append
+     * nothing.
      */
     virtual void
     profileRequests(const model::LlmConfig &model,

@@ -62,15 +62,9 @@ McbpAdapter::profileRequests(const model::LlmConfig &model,
     // run() always consults both profiles (even the ablation baseline
     // derives its value-level traits from them).
     const accel::McbpOptions &o = impl_.options();
-    accel::ProfileRequest r;
-    r.model = model;
-    r.bitWidth = o.bitWidth;
-    r.seed = o.seed;
-    r.wantWeights = true;
-    r.wantAttention = true;
-    r.task = task;
-    r.alpha = o.alpha;
-    out.push_back(std::move(r));
+    accel::announce(out, model, task,
+                    {.weights = true, .attention = true, .alpha = o.alpha,
+                     .seed = o.seed, .bitWidth = o.bitWidth});
 }
 
 // ---- BaselineAdapter -------------------------------------------------------
@@ -78,7 +72,7 @@ McbpAdapter::profileRequests(const model::LlmConfig &model,
 BaselineAdapter::BaselineAdapter(
     std::string name, TraitsMaker maker, Capabilities caps,
     std::shared_ptr<accel::ProfileCache> profiles, sim::McbpConfig hw,
-    ProfileNeeds needs)
+    accel::ProfileNeeds needs)
     : name_(std::move(name)), maker_(std::move(maker)), caps_(caps),
       profiles_(std::move(profiles)), hw_(hw), needs_(needs)
 {
@@ -119,17 +113,7 @@ BaselineAdapter::profileRequests(
     const model::LlmConfig &model, const model::Workload &task,
     std::vector<accel::ProfileRequest> &out) const
 {
-    if (!needs_.weights && !needs_.attention)
-        return;
-    accel::ProfileRequest r;
-    r.model = model;
-    r.bitWidth = needs_.bitWidth;
-    r.seed = needs_.seed;
-    r.wantWeights = needs_.weights;
-    r.wantAttention = needs_.attention;
-    r.task = task;
-    r.alpha = needs_.alpha;
-    out.push_back(std::move(r));
+    accel::announce(out, model, task, needs_);
 }
 
 // ---- GpuAdapter ------------------------------------------------------------
@@ -190,15 +174,9 @@ GpuAdapter::profileRequests(const model::LlmConfig &model,
                             const model::Workload &task,
                             std::vector<accel::ProfileRequest> &out) const
 {
-    accel::ProfileRequest r;
-    r.model = model;
-    r.bitWidth = quant::BitWidth::Int8;
-    r.seed = seed_;
-    r.wantWeights = true;
-    r.wantAttention = true;
-    r.task = task;
-    r.alpha = alpha_;
-    out.push_back(std::move(r));
+    accel::announce(out, model, task,
+                    {.weights = true, .attention = true, .alpha = alpha_,
+                     .seed = seed_, .bitWidth = quant::BitWidth::Int8});
 }
 
 } // namespace mcbp::engine

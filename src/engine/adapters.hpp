@@ -50,23 +50,10 @@ class McbpAdapter : public Accelerator
 };
 
 /**
- * Which profiles a BaselineAdapter's traits maker demands per
- * (model, task) — declared alongside the (opaque) maker so
- * profileRequests() can announce them for parallel cache warm-up
- * without invoking the maker.
- */
-struct BaselineProfileNeeds
-{
-    bool weights = false;
-    bool attention = false;
-    double alpha = 0.6;
-    std::uint64_t seed = 1;
-    quant::BitWidth bitWidth = quant::BitWidth::Int8;
-};
-
-/**
  * engine::Accelerator view of one SOTA baseline. Traits are derived
- * from the measured profiles of each (model, task) through @p maker.
+ * from the measured profiles of each (model, task) through @p maker;
+ * @p needs declares which profiles the (opaque) maker demands, so
+ * profileRequests() can announce them without invoking it.
  */
 class BaselineAdapter : public Accelerator
 {
@@ -76,12 +63,10 @@ class BaselineAdapter : public Accelerator
         accel::ProfileCache &, const model::LlmConfig &,
         const model::Workload &)>;
 
-    using ProfileNeeds = BaselineProfileNeeds;
-
     BaselineAdapter(std::string name, TraitsMaker maker, Capabilities caps,
                     std::shared_ptr<accel::ProfileCache> profiles,
                     sim::McbpConfig hw = sim::defaultConfig(),
-                    ProfileNeeds needs = {});
+                    accel::ProfileNeeds needs = {});
 
     std::string name() const override { return name_; }
     Capabilities capabilities() const override { return caps_; }
@@ -106,7 +91,7 @@ class BaselineAdapter : public Accelerator
     Capabilities caps_;
     std::shared_ptr<accel::ProfileCache> profiles_;
     sim::McbpConfig hw_;
-    ProfileNeeds needs_;
+    accel::ProfileNeeds needs_;
 };
 
 /** engine::Accelerator view of the A100 roofline model. */

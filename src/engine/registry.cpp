@@ -522,7 +522,7 @@ Registry::make(const std::string &spec) const
         }
         rejectUnknown(p, std::move(accepted));
         BaselineAdapter::TraitsMaker maker;
-        BaselineAdapter::ProfileNeeds needs;
+        accel::ProfileNeeds needs;
         needs.alpha = alpha;
         needs.seed = seed;
         if (def->fromAttention != nullptr) {
@@ -575,8 +575,9 @@ Registry::warmFleet(
         for (const model::LlmConfig &m : models)
             for (const model::Workload &t : tasks)
                 accel->profileRequests(m, t, requests);
-    // warm() deduplicates by final cache key, so overlapping needs
-    // across the fleet (shared seeds/alphas) fan out exactly once.
+    // Each accelerator announces through accel::announce(), which
+    // keeps one request per need, so overlapping needs across the
+    // fleet (shared seeds/alphas) fan out exactly once.
     profiles_->warm(requests, threads);
 }
 

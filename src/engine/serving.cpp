@@ -291,9 +291,10 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
     // whichever pricing thread hits them first. Announcing the needs
     // up front lets the cache fan the distinct keys out over the
     // thread pool. decodeLen never enters a profile key, so one
-    // announcement per (model, task, promptLen) covers every shape; a
-    // key missed here is still filled inside run(), so results never
-    // depend on this step.
+    // announcement per (model, task, promptLen) covers every shape,
+    // and announce() keeps one request per profile key; a key missed
+    // here is still filled inside run(), so results never depend on
+    // this step.
     const std::size_t priced = topologies();
     std::array<std::size_t, kTopologies> stages{};
     for (std::size_t t = 0; t < priced; ++t) {
@@ -301,19 +302,15 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
         if (const std::shared_ptr<accel::ProfileCache> cache =
                 device.profileCache()) {
             std::vector<accel::ProfileRequest> requests;
-            // Shapes sort by promptLen first, so the pairs of one
-            // prompt length are contiguous.
-            std::vector<std::size_t> announced; // Pair ranks.
-            std::size_t promptLen = 0;
+            // Shapes sort by promptLen first, so skipping a shape with
+            // the previous one's (promptLen, pair) skips most repeats
+            // before a Workload is built.
+            const ShapeKey *last = nullptr;
             for (const ShapeKey *k : firsts) {
-                if (k->promptLen != promptLen) {
-                    announced.clear();
-                    promptLen = k->promptLen;
-                }
-                if (std::find(announced.begin(), announced.end(),
-                              k->pair) != announced.end())
+                if (last != nullptr && last->promptLen == k->promptLen &&
+                    last->pair == k->pair)
                     continue;
-                announced.push_back(k->pair);
+                last = k;
                 const ModelTask &mt = pairs[k->pair];
                 device.profileRequests(
                     *mt.config,
@@ -330,26 +327,34 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
     }
 
     // ---- Price each shape on the healthy topology -----------------------
-    // Every shape is an independent task calling run() directly: no
-    // key string, no shared lock. The table is sized once and each
-    // task writes only its own slot, so it is bit-identical at every
-    // thread count.
+    // Each pool task prices one contiguous block of shapes, calling
+    // run() directly, with no key string. One shape costs about a
+    // microsecond, so the pool is claimed once per block rather than
+    // once per shape. The table is sized once and each slot is written
+    // by exactly one task, so it is bit-identical at every thread
+    // count.
+    constexpr std::size_t kShapesPerTask = 64;
     auto table = std::make_shared<ShapeTable>();
     table->shapes.resize(firsts.size());
     parallel::parallelFor(
-        firsts.size(),
-        [&](std::size_t s) {
-            const ShapeKey &key = *firsts[s];
-            PricedShape &shape = table->shapes[s];
-            shape.config = pairs[key.pair].config;
-            shape.task = pairs[key.pair].task;
-            const accel::RunMetrics rm = accels_[kHealthy]->run(
-                *shape.config, model::singleRequest(
-                                   *shape.task, key.promptLen, key.decodeLen));
-            shape.seconds = rm.seconds();
-            shape.joules = rm.joules();
-            shape.clockGhz = rm.clockGhz;
-            shape.rates = ratesOf(rm, key.decodeLen, stages[kHealthy]);
+        (firsts.size() + kShapesPerTask - 1) / kShapesPerTask,
+        [&](std::size_t block) {
+            const std::size_t end =
+                std::min(firsts.size(), (block + 1) * kShapesPerTask);
+            for (std::size_t s = block * kShapesPerTask; s < end; ++s) {
+                const ShapeKey &key = *firsts[s];
+                PricedShape &shape = table->shapes[s];
+                shape.config = pairs[key.pair].config;
+                shape.task = pairs[key.pair].task;
+                const accel::RunMetrics rm = accels_[kHealthy]->run(
+                    *shape.config,
+                    model::singleRequest(*shape.task, key.promptLen,
+                                         key.decodeLen));
+                shape.seconds = rm.seconds();
+                shape.joules = rm.joules();
+                shape.clockGhz = rm.clockGhz;
+                shape.rates = ratesOf(rm, key.decodeLen, stages[kHealthy]);
+            }
         },
         opts_.costingThreads);
 

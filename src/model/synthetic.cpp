@@ -7,6 +7,26 @@
 
 namespace mcbp::model {
 
+namespace {
+
+/**
+ * std::lround without the out-of-line libm call: truncate, then step
+ * one away from zero when the dropped fraction is at least a half. The
+ * fraction x - t is exact for any |x| < 2^52, and the steps are
+ * comparisons added as integers, so the quantize loops stay free of
+ * branches.
+ */
+inline long
+roundHalfAway(double x)
+{
+    const long t = static_cast<long>(x);
+    const double frac = x - static_cast<double>(t);
+    return t + static_cast<long>(frac >= 0.5) -
+           static_cast<long>(frac <= -0.5);
+}
+
+} // namespace
+
 FloatMatrix
 gaussianWeights(Rng &rng, std::size_t rows, std::size_t cols,
                 const WeightProfile &profile)
@@ -117,7 +137,7 @@ synthesizeAttention(Rng &rng, std::size_t s, std::size_t d,
     const double q_scale = qmax > 0 ? qmax / 127.0 : 1.0;
     out.query.resize(d);
     for (std::size_t i = 0; i < d; ++i) {
-        long qq = std::lround(qf[i] / q_scale);
+        const long qq = roundHalfAway(qf[i] / q_scale);
         out.query[i] = static_cast<std::int8_t>(
             std::clamp<long>(qq, -127, 127));
     }
@@ -130,7 +150,7 @@ synthesizeAttention(Rng &rng, std::size_t s, std::size_t d,
     out.keys = Int8Matrix(s, d);
     for (std::size_t j = 0; j < s; ++j) {
         for (std::size_t i = 0; i < d; ++i) {
-            long kq = std::lround(keys_f.at(j, i) / k_scale);
+            const long kq = roundHalfAway(keys_f.at(j, i) / k_scale);
             out.keys.at(j, i) = static_cast<std::int8_t>(
                 std::clamp<long>(kq, -127, 127));
         }

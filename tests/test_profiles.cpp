@@ -1,11 +1,17 @@
 /** @file Unit tests for accel/profiles: measured workload statistics. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "accel/profile_cache.hpp"
 #include "accel/profiles.hpp"
+#include "engine/registry.hpp"
+#include "model/request.hpp"
 #include "model/workload.hpp"
 
 namespace mcbp::accel {
@@ -344,6 +350,98 @@ TEST(AttentionProfile, LongContextSparser)
     AttentionStats cola =
         profileAttention(m, model::findTask("Cola"), 0.6, 4);
     EXPECT_LT(dolly.bgppSelectedFraction, cola.bgppSelectedFraction);
+}
+
+/** Announce @p accel's needs once per distinct shape of @p trace, as a
+ *  serving warm-up does. */
+std::vector<ProfileRequest>
+announceShapes(const engine::Accelerator &accel,
+               const std::vector<model::Request> &trace)
+{
+    std::vector<ProfileRequest> needs;
+    std::set<std::pair<std::size_t, std::size_t>> shapes;
+    for (const model::Request &r : trace)
+        if (shapes.insert({r.promptLen, r.decodeLen}).second)
+            accel.profileRequests(model::findModel(r.model), r.workload(),
+                                  needs);
+    return needs;
+}
+
+TEST(ProfileCache, AnnounceKeepsOneNeedPerKey)
+{
+    engine::Registry registry;
+    const auto mcbp = registry.make("mcbp");
+    const auto gpu = registry.make("a100");
+    const auto weightsOnly = registry.make("bitwave");
+    const auto attentionOnly = registry.make("spatten");
+
+    // Dolly's jittered prompts (4096..12288) all clamp into the 2048
+    // bucket: every shape names the same two keys.
+    model::TraceConfig dolly;
+    dolly.model = "OPT1B3";
+    dolly.task = "Dolly";
+    dolly.requests = 10000;
+    dolly.lengthJitter = 0.5;
+    const std::vector<model::Request> dollyTrace =
+        model::synthesizeTrace(dolly);
+    EXPECT_EQ(announceShapes(*mcbp, dollyTrace).size(), 1u);
+    EXPECT_EQ(announceShapes(*gpu, dollyTrace).size(), 1u);
+    EXPECT_EQ(announceShapes(*weightsOnly, dollyTrace).size(), 1u);
+    EXPECT_EQ(announceShapes(*attentionOnly, dollyTrace).size(), 1u);
+
+    // MBPP's jittered prompts (512..1536) reach several buckets: one
+    // need per bucket, except for a design that profiles weights only.
+    model::TraceConfig mbpp = dolly;
+    mbpp.task = "MBPP";
+    mbpp.requests = 2000;
+    const std::vector<model::Request> mbppTrace =
+        model::synthesizeTrace(mbpp);
+    std::set<std::size_t> buckets;
+    for (const model::Request &r : mbppTrace)
+        buckets.insert(std::bit_ceil(
+            std::clamp<std::size_t>(r.promptLen, 64, 2048)));
+    ASSERT_GT(buckets.size(), 1u);
+    const std::vector<ProfileRequest> mbppNeeds =
+        announceShapes(*mcbp, mbppTrace);
+    EXPECT_EQ(mbppNeeds.size(), buckets.size());
+    EXPECT_EQ(announceShapes(*gpu, mbppTrace).size(), buckets.size());
+    EXPECT_EQ(announceShapes(*attentionOnly, mbppTrace).size(),
+              buckets.size());
+    EXPECT_EQ(announceShapes(*weightsOnly, mbppTrace).size(), 1u);
+
+    // Needs that differ in any key field are all kept; a field outside
+    // the needed keys does not split a need.
+    const model::LlmConfig &m = model::findModel("OPT1B3");
+    const model::Workload &task = model::findTask("Dolly");
+    model::Workload sparser = task;
+    sparser.attentionConcentration = 0.05;
+    ProfileNeeds both;
+    both.weights = true;
+    both.attention = true;
+    ProfileNeeds alpha = both, seed = both, weights = both;
+    alpha.alpha = 0.7;
+    seed.seed = 2;
+    weights.attention = false;
+    ProfileNeeds weightsAlpha = weights;
+    weightsAlpha.alpha = 0.7;
+    std::vector<ProfileRequest> out;
+    for (int pass = 0; pass < 2; ++pass) {
+        announce(out, m, task, both);
+        announce(out, m, task, alpha);
+        announce(out, m, task, seed);
+        announce(out, m, sparser, both);
+        announce(out, m, task, weights);
+        announce(out, m, sparser, weightsAlpha);
+        announce(out, m, task, ProfileNeeds{});
+    }
+    EXPECT_EQ(out.size(), 5u);
+
+    // Warming the announced needs profiles each distinct key once: one
+    // weight tile plus one attention set per bucket.
+    ProfileCache cache;
+    cache.warm(mbppNeeds);
+    EXPECT_EQ(cache.profileCalls(), 1 + buckets.size());
+    EXPECT_EQ(cache.size(), 1 + buckets.size());
 }
 
 } // namespace
