@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <utility>
+#include <map>
 
 #include "common/parallel.hpp"
 
@@ -76,42 +76,11 @@ announce(std::vector<ProfileRequest> &out, const model::LlmConfig &model,
                    needs.attention, task, needs.alpha});
 }
 
-/**
- * Find-or-create the key's slot under the map mutex, then run the
- * (expensive) compute through the slot's once-flag with the mutex
- * released: concurrent lookups of other keys proceed, and racers on
- * this key block on the one in-flight computation instead of redoing
- * it (singleflight). If compute throws, call_once lets the next caller
- * retry the key.
- */
-template <typename Key, typename Stats, typename Compute>
-const Stats &
-ProfileCache::lookup(std::map<Key, std::shared_ptr<Slot<Stats>>> &map,
-                     const Key &key, const Compute &compute)
-{
-    std::shared_ptr<Slot<Stats>> slot;
-    {
-        MutexLock lock(mutex_);
-        auto &entry = map[key];
-        if (!entry)
-            entry = std::make_shared<Slot<Stats>>();
-        slot = entry;
-    }
-    std::call_once(slot->once, [&] {
-        Stats computed = compute();
-        MutexLock lock(mutex_);
-        slot->value = std::move(computed);
-        slot->ready = true;
-        ++profileCalls_;
-    });
-    return slot->value;
-}
-
 const WeightStats &
 ProfileCache::weights(const model::LlmConfig &model, quant::BitWidth bw,
                       std::uint64_t seed)
 {
-    return lookup(weights_, weightKey(model, bw, seed), [&] {
+    return weights_.get(weightKey(model, bw, seed), [&] {
         return profileWeights(model, bw, seed);
     });
 }
@@ -121,18 +90,17 @@ ProfileCache::attentionAt(const model::LlmConfig &model,
                           const model::Workload &task, double alpha,
                           std::uint64_t seed, std::size_t threads)
 {
-    return lookup(
-        attention_, attentionKey(model, task, alpha, seed), [&] {
-            // Profile the bucket's canonical context so every workload
-            // mapping to this key gets identical stats. The stats are
-            // bit-identical at every thread count; the cap only bounds
-            // the per-query fan-out's concurrency.
-            model::Workload canonical = task;
-            canonical.promptLen = contextBucket(task.promptLen);
-            return profileAttention(model, canonical, alpha, seed,
-                                    kProfileMaxContext, kProfileQueries,
-                                    threads);
-        });
+    return attention_.get(attentionKey(model, task, alpha, seed), [&] {
+        // Profile the bucket's canonical context so every workload
+        // mapping to this key gets identical stats. The stats are
+        // bit-identical at every thread count; the cap only bounds the
+        // per-query fan-out's concurrency.
+        model::Workload canonical = task;
+        canonical.promptLen = contextBucket(task.promptLen);
+        return profileAttention(model, canonical, alpha, seed,
+                                kProfileMaxContext, kProfileQueries,
+                                threads);
+    });
 }
 
 const AttentionStats &
@@ -179,20 +147,13 @@ ProfileCache::warm(const std::vector<ProfileRequest> &requests,
 std::size_t
 ProfileCache::size() const
 {
-    MutexLock lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &kv : weights_)
-        n += kv.second->ready ? 1 : 0;
-    for (const auto &kv : attention_)
-        n += kv.second->ready ? 1 : 0;
-    return n;
+    return weights_.size() + attention_.size();
 }
 
 std::uint64_t
 ProfileCache::profileCalls() const
 {
-    MutexLock lock(mutex_);
-    return profileCalls_;
+    return weights_.computeCalls() + attention_.computeCalls();
 }
 
 std::shared_ptr<ProfileCache>

@@ -11,14 +11,14 @@
  * structs compared field by field: (model, bit width, seed) for weights
  * and (model, context bucket, concentration, alpha, seed) for attention.
  * Doubles compare exactly, so two alphas that differ anywhere are two
- * keys. Lookups are singleflight: each key owns a once-initialized
- * slot, so N threads racing on a cold key block on the single
- * in-flight computation instead of each paying the full profiling
- * cost, and the map mutex is never held while profiling runs.
- * profileCalls() counts the computations actually executed
- * (tests assert it stays at 1 per key under contention). Entries are
- * never evicted and live on the heap, so returned references stay
- * valid for the cache's lifetime even while other threads insert.
+ * keys. Each side is a SingleflightMap (common/annotations.hpp), so N
+ * threads racing on a cold key block on the single in-flight
+ * computation instead of each paying the full profiling cost, and no
+ * lock is held while profiling runs. profileCalls() counts the
+ * computations actually executed (tests assert it stays at 1 per key
+ * under contention). Entries are never evicted and live in the map
+ * nodes, so returned references stay valid for the cache's lifetime
+ * even while other threads insert.
  *
  * warm() precomputes a batch of keys on the global thread pool
  * (common/parallel.hpp): cold-start fleet construction profiles on all
@@ -28,9 +28,7 @@
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -121,19 +119,6 @@ class ProfileCache
     std::uint64_t profileCalls() const;
 
   private:
-    /**
-     * Singleflight slot: the first thread through the once-flag runs
-     * the profiling; racers block inside call_once until the value is
-     * ready. Heap-allocated and owned by shared_ptr so the map mutex
-     * can drop before profiling starts without invalidating the slot.
-     */
-    template <typename Stats> struct Slot
-    {
-        std::once_flag once;
-        Stats value;
-        bool ready = false; ///< Written once under the once-flag.
-    };
-
     friend void announce(std::vector<ProfileRequest> &,
                          const model::LlmConfig &, const model::Workload &,
                          const ProfileNeeds &);
@@ -175,10 +160,6 @@ class ProfileCache
                                              double alpha,
                                              std::uint64_t seed);
 
-    template <typename Key, typename Stats, typename Compute>
-    const Stats &lookup(std::map<Key, std::shared_ptr<Slot<Stats>>> &map,
-                        const Key &key, const Compute &compute);
-
     /** attention() with an explicit cap for profileAttention's own
      *  per-query fan-out (threads=1 keeps warm(…, 1) fully serial). */
     const AttentionStats &attentionAt(const model::LlmConfig &model,
@@ -186,12 +167,8 @@ class ProfileCache
                                       double alpha, std::uint64_t seed,
                                       std::size_t threads);
 
-    mutable Mutex mutex_;
-    std::map<WeightKey, std::shared_ptr<Slot<WeightStats>>> weights_
-        MCBP_GUARDED_BY(mutex_);
-    std::map<AttentionKey, std::shared_ptr<Slot<AttentionStats>>>
-        attention_ MCBP_GUARDED_BY(mutex_);
-    std::uint64_t profileCalls_ MCBP_GUARDED_BY(mutex_) = 0;
+    SingleflightMap<WeightKey, WeightStats> weights_;
+    SingleflightMap<AttentionKey, AttentionStats> attention_;
 };
 
 /** A fresh cache wrapped for sharing across accelerator instances. */

@@ -1,15 +1,17 @@
 /**
  * @file
- * Clang thread-safety annotations and the annotated lock primitives
- * the analysis needs to see.
+ * Clang thread-safety annotations, the annotated lock primitives the
+ * analysis needs to see, and the one compute-once memo built on them
+ * (SingleflightMap).
  *
- * Every mutex-protected structure in the tree (ProfileCache,
- * PlanCache, the common/parallel pool, KvBlockManager, LazyRates)
- * declares WHICH data each lock guards via these macros, and the
- * clang CI lane compiles with `-Wthread-safety -Werror` so an
- * unguarded access is a build break, not a latent race. Under gcc (and
- * any compiler without the attributes) everything expands to nothing —
- * zero overhead, same semantics.
+ * Every mutex-protected structure in the tree (SingleflightMap, which
+ * ProfileCache and PlanCache hold, the common/parallel pool,
+ * KvBlockManager, LazyRates) declares WHICH data each lock guards via
+ * these macros, and the clang CI lane compiles with
+ * `-Wthread-safety -Werror` so an unguarded access is a build break,
+ * not a latent race. Under gcc (and any compiler without the
+ * attributes) everything expands to nothing — zero overhead, same
+ * semantics.
  *
  * std::mutex itself carries no capability attributes under libstdc++,
  * so the analysis cannot see through std::lock_guard. The annotated
@@ -17,6 +19,9 @@
  * canonical lock vocabulary for guarded state: Mutex is the
  * capability, MutexLock the scoped acquire, CondVar a
  * condition_variable_any that waits on the annotated Mutex directly.
+ * A cache that computes each key once holds a SingleflightMap rather
+ * than its own once-flags (the raw-mutex lint rule flags
+ * std::once_flag/std::call_once outside this file).
  *
  * Convention: name the guarded relationship at the member, not in
  * prose — `std::uint64_t calls_ MCBP_GUARDED_BY(mutex_);` — and
@@ -27,7 +32,10 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
+#include <map>
 #include <mutex>
+#include <utility>
 
 #if defined(__clang__)
 #define MCBP_TS_ATTR(x) __attribute__((x))
@@ -127,6 +135,82 @@ class CondVar
 
   private:
     std::condition_variable_any cv_;
+};
+
+/**
+ * Compute-once map (singleflight memo). get(key, compute) returns the
+ * value of @p key, running @p compute at most once per key however
+ * many threads race on it: find-or-create the key's slot under the
+ * mutex, then run compute with the mutex released, so lookups of
+ * other keys proceed and racers on this key wait for the one in-flight
+ * computation. If compute throws, the exception propagates, the key
+ * goes cold again and the next get() on it computes. Slots live in the
+ * map's nodes and are never erased, so a returned reference stays
+ * valid for the map's lifetime even while other threads insert. Key
+ * needs operator<.
+ *
+ * Not std::call_once: libstdc++ runs it through pthread_once, whose
+ * ThreadSanitizer interceptor leaves the flag taken when the function
+ * throws, so a retry after a throw hangs under TSan.
+ */
+template <typename Key, typename Value> class SingleflightMap
+{
+  public:
+    template <typename Compute>
+    const Value &
+    get(const Key &key, const Compute &compute)
+    {
+        Slot *slot;
+        {
+            MutexLock lock(mutex_);
+            slot = &slots_[key];
+            while (slot->state == State::Computing)
+                done_.wait(mutex_);
+            if (slot->state == State::Ready)
+                return slot->value;
+            slot->state = State::Computing;
+        }
+        try {
+            Value value = compute();
+            MutexLock lock(mutex_);
+            slot->value = std::move(value);
+            slot->state = State::Ready;
+            ++ready_;
+            done_.notify_all();
+        } catch (...) {
+            MutexLock lock(mutex_);
+            slot->state = State::Cold;
+            done_.notify_all();
+            throw;
+        }
+        return slot->value;
+    }
+
+    /** Slots holding a value. A computation that returns fills one
+     *  slot, once, so this is also the computations run. */
+    std::size_t
+    size() const
+    {
+        MutexLock lock(mutex_);
+        return ready_;
+    }
+
+    std::uint64_t computeCalls() const { return size(); }
+
+  private:
+    enum class State { Cold, Computing, Ready };
+
+    struct Slot
+    {
+        State state = State::Cold;
+        Value value; ///< Set once, as state turns Ready.
+    };
+
+    mutable Mutex mutex_;
+    /** Woken when a computation ends, returned or thrown. */
+    CondVar done_;
+    std::map<Key, Slot> slots_ MCBP_GUARDED_BY(mutex_);
+    std::size_t ready_ MCBP_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace mcbp

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <tuple>
@@ -192,7 +193,7 @@ ratesOf(const accel::RunMetrics &rm, std::size_t decodeLen,
 ServingSimulator::ServingSimulator(const Accelerator &accel,
                                    ServingOptions opts)
     : accels_{&accel, opts.degradedAccel}, opts_(opts),
-      planCache_(accel::makePlanCache())
+      planCache_(std::make_shared<accel::PlanCache>())
 {
     // Retry knobs are simulated seconds: a negative backoff would
     // re-dispatch work into the past.

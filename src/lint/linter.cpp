@@ -323,11 +323,13 @@ patternRules()
          {"std::mutex", "std::recursive_mutex", "std::timed_mutex",
           "std::shared_mutex", "std::lock_guard", "std::unique_lock",
           "std::scoped_lock", "std::shared_lock",
-          "std::condition_variable", "std::condition_variable_any"},
-         "raw lock primitive outside common/annotations; use the "
-         "annotated Mutex/MutexLock/CondVar and mark what the lock "
+          "std::condition_variable", "std::condition_variable_any",
+          "std::once_flag", "std::call_once"},
+         "raw lock or once primitive outside common/annotations; use "
+         "the annotated Mutex/MutexLock/CondVar and mark what the lock "
          "guards with MCBP_GUARDED_BY, so the clang -Wthread-safety "
-         "lane can check it"},
+         "lane can check it, and compute each key once through "
+         "SingleflightMap"},
         {"raw-rng",
          "common/rng",
          {},

@@ -14,11 +14,13 @@
  *                          parallelism must go through the
  *                          deterministic pool (index-ordered joins,
  *                          bit-identical at every thread count).
- *   raw-mutex              std mutexes, lock guards and condition
- *                          variables outside common/annotations —
- *                          shared state locks through the annotated
- *                          Mutex/MutexLock/CondVar, so the clang
- *                          thread-safety analysis sees every guard.
+ *   raw-mutex              std mutexes, lock guards, condition
+ *                          variables and once-flags outside
+ *                          common/annotations — shared state locks
+ *                          through the annotated Mutex/MutexLock/
+ *                          CondVar, so the clang thread-safety
+ *                          analysis sees every guard, and computes
+ *                          each key once through SingleflightMap.
  *   raw-rng                std random engines / rand() / random_device
  *                          outside common/rng — stochastic work must
  *                          draw from the portable, explicitly seeded

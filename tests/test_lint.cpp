@@ -89,8 +89,10 @@ TEST(Lint, RawMutexFlagsStdLocksOutsideAnnotations)
                                "        std::scoped_lock s(m_);\n"
                                "    }\n"
                                "    std::condition_variable cv_;\n"
+                               "    std::once_flag o_;\n"
+                               "    void g() { std::call_once(o_, h); }\n"
                                "};\n");
-    ASSERT_EQ(countRule(fs, "raw-mutex"), 5u);
+    ASSERT_EQ(countRule(fs, "raw-mutex"), 7u);
     EXPECT_EQ(firstOf(fs, "raw-mutex")->line, 2u);
 }
 
@@ -98,7 +100,9 @@ TEST(Lint, RawMutexAllowedInsideCommonAnnotations)
 {
     const auto fs = lintSource("src/common/annotations.hpp",
                                "std::mutex m_;\n"
-                               "std::condition_variable_any cv_;\n");
+                               "std::condition_variable_any cv_;\n"
+                               "std::once_flag once;\n"
+                               "std::call_once(once, [] {});\n");
     EXPECT_EQ(countRule(fs, "raw-mutex"), 0u);
 }
 

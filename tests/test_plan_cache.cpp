@@ -3,8 +3,10 @@
  * PlanCache invariants and the trace-costing contract:
  *  - singleflight: threads racing on a cold key run its compute
  *    exactly once and all read the same bits;
- *  - keying: identity, model and workload shape all separate entries —
- *    two accelerators (or two shapes) can never alias a cost;
+ *  - keying: identity, model and every workload field (the exact
+ *    concentration included) separate entries — two accelerators (or
+ *    two shapes) can never alias a cost;
+ *  - a compute that throws leaves its key cold for the next caller;
  *  - trace costing prices each distinct (model, task, prompt, decode)
  *    shape exactly once on the healthy topology (degraded prices wait
  *    for their first read), never through the plan cache,
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -115,8 +118,53 @@ TEST(PlanCache, KeySeparatesIdentityModelAndShape)
     EXPECT_EQ(
         cache.metrics("A", opt, prefillOnly, compute_of(5)).prefill.cycles,
         5.0);
-    EXPECT_EQ(cache.computeCalls(), 5u);
-    EXPECT_EQ(cache.size(), 5u);
+    // The concentration compares exactly: a difference past the sixth
+    // decimal is still another key.
+    model::Workload sharper = base;
+    sharper.attentionConcentration += 1e-9;
+    EXPECT_EQ(
+        cache.metrics("A", opt, sharper, compute_of(6)).prefill.cycles,
+        6.0);
+    // Every other Workload field is in the key too.
+    model::Workload renamed = base;
+    renamed.name += "-b";
+    EXPECT_EQ(
+        cache.metrics("A", opt, renamed, compute_of(7)).prefill.cycles,
+        7.0);
+    model::Workload batched = base;
+    batched.batch += 1;
+    EXPECT_EQ(
+        cache.metrics("A", opt, batched, compute_of(8)).prefill.cycles,
+        8.0);
+    model::Workload rekinded = base;
+    rekinded.kind = base.kind == model::TaskKind::Generation
+                        ? model::TaskKind::Reasoning
+                        : model::TaskKind::Generation;
+    EXPECT_EQ(
+        cache.metrics("A", opt, rekinded, compute_of(9)).prefill.cycles,
+        9.0);
+    EXPECT_EQ(cache.computeCalls(), 9u);
+    EXPECT_EQ(cache.size(), 9u);
+}
+
+TEST(PlanCache, ThrowingComputeLeavesTheKeyCold)
+{
+    PlanCache cache;
+    const model::LlmConfig &m = model::findModel("OPT1B3");
+    const model::Workload w = model::findTask("Dolly");
+    EXPECT_THROW(cache.metrics("A", m, w,
+                               []() -> RunMetrics {
+                                   throw std::runtime_error("cold");
+                               }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.computeCalls(), 0u);
+    // The next caller on the same key computes it.
+    EXPECT_EQ(cache.metrics("A", m, w, [] { return metric(7); })
+                  .prefill.cycles,
+              7.0);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.computeCalls(), 1u);
 }
 
 std::vector<model::Request>
