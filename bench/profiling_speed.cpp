@@ -4,7 +4,7 @@
  * measure-then-model loop that gates every figure, serving run and
  * cluster sweep.
  *
- * Six sections:
+ * Eight sections:
  *  1. Cold fleet warm-up — a registry fleet's full profile working set
  *     ((model, bw) weight keys + (model, ctx-bucket, alpha) attention
  *     keys), filled serially vs fanned out over the thread pool via
@@ -40,6 +40,14 @@
  *     them. Host-independent gate: the needs announced may not exceed
  *     the profile keys they name (profileCalls() of the warm). The
  *     times are recorded, not gated.
+ *  8. Attention profile — the per-element loops (reference_kernels.hpp)
+ *     vs the dispatched signed-magnitude dot and key quantizer on each
+ *     runnable tier, for BGPP predict, both top-k baselines and key
+ *     quantization on one Llama7B-head key set at context 2048; then
+ *     synthesizeAttention and profileAttention (serial) at contexts
+ *     1024 and 2048. Every tier must reproduce the per-element
+ *     results bit for bit (in the exit code); the times are recorded,
+ *     not gated.
  *
  * `--json <path>` archives the records (bench_util.hpp schema).
  */
@@ -59,6 +67,8 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "accel/profiles.hpp"
+#include "bgpp/bgpp_predictor.hpp"
+#include "bgpp/topk_baseline.hpp"
 #include "common/simd/simd.hpp"
 #include "engine/adapters.hpp"
 #include "engine/registry.hpp"
@@ -141,6 +151,151 @@ fleetsBitIdentical(
         }
     }
     return true;
+}
+
+/** Same fields, same values: two BGPP results agree bit for bit. */
+bool
+sameResult(const bgpp::BgppResult &a, const bgpp::BgppResult &b)
+{
+    return a.selected == b.selected && a.estimates == b.estimates &&
+           a.bitsFetched == b.bitsFetched && a.macs == b.macs &&
+           a.roundsRun == b.roundsRun &&
+           a.clockGatedRounds == b.clockGatedRounds &&
+           a.survivorsPerRound == b.survivorsPerRound;
+}
+
+/**
+ * Section 8: the attention profile's per-element loops vs the
+ * dispatched kernels on every runnable tier, then synthesizeAttention
+ * and profileAttention end to end. Returns whether every tier matched
+ * the per-element results bit for bit.
+ */
+bool
+attentionProfileSection(bench::JsonRecords &json)
+{
+    bench::banner("Attention profile: per-element loops vs dispatched "
+                  "kernels");
+    const model::LlmConfig &llama = model::findModel("Llama7B");
+    const std::size_t s = accel::kProfileMaxContext;
+    const std::size_t d = llama.headDim();
+    Rng set_rng(0xa77e);
+    const model::AttentionSet set =
+        model::synthesizeAttention(set_rng, s, d, 0.10);
+    bgpp::BgppConfig cfg;
+    cfg.alpha = 0.6;
+    cfg.logitScale = set.logitScale;
+    const std::size_t k = s / 10;
+    Rng key_rng(0xa77f);
+    const FloatMatrix keys_f = model::gaussianActivations(key_rng, s, d);
+
+    constexpr int kReps = 5;
+    bgpp::BgppResult bgpp_ref;
+    std::vector<std::int32_t> exact_ref, value_ref;
+    Int8Matrix keys_ref;
+    double scale_ref = 0.0;
+    const double bgpp_ref_s = bestOf(kReps, [&] {
+        bgpp_ref = bench::bgppPredictPerElement(cfg, set.query, set.keys);
+    });
+    const double exact_ref_s = bestOf(kReps, [&] {
+        exact_ref = bench::exactScoresPerElement(set.query, set.keys);
+    });
+    const double value_ref_s = bestOf(kReps, [&] {
+        value_ref = bench::valueScoresPerElement(set.query, set.keys, 4);
+    });
+    const double quant_ref_s = bestOf(kReps, [&] {
+        scale_ref = bench::quantizeKeysPerElement(keys_f, keys_ref);
+    });
+    std::printf("  %zu keys x %zu dims (Llama7B head), times in ms\n", s,
+                d);
+    std::printf("  %-10s %12s %12s %12s %12s\n", "tier", "bgpp", "exact",
+                "value-topk", "key-quant");
+    std::printf("  %-10s %12.3f %12.3f %12.3f %12.3f\n", "per-elem",
+                bgpp_ref_s * 1e3, exact_ref_s * 1e3, value_ref_s * 1e3,
+                quant_ref_s * 1e3);
+    json.begin()
+        .field("section", "attention_profile")
+        .field("tier", "per_element")
+        .field("bgpp_s", bgpp_ref_s)
+        .field("exact_topk_s", exact_ref_s)
+        .field("value_topk_s", value_ref_s)
+        .field("key_quant_s", quant_ref_s)
+        .field("bit_identical", 1);
+
+    bool all_match = true;
+    for (const simd::Tier t :
+         {simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512}) {
+        if (t > simd::availableTier())
+            continue;
+        simd::forceTier(t);
+        bgpp::BgppResult res;
+        bgpp::TopkResult exact, value;
+        Int8Matrix keys(s, d);
+        double scale = 0.0;
+        const double bgpp_s = bestOf(kReps, [&] {
+            res = bgpp::BgppPredictor(cfg).predict(set.query, set.keys);
+        });
+        const double exact_s = bestOf(kReps, [&] {
+            exact = bgpp::exactTopk(set.query, set.keys, k);
+        });
+        const double value_s = bestOf(kReps, [&] {
+            value = bgpp::valueTopk(set.query, set.keys, k, 4);
+        });
+        const double quant_s = bestOf(kReps, [&] {
+            const simd::Kernels &kern = simd::kernels();
+            const float kmax = kern.absMax(keys_f.data(), keys_f.size());
+            scale = kmax > 0 ? kmax / 127.0 : 1.0;
+            kern.quantizeSymmetric(keys_f.data(), keys_f.size(), scale,
+                                   keys.data());
+        });
+        const bool match = sameResult(res, bgpp_ref) &&
+                           exact.estimates == exact_ref &&
+                           value.estimates == value_ref &&
+                           keys == keys_ref && scale == scale_ref;
+        all_match = all_match && match;
+        std::printf("  %-10s %12.3f %12.3f %12.3f %12.3f   (%s)\n",
+                    simd::tierName(t), bgpp_s * 1e3, exact_s * 1e3,
+                    value_s * 1e3, quant_s * 1e3,
+                    match ? "bit-identical" : "DIFFER");
+        json.begin()
+            .field("section", "attention_profile")
+            .field("tier", simd::tierName(t))
+            .field("bgpp_s", bgpp_s)
+            .field("exact_topk_s", exact_s)
+            .field("value_topk_s", value_s)
+            .field("key_quant_s", quant_s)
+            .field("bit_identical", match ? 1 : 0);
+    }
+    simd::resetTier();
+
+    model::Workload task = model::findTask("Dolly");
+    for (const std::size_t context : {std::size_t{1024}, std::size_t{2048}}) {
+        const double synth_s = bestOf(3, [&] {
+            for (std::size_t q = 0; q < accel::kProfileQueries; ++q) {
+                Rng qrng(0xa77e4710ull ^ q);
+                (void)model::synthesizeAttention(qrng, context, d, 0.10);
+            }
+        });
+        task.promptLen = context;
+        const double profile_s = bestOf(3, [&] {
+            (void)accel::profileAttention(llama, task, 0.6, 1,
+                                          accel::kProfileMaxContext,
+                                          accel::kProfileQueries, 1);
+        });
+        std::printf("  context %4zu: synthesizeAttention %7.2f ms, "
+                    "profileAttention %7.2f ms (%zu queries, serial, %s)\n",
+                    context, synth_s * 1e3, profile_s * 1e3,
+                    accel::kProfileQueries,
+                    simd::tierName(simd::activeTier()));
+        json.begin()
+            .field("section", "attention_profile")
+            .field("tier", simd::tierName(simd::activeTier()))
+            .field("context", context)
+            .field("synthesize_attention_s", synth_s)
+            .field("profile_attention_s", profile_s);
+    }
+    std::printf("  every tier matches the per-element loops: %s\n",
+                all_match ? "yes" : "NO (BUG)");
+    return all_match;
 }
 
 } // namespace
@@ -518,10 +673,12 @@ main(int argc, char **argv)
         .field("announce_s", announce_s)
         .field("warm_s", announce_warm_s);
 
+    const bool attention_match = attentionProfileSection(json);
+
     json.writeIfRequested(argc, argv);
     return identical && distinct_ref == distinct_fast &&
                    scalar_adds == word_adds && simd_gate && planes_match &&
-                   tiers_match && announce_gate
+                   tiers_match && announce_gate && attention_match
                ? 0
                : 1;
 }

@@ -9,16 +9,20 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
+#include "bgpp/bgpp_predictor.hpp"
 #include "bitslice/bit_plane.hpp"
 #include "bitslice/sign_magnitude.hpp"
 #include "brcr/enumeration.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "common/rounding.hpp"
 #include "model/synthetic.hpp"
 
 namespace mcbp::bench {
@@ -170,6 +174,210 @@ boxMullerLibm(const double *u1, const double *u2, std::size_t n,
         sinOut[i] = mag * std::sin(two_pi * u2[i]);
         cosOut[i] = mag * std::cos(two_pi * u2[i]);
     }
+}
+
+/**
+ * The pre-kernel bgpp::BgppPredictor::predict: each round sends every
+ * surviving key element through a branchy per-element loop.
+ */
+inline bgpp::BgppResult
+bgppPredictPerElement(const bgpp::BgppConfig &cfg,
+                      const std::vector<std::int8_t> &q,
+                      const Int8Matrix &keys)
+{
+    fatalIf(q.size() != keys.cols(), "query/key width mismatch");
+    const std::size_t d = q.size();
+    const std::size_t s = keys.rows();
+
+    bgpp::BgppResult out;
+    out.estimates.assign(s, 0);
+    std::vector<std::uint32_t> alive(s);
+    for (std::size_t j = 0; j < s; ++j)
+        alive[j] = static_cast<std::uint32_t>(j);
+
+    auto alpha_at = [&](std::size_t r) {
+        if (cfg.alphaSchedule.empty())
+            return cfg.alpha;
+        return cfg.alphaSchedule[std::min(r, cfg.alphaSchedule.size() - 1)];
+    };
+
+    for (std::size_t r = 0; r < cfg.rounds && !alive.empty(); ++r) {
+        const double gap = alpha_at(r) * cfg.radius / cfg.logitScale;
+        const int plane = 6 - static_cast<int>(r);
+        ++out.roundsRun;
+        for (std::uint32_t j : alive) {
+            const std::int8_t *row = keys.rowPtr(j);
+            std::int32_t contrib = 0;
+            for (std::size_t i = 0; i < d; ++i) {
+                const int v = row[i];
+                const int mag = v < 0 ? -v : v;
+                if ((mag >> plane) & 1)
+                    contrib += v < 0 ? -static_cast<std::int32_t>(q[i])
+                                     : static_cast<std::int32_t>(q[i]);
+            }
+            out.estimates[j] += contrib << plane;
+            out.macs += d;
+        }
+        out.bitsFetched += static_cast<std::uint64_t>(alive.size()) * d *
+                           (r == 0 ? 2 : 1);
+
+        std::int32_t mx = std::numeric_limits<std::int32_t>::min();
+        std::int32_t mn = std::numeric_limits<std::int32_t>::max();
+        for (std::uint32_t j : alive) {
+            mx = std::max(mx, out.estimates[j]);
+            mn = std::min(mn, out.estimates[j]);
+        }
+        const double theta = static_cast<double>(mx) - gap;
+        if (theta <= static_cast<double>(mn)) {
+            ++out.clockGatedRounds;
+            out.survivorsPerRound.push_back(alive.size());
+            continue;
+        }
+        std::vector<std::uint32_t> next;
+        next.reserve(alive.size());
+        for (std::uint32_t j : alive) {
+            if (static_cast<double>(out.estimates[j]) >= theta)
+                next.push_back(j);
+        }
+        if (next.size() < cfg.minKeep) {
+            std::vector<std::uint32_t> ranked = alive;
+            std::partial_sort(
+                ranked.begin(),
+                ranked.begin() + std::min(cfg.minKeep, ranked.size()),
+                ranked.end(), [&](std::uint32_t a, std::uint32_t b) {
+                    return out.estimates[a] > out.estimates[b];
+                });
+            ranked.resize(std::min(cfg.minKeep, ranked.size()));
+            std::sort(ranked.begin(), ranked.end());
+            next = std::move(ranked);
+        }
+        alive = std::move(next);
+        out.survivorsPerRound.push_back(alive.size());
+    }
+    out.selected = std::move(alive);
+    return out;
+}
+
+/** The pre-kernel bgpp::exactTopk score loop: q . k per key. */
+inline std::vector<std::int32_t>
+exactScoresPerElement(const std::vector<std::int8_t> &q,
+                      const Int8Matrix &keys)
+{
+    std::vector<std::int32_t> scores(keys.rows());
+    for (std::size_t j = 0; j < keys.rows(); ++j) {
+        std::int32_t acc = 0;
+        const std::int8_t *row = keys.rowPtr(j);
+        for (std::size_t i = 0; i < q.size(); ++i)
+            acc += static_cast<std::int32_t>(q[i]) *
+                   static_cast<std::int32_t>(row[i]);
+        scores[j] = acc;
+    }
+    return scores;
+}
+
+/**
+ * The pre-kernel bgpp::valueTopk score loop: q . k with the dropped
+ * low magnitude bits of every key element zeroed.
+ */
+inline std::vector<std::int32_t>
+valueScoresPerElement(const std::vector<std::int8_t> &q,
+                      const Int8Matrix &keys, unsigned estimate_bits)
+{
+    const unsigned drop = estimate_bits >= 8 ? 0 : 7 - (estimate_bits - 1);
+    std::vector<std::int32_t> scores(keys.rows());
+    for (std::size_t j = 0; j < keys.rows(); ++j) {
+        std::int32_t acc = 0;
+        const std::int8_t *row = keys.rowPtr(j);
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const int v = row[i];
+            const int mag = (v < 0 ? -v : v) >> drop << drop;
+            const int approx = v < 0 ? -mag : mag;
+            acc += static_cast<std::int32_t>(q[i]) * approx;
+        }
+        scores[j] = acc;
+    }
+    return scores;
+}
+
+/**
+ * The pre-kernel symmetric key quantization inside
+ * model::synthesizeAttention: a forEach |max| scan, then one rounded,
+ * clamped division per element.
+ */
+inline double
+quantizeKeysPerElement(const FloatMatrix &keys_f, Int8Matrix &keys)
+{
+    float kmax = 0.0f;
+    keys_f.forEach([&](std::size_t, std::size_t, float v) {
+        kmax = std::max(kmax, std::abs(v));
+    });
+    const double k_scale = kmax > 0 ? kmax / 127.0 : 1.0;
+    keys = Int8Matrix(keys_f.rows(), keys_f.cols());
+    for (std::size_t j = 0; j < keys_f.rows(); ++j) {
+        for (std::size_t i = 0; i < keys_f.cols(); ++i) {
+            const long kq = roundHalfAway(keys_f.at(j, i) / k_scale);
+            keys.at(j, i) = static_cast<std::int8_t>(
+                std::clamp<long>(kq, -127, 127));
+        }
+    }
+    return k_scale;
+}
+
+/**
+ * The pre-kernel model::synthesizeAttention: the same draws, with the
+ * keys quantized by quantizeKeysPerElement().
+ */
+inline model::AttentionSet
+synthesizeAttentionPerElement(Rng &rng, std::size_t s, std::size_t d,
+                              double concentration)
+{
+    std::vector<double> qf(d);
+    rng.gaussianBlock(qf.data(), d);
+    double qnorm2 = 0.0;
+    for (double v : qf)
+        qnorm2 += v * v;
+
+    const std::size_t vital =
+        std::max<std::size_t>(1, static_cast<std::size_t>(
+                                     concentration * static_cast<double>(s)));
+    std::vector<double> logits(s);
+    for (std::size_t j = 0; j < vital; ++j)
+        logits[j] = -rng.uniform(0.0, 1.5);
+    rng.gaussianBlock(logits.data() + vital, s - vital);
+    for (std::size_t j = vital; j < s; ++j)
+        logits[j] = -5.0 - std::abs(2.0 * logits[j]);
+    std::vector<std::size_t> perm(s);
+    for (std::size_t j = 0; j < s; ++j)
+        perm[j] = j;
+    for (std::size_t j = s; j > 1; --j)
+        std::swap(perm[j - 1], perm[rng.uniformInt(j)]);
+
+    const double sqrt_d = std::sqrt(static_cast<double>(d));
+    FloatMatrix keys_f(s, d);
+    std::vector<double> noise(d);
+    for (std::size_t j = 0; j < s; ++j) {
+        const double l = logits[perm[j]];
+        const double coef = l * sqrt_d / qnorm2;
+        rng.gaussianBlock(noise.data(), d);
+        for (std::size_t i = 0; i < d; ++i)
+            keys_f.at(j, i) =
+                static_cast<float>(coef * qf[i] + 0.35 * noise[i]);
+    }
+
+    model::AttentionSet out;
+    double qmax = 0.0;
+    for (double v : qf)
+        qmax = std::max(qmax, std::abs(v));
+    const double q_scale = qmax > 0 ? qmax / 127.0 : 1.0;
+    out.query.resize(d);
+    for (std::size_t i = 0; i < d; ++i) {
+        const long qq = roundHalfAway(qf[i] / q_scale);
+        out.query[i] =
+            static_cast<std::int8_t>(std::clamp<long>(qq, -127, 127));
+    }
+    const double k_scale = quantizeKeysPerElement(keys_f, out.keys);
+    out.logitScale = q_scale * k_scale / sqrt_d;
+    return out;
 }
 
 } // namespace mcbp::bench

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.hpp"
+#include "common/simd/simd.hpp"
 
 namespace mcbp::bgpp {
 
@@ -34,6 +35,8 @@ BgppPredictor::predict(const std::vector<std::int8_t> &q,
     std::vector<std::uint32_t> alive(s);
     for (std::size_t j = 0; j < s; ++j)
         alive[j] = static_cast<std::uint32_t>(j);
+    std::vector<std::int32_t> contrib(s);
+    const auto dot = simd::kernels().signedMagnitudeDot;
 
     // Score-domain threshold gap derived from the logit-domain radius;
     // alpha_r may vary per round (Eq 1).
@@ -51,20 +54,14 @@ BgppPredictor::predict(const std::vector<std::int8_t> &q,
         panicIf(plane < 0, "round count exceeds magnitude planes");
         ++out.roundsRun;
 
-        // Fetch this round's bits and update the partial estimates.
-        for (std::uint32_t j : alive) {
-            const std::int8_t *row = keys.rowPtr(j);
-            std::int32_t contrib = 0;
-            for (std::size_t i = 0; i < d; ++i) {
-                const int v = row[i];
-                const int mag = v < 0 ? -v : v;
-                if ((mag >> plane) & 1)
-                    contrib += v < 0 ? -static_cast<std::int32_t>(q[i])
-                                     : static_cast<std::int32_t>(q[i]);
-            }
-            out.estimates[j] += contrib << plane;
-            out.macs += d;
-        }
+        // Fetch this round's bits and update the partial estimates:
+        // masking |k| to one plane sums that plane's AND-and-add terms
+        // already weighted by 2^plane.
+        dot(q.data(), d, keys.data(), d, alive.data(), alive.size(),
+            static_cast<std::uint8_t>(1u << plane), contrib.data());
+        for (std::size_t i = 0; i < alive.size(); ++i)
+            out.estimates[alive[i]] += contrib[i];
+        out.macs += static_cast<std::uint64_t>(alive.size()) * d;
         // Round 1 additionally loads the sign plane of every key.
         out.bitsFetched += static_cast<std::uint64_t>(alive.size()) * d *
                            (r == 0 ? 2 : 1);

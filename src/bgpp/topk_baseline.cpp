@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/bit_util.hpp"
 #include "common/logging.hpp"
+#include "common/simd/simd.hpp"
 
 namespace mcbp::bgpp {
 
@@ -28,6 +28,18 @@ selectTopk(const std::vector<std::int32_t> &scores, std::size_t k)
     return idx;
 }
 
+/** Every key's score q . (sgn(k) * (|k| & mag_mask)). */
+std::vector<std::int32_t>
+estimateScores(const std::vector<std::int8_t> &q, const Int8Matrix &keys,
+               std::uint8_t mag_mask)
+{
+    std::vector<std::int32_t> scores(keys.rows());
+    simd::kernels().signedMagnitudeDot(q.data(), q.size(), keys.data(),
+                                       keys.cols(), nullptr, keys.rows(),
+                                       mag_mask, scores.data());
+    return scores;
+}
+
 } // namespace
 
 TopkResult
@@ -36,16 +48,8 @@ exactTopk(const std::vector<std::int8_t> &q, const Int8Matrix &keys,
 {
     fatalIf(q.size() != keys.cols(), "query/key width mismatch");
     TopkResult out;
-    out.estimates.resize(keys.rows());
-    for (std::size_t j = 0; j < keys.rows(); ++j) {
-        std::int32_t acc = 0;
-        const std::int8_t *row = keys.rowPtr(j);
-        for (std::size_t i = 0; i < q.size(); ++i)
-            acc += static_cast<std::int32_t>(q[i]) *
-                   static_cast<std::int32_t>(row[i]);
-        out.estimates[j] = acc;
-        out.macs += q.size();
-    }
+    out.estimates = estimateScores(q, keys, 0xFF);
+    out.macs = static_cast<std::uint64_t>(keys.rows()) * q.size();
     out.bitsFetched =
         static_cast<std::uint64_t>(keys.rows()) * keys.cols() * 8;
     out.selected = selectTopk(out.estimates, k);
@@ -60,22 +64,12 @@ valueTopk(const std::vector<std::int8_t> &q, const Int8Matrix &keys,
     fatalIf(estimate_bits == 0 || estimate_bits > 8,
             "estimate bit width must be in [1, 8]");
     TopkResult out;
-    out.estimates.resize(keys.rows());
     // Keep the top estimate_bits of the 7-bit magnitude (+ sign): a
     // 4-bit estimate keeps magnitude bits 7..4 and zeroes 3..1.
     const unsigned drop = estimate_bits >= 8 ? 0 : 7 - (estimate_bits - 1);
-    for (std::size_t j = 0; j < keys.rows(); ++j) {
-        std::int32_t acc = 0;
-        const std::int8_t *row = keys.rowPtr(j);
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            const int v = row[i];
-            const int mag = (v < 0 ? -v : v) >> drop << drop;
-            const int approx = v < 0 ? -mag : mag;
-            acc += static_cast<std::int32_t>(q[i]) * approx;
-        }
-        out.estimates[j] = acc;
-        out.macs += q.size();
-    }
+    out.estimates = estimateScores(
+        q, keys, static_cast<std::uint8_t>((0xFFu << drop) & 0xFFu));
+    out.macs = static_cast<std::uint64_t>(keys.rows()) * q.size();
     // The baseline loads (estimate_bits + sign) of every key element.
     out.bitsFetched = static_cast<std::uint64_t>(keys.rows()) *
                       keys.cols() * (estimate_bits + 1);

@@ -14,7 +14,9 @@
 
 #if defined(__AVX2__)
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <immintrin.h>
 
@@ -375,10 +377,123 @@ boxMullerAvx2(const double *u1, const double *u2, std::size_t n,
     }
 }
 
+inline std::uint32_t
+hsum32(__m256i v)
+{
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
+    return static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
+}
+
+/** Sign-extend 16 INT8 values at @p p to int16 lanes. */
+inline __m256i
+widen16(const std::int8_t *p)
+{
+    return _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+}
+
+void
+signedMagnitudeDotAvx2(const std::int8_t *q, std::size_t d,
+                       const std::int8_t *keys, std::size_t stride,
+                       const std::uint32_t *rows, std::size_t n,
+                       std::uint8_t magMask, std::int32_t *out)
+{
+    const __m256i mask = _mm256_set1_epi16(magMask);
+    const std::size_t full = d & ~std::size_t{15};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int8_t *k = keys + (rows ? rows[i] : i) * stride;
+        __m256i acc = _mm256_setzero_si256();
+        // In int16 lanes |-128| is 128 and a negated magnitude cannot
+        // wrap; vpmaddwd's pair sums (at most 2^15) cannot saturate.
+        for (std::size_t c = 0; c < full; c += 16) {
+            const __m256i kw = widen16(k + c);
+            const __m256i mag =
+                _mm256_and_si256(_mm256_abs_epi16(kw), mask);
+            acc = _mm256_add_epi32(
+                acc, _mm256_madd_epi16(widen16(q + c),
+                                       _mm256_sign_epi16(mag, kw)));
+        }
+        std::uint32_t sum = hsum32(acc);
+        for (std::size_t c = full; c < d; ++c)
+            sum += signedMagnitudeTerm(q[c], k[c], magMask);
+        out[i] = static_cast<std::int32_t>(sum);
+    }
+}
+
+float
+absMaxAvx2(const float *x, std::size_t n)
+{
+    const __m256 magBits =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    __m256 a = _mm256_setzero_ps(), b = a;
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        a = _mm256_max_ps(a, _mm256_and_ps(_mm256_loadu_ps(x + i), magBits));
+        b = _mm256_max_ps(
+            b, _mm256_and_ps(_mm256_loadu_ps(x + i + 8), magBits));
+    }
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, _mm256_max_ps(a, b));
+    float m = 0.0f;
+    for (const float v : lanes)
+        m = std::max(m, v);
+    for (; i < n; ++i)
+        m = std::max(m, std::abs(x[i]));
+    return m;
+}
+
+/** quantizeSymmetricOne() on four floats, as four int32 lanes. */
+inline __m128i
+quantize4(__m128 x, __m256d scale)
+{
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d v = _mm256_min_pd(
+        _mm256_max_pd(_mm256_div_pd(_mm256_cvtps_pd(x), scale),
+                      _mm256_set1_pd(-127.0)),
+        _mm256_set1_pd(127.0));
+    const __m256d t =
+        _mm256_round_pd(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256d frac = _mm256_sub_pd(v, t);
+    const __m256d up = _mm256_and_pd(
+        _mm256_cmp_pd(frac, _mm256_set1_pd(0.5), _CMP_GE_OQ), one);
+    const __m256d down = _mm256_and_pd(
+        _mm256_cmp_pd(frac, _mm256_set1_pd(-0.5), _CMP_LE_OQ), one);
+    return _mm256_cvttpd_epi32(
+        _mm256_sub_pd(_mm256_add_pd(t, up), down));
+}
+
+void
+quantizeSymmetricAvx2(const float *x, std::size_t n, double scale,
+                      std::int8_t *out)
+{
+    const __m256d s = _mm256_set1_pd(scale);
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m256 a = _mm256_loadu_ps(x + i);
+        const __m256 b = _mm256_loadu_ps(x + i + 8);
+        // The lanes already sit in [-127, 127], so the saturating
+        // packs only narrow.
+        const __m128i lo = _mm_packs_epi32(
+            quantize4(_mm256_castps256_ps128(a), s),
+            quantize4(_mm256_extractf128_ps(a, 1), s));
+        const __m128i hi = _mm_packs_epi32(
+            quantize4(_mm256_castps256_ps128(b), s),
+            quantize4(_mm256_extractf128_ps(b, 1), s));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
+                         _mm_packs_epi16(lo, hi));
+    }
+    for (; i < n; ++i)
+        out[i] = quantizeSymmetricOne(x[i], scale);
+}
+
 constexpr Kernels kAvx2 = {
     Tier::Avx2,         popcountWordsAvx2, orWordsAvx2,
     andPopcountWordsAvx2, equalWordsAvx2,  countZero32Avx2,
     nonzeroMask32Avx2,  sliceSignMagnitudeAvx2, boxMullerAvx2,
+    signedMagnitudeDotAvx2, absMaxAvx2,    quantizeSymmetricAvx2,
 };
 
 } // namespace

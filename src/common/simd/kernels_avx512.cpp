@@ -318,10 +318,120 @@ boxMullerAvx512(const double *u1, const double *u2, std::size_t n,
     }
 }
 
+/** Sign-extend 32 INT8 values to int16 lanes; @p live masks the load. */
+inline __m512i
+widen32(const std::int8_t *p, __mmask64 live)
+{
+    return _mm512_cvtepi8_epi16(
+        _mm512_castsi512_si256(_mm512_maskz_loadu_epi8(live, p)));
+}
+
+/** One 32-column step of signedMagnitudeDot into @p acc. */
+inline __m512i
+dotStep(__m512i acc, __m512i qw, __m512i kw, __m512i mask)
+{
+    // In int16 lanes |-128| is 128 and a negated magnitude cannot
+    // wrap; vpmaddwd's pair sums (at most 2^15) cannot saturate.
+    const __m512i mag = _mm512_and_si512(_mm512_abs_epi16(kw), mask);
+    const __m512i signedMag = _mm512_mask_sub_epi16(
+        mag, _mm512_movepi16_mask(kw), _mm512_setzero_si512(), mag);
+    return _mm512_add_epi32(acc, _mm512_madd_epi16(qw, signedMag));
+}
+
+void
+signedMagnitudeDotAvx512(const std::int8_t *q, std::size_t d,
+                         const std::int8_t *keys, std::size_t stride,
+                         const std::uint32_t *rows, std::size_t n,
+                         std::uint8_t magMask, std::int32_t *out)
+{
+    const __m512i mask = _mm512_set1_epi16(magMask);
+    const std::size_t full = d & ~std::size_t{31};
+    const __mmask64 all = 0xffffffffu;
+    // A masked load zeroes the columns at or beyond d.
+    const __mmask64 tail = (__mmask64{1} << (d - full)) - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int8_t *k = keys + (rows ? rows[i] : i) * stride;
+        __m512i acc = _mm512_setzero_si512();
+        for (std::size_t c = 0; c < full; c += 32)
+            acc = dotStep(acc, widen32(q + c, all), widen32(k + c, all),
+                          mask);
+        if (full < d)
+            acc = dotStep(acc, widen32(q + full, tail),
+                          widen32(k + full, tail), mask);
+        // Integer adds wrap, as the scalar tier's unsigned sum does.
+        const __m256i half = _mm256_add_epi32(
+            _mm512_castsi512_si256(acc), _mm512_extracti64x4_epi64(acc, 1));
+        __m128i s = _mm_add_epi32(_mm256_castsi256_si128(half),
+                                  _mm256_extracti128_si256(half, 1));
+        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
+        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
+        out[i] = _mm_cvtsi128_si32(s);
+    }
+}
+
+float
+absMaxAvx512(const float *x, std::size_t n)
+{
+    __m512 m = _mm512_setzero_ps();
+    for (std::size_t i = 0; i < n; i += 16) {
+        // Masked-off lanes load as zero, which never raises the max.
+        const __mmask16 live =
+            n - i >= 16 ? __mmask16{0xffff}
+                        : static_cast<__mmask16>((1u << (n - i)) - 1);
+        m = _mm512_max_ps(m, _mm512_abs_ps(_mm512_maskz_loadu_ps(live, x + i)));
+    }
+    return _mm512_reduce_max_ps(m);
+}
+
+/** quantizeSymmetricOne() on eight floats, as eight int32 lanes. */
+inline __m256i
+quantize8(__m256 x, __m512d scale)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m512d v = _mm512_min_pd(
+        _mm512_max_pd(_mm512_div_pd(_mm512_cvtps_pd(x), scale),
+                      _mm512_set1_pd(-127.0)),
+        _mm512_set1_pd(127.0));
+    const __m512d t =
+        _mm512_roundscale_pd(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m512d frac = _mm512_sub_pd(v, t);
+    __m512d r = _mm512_mask_add_pd(
+        t, _mm512_cmp_pd_mask(frac, _mm512_set1_pd(0.5), _CMP_GE_OQ), t,
+        one);
+    r = _mm512_mask_sub_pd(
+        r, _mm512_cmp_pd_mask(frac, _mm512_set1_pd(-0.5), _CMP_LE_OQ), r,
+        one);
+    return _mm512_cvttpd_epi32(r);
+}
+
+void
+quantizeSymmetricAvx512(const float *x, std::size_t n, double scale,
+                        std::int8_t *out)
+{
+    const __m512d s = _mm512_set1_pd(scale);
+    for (std::size_t i = 0; i < n; i += 16) {
+        const __mmask16 live =
+            n - i >= 16 ? __mmask16{0xffff}
+                        : static_cast<__mmask16>((1u << (n - i)) - 1);
+        const __m512 v = _mm512_maskz_loadu_ps(live, x + i);
+        // vextractf32x8 is AVX512DQ; the 64-bit extract keeps F + BW.
+        const __m512i q = _mm512_inserti64x4(
+            _mm512_castsi256_si512(quantize8(_mm512_castps512_ps256(v), s)),
+            quantize8(_mm256_castpd_ps(
+                          _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1)),
+                      s),
+            1);
+        // The lanes already sit in [-127, 127], so the saturating
+        // narrow only narrows; the masked store drops the dead lanes.
+        _mm512_mask_cvtsepi32_storeu_epi8(out + i, live, q);
+    }
+}
+
 constexpr Kernels kAvx512 = {
     Tier::Avx512,         popcountWordsAvx512, orWordsAvx512,
     andPopcountWordsAvx512, equalWordsAvx512,  countZero32Avx512,
     nonzeroMask32Avx512,  sliceSignMagnitudeAvx512, boxMullerAvx512,
+    signedMagnitudeDotAvx512, absMaxAvx512, quantizeSymmetricAvx512,
 };
 
 } // namespace

@@ -7,9 +7,37 @@
  */
 #pragma once
 
+#include <algorithm>
+
+#include "common/rounding.hpp"
 #include "common/simd/simd.hpp"
 
 namespace mcbp::simd::detail {
+
+/**
+ * One column of signedMagnitudeDot, q * sgn(k) * (|k| & mask), as an
+ * unsigned term so the row sum wraps instead of overflowing. The scalar
+ * tier is a loop of these; the vector tiers run their tails through it.
+ */
+inline std::uint32_t
+signedMagnitudeTerm(std::int8_t q, std::int8_t k, std::uint8_t mask)
+{
+    const int v = k;
+    const int mag = (v < 0 ? -v : v) & mask;
+    return static_cast<std::uint32_t>(q * (v < 0 ? -mag : mag));
+}
+
+/**
+ * One element of quantizeSymmetric. Rounding is monotone and fixes the
+ * integers +-127, so clamping first gives the round-then-clamp result
+ * without a long overflow for a huge quotient.
+ */
+inline std::int8_t
+quantizeSymmetricOne(float x, double scale)
+{
+    return static_cast<std::int8_t>(roundHalfAway(
+        std::clamp(static_cast<double>(x) / scale, -127.0, 127.0)));
+}
 
 const Kernels &scalarKernels();
 const Kernels *avx2Kernels();

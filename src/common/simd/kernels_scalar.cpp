@@ -5,6 +5,7 @@
  * -m flags) so the scalar tier runs anywhere; kept deliberately plain
  * so they stay readable as the specification.
  */
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -166,10 +167,43 @@ boxMullerScalar(const double *u1, const double *u2, std::size_t n,
         boxMullerLanes<ScalarLanes>(u1[i], u2[i], cosOut[i], sinOut[i]);
 }
 
+void
+signedMagnitudeDotScalar(const std::int8_t *q, std::size_t d,
+                         const std::int8_t *keys, std::size_t stride,
+                         const std::uint32_t *rows, std::size_t n,
+                         std::uint8_t magMask, std::int32_t *out)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int8_t *k = keys + (rows ? rows[i] : i) * stride;
+        std::uint32_t acc = 0;
+        for (std::size_t c = 0; c < d; ++c)
+            acc += signedMagnitudeTerm(q[c], k[c], magMask);
+        out[i] = static_cast<std::int32_t>(acc);
+    }
+}
+
+float
+absMaxScalar(const float *x, std::size_t n)
+{
+    float m = 0.0f;
+    for (std::size_t i = 0; i < n; ++i)
+        m = std::max(m, std::abs(x[i]));
+    return m;
+}
+
+void
+quantizeSymmetricScalar(const float *x, std::size_t n, double scale,
+                        std::int8_t *out)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = quantizeSymmetricOne(x[i], scale);
+}
+
 constexpr Kernels kScalar = {
     Tier::Scalar,       popcountWordsScalar, orWordsScalar,
     andPopcountWordsScalar, equalWordsScalar, countZero32Scalar,
     nonzeroMask32Scalar, sliceSignMagnitudeScalar, boxMullerScalar,
+    signedMagnitudeDotScalar, absMaxScalar, quantizeSymmetricScalar,
 };
 
 } // namespace

@@ -7,7 +7,10 @@
  * word-granular primitives — bulk popcount, OR/AND reductions, multi-word
  * compares, zero-scans over pattern arrays, and the INT8-to-bit-plane
  * slice that feeds them all — and the synthetic tiles they scan are
- * drawn through a Box-Muller kernel. Each primitive has one
+ * drawn through a Box-Muller kernel. The attention profile adds two: a
+ * signed-magnitude dot over gathered INT8 key rows (BGPP's per-plane
+ * estimate and both top-k baselines) and a symmetric INT8 quantizer
+ * with its |max| scan (the synthetic key cache). Each primitive has one
  * scalar reference implementation plus AVX2 and AVX-512 ports, collected
  * in per-tier `Kernels` tables. The active table is chosen once, at first
  * use, from CPUID (the intgemm SSE2→AVX512VNNI dispatch scheme), so every
@@ -109,6 +112,33 @@ struct Kernels
      */
     void (*boxMuller)(const double *u1, const double *u2, std::size_t n,
                       double *cosOut, double *sinOut);
+
+    /**
+     * Signed-magnitude dot of one INT8 query against gathered INT8 key
+     * rows: out[i] = sum over c < @p d of q[c] * sgn(k[c]) * (|k[c]| &
+     * @p magMask), where k is key row rows[i] (row r starts @p stride
+     * bytes after @p keys; a null @p rows reads rows 0..n-1) and
+     * |-128| = 128. Every q, k and mask value is valid; the int32 sum
+     * wraps as two's complement. BGPP passes one magnitude plane per
+     * round, the value-level top-k its kept high bits, exact top-k 0xFF.
+     */
+    void (*signedMagnitudeDot)(const std::int8_t *q, std::size_t d,
+                               const std::int8_t *keys, std::size_t stride,
+                               const std::uint32_t *rows, std::size_t n,
+                               std::uint8_t magMask, std::int32_t *out);
+
+    /** Largest |x[i]| over @p n finite floats (0 when n == 0). */
+    float (*absMax)(const float *x, std::size_t n);
+
+    /**
+     * Symmetric INT8 quantization of @p n finite floats: out[i] is
+     * double(x[i]) / @p scale (an IEEE division, not a multiply by the
+     * reciprocal) rounded half away from zero, then clamped to
+     * [-127, 127]. With scale = absMax() / 127 this is the per-tensor
+     * key quantizer.
+     */
+    void (*quantizeSymmetric)(const float *x, std::size_t n, double scale,
+                              std::int8_t *out);
 };
 
 /** Best tier the CPU reports, ignoring build support and overrides. */

@@ -4,28 +4,10 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "common/rounding.hpp"
+#include "common/simd/simd.hpp"
 
 namespace mcbp::model {
-
-namespace {
-
-/**
- * std::lround without the out-of-line libm call: truncate, then step
- * one away from zero when the dropped fraction is at least a half. The
- * fraction x - t is exact for any |x| < 2^52, and the steps are
- * comparisons added as integers, so the quantize loops stay free of
- * branches.
- */
-inline long
-roundHalfAway(double x)
-{
-    const long t = static_cast<long>(x);
-    const double frac = x - static_cast<double>(t);
-    return t + static_cast<long>(frac >= 0.5) -
-           static_cast<long>(frac <= -0.5);
-}
-
-} // namespace
 
 FloatMatrix
 gaussianWeights(Rng &rng, std::size_t rows, std::size_t cols,
@@ -142,19 +124,12 @@ synthesizeAttention(Rng &rng, std::size_t s, std::size_t d,
             std::clamp<long>(qq, -127, 127));
     }
 
-    float kmax = 0.0f;
-    keys_f.forEach([&](std::size_t, std::size_t, float v) {
-        kmax = std::max(kmax, std::abs(v));
-    });
+    const simd::Kernels &kernels = simd::kernels();
+    const float kmax = kernels.absMax(keys_f.data(), keys_f.size());
     const double k_scale = kmax > 0 ? kmax / 127.0 : 1.0;
     out.keys = Int8Matrix(s, d);
-    for (std::size_t j = 0; j < s; ++j) {
-        for (std::size_t i = 0; i < d; ++i) {
-            const long kq = roundHalfAway(keys_f.at(j, i) / k_scale);
-            out.keys.at(j, i) = static_cast<std::int8_t>(
-                std::clamp<long>(kq, -127, 127));
-        }
-    }
+    kernels.quantizeSymmetric(keys_f.data(), keys_f.size(), k_scale,
+                              out.keys.data());
     out.logitScale = q_scale * k_scale / sqrt_d;
     return out;
 }

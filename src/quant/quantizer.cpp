@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "common/rounding.hpp"
 
 namespace mcbp::quant {
 
@@ -45,7 +46,7 @@ quantizeWithChannelMax(const FloatMatrix &w, BitWidth bw,
         float scale = mx > 0.0f ? mx / static_cast<float>(level) : 1.0f;
         out.params.scales[r] = scale;
         for (std::size_t c = 0; c < w.cols(); ++c) {
-            long q = std::lround(w.at(r, c) / scale);
+            long q = roundHalfAway(w.at(r, c) / scale);
             out.values.at(r, c) = clampToLevel(q, level);
         }
     }
@@ -108,11 +109,12 @@ quantizeActivation(const FloatMatrix &x)
     float range = mx - mn;
     out.params.scale = range > 0.0f ? range / 255.0f : 1.0f;
     out.params.zero =
-        static_cast<std::int32_t>(std::lround(-mn / out.params.scale)) - 128;
+        static_cast<std::int32_t>(roundHalfAway(-mn / out.params.scale)) -
+        128;
     out.values = Int8Matrix(x.rows(), x.cols());
     for (std::size_t r = 0; r < x.rows(); ++r) {
         for (std::size_t c = 0; c < x.cols(); ++c) {
-            long q = std::lround(x.at(r, c) / out.params.scale) +
+            long q = roundHalfAway(x.at(r, c) / out.params.scale) +
                      out.params.zero;
             q = std::clamp<long>(q, -128, 127);
             out.values.at(r, c) = static_cast<std::int8_t>(q);

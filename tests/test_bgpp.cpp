@@ -4,7 +4,10 @@
 #include "bgpp/bgpp_predictor.hpp"
 #include "bgpp/topk_baseline.hpp"
 #include "common/rng.hpp"
+#include "common/simd/simd.hpp"
 #include "model/synthetic.hpp"
+#include "reference_kernels.hpp"
+#include "runnable_tiers.hpp"
 
 namespace mcbp::bgpp {
 namespace {
@@ -125,6 +128,81 @@ TEST(Bgpp, EstimatesMatchFullPrecisionAfterAllRounds)
     TopkResult truth = exactTopk(set.query, set.keys, 1);
     for (std::size_t j = 0; j < set.keys.rows(); ++j)
         EXPECT_EQ(r.estimates[j], truth.estimates[j]) << "key " << j;
+}
+
+TEST(Bgpp, PredictMatchesPerElementReference)
+{
+    // Every BgppResult field, on every dispatch tier, against the
+    // per-element loop: synthesized sets, full-range INT8 sets (-128
+    // in the query and the keys), a brutal threshold that takes the
+    // minKeep path, a per-round alpha schedule and all seven rounds.
+    struct Case
+    {
+        model::AttentionSet set;
+        BgppConfig cfg;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t d : {std::size_t{64}, std::size_t{33}}) {
+        Case c{makeSet(31 + d, 300, d), {}};
+        c.cfg.logitScale = c.set.logitScale;
+        cases.push_back(c);
+        c.cfg.rounds = 7;
+        c.cfg.alphaSchedule = {0.3, 0.8, 0.5};
+        cases.push_back(c);
+        c.cfg.alphaSchedule.clear();
+        c.cfg.alpha = 0.01;
+        c.cfg.logitScale = c.set.logitScale * 100.0;
+        c.cfg.minKeep = 40;
+        cases.push_back(c);
+    }
+    Rng rng(37);
+    for (const std::size_t d : {std::size_t{17}, std::size_t{128}}) {
+        Case c;
+        c.set.query.resize(d);
+        for (auto &v : c.set.query)
+            v = static_cast<std::int8_t>(rng.next());
+        c.set.query[0] = -128;
+        c.set.keys = Int8Matrix(257, d);
+        for (std::size_t j = 0; j < c.set.keys.rows(); ++j)
+            for (std::size_t i = 0; i < d; ++i)
+                c.set.keys.at(j, i) =
+                    rng.uniformInt(4) == 0 ? std::int8_t{-128}
+                                           : static_cast<std::int8_t>(
+                                                 rng.next());
+        c.cfg.rounds = 7;
+        c.cfg.logitScale = 1e-4;
+        cases.push_back(c);
+        c.cfg.alphaSchedule = {1.0, 0.2};
+        c.cfg.minKeep = 100;
+        cases.push_back(c);
+    }
+    bool min_keep_path = false, gated = false;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const Case &c = cases[i];
+        const BgppResult want =
+            bench::bgppPredictPerElement(c.cfg, c.set.query, c.set.keys);
+        min_keep_path = min_keep_path ||
+                        (c.cfg.minKeep > 1 &&
+                         want.selected.size() == c.cfg.minKeep);
+        gated = gated || want.clockGatedRounds > 0;
+        for (const simd::Tier t : simd::runnableTiers()) {
+            SCOPED_TRACE(::testing::Message()
+                         << "case " << i << " on " << simd::tierName(t));
+            simd::forceTier(t);
+            const BgppResult got =
+                BgppPredictor(c.cfg).predict(c.set.query, c.set.keys);
+            EXPECT_EQ(got.selected, want.selected);
+            EXPECT_EQ(got.estimates, want.estimates);
+            EXPECT_EQ(got.bitsFetched, want.bitsFetched);
+            EXPECT_EQ(got.macs, want.macs);
+            EXPECT_EQ(got.roundsRun, want.roundsRun);
+            EXPECT_EQ(got.clockGatedRounds, want.clockGatedRounds);
+            EXPECT_EQ(got.survivorsPerRound, want.survivorsPerRound);
+        }
+        simd::resetTier();
+    }
+    EXPECT_TRUE(min_keep_path) << "no case took the minKeep path";
+    EXPECT_TRUE(gated) << "no case clock-gated a round";
 }
 
 TEST(Bgpp, TrafficAccountingFirstRound)

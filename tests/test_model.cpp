@@ -5,10 +5,12 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/simd/simd.hpp"
 #include "model/llm_config.hpp"
 #include "model/synthetic.hpp"
 #include "model/workload.hpp"
 #include "reference_kernels.hpp"
+#include "runnable_tiers.hpp"
 
 namespace mcbp::model {
 namespace {
@@ -173,6 +175,37 @@ TEST(Synthetic, AttentionSetShapes)
     EXPECT_EQ(set.keys.rows(), 100u);
     EXPECT_EQ(set.keys.cols(), 32u);
     EXPECT_GT(set.logitScale, 0.0);
+}
+
+TEST(Synthetic, AttentionMatchesPerElementReference)
+{
+    // The dispatched |max| scan and key quantizer give the per-element
+    // loop's bytes and scale on every tier, and leave the stream where
+    // it left it.
+    struct Shape
+    {
+        std::size_t s, d;
+    };
+    for (const Shape sh : {Shape{64, 128}, Shape{1000, 33}, Shape{2048, 128}}) {
+        Rng ref_rng(43 + sh.s);
+        const AttentionSet want =
+            bench::synthesizeAttentionPerElement(ref_rng, sh.s, sh.d, 0.1);
+        for (const simd::Tier t : simd::runnableTiers()) {
+            SCOPED_TRACE(::testing::Message() << sh.s << " x " << sh.d
+                                              << " on " << simd::tierName(t));
+            simd::forceTier(t);
+            Rng rng(43 + sh.s);
+            const AttentionSet got = synthesizeAttention(rng, sh.s, sh.d, 0.1);
+            EXPECT_EQ(got.query, want.query);
+            EXPECT_TRUE(got.keys == want.keys);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.logitScale),
+                      std::bit_cast<std::uint64_t>(want.logitScale));
+            Rng after(43 + sh.s);
+            (void)bench::synthesizeAttentionPerElement(after, sh.s, sh.d, 0.1);
+            EXPECT_EQ(rng.next(), after.next());
+        }
+        simd::resetTier();
+    }
 }
 
 TEST(Synthetic, AttentionConcentrationSeparable)

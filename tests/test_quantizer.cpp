@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/rounding.hpp"
 #include "quant/calibration.hpp"
 #include "quant/quantizer.hpp"
 
@@ -20,6 +22,52 @@ randomMatrix(std::uint64_t seed, std::size_t r, std::size_t c,
         return static_cast<float>(rng.gaussian(0.0, sigma));
     });
     return m;
+}
+
+/** @p v, then each half-integer's nearest neighbours on both sides. */
+template <typename T>
+std::vector<T>
+roundingCases(const std::vector<T> &halves)
+{
+    std::vector<T> out;
+    for (const T h : halves) {
+        out.push_back(h);
+        out.push_back(std::nextafter(h, T(0)));
+        out.push_back(std::nextafter(h, h < T(0) ? T(-1e30) : T(1e30)));
+    }
+    return out;
+}
+
+TEST(Rounding, MatchesLround)
+{
+    // Halves round away from zero, their neighbours toward the nearer
+    // integer; 2^22 + 0.5 is a float half with a one-ulp fraction, and
+    // the doubles next to 2^52 are the last ones with a fraction.
+    std::vector<double> dh = {0.0, -0.0};
+    for (const double h : {0.5, 1.5, 2.5, 126.5, 127.5, 0x1p52 - 0.5,
+                           0x1p52 - 1.5, 0x1p52, 0x1p52 + 1.0, 0x1p53}) {
+        dh.push_back(h);
+        dh.push_back(-h);
+    }
+    for (const double x : roundingCases(dh))
+        EXPECT_EQ(roundHalfAway(x), std::lround(x)) << x;
+
+    std::vector<float> fh = {0.0f, -0.0f};
+    for (const float h : {0.5f, 1.5f, 2.5f, 126.5f, 127.5f, 0x1p22f + 0.5f,
+                          0x1p23f - 0.5f, 0x1p23f, 0x1p24f}) {
+        fh.push_back(h);
+        fh.push_back(-h);
+    }
+    for (const float x : roundingCases(fh))
+        EXPECT_EQ(roundHalfAway(x), std::lround(x)) << x;
+
+    Rng rng(17);
+    for (int i = 0; i < 10000; ++i) {
+        const double x = rng.uniform(-300.0, 300.0);
+        EXPECT_EQ(roundHalfAway(x), std::lround(x)) << x;
+        const float f = static_cast<float>(x);
+        EXPECT_EQ(roundHalfAway(f), std::lround(f)) << f;
+    }
 }
 
 TEST(Quantizer, BitWidthHelpers)

@@ -19,21 +19,10 @@
 #include "bitslice/bit_plane.hpp"
 #include "common/rng.hpp"
 #include "common/simd/simd.hpp"
+#include "runnable_tiers.hpp"
 
 namespace mcbp::simd {
 namespace {
-
-/** Every tier the host can actually execute. */
-std::vector<Tier>
-runnableTiers()
-{
-    std::vector<Tier> tiers = {Tier::Scalar};
-    if (availableTier() >= Tier::Avx2)
-        tiers.push_back(Tier::Avx2);
-    if (availableTier() >= Tier::Avx512)
-        tiers.push_back(Tier::Avx512);
-    return tiers;
-}
 
 /** Odd shapes: tails, single words, block boundaries of both ISAs. */
 const std::size_t kWordSizes[] = {0,  1,  3,   7,   8,   15,  16,  17,
@@ -391,6 +380,180 @@ TEST(SimdKernels, BoxMullerWithinFourUlpOfLibm)
         ASSERT_LE(ds, 4u) << "sin: u1 " << u1[i] << ", u2 " << u2[i];
     }
     RecordProperty("worst_ulp", static_cast<int>(worst));
+}
+
+/** INT8 values where int8 shortcuts go wrong, then the edges around 0. */
+const std::int8_t kEdgeInt8[] = {-128, -127, -1, 0, 1, 127};
+
+/** Every magMask a caller passes: BGPP's planes, top-k's kept bits. */
+std::vector<std::uint8_t>
+callerMasks()
+{
+    std::vector<std::uint8_t> masks;
+    for (unsigned plane = 0; plane < 7; ++plane)
+        masks.push_back(static_cast<std::uint8_t>(1u << plane));
+    for (unsigned drop = 0; drop < 8; ++drop)
+        masks.push_back(static_cast<std::uint8_t>((0xFFu << drop) & 0xFFu));
+    return masks;
+}
+
+/** Naive signed-magnitude dot of @p q and @p k, wrapped to int32. */
+std::int32_t
+naiveSignedMagnitudeDot(const std::int8_t *q, const std::int8_t *k,
+                        std::size_t d, std::uint8_t mask)
+{
+    std::int64_t sum = 0;
+    for (std::size_t c = 0; c < d; ++c) {
+        const int mag = std::abs(static_cast<int>(k[c])) & mask;
+        sum += static_cast<std::int64_t>(q[c]) * (k[c] < 0 ? -mag : mag);
+    }
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(sum));
+}
+
+TEST(SimdKernels, SignedMagnitudeDotIdenticalAcrossTiers)
+{
+    // Widths around the 16- and 32-column int16 blocks, rows read out
+    // of order (with repeats) from a strided matrix, and inputs drawn
+    // from the int8 edges -128, -127, -1, 0, 1, 127 as well as at random.
+    Rng rng(109);
+    const std::size_t widths[] = {0,  1,  15, 16, 17,  31,
+                                  32, 33, 64, 65, 128, 129};
+    constexpr std::size_t kRows = 9;
+    const std::vector<std::uint8_t> masks = callerMasks();
+    for (const std::size_t d : widths) {
+        for (const bool edges : {true, false}) {
+            const std::size_t stride = d + 3;
+            const auto draw = [&] {
+                return edges ? kEdgeInt8[rng.uniformInt(6)]
+                             : static_cast<std::int8_t>(rng.next());
+            };
+            std::vector<std::int8_t> q(d), keys(kRows * stride);
+            for (auto &v : q)
+                v = draw();
+            for (auto &v : keys)
+                v = draw();
+            const std::vector<std::uint32_t> rows = {7, 2, 2, 8, 0, 5, 1};
+            for (const std::uint8_t mask : masks) {
+                std::vector<std::int32_t> want(rows.size()), all(kRows);
+                for (std::size_t i = 0; i < rows.size(); ++i)
+                    want[i] = naiveSignedMagnitudeDot(
+                        q.data(), keys.data() + rows[i] * stride, d, mask);
+                for (std::size_t r = 0; r < kRows; ++r)
+                    all[r] = naiveSignedMagnitudeDot(
+                        q.data(), keys.data() + r * stride, d, mask);
+                for (const Tier t : runnableTiers()) {
+                    const Kernels &k = kernelsFor(t);
+                    // One slot past the rows checks nothing else is written.
+                    std::vector<std::int32_t> got(rows.size() + 1, -7);
+                    k.signedMagnitudeDot(q.data(), d, keys.data(), stride,
+                                         rows.data(), rows.size(), mask,
+                                         got.data());
+                    for (std::size_t i = 0; i < rows.size(); ++i)
+                        ASSERT_EQ(got[i], want[i])
+                            << tierName(t) << " d=" << d << " mask="
+                            << int{mask} << " row " << rows[i];
+                    EXPECT_EQ(got.back(), -7) << tierName(t);
+                    std::vector<std::int32_t> dense(kRows);
+                    k.signedMagnitudeDot(q.data(), d, keys.data(), stride,
+                                         nullptr, kRows, mask,
+                                         dense.data());
+                    EXPECT_EQ(dense, all) << tierName(t) << " d=" << d
+                                          << " mask=" << int{mask};
+                }
+            }
+        }
+    }
+    // The largest products (-128 * -128) in every lane, and a row long
+    // enough that its sum wraps past the int32 range.
+    for (const std::size_t d : {std::size_t{129}, std::size_t{140001}}) {
+        const std::vector<std::int8_t> q(d, -128), key(d, -128);
+        const std::int32_t want =
+            naiveSignedMagnitudeDot(q.data(), key.data(), d, 0xFF);
+        for (const Tier t : runnableTiers()) {
+            std::int32_t got = 0;
+            kernelsFor(t).signedMagnitudeDot(q.data(), d, key.data(), d,
+                                             nullptr, 1, 0xFF, &got);
+            EXPECT_EQ(got, want) << tierName(t) << " d=" << d;
+        }
+    }
+    for (const Tier t : runnableTiers())
+        kernelsFor(t).signedMagnitudeDot(nullptr, 0, nullptr, 0, nullptr, 0,
+                                         0xFF, nullptr);
+}
+
+TEST(SimdKernels, QuantizeSymmetricIdenticalAcrossTiers)
+{
+    // Every half-integer quotient +-(n + 0.5) and its float neighbours,
+    // quotients at and past the +-127.5 clamp, zeros of both signs, and
+    // random values; a power-of-two scale makes the halves exact, an
+    // arbitrary one exercises the IEEE division itself.
+    Rng rng(113);
+    for (const double scale : {0.0078125, 0.01234567, 3.0}) {
+        std::vector<float> x = {0.0f, -0.0f};
+        for (int n = 0; n <= 127; ++n) {
+            for (const int sign : {1, -1}) {
+                const float half =
+                    static_cast<float>(sign * (n + 0.5) * scale);
+                x.push_back(half);
+                x.push_back(std::nextafter(half, 0.0f));
+                x.push_back(std::nextafter(half, 2.0f * half));
+            }
+        }
+        for (const double q : {127.5, 128.0, 200.0, 1e30})
+            for (const int sign : {1, -1})
+                x.push_back(static_cast<float>(sign * q * scale));
+        for (int i = 0; i < 1000; ++i)
+            x.push_back(static_cast<float>(rng.gaussian(0.0, 60.0 * scale)));
+        std::vector<std::int8_t> want(x.size());
+        float want_max = 0.0f;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            // Bounded first, so lround never sees a quotient past long.
+            const long r = std::lround(std::clamp(
+                static_cast<double>(x[i]) / scale, -1000.0, 1000.0));
+            want[i] = static_cast<std::int8_t>(std::clamp(r, -127L, 127L));
+            want_max = std::max(want_max, std::fabs(x[i]));
+        }
+        for (const Tier t : runnableTiers()) {
+            const Kernels &k = kernelsFor(t);
+            std::vector<std::int8_t> got(x.size());
+            k.quantizeSymmetric(x.data(), x.size(), scale, got.data());
+            for (std::size_t i = 0; i < x.size(); ++i)
+                ASSERT_EQ(got[i], want[i])
+                    << tierName(t) << " x=" << x[i] << " scale=" << scale;
+            EXPECT_EQ(k.absMax(x.data(), x.size()), want_max) << tierName(t);
+            // Short spans and tails: exactly n outputs, each one right.
+            for (const std::size_t n : kWordSizes) {
+                if (n + 3 > x.size())
+                    continue;
+                std::vector<std::int8_t> tail(n + 1, -7);
+                k.quantizeSymmetric(x.data() + 3, n, scale, tail.data());
+                float tail_max = 0.0f;
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(tail[i], want[3 + i])
+                        << tierName(t) << " n=" << n;
+                    tail_max = std::max(tail_max, std::fabs(x[3 + i]));
+                }
+                EXPECT_EQ(tail[n], -7) << tierName(t) << " n=" << n;
+                EXPECT_EQ(k.absMax(x.data() + 3, n), tail_max)
+                    << tierName(t) << " n=" << n;
+            }
+            k.quantizeSymmetric(nullptr, 0, scale, nullptr);
+            EXPECT_EQ(k.absMax(nullptr, 0), 0.0f) << tierName(t);
+        }
+    }
+    // The largest magnitude negative, in every lane of a block and tail.
+    for (const Tier t : runnableTiers()) {
+        for (const std::size_t n : kWordSizes) {
+            for (std::size_t at = 0; at < n; at += 1 + at / 4) {
+                std::vector<float> x(n);
+                for (auto &v : x)
+                    v = static_cast<float>(rng.uniform(-1.0, 1.0));
+                x[at] = -2.5f;
+                EXPECT_EQ(kernelsFor(t).absMax(x.data(), n), 2.5f)
+                    << tierName(t) << " n=" << n << " at " << at;
+            }
+        }
+    }
 }
 
 TEST(SimdDispatch, TierTablesReportTheirTier)

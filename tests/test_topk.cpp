@@ -3,7 +3,10 @@
 
 #include "bgpp/topk_baseline.hpp"
 #include "common/rng.hpp"
+#include "common/simd/simd.hpp"
 #include "model/synthetic.hpp"
+#include "reference_kernels.hpp"
+#include "runnable_tiers.hpp"
 
 namespace mcbp::bgpp {
 namespace {
@@ -80,6 +83,51 @@ TEST(ValueTopk, FullBitsEqualsExact)
     TopkResult truth = exactTopk(set.query, set.keys, 16);
     TopkResult full = valueTopk(set.query, set.keys, 16, 8);
     EXPECT_EQ(full.selected, truth.selected);
+}
+
+TEST(Topk, EstimatesMatchPerElementReference)
+{
+    // Both baselines' scores, on every dispatch tier, against the
+    // per-element loops: a synthesized set and full-range INT8 keys
+    // and queries (-128 included) at an odd width, for every
+    // estimate_bits value.
+    std::vector<std::pair<std::vector<std::int8_t>, Int8Matrix>> sets;
+    Rng rng(41);
+    const model::AttentionSet synth =
+        model::synthesizeAttention(rng, 300, 64, 0.1);
+    sets.emplace_back(synth.query, synth.keys);
+    for (const std::size_t d : {std::size_t{77}, std::size_t{128}}) {
+        std::vector<std::int8_t> q(d);
+        for (auto &v : q)
+            v = static_cast<std::int8_t>(rng.next());
+        q[d - 1] = -128;
+        Int8Matrix keys(130, d);
+        for (std::size_t j = 0; j < keys.rows(); ++j)
+            for (std::size_t i = 0; i < d; ++i)
+                keys.at(j, i) = rng.uniformInt(5) == 0
+                                    ? std::int8_t{-128}
+                                    : static_cast<std::int8_t>(rng.next());
+        sets.emplace_back(q, keys);
+    }
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        const auto &[q, keys] = sets[i];
+        for (const simd::Tier t : simd::runnableTiers()) {
+            SCOPED_TRACE(::testing::Message()
+                         << "set " << i << " on " << simd::tierName(t));
+            simd::forceTier(t);
+            const TopkResult exact = exactTopk(q, keys, 10);
+            EXPECT_EQ(exact.estimates, bench::exactScoresPerElement(q, keys));
+            EXPECT_EQ(exact.macs, keys.rows() * q.size());
+            for (unsigned bits = 1; bits <= 8; ++bits) {
+                const TopkResult value = valueTopk(q, keys, 10, bits);
+                EXPECT_EQ(value.estimates,
+                          bench::valueScoresPerElement(q, keys, bits))
+                    << "estimate_bits " << bits;
+                EXPECT_EQ(value.macs, keys.rows() * q.size());
+            }
+        }
+        simd::resetTier();
+    }
 }
 
 TEST(Recall, Basics)
