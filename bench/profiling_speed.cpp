@@ -26,8 +26,12 @@
  *     match the SIMD-dispatched parallel fleet stat-for-stat.
  *  5. decompose — the original per-element set() loop
  *     (reference_kernels.hpp) vs the dispatched word-parallel slice
- *     kernel on one Llama7B INT8 profile tile, then profileWeights end
- *     to end on that model. The planes must match bit for bit; the
+ *     kernel on one Llama7B INT8 profile tile, then each profileWeights
+ *     stage on that tile: the Gaussian draws, quantization and sparsity
+ *     analysis, and for BRCR, BSTC, RLE and Huffman the encoder (or
+ *     GEMV) against the count profileWeights reads instead; then
+ *     profileWeights end to end. The planes must match bit for bit and
+ *     every count must equal its encoder's (in the exit code); the
  *     times are recorded, not gated.
  *  6. Gaussian synthesis — the per-call libm Box-Muller
  *     (reference_kernels.hpp) vs the dispatched boxMuller kernel in
@@ -62,7 +66,10 @@
 #include "reference_kernels.hpp"
 #include "bitslice/sign_magnitude.hpp"
 #include "bitslice/sparsity.hpp"
+#include "brcr/brcr_engine.hpp"
 #include "brcr/enumeration.hpp"
+#include "bstc/compressed_weight.hpp"
+#include "bstc/value_codec.hpp"
 #include "common/aligned_buffer.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -151,6 +158,127 @@ fleetsBitIdentical(
         }
     }
     return true;
+}
+
+/** Every counter of two BRCR op tallies agrees. */
+bool
+sameOps(const brcr::BrcrOpCounts &a, const brcr::BrcrOpCounts &b)
+{
+    return a.mergeAdds == b.mergeAdds && a.reconAdds == b.reconAdds &&
+           a.shiftAccAdds == b.shiftAccAdds &&
+           a.camSearches == b.camSearches &&
+           a.groupsProcessed == b.groupsProcessed &&
+           a.zeroColumns == b.zeroColumns;
+}
+
+/**
+ * Section 5, second half: each stage of profileWeights on the Llama7B
+ * INT8 profile tile @p tile (drawn from Rng(@p tile_seed)), timed best
+ * of 5. For BRCR, BSTC, RLE and
+ * Huffman the stage runs twice, as the encoder (or GEMV) whose counts
+ * profileWeights used to read and as the count it reads now. Returns
+ * whether every count equals its encoder's.
+ */
+bool
+weightProfileStages(bench::JsonRecords &json, const model::LlmConfig &llama,
+                    std::uint64_t tile_seed, const Int8Matrix &tile)
+{
+    constexpr int kReps = 5;
+    const quant::BitWidth bw = quant::BitWidth::Int8;
+    model::WeightProfile profile;
+    profile.dynamicRange = llama.dynamicRange;
+    FloatMatrix fw;
+    quant::QuantizedWeight qw;
+    const double gauss_s = bestOf(kReps, [&] {
+        Rng rng(tile_seed);
+        fw = model::gaussianWeights(rng, tile.rows(), tile.cols(), profile);
+    });
+    const double quant_s =
+        bestOf(kReps, [&] { qw = quant::quantizeWeight(fw, bw); });
+    const bitslice::SignMagnitude sm = bitslice::decompose(tile, bw);
+    const double sparsity_s = bestOf(kReps, [&] {
+        (void)bitslice::analyzeSparsity(tile, sm);
+    });
+    std::printf("  profileWeights stages on that tile, ms:\n");
+    std::printf("    %-22s %8.2f\n", "Gaussian tile", gauss_s * 1e3);
+    std::printf("    %-22s %8.2f\n", "quantizeWeight", quant_s * 1e3);
+    std::printf("    %-22s %8.2f\n", "analyzeSparsity", sparsity_s * 1e3);
+    json.begin()
+        .field("section", "weight_profile_stages")
+        .field("gaussian_s", gauss_s)
+        .field("quantize_s", quant_s)
+        .field("analyze_sparsity_s", sparsity_s)
+        .field("tile_matches_profile", qw.values == tile ? 1 : 0);
+
+    bool all_match = qw.values == tile;
+    const auto stage = [&](const char *name,
+                           const std::function<void()> &encode,
+                           const std::function<void()> &count, bool match) {
+        const double encode_s = bestOf(kReps, encode);
+        const double count_s = bestOf(kReps, count);
+        std::printf("    %-22s %8.2f encode  %8.2f count  (%s)\n", name,
+                    encode_s * 1e3, count_s * 1e3,
+                    match ? "counts match" : "COUNT MISMATCH");
+        json.begin()
+            .field("section", "weight_profile_stages")
+            .field("stage", name)
+            .field("encode_s", encode_s)
+            .field("count_s", count_s)
+            .field("counts_match", match ? 1 : 0);
+        all_match = all_match && match;
+    };
+
+    const bitslice::SignSplit split = bitslice::splitSigns(sm);
+    const brcr::BrcrEngine engine({4, bw});
+    std::vector<std::int8_t> x(tile.cols());
+    Rng xrng(7);
+    for (auto &v : x)
+        v = static_cast<std::int8_t>(
+            static_cast<std::int64_t>(xrng.uniformInt(255)) - 127);
+    brcr::BrcrOpCounts run_ops, counted_ops;
+    const auto brcr_run = [&] { run_ops = engine.gemv(split, x).ops; };
+    const auto brcr_count = [&] { counted_ops = engine.opCounts(split); };
+    brcr_run();
+    brcr_count();
+    stage("BRCR gemv / opCounts", brcr_run, brcr_count,
+          sameOps(run_ops, counted_ops));
+
+    const bstc::PlanePolicy policy = bstc::paperDefaultPolicy(sm.planeCount());
+    std::uint64_t encoded = 0, counted = 0;
+    const auto bstc_encode = [&] {
+        encoded = bstc::CompressedWeight(sm, bw, 4, policy).storedBits();
+    };
+    const auto bstc_count = [&] { counted = bstc::storedBits(sm, 4, policy); };
+    bstc_encode();
+    bstc_count();
+    stage("BSTC storedBits", bstc_encode, bstc_count, encoded == counted);
+
+    const auto rle_encode = [&] { encoded = bstc::rleEncode(tile).bitCount; };
+    const auto rle_count = [&] { counted = bstc::rleEncodedBits(tile); };
+    rle_encode();
+    rle_count();
+    stage("RLE bits", rle_encode, rle_count, encoded == counted);
+
+    const auto huff_encode = [&] {
+        encoded = bstc::huffmanEncode(tile).bitCount;
+    };
+    const auto huff_count = [&] { counted = bstc::huffmanEncodedBits(tile); };
+    huff_encode();
+    huff_count();
+    stage("Huffman bits", huff_encode, huff_count, encoded == counted);
+
+    const double profile_s = bestOf(kReps, [&] {
+        (void)accel::profileWeights(llama, bw, 1);
+    });
+    std::printf("    %-22s %8.2f (Llama7B INT8, end to end)\n",
+                "profileWeights", profile_s * 1e3);
+    json.begin()
+        .field("section", "weight_profile_stages")
+        .field("stage", "profile_weights")
+        .field("profile_weights_s", profile_s);
+    std::printf("  every count equals its encoder: %s\n",
+                all_match ? "yes" : "NO (BUG)");
+    return all_match;
 }
 
 /** Same fields, same values: two BGPP results agree bit for bit. */
@@ -508,7 +636,8 @@ main(int argc, char **argv)
                               "kernel (") +
                   simd::tierName(tier) + ")");
     const model::LlmConfig &llama = model::findModel("Llama7B");
-    Rng tile_rng(99);
+    constexpr std::uint64_t kTileSeed = 99;
+    Rng tile_rng(kTileSeed);
     model::WeightProfile llama_profile;
     llama_profile.dynamicRange = llama.dynamicRange;
     const Int8Matrix tile =
@@ -529,26 +658,20 @@ main(int argc, char **argv)
     for (std::size_t p = 0; planes_match && p < sm_ref.planeCount(); ++p)
         planes_match = sm_ref.magnitude[p] == sm_kernel.magnitude[p];
     const double slice_speedup = kernel_s > 0.0 ? ref_s / kernel_s : 1.0;
-    const double profile_s = bestOf(kSliceIters, [&] {
-        (void)accel::profileWeights(llama, quant::BitWidth::Int8, 1);
-    });
     std::printf("  per-element set()  %8.2f ms/tile (128 x %zu)\n",
                 ref_s * 1e3, llama.hidden);
     std::printf("  slice kernel       %8.2f ms/tile   speedup %.2fx  "
                 "(planes %s)\n",
                 kernel_s * 1e3, slice_speedup,
                 planes_match ? "match" : "MISMATCH");
-    std::printf("  profileWeights     %8.2f ms (Llama7B INT8, end to "
-                "end)\n",
-                profile_s * 1e3);
     json.begin()
         .field("section", "decompose")
         .field("simd_tier", simd::tierName(tier))
         .field("per_element_s", ref_s)
         .field("kernel_s", kernel_s)
         .field("speedup", slice_speedup)
-        .field("profile_weights_s", profile_s)
         .field("bit_identical", planes_match ? 1 : 0);
+    const bool counts_match = weightProfileStages(json, llama, kTileSeed, tile);
 
     // ---- Section 6: Gaussian synthesis ----------------------------------
     bench::banner(std::string("Gaussian draws: per-call libm vs block "
@@ -678,7 +801,8 @@ main(int argc, char **argv)
     json.writeIfRequested(argc, argv);
     return identical && distinct_ref == distinct_fast &&
                    scalar_adds == word_adds && simd_gate && planes_match &&
-                   tiers_match && announce_gate && attention_match
+                   counts_match && tiers_match && announce_gate &&
+                   attention_match
                ? 0
                : 1;
 }

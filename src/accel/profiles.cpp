@@ -9,6 +9,7 @@
 #include "bstc/compressed_weight.hpp"
 #include "bstc/value_codec.hpp"
 #include "bitslice/sparsity.hpp"
+#include "common/bit_util.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -38,43 +39,48 @@ profileWeights(const model::LlmConfig &model, quant::BitWidth bw,
     stats.meanBitSparsity = sr.meanBitSparsity;
     stats.planeSparsity = sr.planeSparsity;
 
-    // Run the real BRCR engine on one activation vector and extrapolate
-    // per-MAC (all counted quantities are linear in rows x cols).
-    std::vector<std::int8_t> x(cols);
-    for (auto &v : x)
-        v = static_cast<std::int8_t>(
-            static_cast<std::int64_t>(rng.uniformInt(255)) - 127);
-    brcr::BrcrEngine engine({4, bw});
-    brcr::BrcrGemvResult res = engine.gemv(bitslice::splitSigns(sm), x);
+    // BRCR's op counters depend on the weights alone, so they are
+    // counted from the pattern census instead of running a GEMV; per
+    // MAC they extrapolate (all counted quantities are linear in
+    // rows x cols).
+    const brcr::BrcrOpCounts ops =
+        brcr::BrcrEngine({4, bw}).opCounts(bitslice::splitSigns(sm));
     const double macs =
         static_cast<double>(sample_rows) * static_cast<double>(cols);
-    const double total = static_cast<double>(res.ops.totalAdds());
+    const double total = static_cast<double>(ops.totalAdds());
     stats.brcrAddsPerMac = total / macs;
     stats.mergeFraction =
-        total > 0 ? static_cast<double>(res.ops.mergeAdds) / total : 0.0;
+        total > 0 ? static_cast<double>(ops.mergeAdds) / total : 0.0;
     stats.reconFraction =
-        total > 0 ? static_cast<double>(res.ops.reconAdds) / total : 0.0;
-    stats.camSearchesPerMac =
-        static_cast<double>(res.ops.camSearches) / macs;
+        total > 0 ? static_cast<double>(ops.reconAdds) / total : 0.0;
+    stats.camSearchesPerMac = static_cast<double>(ops.camSearches) / macs;
 
     const double planes = static_cast<double>(quant::magnitudeBits(bw));
     stats.bscAddsPerMac = planes * (1.0 - stats.meanBitSparsity);
 
-    // BSTC compression with the paper's plane policy.
-    bstc::PlanePolicy policy = bstc::paperDefaultPolicy(
+    // BSTC compression with the paper's plane policy, sized without
+    // encoding the stream.
+    const bstc::PlanePolicy policy = bstc::paperDefaultPolicy(
         static_cast<std::size_t>(quant::magnitudeBits(bw)));
-    bstc::CompressedWeight cw(sm, bw, 4, policy);
-    stats.bstcCompressionRatio = cw.compressionRatio();
+    const std::uint64_t original =
+        static_cast<std::uint64_t>(sample_rows) * cols *
+        (sm.planeCount() + 1);
+    stats.bstcCompressionRatio =
+        static_cast<double>(original) /
+        static_cast<double>(bstc::storedBits(sm, 4, policy));
     stats.bstcSymbolsPerByte =
-        static_cast<double>(cw.rowGroups()) * cols *
+        static_cast<double>(ceilDiv(sample_rows, 4)) * cols *
         static_cast<double>(policy.compressedCount()) / macs;
 
-    // Value-level baseline: the better of a real zero-RLE and a real
-    // canonical Huffman code on the same weights (what EIE/Deep-
-    // Compression style value compression achieves).
+    // Value-level baseline: the better of a zero-RLE and a canonical
+    // Huffman code on the same weights (what EIE/Deep-Compression
+    // style value compression achieves), each sized without encoding.
+    const std::uint64_t values = qw.values.size();
     stats.valueCompressionRatio = std::max(
-        bstc::valueCompressionRatio(bstc::rleEncode(qw.values)),
-        bstc::valueCompressionRatio(bstc::huffmanEncode(qw.values)));
+        bstc::valueCompressionRatio(values,
+                                    bstc::rleEncodedBits(qw.values)),
+        bstc::valueCompressionRatio(values,
+                                    bstc::huffmanEncodedBits(qw.values)));
     return stats;
 }
 

@@ -4,7 +4,8 @@
  *
  * Rather than hard-coding the paper's sparsity/repetition numbers, the
  * models *measure* them on synthetic weights/attention generated by
- * src/model and executed through the real BRCR/BSTC/BGPP engines, then
+ * src/model, through the real BGPP engine and the exact op and size
+ * counts of the BRCR/BSTC engines, then
  * extrapolate linearly to full model scale (the quantities scale with
  * element count by construction). This keeps the figures mechanistic:
  * change the weight distribution or the group size and every downstream
@@ -65,8 +66,12 @@ struct AttentionStats
 
 /**
  * Profile weights of @p model: synthesizes a sample weight tile with the
- * model's dynamic range, runs the BRCR engine and BSTC compressor on it
- * and extracts per-MAC statistics.
+ * model's dynamic range, slices it once and extracts per-MAC statistics.
+ * The BRCR op counts, BSTC size and value-codec sizes are counted from
+ * the planes and values (BrcrEngine::opCounts, bstc::storedBits,
+ * bstc::rleEncodedBits / huffmanEncodedBits) rather than by running the
+ * GEMV and encoders whose counts they equal (the tests hold each count
+ * to its encoder).
  *
  * @param sample_rows rows of the sample tile (columns = model hidden).
  */

@@ -113,6 +113,20 @@ BitPlane::columnPatterns(std::size_t row0, std::size_t m,
     }
 }
 
+std::size_t
+BitPlane::nonzeroColumns(std::size_t row0, std::size_t m) const
+{
+    const std::size_t last = std::min(row0 + m, rows_);
+    std::size_t n = 0;
+    for (std::size_t w = 0; w < wordsPerRow_; ++w) {
+        std::uint64_t any = 0;
+        for (std::size_t r = row0; r < last; ++r)
+            any |= words_[r * rowStride_ + w];
+        n += static_cast<std::size_t>(popcount64(any));
+    }
+    return n;
+}
+
 bool
 BitPlane::operator==(const BitPlane &other) const
 {
@@ -120,6 +134,50 @@ BitPlane::operator==(const BitPlane &other) const
     // sides, so whole-buffer comparison is exact.
     return rows_ == other.rows_ && cols_ == other.cols_ &&
            equalSpan(words_.data(), other.words_.data(), words_.size());
+}
+
+std::vector<GroupCensus>
+groupCensus(const BitPlane &plane, std::size_t m)
+{
+    fatalIf(m == 0 || m > 16, "group size must be in [1, 16]");
+    std::vector<GroupCensus> out;
+    out.reserve(ceilDiv(plane.rows(), m));
+    // seen[p] == the group's 1-based index marks p as seen in that
+    // group, so the table never needs clearing between groups.
+    std::vector<std::uint32_t> seen(pow2(static_cast<unsigned>(m)), 0);
+    std::uint32_t group = 0;
+    for (std::size_t row0 = 0; row0 < plane.rows(); row0 += m) {
+        ++group;
+        const std::size_t nrows = std::min(m, plane.rows() - row0);
+        // A partial last group has fewer rows, so fewer patterns to
+        // find: count against its own 2^nrows - 1, not 2^m - 1.
+        const std::size_t all = pow2(static_cast<unsigned>(nrows)) - 1;
+        GroupCensus gc;
+        for (std::size_t word = 0; word < plane.wordsPerRow(); ++word) {
+            std::uint64_t rowWords[16];
+            std::uint64_t any = 0;
+            for (std::size_t r = 0; r < nrows; ++r) {
+                rowWords[r] = plane.rowWord(row0 + r, word);
+                any |= rowWords[r];
+            }
+            gc.nonzeroColumns += static_cast<std::size_t>(popcount64(any));
+            while (any != 0 && gc.distinctPatterns < all) {
+                const int c = std::countr_zero(any);
+                any &= any - 1;
+                std::uint32_t p = 0;
+                for (std::size_t r = 0; r < nrows; ++r)
+                    p |= static_cast<std::uint32_t>(
+                             (rowWords[r] >> c) & 1u)
+                         << r;
+                if (seen[p] != group) {
+                    seen[p] = group;
+                    gc.addDistinct(p);
+                }
+            }
+        }
+        out.push_back(gc);
+    }
+    return out;
 }
 
 } // namespace mcbp::bitslice

@@ -9,6 +9,7 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -139,6 +140,12 @@ class BitPlane
     std::size_t patternsAt(std::size_t row0, std::size_t m,
                            std::size_t word, std::uint32_t *out) const;
 
+    /**
+     * Columns of the @p m-row group starting at @p row0 with any bit
+     * set: the popcount of the group's OR word, summed over the row.
+     */
+    std::size_t nonzeroColumns(std::size_t row0, std::size_t m) const;
+
     bool operator==(const BitPlane &other) const;
 
   private:
@@ -154,5 +161,36 @@ class BitPlane
     std::size_t rowStride_ = 0;
     common::AlignedBuffer<std::uint64_t> words_;
 };
+
+/**
+ * What BRCR's op counts and the repetition analytics read of one m-row
+ * group of a plane: how many of its columns are non-zero, and which distinct
+ * non-zero column patterns those form. Every count they derive from a
+ * group is a function of these four numbers.
+ */
+struct GroupCensus
+{
+    std::size_t nonzeroColumns = 0;   ///< Columns with any bit set.
+    std::size_t distinctPatterns = 0; ///< Distinct non-zero patterns.
+    std::uint64_t patternBits = 0;    ///< Sum of their popcounts.
+    std::uint32_t patternUnion = 0;   ///< Their OR: rows with any bit.
+
+    /** Fold in a pattern not yet seen in this group. */
+    void
+    addDistinct(std::uint32_t pattern)
+    {
+        ++distinctPatterns;
+        patternBits += static_cast<std::uint64_t>(std::popcount(pattern));
+        patternUnion |= pattern;
+    }
+};
+
+/**
+ * One census per @p m-row group of @p plane, in row-group order (the
+ * last group may be partial). Walks only the set bits of each group's
+ * OR word, and stops extracting patterns once a group of r rows has
+ * shown all 2^r - 1 of them. @p m must be in [1, 16].
+ */
+std::vector<GroupCensus> groupCensus(const BitPlane &plane, std::size_t m);
 
 } // namespace mcbp::bitslice

@@ -19,13 +19,15 @@ analyzeSparsity(const Int8Matrix &w, const SignMagnitude &sm)
 {
     SparsityReport rep;
     const double total = static_cast<double>(w.size());
+    // Branch-free over the contiguous bytes: the sign of a Gaussian
+    // weight is a coin flip, so a branch on it mispredicts half the
+    // time.
+    const std::int8_t *v = w.data();
     std::size_t zeros = 0, nonneg = 0;
-    w.forEach([&](std::size_t, std::size_t, std::int8_t v) {
-        if (v == 0)
-            ++zeros;
-        if (v >= 0)
-            ++nonneg;
-    });
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        zeros += static_cast<std::size_t>(v[i] == 0);
+        nonneg += static_cast<std::size_t>(v[i] >= 0);
+    }
     rep.valueSparsity = zeros / total;
     rep.signSparsity = nonneg / total;
 
@@ -45,41 +47,11 @@ analyzeSparsity(const Int8Matrix &w, const SignMagnitude &sm)
 RepetitionReport
 measureRepetition(const BitPlane &plane, std::size_t m)
 {
-    fatalIf(m == 0 || m > 16, "group size must be in [1, 16]");
     RepetitionReport rep;
-    std::vector<bool> seen(pow2(static_cast<unsigned>(m)), false);
-    for (std::size_t row0 = 0; row0 < plane.rows(); row0 += m) {
-        const std::size_t last = std::min(row0 + m, plane.rows());
-        std::fill(seen.begin(), seen.end(), false);
-        // Word-parallel: the block's OR word names the non-zero columns,
-        // so zero columns are counted by popcount instead of visited.
-        for (std::size_t word = 0; word < plane.wordsPerRow(); ++word) {
-            const std::size_t width =
-                std::min<std::size_t>(64, plane.cols() - (word << 6));
-            std::uint64_t rowWords[16];
-            std::uint64_t any = 0;
-            std::size_t nrows = 0;
-            for (std::size_t r = row0; r < last; ++r) {
-                const std::uint64_t w = plane.rowWord(r, word);
-                rowWords[nrows++] = w;
-                any |= w;
-            }
-            rep.totalColumns += width;
-            rep.zeroColumns += width - popcount64(any);
-            while (any != 0) {
-                const int c = std::countr_zero(any);
-                any &= any - 1;
-                std::uint32_t p = 0;
-                for (std::size_t r = 0; r < nrows; ++r)
-                    p |= static_cast<std::uint32_t>(
-                             (rowWords[r] >> c) & 1u)
-                         << r;
-                if (!seen[p]) {
-                    seen[p] = true;
-                    ++rep.distinctColumns;
-                }
-            }
-        }
+    for (const GroupCensus &g : groupCensus(plane, m)) {
+        rep.totalColumns += plane.cols();
+        rep.zeroColumns += plane.cols() - g.nonzeroColumns;
+        rep.distinctColumns += g.distinctPatterns;
     }
     return rep;
 }
@@ -172,46 +144,9 @@ compareMergeStrategies(const BitPlane &plane, std::size_t m)
     // Group-wise merge (BRCR): per m-row group, merging costs one addition
     // per non-zero column beyond the first of its pattern; reconstruction
     // adds each present pattern's popcount once.
-    {
-        fatalIf(m == 0 || m > 16, "group size must be in [1, 16]");
-        std::vector<std::uint32_t> count(pow2(static_cast<unsigned>(m)), 0);
-        std::uint64_t adds = 0;
-        for (std::size_t row0 = 0; row0 < plane.rows(); row0 += m) {
-            const std::size_t last = std::min(row0 + m, plane.rows());
-            std::fill(count.begin(), count.end(), 0);
-            // Same word-walk as measureRepetition: only non-zero
-            // columns (set bits of the block OR) are visited.
-            for (std::size_t word = 0; word < plane.wordsPerRow();
-                 ++word) {
-                std::uint64_t rowWords[16];
-                std::uint64_t any = 0;
-                std::size_t nrows = 0;
-                for (std::size_t r = row0; r < last; ++r) {
-                    const std::uint64_t w = plane.rowWord(r, word);
-                    rowWords[nrows++] = w;
-                    any |= w;
-                }
-                while (any != 0) {
-                    const int c = std::countr_zero(any);
-                    any &= any - 1;
-                    std::uint32_t p = 0;
-                    for (std::size_t r = 0; r < nrows; ++r)
-                        p |= static_cast<std::uint32_t>(
-                                 (rowWords[r] >> c) & 1u)
-                             << r;
-                    if (count[p] > 0)
-                        ++adds; // merge into existing MAV entry
-                    ++count[p];
-                }
-            }
-            for (std::size_t p = 1; p < count.size(); ++p) {
-                if (count[p] > 0)
-                    adds += static_cast<std::uint64_t>(
-                        popcount64(p)); // reconstruction additions
-            }
-        }
-        cost.groupMergeAdds = adds;
-    }
+    for (const GroupCensus &g : groupCensus(plane, m))
+        cost.groupMergeAdds +=
+            g.nonzeroColumns - g.distinctPatterns + g.patternBits;
     return cost;
 }
 

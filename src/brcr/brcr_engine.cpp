@@ -21,6 +21,30 @@ transpose(const Int8Matrix &x)
     return t;
 }
 
+/**
+ * Add one (half, plane, group)'s counters for @p n_out activation
+ * columns, all read off its census. Merging costs one addition per
+ * non-zero column beyond the first of its pattern; reconstruction adds
+ * each distinct pattern's bits into its rows, the first bit a row
+ * receives being a copy; each row with a bit costs one
+ * shift-accumulate. The controller enumerates every CAM search key but
+ * the clock-gated all-zero one.
+ */
+void
+addGroupOps(BrcrOpCounts &ops, const bitslice::GroupCensus &g,
+            std::size_t cols, std::size_t m, std::size_t n_out)
+{
+    const std::uint64_t rows_hit = static_cast<std::uint64_t>(
+        std::popcount(g.patternUnion));
+    const std::uint64_t n = n_out;
+    ops.mergeAdds += n * (g.nonzeroColumns - g.distinctPatterns);
+    ops.reconAdds += n * (g.patternBits - rows_hit);
+    ops.shiftAccAdds += n * rows_hit;
+    ops.camSearches += pow2(static_cast<unsigned>(m)) - 1;
+    ++ops.groupsProcessed;
+    ops.zeroColumns += cols - g.nonzeroColumns;
+}
+
 } // namespace
 
 BrcrEngine::BrcrEngine(BrcrConfig cfg) : cfg_(cfg)
@@ -75,15 +99,19 @@ BrcrEngine::accumulateHalf(const bitslice::SignMagnitude &half, int sign,
                     ++s.count[s.patterns[c]];
                 }
             }
-            ops.zeroColumns += k_dim - nz_cols;
             s.present.clear();
+            bitslice::GroupCensus census;
+            census.nonzeroColumns = nz_cols;
             std::uint32_t pos = 0;
             for (std::size_t pat = 1; pat < pattern_space; ++pat) {
                 s.offset[pat] = pos;
                 pos += s.count[pat];
-                if (s.count[pat] > 0)
+                if (s.count[pat] > 0) {
                     s.present.push_back(static_cast<std::uint32_t>(pat));
+                    census.addDistinct(static_cast<std::uint32_t>(pat));
+                }
             }
+            addGroupOps(ops, census, k_dim, m, n_out);
             std::copy(s.offset.begin(), s.offset.end() - 1,
                       s.cursor.begin());
             // Scatter in ascending column order via the same bitmap.
@@ -98,11 +126,6 @@ BrcrEngine::accumulateHalf(const bitslice::SignMagnitude &half, int sign,
                         static_cast<std::uint32_t>(c);
                 }
             }
-            ++ops.groupsProcessed;
-            // The controller enumerates every search key except the
-            // clock-gated all-zero key.
-            ops.camSearches += pattern_space - 1;
-
             if (s.present.empty())
                 continue;
 
@@ -117,7 +140,6 @@ BrcrEngine::accumulateHalf(const bitslice::SignMagnitude &half, int sign,
                     for (std::uint32_t i = begin + 1; i < end; ++i)
                         acc += xrow[s.order[i]];
                     s.z[pat] = acc;
-                    ops.mergeAdds += s.count[pat] - 1;
                 }
 
                 // Step 2: computation reconstruction (Y = E x Z).
@@ -133,7 +155,6 @@ BrcrEngine::accumulateHalf(const bitslice::SignMagnitude &half, int sign,
                             continue;
                         if (occupied & (1u << i)) {
                             s.acc[i] += s.z[pat];
-                            ++ops.reconAdds;
                         } else {
                             s.acc[i] = s.z[pat];
                             occupied |= 1u << i;
@@ -148,7 +169,6 @@ BrcrEngine::accumulateHalf(const bitslice::SignMagnitude &half, int sign,
                     const std::int64_t contrib = s.acc[i] << p;
                     y.at(row0 + i, n) += static_cast<std::int32_t>(
                         sign > 0 ? contrib : -contrib);
-                    ++ops.shiftAccAdds;
                 }
             }
         }
@@ -194,6 +214,21 @@ BrcrEngine::gemv(const bitslice::SignSplit &split,
     for (std::size_t r = 0; r < rows; ++r)
         out.y[r] = y.at(r, 0);
     return out;
+}
+
+BrcrOpCounts
+BrcrEngine::opCounts(const bitslice::SignSplit &split,
+                     std::size_t activations) const
+{
+    BrcrOpCounts ops;
+    for (const bitslice::SignMagnitude *half :
+         {&split.positive, &split.negative})
+        for (const bitslice::BitPlane &plane : half->magnitude)
+            for (const bitslice::GroupCensus &g :
+                 bitslice::groupCensus(plane, cfg_.groupSize))
+                addGroupOps(ops, g, half->cols, cfg_.groupSize,
+                            activations);
+    return ops;
 }
 
 BrcrGemvResult

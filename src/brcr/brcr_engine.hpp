@@ -106,6 +106,15 @@ class BrcrEngine
     BrcrGemmResult gemm(const Int8Matrix &w, const Int8Matrix &x) const;
 
     /**
+     * The op counts gemv() / gemm() report for @p split with
+     * @p activations activation columns, without executing them: the
+     * counters depend on the weights alone, so each (half, plane,
+     * group) contributes what its bitslice::groupCensus() implies.
+     */
+    BrcrOpCounts opCounts(const bitslice::SignSplit &split,
+                          std::size_t activations = 1) const;
+
+    /**
      * Ternary-pattern ablation variant: one pass over the SM planes with
      * {-1, 0, +1}^m patterns (3^m MAV). Exact; generally captures less
      * repetition per pattern table but avoids the sign split.

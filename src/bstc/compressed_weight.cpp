@@ -10,6 +10,10 @@ namespace mcbp::bstc {
 
 namespace {
 
+/** The paper's address area uses 16-bit (6-bit column + 10-bit row)
+ *  start addresses per sub-weight. */
+constexpr std::uint64_t kDirectoryEntryBits = 16;
+
 /** Pack a plane raw: per row group, per column, m pattern bits. */
 void
 packRawPlane(const bitslice::BitPlane &plane, std::size_t m,
@@ -236,12 +240,36 @@ CompressedWeight::compressionRatio() const
 std::uint64_t
 CompressedWeight::directoryBits() const
 {
-    // The paper's address area uses 16-bit (6-bit column + 10-bit row)
-    // start addresses per sub-weight.
     std::uint64_t entries = 0;
     for (const auto &sp : planes_)
         entries += sp.segmentStart.size();
-    return entries * 16;
+    return entries * kDirectoryEntryBits;
+}
+
+std::uint64_t
+storedBits(const bitslice::SignMagnitude &sm, std::size_t m,
+           const PlanePolicy &policy, std::size_t segment_cols)
+{
+    fatalIf(m == 0 || m > 16, "group size must be in [1, 16]");
+    fatalIf(segment_cols == 0, "segment length must be positive");
+    fatalIf(policy.compress.size() != sm.magnitude.size(),
+            "plane policy arity does not match bit width");
+    const std::uint64_t groups = ceilDiv(sm.rows, m);
+    const std::uint64_t raw = groups * sm.cols * m;
+    const std::uint64_t directory =
+        groups * ceilDiv(sm.cols, segment_cols) * kDirectoryEntryBits;
+    std::uint64_t bits = raw; // the sign plane
+    for (std::size_t p = 0; p < sm.magnitude.size(); ++p) {
+        if (!policy.compress[p]) {
+            bits += raw;
+            continue;
+        }
+        std::uint64_t nonzero = 0;
+        for (std::size_t row0 = 0; row0 < sm.rows; row0 += m)
+            nonzero += sm.magnitude[p].nonzeroColumns(row0, m);
+        bits += groups * sm.cols + nonzero * m + directory;
+    }
+    return bits;
 }
 
 } // namespace mcbp::bstc

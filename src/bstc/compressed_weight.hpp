@@ -9,6 +9,9 @@
  * into fixed-length column segments ("sub-weights"), and a start-address
  * directory records each segment's bit offset — the address area the
  * hardware controller fetches before decompression.
+ *
+ * The free storedBits() gives the stored size of the same store without
+ * building it (what the weight profile reads); tests hold the two equal.
  */
 #pragma once
 
@@ -111,5 +114,16 @@ class CompressedWeight
     std::vector<StoredPlane> planes_; ///< Magnitude planes, LSB first.
     StoredPlane sign_;                ///< Sign plane (always raw).
 };
+
+/**
+ * CompressedWeight(sm, bw, m, policy, segment_cols).storedBits(),
+ * counted without encoding. Per m-row group (the last may be partial)
+ * the sign plane and each raw plane store m bits per column; an encoded
+ * plane stores one flag bit per column, m pattern bits per non-zero
+ * column and a 16-bit directory entry per segment.
+ */
+std::uint64_t storedBits(const bitslice::SignMagnitude &sm, std::size_t m,
+                         const PlanePolicy &policy,
+                         std::size_t segment_cols = 1024);
 
 } // namespace mcbp::bstc

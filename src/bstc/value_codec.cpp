@@ -12,6 +12,15 @@ namespace {
 
 constexpr std::size_t kAlphabet = 256;
 
+/** Bits of each code length in the Huffman header. */
+constexpr unsigned kLengthBits = 6;
+
+/** RLE symbols: a flagged literal, and a flagged 4-bit run length
+ *  covering up to kMaxRun zeros. */
+constexpr unsigned kLiteralBits = 9;
+constexpr unsigned kRunBits = 5;
+constexpr std::size_t kMaxRun = 16;
+
 std::uint8_t
 toSymbol(std::int8_t v)
 {
@@ -36,8 +45,9 @@ rleEncode(const Int8Matrix &w)
     std::size_t run = 0;
     auto flush_run = [&]() {
         while (run > 0) {
-            const std::size_t chunk = std::min<std::size_t>(run, 16);
-            writer.putBits(static_cast<std::uint32_t>(chunk - 1) << 1, 5);
+            const std::size_t chunk = std::min(run, kMaxRun);
+            writer.putBits(static_cast<std::uint32_t>(chunk - 1) << 1,
+                           kRunBits);
             run -= chunk;
         }
     };
@@ -48,7 +58,8 @@ rleEncode(const Int8Matrix &w)
                 ++run;
             } else {
                 flush_run();
-                writer.putBits(1u | std::uint32_t{toSymbol(v)} << 1, 9);
+                writer.putBits(1u | std::uint32_t{toSymbol(v)} << 1,
+                               kLiteralBits);
             }
         }
     }
@@ -59,6 +70,23 @@ rleEncode(const Int8Matrix &w)
     blob.rows = w.rows();
     blob.cols = w.cols();
     return blob;
+}
+
+std::uint64_t
+rleEncodedBits(const Int8Matrix &w)
+{
+    // A zero opens a run chunk when it is the 1st, 17th, 33rd, ...
+    // zero of its run. The run resets through a mask, not a ternary,
+    // which g++ compiles to a branch that mispredicts on sparse tiles.
+    const std::int8_t *v = w.data();
+    std::uint64_t zeros = 0, chunks = 0, run = 0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        const std::uint64_t zero = v[i] == 0;
+        run = (run + 1) & (0 - zero);
+        zeros += zero;
+        chunks += static_cast<std::uint64_t>(run % kMaxRun == 1);
+    }
+    return kLiteralBits * (w.size() - zeros) + kRunBits * chunks;
 }
 
 Int8Matrix
@@ -144,6 +172,17 @@ huffmanLengths(const std::array<std::uint64_t, kAlphabet> &freq)
     return lengths;
 }
 
+/** Occurrences of each symbol of @p w. */
+std::array<std::uint64_t, kAlphabet>
+symbolFrequencies(const Int8Matrix &w)
+{
+    std::array<std::uint64_t, kAlphabet> freq{};
+    const std::int8_t *v = w.data();
+    for (std::size_t i = 0; i < w.size(); ++i)
+        ++freq[toSymbol(v[i])];
+    return freq;
+}
+
 /** Canonical code assignment: symbols ordered by (length, symbol). */
 struct CanonicalCode
 {
@@ -221,17 +260,13 @@ ValueCompressed
 huffmanEncode(const Int8Matrix &w)
 {
     fatalIf(w.empty(), "cannot compress an empty matrix");
-    std::array<std::uint64_t, kAlphabet> freq{};
-    w.forEach([&](std::size_t, std::size_t, std::int8_t v) {
-        ++freq[toSymbol(v)];
-    });
-    const auto lengths = huffmanLengths(freq);
+    const auto lengths = huffmanLengths(symbolFrequencies(w));
     CanonicalCode cc = buildCanonical(lengths);
 
     BitWriter writer;
     // Header: 256 x 6-bit code lengths.
     for (std::size_t s = 0; s < kAlphabet; ++s)
-        writer.putBits(lengths[s], 6);
+        writer.putBits(lengths[s], kLengthBits);
     // Body: canonical codes, MSB-first, each written whole from its
     // bit-reversed form (two writes for a code longer than 32 bits).
     w.forEach([&](std::size_t, std::size_t, std::int8_t v) {
@@ -253,13 +288,25 @@ huffmanEncode(const Int8Matrix &w)
     return blob;
 }
 
+std::uint64_t
+huffmanEncodedBits(const Int8Matrix &w)
+{
+    fatalIf(w.empty(), "cannot compress an empty matrix");
+    const auto freq = symbolFrequencies(w);
+    const auto lengths = huffmanLengths(freq);
+    std::uint64_t bits = kAlphabet * kLengthBits;
+    for (std::size_t s = 0; s < kAlphabet; ++s)
+        bits += freq[s] * lengths[s];
+    return bits;
+}
+
 Int8Matrix
 huffmanDecode(const ValueCompressed &blob)
 {
     BitReader reader(blob.data, blob.bitCount);
     std::array<std::uint8_t, kAlphabet> lengths{};
     for (std::size_t s = 0; s < kAlphabet; ++s)
-        lengths[s] = static_cast<std::uint8_t>(reader.getBits(6));
+        lengths[s] = static_cast<std::uint8_t>(reader.getBits(kLengthBits));
     CanonicalCode cc = buildCanonical(lengths);
 
     Int8Matrix w(blob.rows, blob.cols);
@@ -290,11 +337,16 @@ huffmanDecode(const ValueCompressed &blob)
 double
 valueCompressionRatio(const ValueCompressed &blob)
 {
-    if (blob.bitCount == 0)
+    return valueCompressionRatio(
+        static_cast<std::uint64_t>(blob.rows) * blob.cols, blob.bitCount);
+}
+
+double
+valueCompressionRatio(std::uint64_t values, std::uint64_t bits)
+{
+    if (bits == 0)
         return 1.0;
-    return 8.0 * static_cast<double>(blob.rows) *
-           static_cast<double>(blob.cols) /
-           static_cast<double>(blob.bitCount);
+    return 8.0 * static_cast<double>(values) / static_cast<double>(bits);
 }
 
 } // namespace mcbp::bstc

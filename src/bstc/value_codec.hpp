@@ -7,7 +7,10 @@
  * These exist to ground the "value-level compression achieves only ~30%
  * of the bit-level sparsity benefit" claim (Fig 5(c), section 2.3) in a
  * real codec rather than an assumed ratio: the benches measure the
- * actual compressed size of the same weights BSTC compresses.
+ * actual compressed size of the same weights BSTC compresses. The
+ * weight profile reads only those sizes, so rleEncodedBits() and
+ * huffmanEncodedBits() count them without writing a stream; tests hold
+ * each to its encoder's bitCount.
  */
 #pragma once
 
@@ -37,6 +40,13 @@ struct ValueCompressed
  */
 ValueCompressed rleEncode(const Int8Matrix &w);
 
+/**
+ * rleEncode(w).bitCount, counted without encoding: 9 bits per non-zero
+ * plus 5 bits per started 16-zero chunk of each zero run, in row-major
+ * order.
+ */
+std::uint64_t rleEncodedBits(const Int8Matrix &w);
+
 /** Inverse of rleEncode (exact). */
 Int8Matrix rleDecode(const ValueCompressed &blob);
 
@@ -46,10 +56,20 @@ Int8Matrix rleDecode(const ValueCompressed &blob);
  */
 ValueCompressed huffmanEncode(const Int8Matrix &w);
 
+/**
+ * huffmanEncode(w).bitCount, counted without encoding: the 256 x 6-bit
+ * length header plus each symbol's frequency times its code length.
+ */
+std::uint64_t huffmanEncodedBits(const Int8Matrix &w);
+
 /** Inverse of huffmanEncode (exact). */
 Int8Matrix huffmanDecode(const ValueCompressed &blob);
 
 /** Compression ratio of a blob: 8 * rows * cols / bitCount. */
 double valueCompressionRatio(const ValueCompressed &blob);
+
+/** The same ratio for @p values INT8 values coded in @p bits bits
+ *  (1 when @p bits is 0). */
+double valueCompressionRatio(std::uint64_t values, std::uint64_t bits);
 
 } // namespace mcbp::bstc

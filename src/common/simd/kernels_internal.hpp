@@ -22,9 +22,12 @@ namespace mcbp::simd::detail {
 inline std::uint32_t
 signedMagnitudeTerm(std::int8_t q, std::int8_t k, std::uint8_t mask)
 {
-    const int v = k;
-    const int mag = (v < 0 ? -v : v) & mask;
-    return static_cast<std::uint32_t>(q * (v < 0 ? -mag : mag));
+    // Branch-free, so g++ vectorizes the scalar tier's loop at the
+    // baseline ISA: s is 0 or -1, (k ^ s) - s is |k| (128 for -128) and
+    // (mag ^ s) - s gives it k's sign back.
+    const int s = k >> 7;
+    const int mag = ((k ^ s) - s) & mask;
+    return static_cast<std::uint32_t>(q * ((mag ^ s) - s));
 }
 
 /**

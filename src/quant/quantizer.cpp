@@ -5,6 +5,7 @@
 
 #include "common/logging.hpp"
 #include "common/rounding.hpp"
+#include "common/simd/simd.hpp"
 
 namespace mcbp::quant {
 
@@ -59,10 +60,9 @@ QuantizedWeight
 quantizeWeight(const FloatMatrix &w, BitWidth bw)
 {
     fatalIf(w.rows() == 0 || w.cols() == 0, "cannot quantize empty weight");
-    std::vector<float> channel_max(w.rows(), 0.0f);
+    std::vector<float> channel_max(w.rows());
     for (std::size_t r = 0; r < w.rows(); ++r)
-        for (std::size_t c = 0; c < w.cols(); ++c)
-            channel_max[r] = std::max(channel_max[r], std::abs(w.at(r, c)));
+        channel_max[r] = simd::kernels().absMax(w.rowPtr(r), w.cols());
     return quantizeWithChannelMax(w, bw, channel_max);
 }
 

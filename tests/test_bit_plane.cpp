@@ -1,7 +1,9 @@
 /** @file Unit tests for bitslice/bit_plane. */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <set>
 
 #include "bitslice/bit_plane.hpp"
 #include "common/rng.hpp"
@@ -161,6 +163,53 @@ TEST(BitPlane, AlignedStrideContract)
     p.set(1, 99, false);
     EXPECT_EQ(p.countOnes(), 3u * 100u - 1);
     EXPECT_EQ(p.countOnesInRow(1), 99u);
+}
+
+TEST(GroupCensus, MatchesPerColumnPatterns)
+{
+    // Every group size on a 37-row plane, so most sizes end in a
+    // partial group; a census that expected 2^m patterns there would
+    // miscount. Dense and sparse planes exercise both the early stop
+    // and the full walk.
+    for (const double density : {0.05, 0.5}) {
+        Rng rng(static_cast<std::uint64_t>(density * 100) + 5);
+        BitPlane p(37, 150);
+        for (std::size_t r = 0; r < 37; ++r)
+            for (std::size_t c = 0; c < 150; ++c)
+                p.set(r, c, rng.bernoulli(density));
+        for (std::size_t m = 1; m <= 16; ++m) {
+            const std::vector<GroupCensus> census = groupCensus(p, m);
+            ASSERT_EQ(census.size(), (37 + m - 1) / m);
+            for (std::size_t g = 0; g < census.size(); ++g) {
+                const std::size_t row0 = g * m;
+                std::set<std::uint32_t> distinct;
+                std::size_t nonzero = 0;
+                for (std::size_t c = 0; c < 150; ++c) {
+                    const std::uint32_t pat = p.columnPattern(row0, m, c);
+                    if (pat != 0) {
+                        ++nonzero;
+                        distinct.insert(pat);
+                    }
+                }
+                std::uint64_t bits = 0;
+                std::uint32_t rows = 0;
+                for (const std::uint32_t pat : distinct) {
+                    bits += static_cast<std::uint64_t>(std::popcount(pat));
+                    rows |= pat;
+                }
+                SCOPED_TRACE(::testing::Message() << "density " << density
+                                                  << " m " << m << " group "
+                                                  << g);
+                EXPECT_EQ(census[g].nonzeroColumns, nonzero);
+                EXPECT_EQ(p.nonzeroColumns(row0, m), nonzero);
+                EXPECT_EQ(census[g].distinctPatterns, distinct.size());
+                EXPECT_EQ(census[g].patternBits, bits);
+                EXPECT_EQ(census[g].patternUnion, rows);
+            }
+        }
+    }
+    EXPECT_THROW(groupCensus(BitPlane(4, 4), 0), std::runtime_error);
+    EXPECT_THROW(groupCensus(BitPlane(4, 4), 17), std::runtime_error);
 }
 
 } // namespace

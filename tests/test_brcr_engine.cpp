@@ -252,5 +252,39 @@ TEST(BrcrEngine, ShapeMismatchFatal)
     EXPECT_THROW(engine.gemm(w, x), std::runtime_error);
 }
 
+TEST(BrcrEngine, OpCountsMatchExecution)
+{
+    // The counters gemv()/gemm() report must come out of opCounts()
+    // without executing, at every group size, on a 37-row tile (partial
+    // last group for most m) and with several activation columns.
+    Rng rng(40);
+    model::WeightProfile profile;
+    const Int8Matrix tiles[2] = {
+        randomInt8(41, 37, 150, 127),
+        model::synthesizeQuantizedWeight(rng, 37, 150,
+                                         quant::BitWidth::Int8, profile)
+            .values};
+    const std::vector<std::int8_t> x = randomVec(42, 150);
+    const Int8Matrix xs = randomInt8(43, 150, 3, 127);
+    const auto expectSame = [](const BrcrOpCounts &a, const BrcrOpCounts &b) {
+        EXPECT_EQ(a.mergeAdds, b.mergeAdds);
+        EXPECT_EQ(a.reconAdds, b.reconAdds);
+        EXPECT_EQ(a.shiftAccAdds, b.shiftAccAdds);
+        EXPECT_EQ(a.camSearches, b.camSearches);
+        EXPECT_EQ(a.groupsProcessed, b.groupsProcessed);
+        EXPECT_EQ(a.zeroColumns, b.zeroColumns);
+    };
+    for (const Int8Matrix &w : tiles) {
+        const bitslice::SignSplit split =
+            bitslice::decomposeSignSplit(w, quant::BitWidth::Int8);
+        for (std::size_t m = 1; m <= 12; ++m) {
+            SCOPED_TRACE(::testing::Message() << "m " << m);
+            const BrcrEngine engine({m, quant::BitWidth::Int8});
+            expectSame(engine.opCounts(split), engine.gemv(split, x).ops);
+            expectSame(engine.opCounts(split, 3), engine.gemm(w, xs).ops);
+        }
+    }
+}
+
 } // namespace
 } // namespace mcbp::brcr

@@ -3,6 +3,7 @@
 
 #include <tuple>
 
+#include "bitslice/sparsity.hpp"
 #include "bstc/compressed_weight.hpp"
 #include "common/rng.hpp"
 #include "model/synthetic.hpp"
@@ -158,6 +159,56 @@ TEST(CompressedWeight, SegmentCoordsChecked)
     EXPECT_THROW(cw.decodeSegment(7, 0, 0), std::runtime_error);
     EXPECT_THROW(cw.decodeSegment(0, 2, 0), std::runtime_error);
     EXPECT_THROW(cw.decodeSegment(0, 0, 2), std::runtime_error);
+}
+
+TEST(CompressedWeight, StoredBitsCountsWithoutEncoding)
+{
+    // The counted size must equal the encoder's on every group size,
+    // both policies and both widths, with partial row groups, a partial
+    // last word and a partial last segment.
+    struct Shape
+    {
+        std::size_t rows, cols, seg;
+    };
+    for (const quant::BitWidth bw :
+         {quant::BitWidth::Int8, quant::BitWidth::Int4}) {
+        for (const Shape sh : {Shape{37, 150, 64}, Shape{16, 256, 64},
+                               Shape{9, 65, 16}, Shape{5, 1030, 1024}}) {
+            // A uniform tile (dense planes) and a Gaussian one (sparse
+            // high planes, so the adaptive policy encodes some).
+            Rng rng(sh.rows * 7 + sh.cols);
+            model::WeightProfile profile;
+            const Int8Matrix tiles[2] = {
+                randomInt8(sh.rows * 131 + sh.cols, sh.rows, sh.cols,
+                           quant::maxLevel(bw)),
+                model::synthesizeQuantizedWeight(rng, sh.rows, sh.cols, bw,
+                                                 profile)
+                    .values};
+            for (const Int8Matrix &w : tiles) {
+                const bitslice::SignMagnitude sm = bitslice::decompose(w, bw);
+                const PlanePolicy policies[2] = {
+                    paperDefaultPolicy(sm.planeCount()),
+                    adaptivePolicy(bitslice::analyzeSparsity(w, sm))};
+                for (const PlanePolicy &policy : policies) {
+                    for (std::size_t m = 1; m <= 16; ++m) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << sh.rows << "x" << sh.cols << " seg "
+                                     << sh.seg << " m " << m);
+                        const CompressedWeight cw(sm, bw, m, policy, sh.seg);
+                        EXPECT_EQ(storedBits(sm, m, policy, sh.seg),
+                                  cw.storedBits());
+                    }
+                }
+            }
+        }
+    }
+    const bitslice::SignMagnitude sm =
+        bitslice::decompose(Int8Matrix(4, 4), quant::BitWidth::Int8);
+    const PlanePolicy policy = paperDefaultPolicy(7);
+    EXPECT_THROW(storedBits(sm, 0, policy), std::runtime_error);
+    EXPECT_THROW(storedBits(sm, 4, policy, 0), std::runtime_error);
+    EXPECT_THROW(storedBits(sm, 4, paperDefaultPolicy(3)),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -258,5 +258,35 @@ TEST(ValueCodec, BstcMotivatingComparison)
     EXPECT_GT(huff, 1.0);
 }
 
+TEST(ValueCodec, CountedSizesMatchEncoders)
+{
+    // Fixed-seed random tiles from dense to all-zero, plus a single
+    // non-zero symbol, a single zero and zero runs longer than 16 that
+    // cross row ends.
+    std::vector<Int8Matrix> tiles;
+    for (double zp : {0.0, 0.1, 0.5, 0.95, 1.0})
+        for (const auto &[r, c] :
+             {std::pair<std::size_t, std::size_t>{13, 77}, {37, 150}, {1, 1}})
+            tiles.push_back(randomInt8(
+                static_cast<std::uint64_t>(zp * 100) + r * 31 + c, r, c,
+                zp));
+    tiles.emplace_back(8, 64, std::int8_t{3});
+    tiles.emplace_back(1, 1);
+    Int8Matrix runs(5, 40);
+    runs.at(0, 3) = 7;
+    runs.at(2, 39) = -9; // 115 zeros before it, 40 after
+    runs.at(4, 0) = 1;
+    tiles.push_back(runs);
+    for (const Int8Matrix &w : tiles) {
+        SCOPED_TRACE(::testing::Message() << w.rows() << "x" << w.cols());
+        EXPECT_EQ(rleEncodedBits(w), rleEncode(w).bitCount);
+        EXPECT_EQ(huffmanEncodedBits(w), huffmanEncode(w).bitCount);
+        EXPECT_EQ(valueCompressionRatio(w.size(), rleEncodedBits(w)),
+                  valueCompressionRatio(rleEncode(w)));
+    }
+    EXPECT_EQ(rleEncodedBits(Int8Matrix()), 0u);
+    EXPECT_THROW(huffmanEncodedBits(Int8Matrix()), std::runtime_error);
+}
+
 } // namespace
 } // namespace mcbp::bstc
