@@ -30,8 +30,13 @@
  *     gates: the KV-fit checks admission makes (admission_probes)
  *     grow at most 5x for 4x the requests (a per-pass scan of the
  *     queue grows them ~16x), and per-token and coalesced stepping
- *     make identical decisions at both sizes. Wall time is recorded,
- *     not gated.
+ *     make identical decisions at both sizes. The coalesced runs also
+ *     gate the paged window grower on a host-independent count: its
+ *     per-request KV ledger updates (kv_ledger_updates) stay within
+ *     3 x maxBatch per decode window plus one per block fill
+ *     (occupancy / blockTokens), where a walk of the whole batch per
+ *     fill-to-fill segment made about the batch size per segment.
+ *     Wall time is recorded, not gated.
  *
  * Exit code 0 iff every enforced gate passes. `--json <path>`
  * archives the records (bench_util.hpp schema).
@@ -422,8 +427,13 @@ main(int argc, char **argv)
         4.0;
 
     const std::size_t burst_sizes[2] = {kBurstRequests, 4 * kBurstRequests};
+    // kv_ledger_updates of the grower that walked the whole batch per
+    // fill-to-fill segment, counted on these two legs; printed for
+    // context, not gated.
+    const std::size_t segment_walk_updates[2] = {233702, 929610};
     std::size_t probes[2] = {0, 0};
     bool scaling_decisions = true;
+    bool ledger_gate = true;
     for (std::size_t leg = 0; leg < 2; ++leg) {
         const auto trace = burst(burst_sizes[leg]);
         engine::ServingOptions ref_opts = burst_base;
@@ -442,6 +452,19 @@ main(int argc, char **argv)
         const bool decisions = decisionsIdentical(ref, coal, drift_ok);
         scaling_decisions = scaling_decisions && decisions && drift_ok;
         probes[leg] = coal.admissionProbes;
+        // At most maxBatch write-backs per window, and one charge per
+        // block fill: occupancy / blockTokens fills, plus at most one
+        // more per decode stint of a request (at most maxBatch per
+        // window). The factor 3 leaves maxBatch per window of slack.
+        const double ledger_bound =
+            3.0 * static_cast<double>(burst_base.maxBatch) *
+                static_cast<double>(coal.decodeWindows) +
+            coal.meanBatchOccupancy *
+                static_cast<double>(coal.decodeIterations) /
+                static_cast<double>(burst_base.kvBlockTokens);
+        const bool ledger_ok =
+            static_cast<double>(coal.kvLedgerUpdates) <= ledger_bound;
+        ledger_gate = ledger_gate && ledger_ok;
 
         std::printf("  [%zu requests]\n", trace.size());
         std::printf("    per-token  %8.3f s   coalesced %8.3f s   "
@@ -454,24 +477,33 @@ main(int argc, char **argv)
                         static_cast<double>(coal.admissionOrder.size()),
                     decisions ? "yes" : "NO (BUG)",
                     drift_ok ? "yes" : "NO (BUG)");
+        std::printf("    kv ledger updates %zu in %zu windows (%.1f per "
+                    "window; per-segment walk: %zu)   gate (<= %.0f): %s\n",
+                    coal.kvLedgerUpdates, coal.decodeWindows,
+                    static_cast<double>(coal.kvLedgerUpdates) /
+                        static_cast<double>(coal.decodeWindows),
+                    segment_walk_updates[leg], ledger_bound,
+                    ledger_ok ? "pass" : "FAIL");
         json.begin()
             .field("section", "admission_scaling")
             .field("requests", trace.size())
             .field("per_token_s", ref_s)
             .field("coalesced_s", coal_s)
             .field("decisions_identical", decisions ? 1 : 0)
-            .field("drift_ok", drift_ok ? 1 : 0);
+            .field("drift_ok", drift_ok ? 1 : 0)
+            .field("kv_ledger_bound", ledger_bound)
+            .field("kv_ledger_gate", ledger_ok ? 1 : 0);
         bench::appendServingFields(json, coal);
     }
     const double probe_ratio =
         probes[0] > 0 ? static_cast<double>(probes[1]) /
                             static_cast<double>(probes[0])
                       : 0.0;
-    const bool scaling_gate =
-        scaling_decisions && probes[0] > 0 && probe_ratio <= 5.0;
+    const bool scaling_gate = scaling_decisions && ledger_gate &&
+                              probes[0] > 0 && probe_ratio <= 5.0;
     all_gates = all_gates && scaling_gate;
     std::printf("  probes(4n) / probes(n) = %.2f   gate (<= 5, identical "
-                "decisions): %s\n",
+                "decisions, ledger updates bounded): %s\n",
                 probe_ratio, scaling_gate ? "pass" : "FAIL");
     json.begin()
         .field("section", "admission_scaling_gate")

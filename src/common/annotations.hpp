@@ -6,7 +6,7 @@
  *
  * Every mutex-protected structure in the tree (SingleflightMap, which
  * ProfileCache and PlanCache hold, the common/parallel pool,
- * KvBlockManager, LazyRates) declares WHICH data each lock guards via
+ * LazyRates) declares WHICH data each lock guards via
  * these macros, and the clang CI lane compiles with
  * `-Wthread-safety -Werror` so an unguarded access is a build break,
  * not a latent race. Under gcc (and any compiler without the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "accel/report.hpp"
@@ -12,6 +13,111 @@
 #include "engine/waiting_queue.hpp"
 
 namespace mcbp::engine {
+
+namespace {
+
+// Tokens of c's KV resident after a (re)prefill: the prompt plus
+// whatever decode progress a recompute restores. Prefill-only requests
+// retain nothing.
+std::size_t
+residentTokens(const CostedRequest &c)
+{
+    if (c.req->decodeLen == 0)
+        return 0;
+    return c.req->promptLen + (c.req->decodeLen - c.remainingTokens);
+}
+
+/**
+ * The running batch bucketed by the decode iteration on which each
+ * request next allocates a KV block. A request with r resident tokens
+ * allocates on the iteration that serves token r + 1 exactly when r is
+ * a multiple of the block size B. So in a window entered at residency
+ * r it fills on in-window iterations t = d, d + B, d + 2B, ... (t
+ * counted from 0), where d = (B - r mod B) mod B; bucket 0 fills on
+ * the window's first iteration. Bucket d lists the batch positions
+ * with that d in batch order (a stable counting sort): one flat index
+ * array and one offset per bucket, sized once per run. Only buckets
+ * below the run's longest decode length exist: a window never outlasts
+ * a request's remaining tokens, so a later fill never lands in one.
+ * The buckets also keep the running sum of per-token bytes in batch
+ * order.
+ */
+class FillBuckets
+{
+  public:
+    /** A @p batchCapacity of 0 allocates nothing (a run that never
+     *  buckets). */
+    FillBuckets(std::size_t blockTokens, std::size_t longestDecode,
+                std::size_t batchCapacity)
+        : blockTokens_(blockTokens),
+          buckets_(batchCapacity > 0 ? std::min(blockTokens, longestDecode)
+                                     : 0),
+          key_(batchCapacity), index_(batchCapacity),
+          tokenBytes_(batchCapacity), offset_(buckets_ > 0 ? buckets_ + 1 : 0)
+    {
+        due_.reserve(std::min(batchCapacity, buckets_));
+    }
+
+    /** Re-bucket @p batch (non-empty, at most batchCapacity requests). */
+    void build(const std::vector<CostedRequest *> &batch)
+    {
+        const std::size_t b = blockTokens_;
+        std::fill(offset_.begin(), offset_.end(), std::size_t{0});
+        double bytes = 0.0;
+        for (std::size_t j = 0; j < batch.size(); ++j) {
+            key_[j] = (b - residentTokens(*batch[j]) % b) % b;
+            if (key_[j] < buckets_)
+                ++offset_[key_[j] + 1];
+            bytes += batch[j]->kvBytesPerToken;
+            tokenBytes_[j] = bytes;
+        }
+        batchTokenBytes_ = bytes;
+        // offset_[d + 1] turns from bucket d's count into its start,
+        // then, as its members are placed, into its end (= the start
+        // of bucket d + 1).
+        due_.clear();
+        std::size_t start = 0;
+        for (std::size_t d = 0; d < buckets_; ++d) {
+            const std::size_t count = offset_[d + 1];
+            if (count > 0)
+                due_.push_back(d);
+            offset_[d + 1] = start;
+            start += count;
+        }
+        for (std::size_t j = 0; j < batch.size(); ++j)
+            if (key_[j] < buckets_)
+                index_[offset_[key_[j] + 1]++] = j;
+    }
+
+    /** Batch positions that fill on in-window iterations d (mod B);
+     *  d below the bucket count (bucket 0 always exists once built). */
+    std::span<const std::size_t> bucket(std::size_t d) const
+    {
+        return {index_.data() + offset_[d], index_.data() + offset_[d + 1]};
+    }
+
+    /** The non-empty buckets, ascending. */
+    const std::vector<std::size_t> &due() const { return due_; }
+
+    /** Per-token KV bytes of batch positions 0..j. */
+    double tokenBytesThrough(std::size_t j) const { return tokenBytes_[j]; }
+
+    /** Per-token KV bytes of the whole batch: one iteration's growth
+     *  of the needed-bytes ledger. */
+    double batchTokenBytes() const { return batchTokenBytes_; }
+
+  private:
+    std::size_t blockTokens_;
+    std::size_t buckets_;
+    std::vector<std::size_t> key_;
+    std::vector<std::size_t> index_;
+    std::vector<double> tokenBytes_;
+    std::vector<std::size_t> offset_;
+    std::vector<std::size_t> due_;
+    double batchTokenBytes_ = 0.0;
+};
+
+} // namespace
 
 std::string
 toString(StepMode mode)
@@ -187,15 +293,6 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         clock = to;
     };
 
-    // Tokens of c's KV resident after a (re)prefill: the prompt plus
-    // whatever decode progress a recompute restores. Prefill-only
-    // requests retain nothing.
-    auto resident_tokens = [](const CostedRequest &c) -> std::size_t {
-        if (c.req->decodeLen == 0)
-            return 0;
-        return c.req->promptLen + (c.req->decodeLen - c.remainingTokens);
-    };
-
     // The one KV ledger, under either policy: c now holds @p alloc
     // block-rounded bytes covering @p need exact bytes (the pool is
     // charged the growth over what c held), or releases all it holds.
@@ -214,7 +311,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
     // residency under Paged, the full footprint under Reserve.
     auto admit_bytes = [&](const CostedRequest &c) {
         return paged ? pool.allocatedBytes(c.kvBytesPerToken,
-                                           resident_tokens(c))
+                                           residentTokens(c))
                      : c.kvBytes;
     };
 
@@ -470,115 +567,141 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         return std::min(wake, waiting.earliestDeadline());
     };
 
-    // Growth-extra bytes of the next decode iteration with every
-    // residency advanced by @p ahead in-window iterations: zero away
-    // from block boundaries, whole blocks at a fill.
-    auto growth_extra = [&](std::size_t ahead) -> double {
-        double extra = 0.0;
-        for (const CostedRequest *c : active)
-            extra += pool.allocatedBytes(c->kvBytesPerToken,
-                                         resident_tokens(*c) + ahead +
-                                             1) -
-                     c->kvAllocatedBytes;
-        return extra;
-    };
-
-    // Iterations until the first active request fills a block and
-    // allocates, with every residency advanced by @p ahead in-window
-    // iterations: growth serves token resident+1, so a residency
-    // sitting exactly on a block boundary allocates on the very next
-    // token.
-    auto next_fill_in = [&](std::size_t ahead) -> std::size_t {
-        std::size_t fill_in = std::numeric_limits<std::size_t>::max();
-        for (const CostedRequest *c : active) {
-            const std::size_t rem =
-                (resident_tokens(*c) + ahead) % kv_.blockTokens;
-            fill_in =
-                std::min(fill_in, rem == 0 ? std::size_t{1}
-                                           : kv_.blockTokens - rem + 1);
-        }
-        return fill_in;
-    };
-
-    // Paged growth of a coalesced k-iteration window, walked in
-    // fill-to-fill segments so the window itself stays bounded only by
-    // the policy-independent events (completion, arrival, deferral):
+    // Paged growth of a coalesced k-iteration window, in O(batch +
+    // fills) over the batch's fill buckets (built at window entry):
     //
-    //  - Strictly between block fills no request allocates (every
-    //    allocation delta is exactly zero), so no preemption can
-    //    trigger and only the needed-bytes ledger and the utilization
-    //    statistic advance. The per-token loop would sample
-    //    needed/used after each iteration with used constant and
-    //    needed growing by the batch's summed per-token bytes — an
-    //    arithmetic series, folded here in closed form.
+    //  - Strictly between block fills no request allocates, so no
+    //    preemption can trigger and only the needed-bytes ledger and
+    //    the utilization statistic advance. The per-token loop would
+    //    sample needed/used after each iteration with used constant
+    //    and needed growing by the batch's summed per-token bytes — an
+    //    arithmetic series, folded here in closed form, and one add()
+    //    charges the segment.
     //
-    //  - A fill iteration replays the reference growth verbatim: the
-    //    allocating adds and the per-iteration utilization sample. If
-    //    the batch's growth no longer fits (a preemption is due), the
-    //    window is truncated just before that iteration and the next
-    //    outer pass routes it through the reference path, so eviction
-    //    victims and their order match the per-token loop exactly.
+    //  - A fill iteration charges the filling bucket's blocks plus one
+    //    token per request, then takes the per-iteration utilization
+    //    sample. If the bucket's blocks no longer fit (a preemption is
+    //    due), the window is truncated just before that iteration and
+    //    the next outer pass routes it through the reference path, so
+    //    eviction victims and their order match the per-token loop
+    //    exactly.
+    //
+    // The per-token loop charges an iteration request by request, in
+    // batch order, and the pool records allocated - needed after each
+    // charge, so the fragmentation peak can land partway through the
+    // batch: at a filling request (a request that does not fill only
+    // lowers it). A fill charges the iteration in two add()s split at
+    // the filling request that attains that maximum. Every ledger value
+    // is an integer multiple of a whole number of bytes per token, far
+    // below 2^53, so these sums are exact in any order, and the
+    // ledger, its peaks and the utilization samples keep every bit.
+    // Each request's held bytes are written once, at window end.
     //
     // Pool occupancy only grows within the window and the batch/model
     // are constant, so no admission can become possible mid-window
     // and skipping the per-iteration admission retries stays
-    // behaviour-preserving. Peak fragmentation needs no extra
-    // samples: allocated - needed only shrinks between fills, and
-    // every allocating add() records its own peak.
+    // behaviour-preserving.
     //
     // Returns the iterations actually grown (= the window's final k):
     // a fill due on the first iteration has had its preemptions
     // resolved by the caller before entry, so at least one iteration
     // always survives.
+    const std::size_t block_tokens = kv_.blockTokens;
+    std::size_t longest_decode = 0;
+    if (paged)
+        for (const CostedRequest &c : requests)
+            longest_decode = std::max(longest_decode, c.req->decodeLen);
+    FillBuckets fills(block_tokens, longest_decode,
+                      paged ? std::min(maxBatch_, requests.size()) : 0);
+    auto block_bytes = [&](std::size_t position) {
+        return static_cast<double>(block_tokens) *
+               active[position]->kvBytesPerToken;
+    };
+    // Block bytes bucket d allocates at one of its fills.
+    auto bucket_bytes = [&](std::size_t d) {
+        double bytes = 0.0;
+        for (const std::size_t j : fills.bucket(d))
+            bytes += block_bytes(j);
+        return bytes;
+    };
+    auto grow_free = [&](std::size_t seg) {
+        if (seg == 0)
+            return;
+        const double sd = static_cast<double>(seg);
+        const double needed_start = pool.neededBytes();
+        pool.add(0.0, fills.batchTokenBytes() * sd);
+        if (pool.usedBytes() > 0.0) {
+            stats.kvBlockUtilizationSum +=
+                (sd * needed_start +
+                 fills.batchTokenBytes() * sd * (sd + 1.0) / 2.0) /
+                pool.usedBytes();
+            stats.kvBlockUtilizationIters += seg;
+        }
+    };
+    // One iteration on which bucket d fills; false (nothing charged)
+    // when its blocks do not fit and a preemption is due instead.
+    auto grow_fill = [&](std::size_t d) {
+        const double extra = bucket_bytes(d);
+        if (!pool.fits(extra, /*admission=*/false) && active.size() > 1)
+            return false;
+        const double used = pool.usedBytes();
+        const double needed = pool.neededBytes();
+        double filled = 0.0;
+        double peak = -std::numeric_limits<double>::infinity();
+        double peak_filled = 0.0;
+        double peak_tokens = 0.0;
+        for (const std::size_t j : fills.bucket(d)) {
+            filled += block_bytes(j);
+            const double tokens = fills.tokenBytesThrough(j);
+            const double frag = (used + filled) - (needed + tokens);
+            if (frag > peak) {
+                peak = frag;
+                peak_filled = filled;
+                peak_tokens = tokens;
+            }
+        }
+        stats.kvLedgerUpdates += fills.bucket(d).size();
+        pool.add(peak_filled, peak_tokens);
+        pool.add(extra - peak_filled,
+                 fills.batchTokenBytes() - peak_tokens);
+        if (pool.usedBytes() > 0.0) {
+            stats.kvBlockUtilizationSum +=
+                pool.neededBytes() / pool.usedBytes();
+            ++stats.kvBlockUtilizationIters;
+        }
+        return true;
+    };
     auto grow_batch_coalesced = [&](std::size_t k) -> std::size_t {
         std::size_t t = 0;
-        while (t < k) {
-            const std::size_t fill_in = next_fill_in(t);
-            const std::size_t seg = std::min(k - t, fill_in - 1);
-            if (seg > 0) {
-                // Fill-free segment: zero-delta allocations, closed-
-                // form utilization over seg iterations.
-                const double needed_start = pool.neededBytes();
-                double batch_bytes = 0.0;
-                for (CostedRequest *c : active) {
-                    const std::size_t tokens =
-                        resident_tokens(*c) + t + seg;
-                    hold(*c,
-                         pool.allocatedBytes(c->kvBytesPerToken, tokens),
-                         c->kvBytesPerToken * static_cast<double>(tokens));
-                    batch_bytes += c->kvBytesPerToken;
+        bool truncated = false;
+        const std::vector<std::size_t> &due = fills.due();
+        for (std::size_t cycle = 0; !truncated && !due.empty() && cycle < k;
+             cycle += block_tokens) {
+            for (const std::size_t d : due) {
+                if (cycle + d >= k)
+                    break;
+                grow_free(cycle + d - t);
+                t = cycle + d;
+                if (!grow_fill(d)) {
+                    panicIf(t == 0, "unresolved preemption at window start");
+                    truncated = true;
+                    break;
                 }
-                if (pool.usedBytes() > 0.0) {
-                    const double sd = static_cast<double>(seg);
-                    stats.kvBlockUtilizationSum +=
-                        (sd * needed_start +
-                         batch_bytes * sd * (sd + 1.0) / 2.0) /
-                        pool.usedBytes();
-                    stats.kvBlockUtilizationIters += seg;
-                }
-                t += seg;
-                continue;
+                t += 1;
             }
-            // Fill at iteration t+1: the reference growth, except a
-            // due preemption truncates the window instead (the next
-            // outer pass resolves it at full per-token fidelity).
-            if (!pool.fits(growth_extra(t), /*admission=*/false) &&
-                active.size() > 1) {
-                panicIf(t == 0, "unresolved preemption at window start");
-                break;
-            }
-            for (CostedRequest *c : active) {
-                const std::size_t tokens = resident_tokens(*c) + t + 1;
-                hold(*c, pool.allocatedBytes(c->kvBytesPerToken, tokens),
-                     c->kvBytesPerToken * static_cast<double>(tokens));
-            }
-            if (pool.usedBytes() > 0.0) {
-                stats.kvBlockUtilizationSum +=
-                    pool.neededBytes() / pool.usedBytes();
-                ++stats.kvBlockUtilizationIters;
-            }
-            t += 1;
         }
+        if (!truncated) {
+            grow_free(k - t);
+            t = k;
+        }
+        for (CostedRequest *c : active) {
+            const std::size_t tokens = residentTokens(*c) + t;
+            c->kvAllocatedBytes =
+                pool.allocatedBytes(c->kvBytesPerToken, tokens);
+            c->kvNeededBytes =
+                c->kvBytesPerToken * static_cast<double>(tokens);
+        }
+        stats.kvLedgerUpdates += active.size();
         return t;
     };
 
@@ -725,7 +848,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
             stats.admissionOrder.push_back(c->req->id);
             hold(*c, admit_bytes(*c),
                  paged ? c->kvBytesPerToken *
-                             static_cast<double>(resident_tokens(*c))
+                             static_cast<double>(residentTokens(*c))
                        : c->kvBytes);
             // The prefill runs now, in the current mode: charge its
             // energy (nothing for a recompute, whose preemption charged
@@ -785,23 +908,30 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         // batch model are constant, and pool occupancy only grows
         // (fills), so the admissible set can only shrink and skipping
         // the per-iteration admission retries is behaviour-preserving.
-        // Paged: a block fill due on the window's very first iteration
-        // may preempt. Resolve that before costing — the per-token
-        // ordering (growth precedes the iteration's cost) — and pin
-        // the window to one iteration when a preemption fired, so the
-        // victim's re-admission is considered on the per-token
-        // cadence. Fills that fit never bound the window: they are
-        // absorbed below, keeping the window chunking independent of
-        // the KV policy whenever no preemption triggers.
+        // Paged: the batch is bucketed by fill iteration once per
+        // window (O(batch + blockTokens)), and bucket 0 fills on the
+        // window's very first iteration, which may preempt. Resolve
+        // that before costing — the per-token ordering (growth
+        // precedes the iteration's cost) — and pin the window to one
+        // iteration when a preemption fired, so the victim's
+        // re-admission is considered on the per-token cadence. Fills
+        // that fit never bound the window: grow_batch_coalesced
+        // absorbs them from the buckets, keeping the window chunking
+        // independent of the KV policy whenever no preemption
+        // triggers.
         bool preempted_now = false;
-        if (paged && next_fill_in(0) == 1) {
+        if (paged) {
+            fills.build(active);
             // A lone survivor always fits: the footprint precheck
-            // bounds its largest residency by the capacity (the
-            // fits() miss can only be the pool's FP residue).
-            while (!pool.fits(growth_extra(0), /*admission=*/false) &&
-                   active.size() > 1) {
-                preempt_youngest();
-                preempted_now = true;
+            // bounds its largest residency by the capacity. Each
+            // preemption re-buckets the smaller batch.
+            if (!fills.bucket(0).empty()) {
+                while (!pool.fits(bucket_bytes(0), /*admission=*/false) &&
+                       active.size() > 1) {
+                    preempt_youngest();
+                    preempted_now = true;
+                    fills.build(active);
+                }
             }
         }
 

@@ -37,15 +37,17 @@
  * decodeLen is 0 hold no KV at all.
  *
  * Stepping: between discrete events — the next arrival, the soonest
- * completion in the batch (min remainingTokens), the next paged block
- * boundary, a scheduler deferral — the active set and the per-iteration
- * cost are constant, so the core advances k identical iterations in
- * closed form (StepMode::Coalesced, the default) instead of looping
- * per token. Scheduling decisions (admissions, preemption order,
- * completion order) are exactly those of the per-token reference;
- * aggregate cycle/energy totals agree to ~1e-9 relative (the closed
- * forms re-associate floating-point sums). MCBP_SERVING_STEP=per-token
- * selects the reference path at runtime.
+ * completion in the batch (min remainingTokens), a paged preemption, a
+ * scheduler deferral — the active set and the per-iteration cost are
+ * constant, so the core advances k identical iterations in closed form
+ * (StepMode::Coalesced, the default) instead of looping per token.
+ * Paged block fills inside a window are charged from the batch
+ * bucketed by fill iteration, so a window costs O(batch + blockTokens
+ * + fills), not O(batch) per fill. Scheduling decisions (admissions,
+ * preemption order, completion order) are exactly those of the
+ * per-token reference; aggregate cycle/energy totals agree to ~1e-9
+ * relative (the closed forms re-associate floating-point sums).
+ * MCBP_SERVING_STEP=per-token selects the reference path at runtime.
  *
  * Fault tolerance (FaultInputs; sim/fault_model.hpp): fault events
  * are first-class window boundaries — a coalesced window never
@@ -383,6 +385,11 @@ struct Value
        policies' walks visited, plus one footprint check per blocked       \
        model group. Host-independent, so CI gates on its growth. */        \
     X(std::size_t, admissionProbes, admissionProbes, "admission_probes",   \
+      Sum, Value)                                                          \
+    /* Per-request KV ledger updates paged window growth made: one per     \
+       request charged at a block fill, plus one per request whose held    \
+       bytes a window writes back. Host-independent, so CI gates on it. */ \
+    X(std::size_t, kvLedgerUpdates, kvLedgerUpdates, "kv_ledger_updates",  \
       Sum, Value)                                                          \
     /* Largest batch decoding together. */                                 \
     X(std::size_t, peakBatch, peakBatch, "peak_batch", Max, Value)         \

@@ -80,14 +80,12 @@ KvBlockManager::fits(double extraBytes, bool admission) const
         return true;
     const double headroom =
         admission ? opts_.lowWatermark * opts_.capacityBytes : 0.0;
-    MutexLock lock(mutex_);
     return used_ + extraBytes <= opts_.capacityBytes - headroom;
 }
 
 void
 KvBlockManager::add(double allocated, double needed)
 {
-    MutexLock lock(mutex_);
     used_ += allocated;
     needed_ += needed;
     peakUsed_ = std::max(peakUsed_, used_);
@@ -97,7 +95,6 @@ KvBlockManager::add(double allocated, double needed)
 void
 KvBlockManager::remove(double allocated, double needed)
 {
-    MutexLock lock(mutex_);
     used_ -= allocated;
     needed_ -= needed;
 }
@@ -105,40 +102,11 @@ KvBlockManager::remove(double allocated, double needed)
 void
 KvBlockManager::clearIdleResidual()
 {
-    MutexLock lock(mutex_);
     panicIf(std::abs(used_) > 1.0,
             "KV block accounting leak: idle engine still holds "
             "allocated blocks");
     used_ = 0.0;
     needed_ = 0.0;
-}
-
-double
-KvBlockManager::usedBytes() const
-{
-    MutexLock lock(mutex_);
-    return used_;
-}
-
-double
-KvBlockManager::neededBytes() const
-{
-    MutexLock lock(mutex_);
-    return needed_;
-}
-
-double
-KvBlockManager::peakUsedBytes() const
-{
-    MutexLock lock(mutex_);
-    return peakUsed_;
-}
-
-double
-KvBlockManager::peakFragmentationBytes() const
-{
-    MutexLock lock(mutex_);
-    return peakFrag_;
 }
 
 } // namespace mcbp::engine

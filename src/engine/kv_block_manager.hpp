@@ -45,8 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
-
 namespace mcbp::engine {
 
 /** Selectable KV admission policies (ServingOptions::kvPolicy). */
@@ -99,10 +97,9 @@ double kvFootprintBytes(const KvOptions &kv, double bytesPerToken,
                         std::size_t promptLen, std::size_t decodeLen);
 
 /**
- * Block-granular KV pool ledger (deterministic; internally
- * synchronized so shard views and monitors may read it concurrently
- * with the owning event core — the clang thread-safety lane checks
- * every ledger access is made under the annotated mutex).
+ * Block-granular KV pool ledger (deterministic, single-threaded). Each
+ * EventCore::run owns its pool as a local; the only other reader is
+ * the same thread's AdmissionPass, so the ledger holds no lock.
  *
  * Capacity decisions (fits()) read only the allocated-bytes ledger,
  * which changes solely at block boundaries, admissions, preemptions
@@ -146,21 +143,20 @@ class KvBlockManager
      */
     void clearIdleResidual();
 
-    double usedBytes() const;
-    double neededBytes() const;
-    double peakUsedBytes() const;
+    double usedBytes() const { return used_; }
+    double neededBytes() const { return needed_; }
+    double peakUsedBytes() const { return peakUsed_; }
     /** Peak internal fragmentation (allocated - needed) in bytes. */
-    double peakFragmentationBytes() const;
+    double peakFragmentationBytes() const { return peakFrag_; }
 
   private:
     KvOptions opts_;
-    mutable Mutex mutex_;
     /** Allocated (block-rounded) bytes. */
-    double used_ MCBP_GUARDED_BY(mutex_) = 0.0;
+    double used_ = 0.0;
     /** Exact bytes the resident tokens need. */
-    double needed_ MCBP_GUARDED_BY(mutex_) = 0.0;
-    double peakUsed_ MCBP_GUARDED_BY(mutex_) = 0.0;
-    double peakFrag_ MCBP_GUARDED_BY(mutex_) = 0.0;
+    double needed_ = 0.0;
+    double peakUsed_ = 0.0;
+    double peakFrag_ = 0.0;
 };
 
 } // namespace mcbp::engine

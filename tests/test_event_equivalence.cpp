@@ -11,16 +11,25 @@
  *    forms only re-associate floating-point sums);
  *  - coalescing actually coalesces (decodeWindows << decodeIterations)
  *    and the per-token path remains one pass per iteration;
+ *  - fixed-seed fuzzed paged configs (block size, pool capacity, batch
+ *    size, scheduler, dp=1/2/3, faults with and without a degraded
+ *    twin) keep the same contract; a failure names its draw;
  *  - MCBP_SERVING_STEP spelling is validated (fatal on junk).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
@@ -228,6 +237,124 @@ TEST(EventEquivalence, CoalescedMatchesPerTokenUnderInjectedFaults)
             expectEquivalent(a, b);
         }
     }
+}
+
+/** The accelerators the fuzzed configs draw from, built once. */
+struct FuzzAccels
+{
+    Registry registry;
+    std::array<std::unique_ptr<Accelerator>, 3> byDp = {
+        registry.make("mcbp:tp=2"), registry.make("mcbp:tp=2,dp=2"),
+        registry.make("mcbp:tp=2,dp=3")};
+    std::unique_ptr<Accelerator> degraded =
+        registry.make(degradedSpec("mcbp:tp=2"));
+};
+
+/** Fuzzed config @p draw, served per-token and coalesced; returns the
+ *  coalesced report. */
+ServingReport
+expectFuzzedConfigEquivalent(const FuzzAccels &accels, std::uint64_t draw)
+{
+    Rng rng(0xf022ed00u + draw);
+    std::ostringstream what;
+    what << "draw " << draw;
+
+    model::TraceConfig tc;
+    tc.model = "OPT1B3";
+    tc.task = "MBPP";
+    tc.requests = 8 + rng.uniformInt(33);
+    const double rates[] = {0.0, 20.0, 80.0};
+    tc.arrivalsPerSecond = rates[rng.uniformInt(3)];
+    tc.seed = rng.next();
+    const auto trace = model::synthesizeTrace(tc);
+    what << ": " << tc.requests << " requests at " << tc.arrivalsPerSecond
+         << "/s (trace seed " << tc.seed << ")";
+
+    ServingOptions opts;
+    opts.maxBatch = 1 + rng.uniformInt(64);
+    opts.policy = allSchedulerPolicies()[rng.uniformInt(
+        allSchedulerPolicies().size())];
+    opts.kvPolicy = KvPolicy::Paged;
+    opts.kvBlockTokens = 1 + rng.uniformInt(64);
+    const std::size_t dp = 1 + rng.uniformInt(3);
+    const Accelerator &accel = *accels.byDp[dp - 1];
+    what << ", maxBatch " << opts.maxBatch << ", "
+         << toString(opts.policy) << ", block " << opts.kvBlockTokens
+         << ", dp=" << dp;
+
+    // An unbounded, fault-free probe sizes the pool and the fault
+    // timeline to this trace; the pool never drops below the largest
+    // footprint on each replica.
+    ServingOptions probe_opts = opts;
+    probe_opts.stepMode = StepMode::Coalesced;
+    const ServingReport probe =
+        ServingSimulator(accel, probe_opts).simulate(trace);
+    const double T = probe.makespanSeconds;
+    double largest = 0.0;
+    for (const RequestMetrics &m : probe.requests)
+        largest = std::max(largest, m.kvBytes);
+    const double fraction = rng.uniform(0.2, 0.9);
+    opts.kvCapacityBytes =
+        static_cast<double>(dp) *
+        std::max(probe.kvPeakBytes * fraction, largest * 1.01);
+    what << ", capacity x" << fraction << " of the unbounded peak";
+
+    if (rng.bernoulli(0.5)) {
+        sim::FaultSpec &f = opts.faults;
+        f.seed = rng.next();
+        f.mtbfSeconds = T * rng.uniform(0.5, 4.0);
+        f.repairSeconds = T * rng.uniform(0.02, 0.1);
+        f.permanentFraction = rng.uniform(0.0, 0.5);
+        f.linkDegradeRate = rng.uniform(0.0, 3.0) / T;
+        f.linkDegradeSeconds = 0.05 * T;
+        f.stragglerRate = rng.uniform(0.0, 3.0) / T;
+        f.stragglerSeconds = 0.05 * T;
+        f.horizonSeconds = T;
+        opts.retry.maxRetries = rng.uniformInt(4);
+        opts.retry.backoffBaseSeconds = 0.01 * T;
+        opts.retry.backoffCapSeconds = 0.1 * T;
+        if (rng.bernoulli(0.5))
+            opts.retry.deadlineSeconds = T * rng.uniform(0.1, 0.8);
+        if (rng.bernoulli(0.7))
+            opts.degradedAccel = accels.degraded.get();
+        what << ", faults (seed " << f.seed << ", "
+             << (opts.degradedAccel != nullptr ? "degraded twin"
+                                               : "no twin")
+             << ")";
+    }
+
+    ServingOptions ref = opts;
+    ref.stepMode = StepMode::PerToken;
+    ServingOptions coal = opts;
+    coal.stepMode = StepMode::Coalesced;
+    const ServingReport a = ServingSimulator(accel, ref).simulate(trace);
+    const ServingReport b = ServingSimulator(accel, coal).simulate(trace);
+    SCOPED_TRACE(what.str());
+    expectEquivalent(a, b);
+    return b;
+}
+
+TEST(EventEquivalence, FuzzedConfigsMatchPerToken)
+{
+    // Fixed-seed draws over the paged window grower's inputs: block
+    // sizes 1-64 (non-powers of two included), pools at 0.2-0.9 of
+    // the unbounded peak, batches of 1-64, every scheduler, dp=1/2/3,
+    // and sampled faults with or without a degraded twin. Each draw
+    // must make the per-token reference's decisions verbatim.
+    const FuzzAccels accels;
+    constexpr std::uint64_t kDraws = 200;
+    std::size_t preempting = 0;
+    std::size_t killing = 0;
+    for (std::uint64_t draw = 0; draw < kDraws; ++draw) {
+        const ServingReport r = expectFuzzedConfigEquivalent(accels, draw);
+        preempting += r.preemptions > 0 ? 1 : 0;
+        killing += r.killedInFlight > 0 ? 1 : 0;
+    }
+    // The draws must reach the preemption and fault-kill paths.
+    EXPECT_GE(preempting, kDraws / 4);
+    EXPECT_GE(killing, kDraws / 10);
+    std::printf("fuzzed draws: %zu, preempting %zu, with kills %zu\n",
+                static_cast<std::size_t>(kDraws), preempting, killing);
 }
 
 TEST(EventEquivalence, StepModeSpellingsAndEnvValidation)

@@ -24,6 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -474,6 +477,129 @@ TEST(Paging, EmptyTraceYieldsZeroedReport)
         EXPECT_EQ(r.joulesPerToken, 0.0);
         EXPECT_EQ(r.preemptions, 0u);
     }
+}
+
+/** FNV-1a over 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** The ledger matrix: block sizes x capacities x step modes. */
+constexpr std::array<std::size_t, 6> kLedgerBlocks = {1, 2, 7, 16, 33, 128};
+/** Pool capacities as fractions of the unbounded peak (0: unbounded). */
+constexpr std::array<double, 3> kLedgerCapacities = {0.0, 0.5, 0.25};
+constexpr std::size_t kLedgerConfigs =
+    kLedgerBlocks.size() * kLedgerCapacities.size() * 2;
+
+/** Config @p i of the ledger matrix: step mode fastest, block slowest. */
+struct LedgerConfig
+{
+    std::size_t blockTokens;
+    double capacityFraction;
+    StepMode step;
+
+    explicit LedgerConfig(std::size_t i)
+        : blockTokens(kLedgerBlocks[i / 2 / kLedgerCapacities.size()]),
+          capacityFraction(
+              kLedgerCapacities[i / 2 % kLedgerCapacities.size()]),
+          step(i % 2 == 0 ? StepMode::Coalesced : StepMode::PerToken)
+    {
+    }
+};
+
+/** Paged serving of @p config over @p trace. */
+ServingReport
+ledgerRun(const Accelerator &accel, const std::vector<model::Request> &trace,
+          const LedgerConfig &config)
+{
+    ServingOptions opts;
+    opts.maxBatch = 16;
+    opts.policy = SchedulerPolicy::ShortestPromptFirst;
+    opts.kvPolicy = KvPolicy::Paged;
+    opts.kvBlockTokens = config.blockTokens;
+    opts.stepMode = config.step;
+    if (config.capacityFraction > 0.0) {
+        // Size the pool off an unbounded probe at this block size, and
+        // never below the largest footprint (which would be fatal).
+        ServingOptions probe_opts = opts;
+        probe_opts.stepMode = StepMode::Coalesced;
+        const ServingReport probe =
+            ServingSimulator(accel, probe_opts).simulate(trace);
+        double largest = 0.0;
+        for (const RequestMetrics &m : probe.requests)
+            largest = std::max(largest, m.kvBytes);
+        opts.kvCapacityBytes = std::max(
+            probe.kvPeakBytes * config.capacityFraction, largest * 1.01);
+    }
+    return ServingSimulator(accel, opts).simulate(trace);
+}
+
+/** ledgerRun(i)'s ledger statistics, makespan and preemptions hashed
+ *  bit for bit, for i in [0, kLedgerConfigs), recorded from the event
+ *  core that charged a decode window's growth one request at a time. */
+constexpr std::array<std::uint64_t, kLedgerConfigs> kLedgerGoldens = {
+    0x80e14ff500ebdc3aull, 0x8eb23c9d770d7900ull, 0xd9c4bc97170391f0ull,
+    0x1f4071122ff3047dull, 0xf17aaad4c293c79bull, 0xa1c2866e91d1c873ull,
+    0xf319947704ea563full, 0x3635621f21397e1dull, 0xa426bbf22a89be3aull,
+    0x9d350de699d685b9ull, 0x15f1e0fe0bf9eabull, 0x985aa76037fb4fecull,
+    0xbe0124701363db11ull, 0x679bd0c9d4424c8ull, 0x67874536d356e8bdull,
+    0xa61b55ea28847be5ull, 0xc0feec57472385ceull, 0x2026409dc78f5aabull,
+    0xa9b8434295e68a7full, 0xce1691d872fb3f83ull, 0x89b81d16b82dbaaaull,
+    0x695f059a44deb187ull, 0x2530e6990aa5d63full, 0x76b550e36ae0fe83ull,
+    0x5474bcba91c63151ull, 0x2fa9e6a193c77aeull, 0xb93ea5d5fc1d1ae9ull,
+    0x33958bb04d76f78eull, 0x99e9d4fbd8b57597ull, 0x36144f817d555a40ull,
+    0xa764d0eec689d67eull, 0xc84dbe8a36c69fdaull, 0x979c0a6b99c4e643ull,
+    0xfe35ee25711460e9ull, 0x627d3574918302e4ull, 0x42925913f7e4099full,
+};
+
+TEST(Paging, LedgerBitsMatchGoldens)
+{
+    // A t = 0 burst, so admission is KV-bound from the first pass, on
+    // a model with whole-number bytes per token: every ledger value is
+    // an exact integer, and the statistics must not depend on the
+    // order in which a decode window charges the batch's growth.
+    model::TraceConfig tc;
+    tc.model = "Llama7B";
+    tc.task = "MBPP";
+    tc.requests = 32;
+    tc.arrivalsPerSecond = 0.0;
+    tc.seed = 23;
+    const auto trace = model::synthesizeTrace(tc);
+    Registry registry;
+    const auto accel = registry.make("mcbp");
+
+    std::size_t preempting = 0;
+    for (std::size_t i = 0; i < kLedgerConfigs; ++i) {
+        const LedgerConfig config(i);
+        const ServingReport r = ledgerRun(*accel, trace, config);
+        Fnv h;
+        for (const double v : {r.kvPeakBytes, r.kvFragmentationPeakBytes,
+                               r.kvBlockUtilization, r.makespanSeconds})
+            h.add(std::bit_cast<std::uint64_t>(v));
+        h.add(r.preemptions);
+        EXPECT_EQ(h.h, kLedgerGoldens[i])
+            << "config " << i << " hash 0x" << std::hex << h.h << std::dec
+            << ": block " << config.blockTokens << ", capacity x"
+            << config.capacityFraction << ", " << toString(config.step)
+            << std::hexfloat
+            << ", peak " << r.kvPeakBytes << ", fragmentation peak "
+            << r.kvFragmentationPeakBytes << ", utilization "
+            << r.kvBlockUtilization << ", makespan " << r.makespanSeconds
+            << std::defaultfloat << ", preemptions " << r.preemptions;
+        if (r.preemptions > 0)
+            ++preempting;
+    }
+    // The matrix must exercise the preemption path, not only growth.
+    EXPECT_GE(preempting, kLedgerConfigs / 3);
 }
 
 TEST(Schedulers, AgingBoundsLongPromptStarvation)
