@@ -138,7 +138,7 @@ class JsonRecords
             return *this;
         }
         char buf[64];
-        std::snprintf(buf, sizeof buf, "%.12g", value);
+        std::snprintf(buf, sizeof buf, "%.17g", value);
         append(key, buf);
         return *this;
     }
