@@ -9,8 +9,12 @@
  *     (costingThreads = 1) vs the parallel fan-out over shapes
  *     (costingThreads = 0). Host-independent gates, always enforced:
  *     the costed traces are bit-identical, the shape table holds
- *     exactly the trace's distinct shapes, and costing leaves the plan
- *     cache untouched (0 computes). The >= 4x speedup gate binds only
+ *     exactly the trace's distinct shapes, costing leaves the plan
+ *     cache untouched (0 computes), and the serial costing's phase
+ *     memo evaluates at least one and at most the trace's distinct
+ *     prompts plus its distinct (bucket, 2*promptLen + decodeLen)
+ *     decode contexts (phase_evaluations), where pricing every shape
+ *     from scratch evaluates two phases per shape. The >= 4x speedup gate binds only
  *     when the host grants >= 8 hardware threads (the fan-out cannot
  *     win on a 1-2 core runner). A faulted tp=2 trace with a degraded
  *     twin then gates lazy degraded pricing, host-independently:
@@ -51,6 +55,7 @@
 #include <tuple>
 
 #include "../tests/counting_accelerator.hpp"
+#include "accel/profile_cache.hpp"
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
 #include "engine/health.hpp"
@@ -139,6 +144,27 @@ distinctShapes(const std::vector<model::Request> &trace)
     return shapes.size();
 }
 
+/**
+ * The phase evaluations one memo needs for @p trace: each distinct
+ * (model, task, promptLen) prefill plus each distinct (model, task,
+ * attention bucket, 2*promptLen + decodeLen) decode step.
+ */
+std::size_t
+distinctPhases(const std::vector<model::Request> &trace)
+{
+    std::set<std::tuple<std::string, std::string, std::size_t>> prompts;
+    std::set<std::tuple<std::string, std::string, std::size_t, std::size_t>>
+        contexts;
+    for (const model::Request &r : trace) {
+        prompts.insert({r.model, r.task, r.promptLen});
+        if (r.decodeLen > 0)
+            contexts.insert({r.model, r.task,
+                             accel::contextBucket(r.promptLen),
+                             2 * r.promptLen + r.decodeLen});
+    }
+    return prompts.size() + contexts.size();
+}
+
 std::size_t
 generatedTokens(const engine::ServingReport &r)
 {
@@ -200,9 +226,13 @@ main(int argc, char **argv)
     const bool no_plan_computes =
         serial_sim.planCache()->computeCalls() == 0 &&
         par_sim.planCache()->computeCalls() == 0;
+    const std::size_t phases = distinctPhases(costing_trace);
+    const std::size_t phase_evaluations = serial_costs.phaseEvaluations();
+    const bool phases_once =
+        phase_evaluations > 0 && phase_evaluations <= phases;
     const bool cost_gate_enforced = parallel::hardwareThreads() >= 8;
     const bool cost_gate =
-        cost_identical && shapes_once && no_plan_computes &&
+        cost_identical && shapes_once && no_plan_computes && phases_once &&
         (!cost_gate_enforced || cost_speedup >= 4.0);
     all_gates = all_gates && cost_gate;
 
@@ -219,6 +249,10 @@ main(int argc, char **argv)
                 "plan-cache computes == 0: %s\n",
                 distinct, shapes_once ? "yes" : "NO (BUG)",
                 no_plan_computes ? "yes" : "NO (BUG)");
+    std::printf("  phase evaluations serial %zu, parallel %zu; distinct "
+                "phases %zu (two per shape would be %zu): %s\n",
+                phase_evaluations, par_costs.phaseEvaluations(), phases,
+                2 * distinct, phases_once ? "yes" : "NO (BUG)");
     if (!cost_gate_enforced)
         std::printf("  speedup gate (>= 4x) skipped: %zu hardware "
                     "threads < 8\n",
@@ -240,6 +274,9 @@ main(int argc, char **argv)
         .field("shapes_priced_once", shapes_once ? 1 : 0)
         .field("plan_cache_computes",
                par_sim.planCache()->computeCalls())
+        .field("phase_evaluations", phase_evaluations)
+        .field("phase_evaluations_parallel", par_costs.phaseEvaluations())
+        .field("distinct_phases", phases)
         .field("gate_enforced", cost_gate_enforced ? 1 : 0);
 
     // ---- Section 1b: degraded prices on first read --------------------

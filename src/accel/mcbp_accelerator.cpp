@@ -64,13 +64,24 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
                                const WeightStats &ws,
                                const AttentionStats &as) const
 {
+    return finishPhase(phaseStep(plan, m, ws, as), plan.steps);
+}
+
+PhaseStep
+McbpAccelerator::phaseStep(const PhasePlan &plan, const model::LlmConfig &m,
+                           const WeightStats &ws,
+                           const AttentionStats &as) const
+{
     const double procs = static_cast<double>(opts_.processors);
-    const double layers = static_cast<double>(m.layers);
     const double hidden = static_cast<double>(m.hidden);
 
     sim::PeClusterModel fabric(hw_);
     sim::Hbm hbm(hw_);
-    sim::EnergyModel energy;
+
+    PhaseStep out;
+    out.layers = static_cast<double>(m.layers);
+    out.procs = procs;
+    out.weightResident = plan.weightResident;
 
     // ---- Linear (QKV / O / FFN) portion, per layer per step -------------
     const double lin_macs = static_cast<double>(m.paramsPerLayer()) *
@@ -81,8 +92,9 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     const double adds_per_mac =
         opts_.enableBrcr ? ws.brcrAddsPerMac : ws.bscAddsPerMac;
     const double lin_adds = lin_macs * adds_per_mac;
+    out.linearAdds = lin_adds;
 
-    sim::BrcrWork lin_work;
+    sim::BrcrWork &lin_work = out.linearWork;
     if (opts_.enableBrcr) {
         lin_work.mergeAdds = lin_adds * (1.0 - ws.reconFraction);
         lin_work.reconAdds = lin_adds * ws.reconFraction;
@@ -102,11 +114,10 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     const double weight_cr =
         opts_.enableBstc ? ws.bstcCompressionRatio
                          : std::max(1.0, ws.valueCompressionRatio);
-    const double weight_bytes_raw =
-        static_cast<double>(m.paramsPerLayer()) / procs;
-    const double weight_bytes = weight_bytes_raw / weight_cr;
+    out.weightBytesRaw = static_cast<double>(m.paramsPerLayer()) / procs;
+    out.weightBytes = out.weightBytesRaw / weight_cr;
     const double weight_load_cycles =
-        hbm.read(static_cast<std::uint64_t>(weight_bytes), 0.95).cycles;
+        hbm.read(static_cast<std::uint64_t>(out.weightBytes), 0.95).cycles;
 
     // Decompression throughput: BSTC's two-state decoder retires one
     // symbol per lane-cycle (1-bit CMP + SIPO, Fig 15b). The value-level
@@ -116,16 +127,19 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     double decode_cycles = 0.0;
     if (opts_.enableBstc) {
         decode_cycles = fabric.codecCycles(
-            {ws.bstcSymbolsPerByte * weight_bytes_raw});
+            {ws.bstcSymbolsPerByte * out.weightBytesRaw});
     } else {
-        decode_cycles = fabric.codecCycles({weight_bytes_raw * 2.0});
+        decode_cycles = fabric.codecCycles({out.weightBytesRaw * 2.0});
     }
+    out.decodeSymbols = opts_.enableBstc
+                            ? ws.bstcSymbolsPerByte * out.weightBytesRaw
+                            : out.weightBytesRaw;
 
     // Activation traffic per layer per step.
-    const double act_bytes = (2.0 * hidden + static_cast<double>(m.ffn)) *
-                             plan.queries * plan.batch / procs;
+    out.actBytes = (2.0 * hidden + static_cast<double>(m.ffn)) *
+                   plan.queries * plan.batch / procs;
     const double act_cycles =
-        static_cast<double>(act_bytes) / hbm.bytesPerCycle();
+        static_cast<double>(out.actBytes) / hbm.bytesPerCycle();
 
     // ---- Attention portion ----------------------------------------------
     // Prediction scans all (query, key) pairs at reduced precision.
@@ -140,19 +154,20 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     // KV residency: prefill tiles K/V through the token SRAM (re-reads
     // scale with query tiling); decode streams the cache per token.
     const double kv_sweeps = kvSweeps(hw_, plan, hidden);
-    const double pred_bytes = plan.context * hidden *
-                              (pred_bits_per_elem / 8.0) * kv_sweeps *
-                              (plan.kvOnChipTiling ? 1.0 : plan.batch) / procs;
-    const double pred_bit_macs =
+    out.predictionBytes = plan.context * hidden *
+                          (pred_bits_per_elem / 8.0) * kv_sweeps *
+                          (plan.kvOnChipTiling ? 1.0 : plan.batch) / procs;
+    out.predictionBitMacs =
         opts_.enableBgpp ? pair_elems * as.bgppBitMacsPerElem
                          : pair_elems; // 4-bit estimate ~ 1 op/elem.
     const double pred_compute_cycles =
         opts_.enableBgpp
-            ? fabric.bgppCycles({pred_bit_macs, plan.queries * plan.batch *
-                                                    plan.context / procs})
+            ? fabric.bgppCycles({out.predictionBitMacs,
+                                 plan.queries * plan.batch * plan.context /
+                                     procs})
             : fabric.denseMacCycles(pair_elems / 2.0);
     const double pred_load_cycles =
-        static_cast<double>(pred_bytes) / hbm.bytesPerCycle();
+        static_cast<double>(out.predictionBytes) / hbm.bytesPerCycle();
     const double pred_cycles =
         std::max(pred_compute_cycles, pred_load_cycles);
 
@@ -160,24 +175,23 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     const double attn_macs =
         2.0 * plan.queries * plan.context * hidden * plan.batch * selected /
         procs;
-    const double attn_adds = attn_macs * kAttnAddsPerMac;
-    const double attn_cycles = fabric.brcrCycles({attn_adds, 0, 0, 0});
-    const double kv_bytes = 2.0 * plan.context * hidden * selected *
-                                kv_sweeps *
-                                (plan.kvOnChipTiling ? 1.0 : plan.batch) /
-                                procs +
-                            2.0 * hidden * plan.queries * plan.batch / procs;
+    out.attentionAdds = attn_macs * kAttnAddsPerMac;
+    const double attn_cycles =
+        fabric.brcrCycles({out.attentionAdds, 0, 0, 0});
+    out.kvBytes = 2.0 * plan.context * hidden * selected * kv_sweeps *
+                      (plan.kvOnChipTiling ? 1.0 : plan.batch) / procs +
+                  2.0 * hidden * plan.queries * plan.batch / procs;
     const double kv_cycles =
-        hbm.read(static_cast<std::uint64_t>(kv_bytes), 0.5).cycles;
+        hbm.read(static_cast<std::uint64_t>(out.kvBytes), 0.5).cycles;
 
     // SFU: softmax over selected scores + norms/activation functions.
-    const double sfu_ops = plan.queries * plan.context * selected * plan.batch *
-                               2.0 / procs +
-                           6.0 * plan.queries * plan.batch * hidden / procs;
-    const double sfu_cycles = sfu_ops / 64.0; // 64-lane FP16 SFU.
+    out.sfuOps = plan.queries * plan.context * selected * plan.batch *
+                     2.0 / procs +
+                 6.0 * plan.queries * plan.batch * hidden / procs;
+    const double sfu_cycles = out.sfuOps / 64.0; // 64-lane FP16 SFU.
 
     // ---- Compose the layer ----------------------------------------------
-    sim::StageCycles stages;
+    sim::StageCycles &stages = out.stages;
     stages.weightLoad = plan.weightResident
                             ? weight_load_cycles / std::max(1.0, plan.steps)
                             : weight_load_cycles;
@@ -190,15 +204,26 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     stages.attention = attn_cycles;
     stages.sfu = sfu_cycles;
     stages.actLoad = act_cycles;
-    const sim::LayerLatency lat = sim::composeLayer(stages, hw_);
+    out.latency = sim::composeLayer(stages, hw_);
+
+    out.denseMacs = lin_macs + 2.0 * plan.queries * plan.context * hidden *
+                                   plan.batch / procs;
+    out.executedAdds = lin_adds + out.attentionAdds + out.predictionBitMacs;
+    return out;
+}
+
+PhaseMetrics
+McbpAccelerator::finishPhase(const PhaseStep &step, double steps) const
+{
+    const double layers = step.layers;
+    const sim::StageCycles &stages = step.stages;
+    const sim::LayerLatency &lat = step.latency;
+    sim::EnergyModel energy;
 
     PhaseMetrics out;
-    out.cycles = lat.totalCycles * layers * plan.steps;
-    out.denseMacs = (lin_macs + 2.0 * plan.queries * plan.context * hidden *
-                                    plan.batch / procs) *
-                    layers * plan.steps * procs;
-    out.executedAdds = (lin_adds + attn_adds + pred_bit_macs) * layers *
-                       plan.steps * procs;
+    out.cycles = lat.totalCycles * layers * steps;
+    out.denseMacs = step.denseMacs * layers * steps * step.procs;
+    out.executedAdds = step.executedAdds * layers * steps * step.procs;
 
     // Latency attribution (Fig 1a / Fig 19 style): the linear segment is
     // charged to whichever pipeline stage bounds it. HBM load and BSTC
@@ -209,53 +234,48 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
         std::max(stages.weightLoad, stages.weightDecode);
     if (weight_path >= stages.linearCompute &&
         weight_path >= stages.actLoad) {
-        out.weightLoadCycles = lat.linearPart * layers * plan.steps;
+        out.weightLoadCycles = lat.linearPart * layers * steps;
         out.gemmCycles = 0.0;
     } else {
-        out.gemmCycles = lat.linearPart * layers * plan.steps;
+        out.gemmCycles = lat.linearPart * layers * steps;
         out.weightLoadCycles = 0.0;
     }
-    out.kvLoadCycles = lat.attentionPart * layers * plan.steps;
-    out.otherCycles = lat.exposedSfu * layers * plan.steps;
+    out.kvLoadCycles = lat.attentionPart * layers * steps;
+    out.otherCycles = lat.exposedSfu * layers * steps;
     out.weightStreamCycles =
-        std::max(stages.weightLoad, stages.weightDecode) * layers *
-        plan.steps;
+        std::max(stages.weightLoad, stages.weightDecode) * layers * steps;
     out.linearWorkCycles =
-        std::max(stages.linearCompute, stages.actLoad) * layers *
-        plan.steps;
+        std::max(stages.linearCompute, stages.actLoad) * layers * steps;
 
     // Traffic (whole phase, per processor).
     const double weight_traffic =
-        weight_bytes * layers * (plan.weightResident ? 1.0 : plan.steps);
+        step.weightBytes * layers * (step.weightResident ? 1.0 : steps);
     out.traffic.weightBytes = weight_traffic;
-    out.traffic.predictionBytes = pred_bytes * layers * plan.steps;
-    out.traffic.kvBytes = kv_bytes * layers * plan.steps;
-    out.traffic.actBytes = act_bytes * layers * plan.steps;
+    out.traffic.predictionBytes = step.predictionBytes * layers * steps;
+    out.traffic.kvBytes = step.kvBytes * layers * steps;
+    out.traffic.actBytes = step.actBytes * layers * steps;
 
     // Energy.
-    const double steps_l = layers * plan.steps;
+    const double steps_l = layers * steps;
+    const double lin_adds = step.linearAdds;
     sim::EnergyBreakdown &e = out.energy;
     e.computePj = energy.addsEnergy(static_cast<std::uint64_t>(
-                      (lin_adds + attn_adds) * steps_l)) +
+                      (lin_adds + step.attentionAdds) * steps_l)) +
                   energy.shiftEnergy(static_cast<std::uint64_t>(
                       lin_adds * 0.15 * steps_l));
     e.camPj = energy.camEnergy(
-        static_cast<std::uint64_t>(lin_work.camSearches * steps_l),
-        static_cast<std::uint64_t>(lin_work.camLoads * steps_l));
-    const double decode_symbols =
-        opts_.enableBstc ? ws.bstcSymbolsPerByte * weight_bytes_raw
-                         : weight_bytes_raw;
-    e.codecPj = energy.codecEnergy(
-        static_cast<std::uint64_t>(decode_symbols * steps_l *
-                                   (plan.weightResident ? 1.0 / plan.steps
-                                                      : 1.0)));
+        static_cast<std::uint64_t>(step.linearWork.camSearches * steps_l),
+        static_cast<std::uint64_t>(step.linearWork.camLoads * steps_l));
+    e.codecPj = energy.codecEnergy(static_cast<std::uint64_t>(
+        step.decodeSymbols * steps_l *
+        (step.weightResident ? 1.0 / steps : 1.0)));
     // BGPP spends 1-bit AND/adder-tree ops; the value-level baseline
     // spends a 4-bit x 8-bit MAC per key element.
     e.bgppPj = opts_.enableBgpp
                    ? energy.bgppEnergy(static_cast<std::uint64_t>(
-                         pred_bit_macs * steps_l))
+                         step.predictionBitMacs * steps_l))
                    : energy.int4MacEnergy(static_cast<std::uint64_t>(
-                         pred_bit_macs * steps_l));
+                         step.predictionBitMacs * steps_l));
     e.dramPj = energy.dramEnergy(static_cast<std::uint64_t>(
         weight_traffic + out.traffic.predictionBytes +
         out.traffic.kvBytes + out.traffic.actBytes));
@@ -264,22 +284,22 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
     // issue against the banked activation buffers.
     e.sramPj = energy.sramEnergy(
                    static_cast<std::uint64_t>(
-                       (weight_bytes_raw *
-                            (plan.weightResident ? 1.0 : plan.steps) * layers +
+                       (step.weightBytesRaw *
+                            (step.weightResident ? 1.0 : steps) * layers +
                         2.0 * (out.traffic.actBytes +
                                out.traffic.kvBytes))),
                    true) +
                energy.operandEnergy(
                    static_cast<std::uint64_t>(lin_adds * steps_l));
     e.sfuPj = energy.sfuEnergy(
-        static_cast<std::uint64_t>(sfu_ops * steps_l));
+        static_cast<std::uint64_t>(step.sfuOps * steps_l));
     // Bit reordering only appears when the storage format is value-level
     // (BSTC off): every *decompressed* weight bit is staged through the
     // reorder buffer before it can feed the bit-serial PEs.
     if (!opts_.enableBstc) {
         const double raw_traffic =
-            weight_bytes_raw * layers *
-            (plan.weightResident ? 1.0 : plan.steps);
+            step.weightBytesRaw * layers *
+            (step.weightResident ? 1.0 : steps);
         e.bitReorderPj = energy.bitReorderEnergy(
             static_cast<std::uint64_t>(raw_traffic * 8.0));
     }
@@ -288,14 +308,41 @@ McbpAccelerator::simulatePhase(const PhasePlan &plan,
 
 ExecutionPlan
 McbpAccelerator::plan(const model::LlmConfig &model,
-                      const model::Workload &task) const
+                      const model::Workload &task, PhaseMemo *memo) const
 {
-    const WeightStats &ws = weightStats(model);
-    const AttentionStats &as = attentionStats(model, task);
-    return composePlan(name(), model, task, hw_.clockGhz,
-                       opts_.processors, [&](const PhasePlan &p) {
-                           return simulatePhase(p, model, ws, as);
-                       });
+    // What either phase depends on besides its lengths (phase_memo.hpp).
+    PhaseMemo::Key key{this, &model, task.attentionConcentration,
+                       task.batch, contextBucket(task.promptLen), 0};
+    const auto resolve = [&] {
+        return PhaseMemo::Profiles{&weightStats(model),
+                                   &attentionStats(model, task)};
+    };
+    const PhaseMemo::Profiles stats =
+        memo != nullptr ? memo->profiles(key, resolve) : resolve();
+    const auto simulate = [&](const PhasePlan &p) {
+        return simulatePhase(p, model, *stats.weights, *stats.attention);
+    };
+    return composePlan(
+        name(), model, task, hw_.clockGhz, opts_.processors,
+        [&](const PhasePlan &p) -> PhaseMetrics {
+            if (memo == nullptr)
+                return simulate(p);
+            if (!p.decodePhase) {
+                key.length = task.promptLen;
+                return memo->prefill(key, [&] { return simulate(p); });
+            }
+            // A decode plan is streamed, never weight-resident, so its
+            // step is the same for every shape of this context.
+            key.length = 2 * task.promptLen + task.decodeLen;
+            return finishPhase(memo->decodeStep(key,
+                                                [&] {
+                                                    return phaseStep(
+                                                        p, model,
+                                                        *stats.weights,
+                                                        *stats.attention);
+                                                }),
+                               p.steps);
+        });
 }
 
 RunMetrics

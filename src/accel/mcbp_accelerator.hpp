@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "accel/phase_memo.hpp"
 #include "accel/phase_plan.hpp"
 #include "accel/profile_cache.hpp"
 #include "accel/profiles.hpp"
@@ -60,10 +61,13 @@ class McbpAccelerator
 
     /**
      * Plan one (model, task) inference: phase totals plus the layer
-     * decomposition (execution_plan.hpp). run() folds this plan.
+     * decomposition (execution_plan.hpp). run() folds this plan. With
+     * a @p memo the profiles and phases come from it when it holds
+     * them (phase_memo.hpp); the plan is bit-identical either way.
      */
     ExecutionPlan plan(const model::LlmConfig &model,
-                       const model::Workload &task) const;
+                       const model::Workload &task,
+                       PhaseMemo *memo = nullptr) const;
 
     /** Simulate one (model, task) inference run (= plan().fold()). */
     RunMetrics run(const model::LlmConfig &model,
@@ -84,10 +88,23 @@ class McbpAccelerator
     }
 
   private:
+    /** One phase: finishPhase(phaseStep(...), plan.steps). */
     PhaseMetrics simulatePhase(const PhasePlan &plan,
                                const model::LlmConfig &model,
                                const WeightStats &ws,
                                const AttentionStats &as) const;
+
+    /**
+     * Everything of @p plan through the composed layer. It reads
+     * plan.steps only for a weight-resident plan (prefill, one step),
+     * so a decode step serves every decode length of its context.
+     */
+    PhaseStep phaseStep(const PhasePlan &plan, const model::LlmConfig &model,
+                        const WeightStats &ws,
+                        const AttentionStats &as) const;
+
+    /** The phase totals of @p step repeated @p steps times. */
+    PhaseMetrics finishPhase(const PhaseStep &step, double steps) const;
 
     sim::McbpConfig hw_;
     McbpOptions opts_;

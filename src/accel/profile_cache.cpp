@@ -9,27 +9,13 @@
 
 namespace mcbp::accel {
 
-namespace {
-
-/**
- * profileAttention() depends on the workload only through the clamped
- * context min(2048, max(64, promptLen)) and the task's attention
- * concentration, so the cache keys on those — not the task name —
- * and profiles a canonical power-of-two context per bucket. Serving
- * traces with jittered per-request lengths then share a handful of
- * deterministic entries instead of aliasing whatever length was
- * profiled first (the zoo tasks' nominal lengths are already powers
- * of two, so figure benches see bit-identical stats).
- */
 std::size_t
-contextBucket(std::size_t prompt_len)
+contextBucket(std::size_t promptLen)
 {
     const std::size_t ctx = std::min<std::size_t>(
-        2048, std::max<std::size_t>(64, prompt_len));
+        2048, std::max<std::size_t>(64, promptLen));
     return std::bit_ceil(ctx);
 }
-
-} // namespace
 
 template <typename Name>
 ProfileCache::WeightKeyOf<Name>

@@ -42,6 +42,19 @@
 namespace mcbp::accel {
 
 /**
+ * The attention profile bucket of a prompt length: the canonical
+ * power-of-two context of min(2048, max(64, promptLen)).
+ * profileAttention() depends on the workload only through that
+ * clamped context and the task's attention concentration, so the
+ * cache keys on those, not the task name, and profiles the bucket's
+ * context. Serving traces with jittered per-request lengths then share
+ * a handful of deterministic entries instead of aliasing whatever
+ * length was profiled first (the zoo tasks' nominal lengths are
+ * already powers of two, so figure benches see bit-identical stats).
+ */
+std::size_t contextBucket(std::size_t promptLen);
+
+/**
  * One profiling need an accelerator announces for (model, task), fed
  * to ProfileCache::warm(). Accelerators append theirs through
  * announce(), which keeps one request per distinct need; warm() still

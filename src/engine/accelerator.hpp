@@ -32,6 +32,10 @@
 #include "model/llm_config.hpp"
 #include "model/workload.hpp"
 
+namespace mcbp::accel {
+class PhaseMemo;
+} // namespace mcbp::accel
+
 namespace mcbp::engine {
 
 /**
@@ -100,10 +104,15 @@ class Accelerator
      * Returns the phase totals plus the per-layer-segment cost
      * decomposition (cycles, energy, traffic, weight-stream vs.
      * compute split) that composed topologies partition.
+     *
+     * @p memo is a trace costing's phase memo (accel/phase_memo.hpp):
+     * wrappers pass it to the chip they plan on, the MCBP chip prices
+     * its phases through it, and designs with no phase split ignore
+     * it. The plan is bit-identical with or without it.
      */
     virtual accel::ExecutionPlan
-    plan(const model::LlmConfig &model,
-         const model::Workload &task) const = 0;
+    plan(const model::LlmConfig &model, const model::Workload &task,
+         accel::PhaseMemo *memo = nullptr) const = 0;
 
     /**
      * Simulate one (model, task) inference run. Compatibility shim:

@@ -49,9 +49,9 @@ McbpAdapter::configSummary() const
 
 accel::ExecutionPlan
 McbpAdapter::plan(const model::LlmConfig &model,
-                  const model::Workload &task) const
+                  const model::Workload &task, accel::PhaseMemo *memo) const
 {
-    return impl_.plan(model, task);
+    return impl_.plan(model, task, memo);
 }
 
 void
@@ -102,8 +102,10 @@ BaselineAdapter::traitsFor(const model::LlmConfig &model,
 
 accel::ExecutionPlan
 BaselineAdapter::plan(const model::LlmConfig &model,
-                      const model::Workload &task) const
+                      const model::Workload &task,
+                      accel::PhaseMemo *memo) const
 {
+    (void)memo; // The trait model has no phase split to memoize.
     return accel::BaselineAccelerator(traitsFor(model, task), hw_)
         .plan(model, task);
 }
@@ -160,8 +162,10 @@ GpuAdapter::configSummary() const
 
 accel::ExecutionPlan
 GpuAdapter::plan(const model::LlmConfig &model,
-                 const model::Workload &task) const
+                 const model::Workload &task,
+                 accel::PhaseMemo *memo) const
 {
+    (void)memo; // The roofline has no phase split to memoize.
     const accel::WeightStats &ws =
         profiles_->weights(model, quant::BitWidth::Int8, seed_);
     const accel::AttentionStats &as =

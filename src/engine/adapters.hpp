@@ -33,7 +33,8 @@ class McbpAdapter : public Accelerator
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override;
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override;
     void profileRequests(
         const model::LlmConfig &model, const model::Workload &task,
         std::vector<accel::ProfileRequest> &out) const override;
@@ -72,7 +73,8 @@ class BaselineAdapter : public Accelerator
     Capabilities capabilities() const override { return caps_; }
     std::string configSummary() const override;
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override;
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override;
     void profileRequests(
         const model::LlmConfig &model, const model::Workload &task,
         std::vector<accel::ProfileRequest> &out) const override;
@@ -106,7 +108,8 @@ class GpuAdapter : public Accelerator
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override;
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override;
     void profileRequests(
         const model::LlmConfig &model, const model::Workload &task,
         std::vector<accel::ProfileRequest> &out) const override;

@@ -166,20 +166,21 @@ ClusterAccelerator::shardPhase(const accel::PhaseMetrics &phase,
 
 accel::ExecutionPlan
 ClusterAccelerator::plan(const model::LlmConfig &model,
-                         const model::Workload &task) const
+                         const model::Workload &task,
+                         accel::PhaseMemo *memo) const
 {
     if (model.heads % totalDegree_ != 0)
         fatal("tensor-parallel degree " + std::to_string(totalDegree_) +
               " must divide " + model.name + "'s " +
               std::to_string(model.heads) + " attention heads");
     if (opts_.tensorParallel == 1)
-        return chip_->plan(model, task); // identity: bit-for-bit.
+        return chip_->plan(model, task, memo); // identity: bit-for-bit.
 
     // Shard the BASE chip's plan, in place, by the combined degree of
     // the flattened tier stack — for an unnested cluster base_ is the
     // wrapped chip and this is the single-tier path, bit-identical to
     // the flat ring (CollectiveTopology delegates).
-    accel::ExecutionPlan out = base_->plan(model, task);
+    accel::ExecutionPlan out = base_->plan(model, task, memo);
     fatalIf(out.clockGhz != topology_.clockGhz(),
             "cluster chip planned at a clock other than the one its "
             "capabilities advertise");

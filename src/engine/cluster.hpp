@@ -76,7 +76,8 @@ class ClusterAccelerator : public Accelerator
      * chip's plan verbatim (bit-identical).
      */
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override;
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override;
     /** Sharding changes no profile keys: forward the chip's needs. */
     void
     profileRequests(const model::LlmConfig &model,

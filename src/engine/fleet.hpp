@@ -97,9 +97,10 @@ class FleetAccelerator : public Accelerator
      *  one inference IS the replica's plan (capacity, not speed,
      *  multiplies with dp). */
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override
     {
-        return replica_->plan(model, task);
+        return replica_->plan(model, task, memo);
     }
     void
     profileRequests(const model::LlmConfig &model,

@@ -165,12 +165,13 @@ PipelineAccelerator::configSummary() const
 
 accel::ExecutionPlan
 PipelineAccelerator::plan(const model::LlmConfig &model,
-                          const model::Workload &task) const
+                          const model::Workload &task,
+                          accel::PhaseMemo *memo) const
 {
     const std::size_t pp = opts_.pipelineParallel;
     // The wrapped plan is re-composed in place: every phase below is
     // computed from its totals before they are overwritten at the end.
-    accel::ExecutionPlan out = stage_->plan(model, task);
+    accel::ExecutionPlan out = stage_->plan(model, task, memo);
     if (pp == 1)
         return out; // identity: bit-for-bit the wrapped accelerator.
 

@@ -76,7 +76,8 @@ class PipelineAccelerator : public Accelerator
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override;
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override;
     /** Stage partitioning changes no profile keys: forward. */
     void
     profileRequests(const model::LlmConfig &model,

@@ -10,6 +10,7 @@
 #include <tuple>
 #include <utility>
 
+#include "accel/phase_memo.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
@@ -280,6 +281,7 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
     const std::vector<ModelTask> pairs = shapeKeys(trace, keys);
     radixSort(keys);
     std::vector<const ShapeKey *> firsts; // One key per shape.
+    firsts.reserve(keys.size());
     shapeOf.resize(trace.size());
     for (const ShapeKey &k : keys) {
         if (firsts.empty() || firsts.back()->shape() != k.shape())
@@ -328,36 +330,50 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
     }
 
     // ---- Price each shape on the healthy topology -----------------------
-    // Each pool task prices one contiguous block of shapes, calling
-    // run() directly, with no key string. One shape costs about a
-    // microsecond, so the pool is claimed once per block rather than
-    // once per shape. The table is sized once and each slot is written
-    // by exactly one task, so it is bit-identical at every thread
-    // count.
-    constexpr std::size_t kShapesPerTask = 64;
+    // Each costing thread prices one contiguous chunk of the sorted
+    // shapes, one plan() per shape with no key string, through the
+    // chunk's own phase memo: most shapes share their prefill with a
+    // neighbour of the same promptLen and their decode step with every
+    // shape of the same 2*promptLen + decodeLen, so a chunk evaluates
+    // each once. Memo entries are exact and each table slot is written
+    // by exactly one chunk, so the table is bit-identical at every
+    // thread count. Each memo is freed with its chunk.
     auto table = std::make_shared<ShapeTable>();
     table->shapes.resize(firsts.size());
+    const std::size_t chunks = std::min(
+        firsts.size(), opts_.costingThreads == 0 ? parallel::hardwareThreads()
+                                                 : opts_.costingThreads);
+    std::vector<std::size_t> evaluations(chunks);
     parallel::parallelFor(
-        (firsts.size() + kShapesPerTask - 1) / kShapesPerTask,
-        [&](std::size_t block) {
-            const std::size_t end =
-                std::min(firsts.size(), (block + 1) * kShapesPerTask);
-            for (std::size_t s = block * kShapesPerTask; s < end; ++s) {
+        chunks,
+        [&](std::size_t chunk) {
+            accel::PhaseMemo memo;
+            const std::size_t end = firsts.size() * (chunk + 1) / chunks;
+            for (std::size_t s = firsts.size() * chunk / chunks; s < end;
+                 ++s) {
                 const ShapeKey &key = *firsts[s];
                 PricedShape &shape = table->shapes[s];
                 shape.config = pairs[key.pair].config;
                 shape.task = pairs[key.pair].task;
-                const accel::RunMetrics rm = accels_[kHealthy]->run(
-                    *shape.config,
-                    model::singleRequest(*shape.task, key.promptLen,
-                                         key.decodeLen));
+                const accel::RunMetrics rm =
+                    accels_[kHealthy]
+                        ->plan(*shape.config,
+                               model::singleRequest(*shape.task,
+                                                    key.promptLen,
+                                                    key.decodeLen),
+                               &memo)
+                        .fold();
                 shape.seconds = rm.seconds();
                 shape.joules = rm.joules();
                 shape.clockGhz = rm.clockGhz;
                 shape.rates = ratesOf(rm, key.decodeLen, stages[kHealthy]);
             }
+            evaluations[chunk] = memo.evaluations();
         },
         opts_.costingThreads);
+    table->phaseEvaluations =
+        std::accumulate(evaluations.begin(), evaluations.end(),
+                        std::size_t{0});
 
     // ---- Degraded prices, on first read ---------------------------------
     // Only the shapes a run reads in degraded mode (or queues in a

@@ -336,6 +336,14 @@ struct ShapeTable
     /** Degraded prices of `shapes`, priced on first read; null unless
      *  faults are on and a degraded accelerator is set. */
     std::unique_ptr<const LazyRates> degraded;
+    /**
+     * Phases the healthy pricing evaluated through its phase memos
+     * (accel/phase_memo.hpp), one memo per costing thread: at most
+     * the distinct prompts plus the distinct decode contexts per
+     * thread, against two per shape without the memo. 0 for designs
+     * that do not split their phases (the baselines, the A100).
+     */
+    std::size_t phaseEvaluations = 0;
 
     /** Shapes priced on the degraded topology so far. */
     std::size_t degradedShapesPriced() const
@@ -390,6 +398,12 @@ class ServingSimulator
         {
             return table ? table->degradedShapesPriced() : 0;
         }
+
+        /** ShapeTable::phaseEvaluations (0 for an empty trace). */
+        std::size_t phaseEvaluations() const
+        {
+            return table ? table->phaseEvaluations : 0;
+        }
     };
 
     /**
@@ -398,9 +412,10 @@ class ServingSimulator
      * pair) and radix-sort the keys once into the distinct shapes,
      * warm the profile cache once per distinct (model, task,
      * promptLen) and priced topology, then price each shape once on
-     * the healthy topology into its own table slot with
-     * Accelerator::run() on up to ServingOptions::costingThreads
-     * threads — no plan cache, no lock, no string compared. Degraded
+     * the healthy topology into its own table slot: one contiguous
+     * chunk of the sorted shapes per ServingOptions::costingThreads
+     * thread, each planned through the chunk's own phase memo — no
+     * plan cache, no lock, no string compared. Degraded
      * prices are left for the runs to compute on first read. With
      * faults on and a positive retry.deadlineSeconds, each request's
      * deadline is stamped here, the one place it is set. The serial

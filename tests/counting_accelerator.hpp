@@ -34,10 +34,11 @@ class CountingAccelerator : public Accelerator
         return inner_->configSummary();
     }
     accel::ExecutionPlan plan(const model::LlmConfig &model,
-                              const model::Workload &task) const override
+                              const model::Workload &task,
+                              accel::PhaseMemo *memo = nullptr) const override
     {
         ++runs_;
-        return inner_->plan(model, task);
+        return inner_->plan(model, task, memo);
     }
     void
     profileRequests(const model::LlmConfig &model,

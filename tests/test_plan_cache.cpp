@@ -13,12 +13,20 @@
  *    into a table in (prompt, decode, model, task) order, and is
  *    bit-identical at every thread count;
  *  - a second simulate() on the same simulator recomputes nothing
- *    (full cache reuse by the paged recompute re-pricer).
+ *    (full cache reuse by the paged recompute re-pricer);
+ *  - the phase memo costing uses (accel/phase_memo.hpp) changes no
+ *    bit: every plan costTrace() makes through it equals a per-shape
+ *    run() on every PhaseMetrics field, on flat, tp, pp, fleet and
+ *    degraded MCBP topologies and on designs that ignore the memo,
+ *    at one and at four costing threads.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -28,7 +36,9 @@
 #include <utility>
 #include <vector>
 
+#include "accel/phase_memo.hpp"
 #include "accel/plan_cache.hpp"
+#include "common/annotations.hpp"
 #include "common/rng.hpp"
 #include "counting_accelerator.hpp"
 #include "engine/health.hpp"
@@ -403,6 +413,249 @@ TEST(PlanCache, SecondSimulateRecomputesNothing)
     EXPECT_EQ(first.busySeconds, second.busySeconds);
     EXPECT_EQ(first.joulesPerToken, second.joulesPerToken);
     EXPECT_EQ(first.preemptions, second.preemptions);
+}
+
+/** Every PhaseMetrics field of @p a and @p b holds the same bits. */
+void
+expectPhaseBits(const PhaseMetrics &a, const PhaseMetrics &b,
+                const std::string &where)
+{
+    const auto fields = [](const PhaseMetrics &p) {
+        const sim::EnergyBreakdown &e = p.energy;
+        return std::array{p.cycles,
+                          e.computePj,
+                          e.bitReorderPj,
+                          e.camPj,
+                          e.codecPj,
+                          e.bgppPj,
+                          e.sramPj,
+                          e.dramPj,
+                          e.sfuPj,
+                          e.interconnectPj,
+                          p.traffic.weightBytes,
+                          p.traffic.kvBytes,
+                          p.traffic.predictionBytes,
+                          p.traffic.actBytes,
+                          p.denseMacs,
+                          p.executedAdds,
+                          p.gemmCycles,
+                          p.weightLoadCycles,
+                          p.kvLoadCycles,
+                          p.otherCycles,
+                          p.weightStreamCycles,
+                          p.linearWorkCycles,
+                          p.fixedStepCycles};
+    };
+    const auto x = fields(a);
+    const auto y = fields(b);
+    for (std::size_t f = 0; f < x.size(); ++f)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x[f]),
+                  std::bit_cast<std::uint64_t>(y[f]))
+            << where << ": field " << f << " is " << x[f] << " vs "
+            << y[f];
+    EXPECT_EQ(a.memorySerialized, b.memorySerialized) << where;
+}
+
+/** Every RunMetrics field of @p a and @p b holds the same bits. */
+void
+expectRunBits(const RunMetrics &a, const RunMetrics &b,
+              const std::string &where)
+{
+    EXPECT_EQ(a.accelerator, b.accelerator) << where;
+    EXPECT_EQ(a.processors, b.processors) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.clockGhz),
+              std::bit_cast<std::uint64_t>(b.clockGhz))
+        << where;
+    expectPhaseBits(a.prefill, b.prefill, where + " prefill");
+    expectPhaseBits(a.decode, b.decode, where + " decode");
+}
+
+/**
+ * Forwards to @p inner and records the folded plan of every shape it
+ * prices. With @p forwardMemo false it drops the costing's phase
+ * memo, so the costing prices each shape as a plain run() does.
+ */
+class PlanRecorder : public engine::Accelerator
+{
+  public:
+    struct Priced
+    {
+        const model::LlmConfig *model;
+        model::Workload task;
+        RunMetrics metrics;
+    };
+
+    PlanRecorder(const engine::Accelerator &inner, bool forwardMemo)
+        : inner_(inner), forwardMemo_(forwardMemo)
+    {
+    }
+
+    std::string name() const override { return inner_.name(); }
+    engine::Capabilities capabilities() const override
+    {
+        return inner_.capabilities();
+    }
+    std::string configSummary() const override
+    {
+        return inner_.configSummary();
+    }
+    ExecutionPlan plan(const model::LlmConfig &model,
+                       const model::Workload &task,
+                       PhaseMemo *memo = nullptr) const override
+    {
+        ExecutionPlan p =
+            inner_.plan(model, task, forwardMemo_ ? memo : nullptr);
+        const MutexLock lock(mutex_);
+        priced_.push_back({&model, task, p.fold()});
+        return p;
+    }
+    void
+    profileRequests(const model::LlmConfig &model,
+                    const model::Workload &task,
+                    std::vector<ProfileRequest> &out) const override
+    {
+        inner_.profileRequests(model, task, out);
+    }
+    std::shared_ptr<ProfileCache> profileCache() const override
+    {
+        return inner_.profileCache();
+    }
+
+    /** The plans priced so far, in no particular order. */
+    std::vector<Priced>
+    priced() const
+    {
+        const MutexLock lock(mutex_);
+        return priced_;
+    }
+
+  private:
+    const engine::Accelerator &inner_;
+    bool forwardMemo_;
+    mutable Mutex mutex_;
+    mutable std::vector<Priced> priced_ MCBP_GUARDED_BY(mutex_);
+};
+
+/**
+ * Two interleaved (model, task) pairs over the attention buckets'
+ * edges (prompts 63/64/65, 2047/2048/2049 and past the 2048 clamp)
+ * with decode lengths 0 and 1, plus shapes whose 2*promptLen +
+ * decodeLen coincide inside one bucket (63+3 and 64+1, 2047+3 and
+ * 2048+1) and across a bucket edge (65+1 and 64+3).
+ */
+std::vector<model::Request>
+bucketEdgeTrace()
+{
+    const std::array<std::pair<std::size_t, std::size_t>, 16> lengths{{
+        {1, 0}, {1, 1}, {63, 0}, {63, 3}, {64, 1}, {64, 3}, {65, 1},
+        {65, 0}, {2047, 1}, {2047, 3}, {2048, 1}, {2048, 0},
+        {2049, 1}, {2049, 40}, {3000, 0}, {3000, 17},
+    }};
+    const std::array<std::pair<const char *, const char *>, 2> pairs{
+        {{"OPT1B3", "Dolly"}, {"Bloom1B7", "MBPP"}}};
+    std::vector<model::Request> reqs;
+    for (const auto &[prompt, decode] : lengths)
+        for (const auto &[modelName, task] : pairs) {
+            model::Request r;
+            r.id = reqs.size();
+            r.arrivalSeconds = 0.01 * static_cast<double>(r.id);
+            r.model = modelName;
+            r.task = task;
+            r.promptLen = prompt;
+            r.decodeLen = decode;
+            reqs.push_back(r);
+        }
+    return reqs;
+}
+
+TEST(PhaseMemo, MemoizedCostingMatchesPerShapeRunBitForBit)
+{
+    const engine::Registry registry;
+    const std::vector<model::Request> reqs = bucketEdgeTrace();
+    const std::size_t shapes = distinctShapes(reqs);
+    constexpr const char *kFleet = "mcbp:procs=148,dp=2,pp=2,tp=2";
+    for (const std::string &spec :
+         {std::string("mcbp"), std::string("mcbp:tp=2"),
+          std::string("mcbp:pp=2"), std::string(kFleet),
+          engine::degradedSpec(kFleet), std::string("spatten"),
+          std::string("a100")}) {
+        SCOPED_TRACE(spec);
+        const std::unique_ptr<engine::Accelerator> accel =
+            registry.make(spec);
+        const bool memoizes = spec.rfind("mcbp", 0) == 0;
+
+        // The same costing with the memo dropped: a plain run() per
+        // shape.
+        const PlanRecorder plain(*accel, false);
+        engine::ServingOptions serial;
+        serial.costingThreads = 1;
+        const auto reference =
+            engine::ServingSimulator(plain, serial).costTrace(reqs);
+        EXPECT_EQ(reference.phaseEvaluations(), 0u);
+
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(threads);
+            const PlanRecorder memoized(*accel, true);
+            engine::ServingOptions opts;
+            opts.costingThreads = threads;
+            const auto costed =
+                engine::ServingSimulator(memoized, opts).costTrace(reqs);
+            expectCostsBitIdentical(reference, costed);
+            for (std::size_t i = 0; i < reqs.size(); ++i) {
+                EXPECT_EQ(costed.costs[i].shape->seconds,
+                          reference.costs[i].shape->seconds);
+                EXPECT_EQ(costed.costs[i].shape->joules,
+                          reference.costs[i].shape->joules);
+            }
+
+            // Each shape planned once, each plan equal to a run().
+            const std::vector<PlanRecorder::Priced> priced =
+                memoized.priced();
+            EXPECT_EQ(priced.size(), shapes);
+            for (const PlanRecorder::Priced &p : priced)
+                expectRunBits(p.metrics, accel->run(*p.model, p.task),
+                              p.model->name + "/" + p.task.name + " " +
+                                  std::to_string(p.task.promptLen) +
+                                  "+" + std::to_string(p.task.decodeLen));
+
+            // The memo is used where a phase split exists, and one
+            // memo evaluates fewer phases than two per shape.
+            if (memoizes) {
+                EXPECT_GT(costed.phaseEvaluations(), 0u);
+                if (threads == 1) {
+                    EXPECT_LT(costed.phaseEvaluations(), 2 * shapes);
+                }
+            } else {
+                EXPECT_EQ(costed.phaseEvaluations(), 0u);
+            }
+        }
+    }
+}
+
+TEST(PhaseMemo, HitsInAnyOrderMatchRun)
+{
+    // Costing visits shapes in sorted order; a memo read in reverse
+    // order, twice over, must still return exact prices.
+    const engine::Registry registry;
+    std::vector<model::Request> reqs = bucketEdgeTrace();
+    std::reverse(reqs.begin(), reqs.end());
+    for (const char *spec : {"mcbp", "mcbp:pp=2,tp=2"}) {
+        const std::unique_ptr<engine::Accelerator> accel =
+            registry.make(spec);
+        PhaseMemo memo;
+        for (int pass = 0; pass < 2; ++pass)
+            for (const model::Request &r : reqs) {
+                const model::LlmConfig &m = model::findModel(r.model);
+                const model::Workload w = r.workload();
+                expectRunBits(accel->plan(m, w, &memo).fold(),
+                              accel->run(m, w),
+                              std::string(spec) + " " + r.model + " " +
+                                  std::to_string(r.promptLen) + "+" +
+                                  std::to_string(r.decodeLen));
+            }
+        EXPECT_GT(memo.evaluations(), 0u);
+        EXPECT_LT(memo.evaluations(), 2 * reqs.size());
+    }
 }
 
 } // namespace
