@@ -239,15 +239,29 @@ TEST(EventEquivalence, CoalescedMatchesPerTokenUnderInjectedFaults)
     }
 }
 
-/** The accelerators the fuzzed configs draw from, built once. */
+/** The accelerators the fuzzed configs draw from, built once: a
+ *  tp=2 and a pp=2,tp=2 replica at dp=1/2/3, each replica with its
+ *  degraded twin. */
 struct FuzzAccels
 {
+    static constexpr std::array<const char *, 2> kReplicas = {
+        "mcbp:tp=2", "mcbp:pp=2,tp=2"};
+
+    FuzzAccels()
+    {
+        for (std::size_t r = 0; r < kReplicas.size(); ++r) {
+            const std::string replica = kReplicas[r];
+            for (std::size_t dp = 1; dp <= 3; ++dp)
+                byDp[r][dp - 1] = registry.make(
+                    dp == 1 ? replica
+                            : replica + ",dp=" + std::to_string(dp));
+            degraded[r] = registry.make(degradedSpec(replica));
+        }
+    }
+
     Registry registry;
-    std::array<std::unique_ptr<Accelerator>, 3> byDp = {
-        registry.make("mcbp:tp=2"), registry.make("mcbp:tp=2,dp=2"),
-        registry.make("mcbp:tp=2,dp=3")};
-    std::unique_ptr<Accelerator> degraded =
-        registry.make(degradedSpec("mcbp:tp=2"));
+    std::array<std::array<std::unique_ptr<Accelerator>, 3>, 2> byDp;
+    std::array<std::unique_ptr<Accelerator>, 2> degraded;
 };
 
 /** Fuzzed config @p draw, served per-token and coalesced; returns the
@@ -277,10 +291,14 @@ expectFuzzedConfigEquivalent(const FuzzAccels &accels, std::uint64_t draw)
     opts.kvPolicy = KvPolicy::Paged;
     opts.kvBlockTokens = 1 + rng.uniformInt(64);
     const std::size_t dp = 1 + rng.uniformInt(3);
-    const Accelerator &accel = *accels.byDp[dp - 1];
+    const std::size_t replica = rng.bernoulli(1.0 / 3.0) ? 1 : 0;
+    if (rng.bernoulli(0.25))
+        opts.kvPolicy = KvPolicy::Reserve;
+    const Accelerator &accel = *accels.byDp[replica][dp - 1];
     what << ", maxBatch " << opts.maxBatch << ", "
-         << toString(opts.policy) << ", block " << opts.kvBlockTokens
-         << ", dp=" << dp;
+         << toString(opts.policy) << ", " << toString(opts.kvPolicy)
+         << " KV, block " << opts.kvBlockTokens << ", "
+         << FuzzAccels::kReplicas[replica] << ",dp=" << dp;
 
     // An unbounded, fault-free probe sizes the pool and the fault
     // timeline to this trace; the pool never drops below the largest
@@ -316,7 +334,7 @@ expectFuzzedConfigEquivalent(const FuzzAccels &accels, std::uint64_t draw)
         if (rng.bernoulli(0.5))
             opts.retry.deadlineSeconds = T * rng.uniform(0.1, 0.8);
         if (rng.bernoulli(0.7))
-            opts.degradedAccel = accels.degraded.get();
+            opts.degradedAccel = accels.degraded[replica].get();
         what << ", faults (seed " << f.seed << ", "
              << (opts.degradedAccel != nullptr ? "degraded twin"
                                                : "no twin")
@@ -336,25 +354,37 @@ expectFuzzedConfigEquivalent(const FuzzAccels &accels, std::uint64_t draw)
 
 TEST(EventEquivalence, FuzzedConfigsMatchPerToken)
 {
-    // Fixed-seed draws over the paged window grower's inputs: block
-    // sizes 1-64 (non-powers of two included), pools at 0.2-0.9 of
-    // the unbounded peak, batches of 1-64, every scheduler, dp=1/2/3,
-    // and sampled faults with or without a degraded twin. Each draw
-    // must make the per-token reference's decisions verbatim.
+    // Fixed-seed draws over the window grower's inputs: block sizes
+    // 1-64 (non-powers of two included), pools at 0.2-0.9 of the
+    // unbounded peak, batches of 1-64, every scheduler, paged or (a
+    // quarter of draws) reserve KV, tp=2 or (a third) pp=2,tp=2
+    // replicas at dp=1/2/3, and sampled faults with or without a
+    // degraded twin. Each draw must make the per-token reference's
+    // decisions verbatim.
     const FuzzAccels accels;
     constexpr std::uint64_t kDraws = 200;
     std::size_t preempting = 0;
     std::size_t killing = 0;
+    std::size_t reserve = 0;
+    std::size_t pipelined = 0;
     for (std::uint64_t draw = 0; draw < kDraws; ++draw) {
         const ServingReport r = expectFuzzedConfigEquivalent(accels, draw);
         preempting += r.preemptions > 0 ? 1 : 0;
         killing += r.killedInFlight > 0 ? 1 : 0;
+        reserve += r.kvPolicy == toString(KvPolicy::Reserve) ? 1 : 0;
+        pipelined +=
+            r.accelerator.find("[pp2]") != std::string::npos ? 1 : 0;
     }
-    // The draws must reach the preemption and fault-kill paths.
+    // The draws must reach the preemption and fault-kill paths, the
+    // reserve ledger and the pipelined replica.
     EXPECT_GE(preempting, kDraws / 4);
     EXPECT_GE(killing, kDraws / 10);
-    std::printf("fuzzed draws: %zu, preempting %zu, with kills %zu\n",
-                static_cast<std::size_t>(kDraws), preempting, killing);
+    EXPECT_GE(reserve, kDraws / 8);
+    EXPECT_GE(pipelined, kDraws / 8);
+    std::printf("fuzzed draws: %zu, preempting %zu, with kills %zu, "
+                "reserve KV %zu, pp=2 %zu\n",
+                static_cast<std::size_t>(kDraws), preempting, killing,
+                reserve, pipelined);
 }
 
 TEST(EventEquivalence, StepModeSpellingsAndEnvValidation)
