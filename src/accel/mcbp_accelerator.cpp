@@ -58,15 +58,6 @@ McbpAccelerator::attentionStats(const model::LlmConfig &model,
     return profiles_->attention(model, task, opts_.alpha, opts_.seed);
 }
 
-PhaseMetrics
-McbpAccelerator::simulatePhase(const PhasePlan &plan,
-                               const model::LlmConfig &m,
-                               const WeightStats &ws,
-                               const AttentionStats &as) const
-{
-    return finishPhase(phaseStep(plan, m, ws, as), plan.steps);
-}
-
 PhaseStep
 McbpAccelerator::phaseStep(const PhasePlan &plan, const model::LlmConfig &m,
                            const WeightStats &ws,
@@ -319,29 +310,25 @@ McbpAccelerator::plan(const model::LlmConfig &model,
     };
     const PhaseMemo::Profiles stats =
         memo != nullptr ? memo->profiles(key, resolve) : resolve();
-    const auto simulate = [&](const PhasePlan &p) {
-        return simulatePhase(p, model, *stats.weights, *stats.attention);
+    const auto step = [&](const PhasePlan &p) {
+        return phaseStep(p, model, *stats.weights, *stats.attention);
     };
     return composePlan(
         name(), model, task, hw_.clockGhz, opts_.processors,
         [&](const PhasePlan &p) -> PhaseMetrics {
             if (memo == nullptr)
-                return simulate(p);
+                return finishPhase(step(p), p.steps);
             if (!p.decodePhase) {
                 key.length = task.promptLen;
-                return memo->prefill(key, [&] { return simulate(p); });
+                return memo->prefill(
+                    key, [&] { return finishPhase(step(p), p.steps); });
             }
             // A decode plan is streamed, never weight-resident, so its
             // step is the same for every shape of this context.
             key.length = 2 * task.promptLen + task.decodeLen;
-            return finishPhase(memo->decodeStep(key,
-                                                [&] {
-                                                    return phaseStep(
-                                                        p, model,
-                                                        *stats.weights,
-                                                        *stats.attention);
-                                                }),
-                               p.steps);
+            return finishPhase(
+                memo->decodeStep(key, task.promptLen, [&] { return step(p); }),
+                p.steps);
         });
 }
 

@@ -88,11 +88,8 @@ class McbpAccelerator
     }
 
   private:
-    /** One phase: finishPhase(phaseStep(...), plan.steps). */
-    PhaseMetrics simulatePhase(const PhasePlan &plan,
-                               const model::LlmConfig &model,
-                               const WeightStats &ws,
-                               const AttentionStats &as) const;
+    // One phase is finishPhase(phaseStep(plan, ...), plan.steps), with
+    // or without a memo between the two.
 
     /**
      * Everything of @p plan through the composed layer. It reads

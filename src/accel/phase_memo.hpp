@@ -27,9 +27,13 @@
  * unmemoized one. The memo is single-threaded (one per costing
  * thread) and keys on addresses: the chip and the models it prices
  * must outlive it unchanged. Each table is an open-addressing hash
- * over one entry vector that grows fourfold, so a memo of n entries
- * allocates about log4(n) times per table (trace costing has a heap
- * budget; see test_pricing_allocations).
+ * over one entry vector. Costing walks shapes in promptLen order, so
+ * a prefill below the current prompt length, or a decode context
+ * below twice it, can never be asked for again: a full table drops
+ * those before it grows. A costing's memo therefore holds a window of
+ * about the trace's decode-length spread, stays in cache and
+ * allocates a few times, however long the trace (trace costing has a
+ * heap budget; see test_pricing_allocations).
  */
 #pragma once
 
@@ -109,44 +113,59 @@ class PhaseMemo
     Profiles
     profiles(const Key &key, Fn &&resolve)
     {
-        return profiles_.get(key, resolve);
+        return profiles_.get(key, 0, resolve);
     }
 
-    /** The prefill of @p key, from @p evaluate on first use. The
-     *  reference is valid until the next call on this memo. */
+    /** The prefill of @p key (length = promptLen), from @p evaluate on
+     *  first use. The reference is valid until the next call. */
     template <typename Fn>
     const PhaseMetrics &
     prefill(const Key &key, Fn &&evaluate)
     {
-        return prefill_.get(key, evaluate);
+        return prefill_.get(key, key.length, evaluate);
     }
 
-    /** The decode step of @p key, from @p evaluate on first use. The
-     *  reference is valid until the next call on this memo. */
+    /** The decode step of @p key (length = 2*promptLen + decodeLen)
+     *  for a shape of @p promptLen, from @p evaluate on first use. The
+     *  reference is valid until the next call. */
     template <typename Fn>
     const PhaseStep &
-    decodeStep(const Key &key, Fn &&evaluate)
+    decodeStep(const Key &key, std::size_t promptLen, Fn &&evaluate)
     {
-        return decode_.get(key, evaluate);
+        return decode_.get(key, 2 * promptLen, evaluate);
     }
 
     /** Phase evaluations made so far: prefill and decode misses. */
     std::size_t
     evaluations() const
     {
-        return prefill_.size() + decode_.size();
+        return prefill_.evaluations() + decode_.evaluations();
     }
 
   private:
     template <typename Value> class Table
     {
       public:
+        /**
+         * The value of @p key, computed on a miss. A caller walking
+         * shapes in promptLen order never again asks for a length
+         * below @p floor, so when the table fills, those entries are
+         * dropped before it grows: it holds the walk's live window,
+         * not the trace. Out of order, a dropped entry is only
+         * computed again.
+         */
         template <typename Fn>
         const Value &
-        get(const Key &key, Fn &&compute)
+        get(const Key &key, std::size_t floor, Fn &&compute)
         {
-            if (2 * (entries_.size() + 1) > slots_.size())
-                rehash(std::max<std::size_t>(256, 4 * slots_.size()));
+            if (2 * (entries_.size() + 1) > slots_.size()) {
+                std::erase_if(entries_, [&](const auto &e) {
+                    return e.first.length < floor;
+                });
+                rehash(4 * (entries_.size() + 1) > slots_.size()
+                           ? std::max<std::size_t>(256, 4 * slots_.size())
+                           : slots_.size());
+            }
             const std::size_t mask = slots_.size() - 1;
             std::size_t i = hash(key) & mask;
             for (; slots_[i] != 0; i = (i + 1) & mask)
@@ -155,10 +174,12 @@ class PhaseMemo
             // compute() may throw: nothing is inserted before it returns.
             entries_.emplace_back(key, compute());
             slots_[i] = static_cast<std::uint32_t>(entries_.size());
+            ++evaluations_;
             return entries_.back().second;
         }
 
-        std::size_t size() const { return entries_.size(); }
+        /** Misses so far, dropped entries included. */
+        std::size_t evaluations() const { return evaluations_; }
 
       private:
         static std::size_t
@@ -193,6 +214,7 @@ class PhaseMemo
 
         std::vector<std::pair<Key, Value>> entries_;
         std::vector<std::uint32_t> slots_; ///< Entry index + 1; 0 = free.
+        std::size_t evaluations_ = 0;
     };
 
     Table<Profiles> profiles_;
