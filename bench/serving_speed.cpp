@@ -7,7 +7,11 @@
  * Sections:
  *  1. Trace costing — the per-shape pricing loop, serial
  *     (costingThreads = 1) vs the parallel fan-out over shapes
- *     (costingThreads = 0). Host-independent gates, always enforced:
+ *     (costingThreads = 0), on a 100k-request jittered Dolly trace:
+ *     the task, jitter and size of perfbench's `steady`, so each
+ *     prompt length repeats about 12 times while nine shapes in ten
+ *     are distinct, the reuse the phase memo is built for.
+ *     Host-independent gates, always enforced:
  *     the costed traces are bit-identical, the shape table holds
  *     exactly the trace's distinct shapes, costing leaves the plan
  *     cache untouched (0 computes), and the serial costing's phase
@@ -17,10 +21,10 @@
  *     from scratch evaluates two phases per shape. The >= 4x speedup gate binds only
  *     when the host grants >= 8 hardware threads (the fan-out cannot
  *     win on a 1-2 core runner). A faulted tp=2 trace with a degraded
- *     twin then gates lazy degraded pricing, host-independently:
- *     costing runs the twin 0 times, and a run with one transient
- *     chip failure prices each shape it reads once, fewer than the
- *     table holds (degraded_shapes_priced).
+ *     twin then gates lazy degraded pricing on a 4,000-request trace,
+ *     host-independently: costing runs the twin 0 times, and a run
+ *     with one transient chip failure prices each shape it reads
+ *     once, fewer than the table holds (degraded_shapes_priced).
  *  2. Decode-iteration coalescing — the same long-decode trace played
  *     through the event core per-token vs coalesced, under reserve
  *     and under a preempting paged pool. Scheduling decisions
@@ -41,15 +45,25 @@
  *     (occupancy / blockTokens), where a walk of the whole batch per
  *     fill-to-fill segment made about the batch size per segment.
  *     Wall time is recorded, not gated.
+ *  4. Fleet stages — a fault-free `mcbp:dp=4,pp=2,tp=2` Dolly trace
+ *     played stage by stage: costTrace(), FleetRouter::route(),
+ *     serveReplicas(), failover() and merge(), each stage's wall time
+ *     recorded, not gated. One host-independent gate: the staged run
+ *     reproduces FleetRouter::simulate()'s merged report bit for bit.
  *
  * Exit code 0 iff every enforced gate passes. `--json <path>`
  * archives the records (bench_util.hpp schema).
  */
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
@@ -58,6 +72,7 @@
 #include "accel/profile_cache.hpp"
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
+#include "engine/fleet.hpp"
 #include "engine/health.hpp"
 #include "engine/registry.hpp"
 #include "engine/serving.hpp"
@@ -165,6 +180,75 @@ distinctPhases(const std::vector<model::Request> &trace)
     return prompts.size() + contexts.size();
 }
 
+/** Two doubles with the same bits. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Every field of two serving reports bit-identical, requests and
+ *  fault log included. */
+bool
+reportsBitIdentical(const engine::ServingReport &a,
+                    const engine::ServingReport &b)
+{
+    bool same = a.accelerator == b.accelerator &&
+                a.scheduler == b.scheduler && a.kvPolicy == b.kvPolicy &&
+                a.noCompletions == b.noCompletions &&
+                a.admissionOrder == b.admissionOrder &&
+                a.preemptionOrder == b.preemptionOrder &&
+                a.retryOrder == b.retryOrder && a.dropOrder == b.dropOrder &&
+                a.requests.size() == b.requests.size() &&
+                a.faultLog.size() == b.faultLog.size();
+#define MCBP_SAME_COUNTER(type, stat, member, key, rule, unit)                \
+    same = same && sameBits(static_cast<double>(a.member),                    \
+                            static_cast<double>(b.member));
+    MCBP_SERVING_COUNTERS(MCBP_SAME_COUNTER)
+#undef MCBP_SAME_COUNTER
+    const auto aggregates = [](const engine::ServingReport &r) {
+        return std::array{
+            r.serialSeconds,        r.serialJoules,
+            r.meanLatencySeconds,   r.p50LatencySeconds,
+            r.p90LatencySeconds,    r.p99LatencySeconds,
+            r.p50QueueSeconds,      r.p90QueueSeconds,
+            r.p99QueueSeconds,      r.p50FirstTokenSeconds,
+            r.p90FirstTokenSeconds, r.p99FirstTokenSeconds,
+            r.meanTpotSeconds,      r.tokensPerSecond,
+            r.joulesPerToken,       r.meanBatchOccupancy,
+            r.kvUtilization,        r.kvBlockUtilization,
+            r.degradedFraction,     r.goodputTokensPerSecond,
+            r.sloAttainment};
+    };
+    const auto x = aggregates(a);
+    const auto y = aggregates(b);
+    for (std::size_t i = 0; same && i < x.size(); ++i)
+        same = sameBits(x[i], y[i]);
+    for (std::size_t i = 0; same && i < a.requests.size(); ++i) {
+        const engine::RequestMetrics &m = a.requests[i];
+        const engine::RequestMetrics &n = b.requests[i];
+        same = m.id == n.id && sameBits(m.arrivalSeconds, n.arrivalSeconds) &&
+               sameBits(m.admissionSeconds, n.admissionSeconds) &&
+               sameBits(m.firstTokenSeconds, n.firstTokenSeconds) &&
+               sameBits(m.completionSeconds, n.completionSeconds) &&
+               m.decodeTokens == n.decodeTokens &&
+               sameBits(m.kvBytes, n.kvBytes) &&
+               m.preemptions == n.preemptions &&
+               m.recomputedTokens == n.recomputedTokens &&
+               m.retries == n.retries && m.sloMiss == n.sloMiss &&
+               sameBits(m.joules, n.joules);
+    }
+    for (std::size_t i = 0; same && i < a.faultLog.size(); ++i) {
+        const engine::FaultImpact &f = a.faultLog[i];
+        const engine::FaultImpact &g = b.faultLog[i];
+        same = f.eventId == g.eventId && sameBits(f.at, g.at) &&
+               f.kind == g.kind && f.chip == g.chip &&
+               f.permanent == g.permanent && f.killed == g.killed &&
+               f.dropped == g.dropped;
+    }
+    return same;
+}
+
 std::size_t
 generatedTokens(const engine::ServingReport &r)
 {
@@ -191,7 +275,7 @@ main(int argc, char **argv)
     model::TraceConfig tc;
     tc.model = "OPT1B3";
     tc.task = "Dolly";
-    tc.requests = 4000;
+    tc.requests = 100000;
     tc.arrivalsPerSecond = 100.0;
     tc.seed = 5;
     const auto costing_trace = model::synthesizeTrace(tc);
@@ -282,12 +366,14 @@ main(int argc, char **argv)
     // ---- Section 1b: degraded prices on first read --------------------
     bench::banner("Degraded costing: the twin prices only what runs read");
     {
+        tc.requests = 4000;
+        const auto faulted_trace = model::synthesizeTrace(tc);
         const auto replica = registry.make("mcbp:tp=2");
         const engine::CountingAccelerator twin(
             registry.make(engine::degradedSpec("mcbp:tp=2")));
         engine::ServingOptions opts;
         const double makespan = engine::ServingSimulator(*replica, opts)
-                                    .simulate(costing_trace)
+                                    .simulate(faulted_trace)
                                     .makespanSeconds;
         opts.degradedAccel = &twin;
         // One chip down for a twentieth of the healthy run.
@@ -298,7 +384,7 @@ main(int argc, char **argv)
         opts.faults.events = {fail};
         const engine::ServingSimulator sim(*replica, opts);
         const engine::ServingSimulator::CostedTrace costed =
-            sim.costTrace(costing_trace);
+            sim.costTrace(faulted_trace);
         const std::size_t costing_runs = twin.runs();
         const engine::ServingReport report = sim.serve(
             costed,
@@ -316,7 +402,7 @@ main(int argc, char **argv)
                     lazy_gate ? "pass" : "FAIL");
         json.begin()
             .field("section", "degraded_costing")
-            .field("requests", costing_trace.size())
+            .field("requests", faulted_trace.size())
             .field("distinct_shapes", costed.shapeCount())
             .field("twin_runs_at_costing", costing_runs)
             .field("degraded_shapes_priced", priced)
@@ -546,6 +632,83 @@ main(int argc, char **argv)
         .field("section", "admission_scaling_gate")
         .field("probe_ratio", probe_ratio)
         .field("gate", scaling_gate ? 1 : 0);
+
+    // ---- Section 4: the fleet's stages --------------------------------
+    bench::banner("Fleet stages: dp=4,pp=2,tp=2, fault-free, stage by stage");
+    {
+        const auto pod = registry.make("mcbp:dp=4,pp=2,tp=2");
+        const auto &fleet = dynamic_cast<const engine::FleetAccelerator &>(*pod);
+        const std::size_t dp = fleet.options().dataParallel;
+        model::TraceConfig fc;
+        fc.model = "OPT1B3";
+        fc.task = "Dolly";
+        fc.requests = 20000;
+        fc.arrivalsPerSecond = 3.0;
+        fc.seed = 7;
+        const auto trace = model::synthesizeTrace(fc);
+        engine::ServingOptions opts;
+        opts.maxBatch = 64;
+        const engine::FleetRouter router(fleet, opts);
+
+        // The stages as simulate() composes them. A fault-free fleet
+        // with unbounded KV serves its replicas on the fleet's own
+        // options: no replica dies, every timeline slice is empty, and
+        // the synthesized trace is in (arrival, id) order, so its
+        // sub-traces are too.
+        engine::FleetRouter::Dispatch run;
+        engine::ServingSimulator::CostedTrace costed;
+        const double cost_s = seconds([&] {
+            costed = engine::ServingSimulator(fleet.replica(), opts)
+                         .costTrace(trace);
+        });
+        run.timelines.resize(dp);
+        run.deadAt.assign(dp, std::numeric_limits<double>::infinity());
+        const double route_s = seconds([&] {
+            run.assignment = router.route(costed, run.deadAt);
+            run.subTraces.resize(dp);
+            for (std::size_t i = 0; i < trace.size(); ++i)
+                run.subTraces[run.assignment[i]].push_back({i, &trace[i]});
+        });
+        std::vector<std::size_t> all(dp);
+        std::iota(all.begin(), all.end(), 0);
+        const double serve_s = seconds([&] {
+            run.reports = router.serveReplicas(costed, run.subTraces,
+                                               run.timelines, all,
+                                               &run.indices);
+        });
+        const double failover_s =
+            seconds([&] { router.failover(costed, run); });
+        engine::FleetOutcome staged;
+        const double merge_s = seconds(
+            [&] { staged = router.merge(costed, std::move(run)); });
+        engine::FleetOutcome whole;
+        const double simulate_s =
+            seconds([&] { whole = router.simulate(trace); });
+
+        const bool fleet_gate =
+            reportsBitIdentical(staged.fleet, whole.fleet);
+        all_gates = all_gates && fleet_gate;
+        std::printf("  requests %zu  replicas %zu  completed %zu\n",
+                    trace.size(), dp, whole.fleet.requests.size());
+        std::printf("  cost %.4f s  route %.4f s  serve %.4f s  failover "
+                    "%.4f s  merge %.4f s  (simulate %.4f s)\n",
+                    cost_s, route_s, serve_s, failover_s, merge_s,
+                    simulate_s);
+        std::printf("  staged report bit-identical to simulate(): %s\n",
+                    fleet_gate ? "yes" : "NO (BUG)");
+        json.begin()
+            .field("section", "fleet_stages")
+            .field("requests", trace.size())
+            .field("replicas", dp)
+            .field("cost_s", cost_s)
+            .field("route_s", route_s)
+            .field("serve_replicas_s", serve_s)
+            .field("failover_s", failover_s)
+            .field("merge_s", merge_s)
+            .field("simulate_s", simulate_s)
+            .field("bit_identical", fleet_gate ? 1 : 0);
+        bench::appendServingFields(json, whole.fleet);
+    }
 
     json.writeIfRequested(argc, argv);
     std::printf("\nserving-speed gates: %s\n",

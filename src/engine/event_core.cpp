@@ -381,7 +381,7 @@ EventCore::run(std::vector<CostedRequest> &requests) const
         panicIf(c->dropped, "request dropped twice");
         c->dropped = true;
         ++stats.droppedRequests;
-        stats.dropOrder.push_back(c->req->id);
+        stats.dropped.push_back(c);
         if (impact != nullptr)
             ++impact->dropped;
     };

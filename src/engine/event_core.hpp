@@ -463,11 +463,11 @@ struct EventStats
     std::vector<CostedRequest *> completed;
 
     // ---- Availability (fault injection; all empty on zero-fault runs) --
-    /** Retry schedulings and drops, as request ids in decision order
-     *  (part of the coalescing equivalence contract, like
-     *  admissionOrder/preemptionOrder). */
+    /** Retry schedulings as request ids, and drops as requests, in
+     *  decision order (part of the coalescing equivalence contract,
+     *  like admissionOrder/preemptionOrder). */
     std::vector<std::size_t> retryOrder;
-    std::vector<std::size_t> dropOrder;
+    std::vector<CostedRequest *> dropped;
     /** Per-fault-event blast radius, in timeline order. */
     std::vector<FaultImpact> faultLog;
 };

@@ -105,6 +105,65 @@ sortByArrival(FleetRouter::SubTrace &sub)
 }
 
 /**
+ * fatal() when a request id repeats in @p trace, naming the first
+ * repeat in trace order and the position of its first occurrence.
+ */
+void
+requireUniqueIds(const std::vector<model::Request> &trace, std::size_t dp)
+{
+    // Ids that rise along the trace cannot repeat: one pass.
+    if (std::adjacent_find(trace.begin(), trace.end(),
+                           [](const model::Request &a,
+                              const model::Request &b) {
+                               return a.id >= b.id;
+                           }) == trace.end())
+        return;
+    // Else sort (id, position) pairs: in each run of one id the first
+    // two entries are its first occurrence and its first repeat, and
+    // the first repeat in trace order is the earliest of those repeats.
+    std::vector<std::pair<std::size_t, std::size_t>> byId(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        byId[i] = {trace[i].id, i};
+    std::sort(byId.begin(), byId.end());
+    std::size_t first = 0;
+    std::size_t repeat = trace.size();
+    for (std::size_t k = 1; k < byId.size(); ++k)
+        if (byId[k].first == byId[k - 1].first && byId[k].second < repeat) {
+            first = byId[k - 1].second;
+            repeat = byId[k].second;
+        }
+    if (repeat < trace.size())
+        fatal("request id " + std::to_string(trace[repeat].id) +
+              " repeats at trace positions " + std::to_string(first) +
+              " and " + std::to_string(repeat) + "; a dp=" +
+              std::to_string(dp) +
+              " fleet tracks requests by id, so ids must be unique");
+}
+
+/**
+ * The positions of @p requests in (completionSeconds, id) order. serve()
+ * lists completions in completion order, so only a run of equal
+ * completion times can be out of id order, and the insertion sort
+ * costs one pass plus those runs' inversions.
+ */
+std::vector<std::size_t>
+completionOrder(const std::vector<RequestMetrics> &requests)
+{
+    const auto before = [&](std::size_t a, std::size_t b) {
+        return std::pair(requests[a].completionSeconds, requests[a].id) <
+               std::pair(requests[b].completionSeconds, requests[b].id);
+    };
+    std::vector<std::size_t> order(requests.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        std::size_t j = k;
+        for (; j > 0 && before(k, order[j - 1]); --j)
+            order[j] = order[j - 1];
+        order[j] = k;
+    }
+    return order;
+}
+
+/**
  * Slice one fleet fault timeline into per-replica timelines, each in
  * fleet order. Chip events land on the owning replica, rebased to its
  * local fault domains; fleet-wide link/straggler windows reach every
@@ -203,18 +262,10 @@ FleetOutcome
 FleetRouter::simulate(const std::vector<model::Request> &trace) const
 {
     const std::size_t dp = fleet_->options().dataParallel;
-    // Failover and the merge track requests by id across replicas, so
-    // a repeated id would conflate two requests (a phantom drop).
-    Dispatch run;
-    for (std::size_t i = 0; dp > 1 && i < trace.size(); ++i) {
-        const auto [it, fresh] = run.indexById.emplace(trace[i].id, i);
-        if (!fresh)
-            fatal("request id " + std::to_string(trace[i].id) +
-                  " repeats at trace positions " +
-                  std::to_string(it->second) + " and " +
-                  std::to_string(i) + "; a dp=" + std::to_string(dp) +
-                  " fleet tracks requests by id, so ids must be unique");
-    }
+    // The merged decision logs and completion order name requests by
+    // id, so a repeated id would make them ambiguous.
+    if (dp > 1)
+        requireUniqueIds(trace, dp);
 
     // One costing of the full trace prices every distinct shape once
     // on the replica; the degraded replica prices a shape the first
@@ -242,19 +293,26 @@ FleetRouter::simulate(const std::vector<model::Request> &trace) const
         return out;
     }
 
+    Dispatch run;
     run.timelines = sliceFaults(timeline, dp, chips_);
     run.deadAt = replicaDeathTimes(timeline, dp, chips_,
                                    replicaOpts_.degradedAccel != nullptr);
 
     run.assignment = route(costed, run.deadAt);
+    std::vector<std::size_t> routed(dp, 0);
+    for (const std::size_t r : run.assignment)
+        ++routed[r];
     run.subTraces.resize(dp);
+    for (std::size_t r = 0; r < dp; ++r)
+        run.subTraces[r].reserve(routed[r]);
     for (std::size_t i = 0; i < trace.size(); ++i)
         run.subTraces[run.assignment[i]].push_back({i, &trace[i]});
     for (SubTrace &sub : run.subTraces)
         sortByArrival(sub);
     std::vector<std::size_t> all(dp);
     std::iota(all.begin(), all.end(), 0);
-    run.reports = serveReplicas(costed, run.subTraces, run.timelines, all);
+    run.reports = serveReplicas(costed, run.subTraces, run.timelines, all,
+                                &run.indices);
     failover(costed, run);
     out = merge(costed, std::move(run));
     out.degradedShapesPriced = costed.degradedShapesPriced();
@@ -279,7 +337,10 @@ FleetRouter::route(const CostedTrace &costed,
         order.emplace_back(costs[i].req->arrivalSeconds, costs[i].req->id, i);
         largest = std::max(largest, costs[i].kvBytes);
     }
-    std::sort(order.begin(), order.end());
+    // A trace in arrival order, as synthesizeTrace() makes it, needs no
+    // sort.
+    if (!std::is_sorted(order.begin(), order.end()))
+        std::sort(order.begin(), order.end());
 
     // The fleet budget splits evenly across replicas, so a budget that
     // holds every request can still leave a replica too small for one.
@@ -352,12 +413,15 @@ std::vector<ServingReport>
 FleetRouter::serveReplicas(
     const CostedTrace &costed, const std::vector<SubTrace> &subTraces,
     const std::vector<std::vector<sim::FaultEvent>> &timelines,
-    const std::vector<std::size_t> &which) const
+    const std::vector<std::size_t> &which,
+    std::vector<Positions> *indices) const
 {
     // A replica serves copies of the fleet's pristine costed requests
     // in sub-trace order, its serial sums taken in that order. A
     // failover copy keeps the deadline costing stamped on its original
-    // arrival.
+    // arrival. Its outcomes' sub-trace positions map to trace indices.
+    if (indices != nullptr)
+        indices->assign(which.size(), {});
     return parallel::parallelMap<ServingReport>(
         which.size(), [&](std::size_t k) {
             const std::size_t r = which[k];
@@ -374,7 +438,16 @@ FleetRouter::serveReplicas(
                 slice.serialSeconds += c.shape->seconds;
                 slice.serialJoules += c.shape->joules;
             }
-            return server_.serve(std::move(slice), timelines[r]);
+            if (indices == nullptr)
+                return server_.serve(std::move(slice), timelines[r]);
+            Positions &at = (*indices)[k];
+            ServingReport report =
+                server_.serve(std::move(slice), timelines[r], &at);
+            for (std::size_t &p : at.completed)
+                p = subTraces[r][p].index;
+            for (std::size_t &p : at.dropped)
+                p = subTraces[r][p].index;
+            return report;
         });
 }
 
@@ -382,6 +455,9 @@ void
 FleetRouter::failover(const CostedTrace &costed, Dispatch &run) const
 {
     const std::size_t dp = run.reports.size();
+    fatalIf(run.indices.size() != dp,
+            "failover() needs the trace indices of every replica report "
+            "(serveReplicas' indices)");
     run.reroutes.assign(costed.costs.size(), 0);
     std::vector<bool> settled(costed.costs.size(), false);
     for (bool changed = true; changed;) {
@@ -389,8 +465,10 @@ FleetRouter::failover(const CostedTrace &costed, Dispatch &run) const
         for (std::size_t r = 0; r < dp; ++r) {
             if (run.deadAt[r] == kNever)
                 continue; // healthy replicas drop for non-fault reasons.
-            for (const std::size_t id : run.reports[r].dropOrder) {
-                const std::size_t idx = run.indexById.at(id);
+            const std::vector<std::size_t> &drops = run.reports[r].dropOrder;
+            for (std::size_t k = 0; k < drops.size(); ++k) {
+                const std::size_t id = drops[k];
+                const std::size_t idx = run.indices[r].dropped[k];
                 if (run.assignment[idx] != r || settled[idx])
                     continue;
                 const double t0 = costed.costs[idx].req->arrivalSeconds;
@@ -422,10 +500,13 @@ FleetRouter::failover(const CostedTrace &costed, Dispatch &run) const
         resim.erase(std::unique(resim.begin(), resim.end()), resim.end());
         for (const std::size_t r : resim)
             sortByArrival(run.subTraces[r]);
-        std::vector<ServingReport> fresh =
-            serveReplicas(costed, run.subTraces, run.timelines, resim);
-        for (std::size_t k = 0; k < resim.size(); ++k)
+        std::vector<Positions> indices;
+        std::vector<ServingReport> fresh = serveReplicas(
+            costed, run.subTraces, run.timelines, resim, &indices);
+        for (std::size_t k = 0; k < resim.size(); ++k) {
             run.reports[resim[k]] = std::move(fresh[k]);
+            run.indices[resim[k]] = std::move(indices[k]);
+        }
         changed = !resim.empty();
     }
 }
@@ -434,6 +515,10 @@ FleetOutcome
 FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
 {
     const std::vector<ServingReport> &reports = run.reports;
+    const std::size_t dp = reports.size();
+    fatalIf(run.indices.size() != dp,
+            "merge() needs the trace indices of every replica report "
+            "(serveReplicas' indices)");
     ServingReport merged;
     merged.accelerator = fleet_->name();
     merged.scheduler = reports[0].scheduler;
@@ -448,7 +533,7 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
     double blockUtilWeighted = 0.0;
     // Per trace index: the request completed on some replica.
     std::vector<char> completed(costed.costs.size(), 0);
-    for (std::size_t r = 0; r < reports.size(); ++r) {
+    for (std::size_t r = 0; r < dp; ++r) {
         const ServingReport &rep = reports[r];
 #define MCBP_MERGE_COUNTER(type, stat, member, key, rule, unit)               \
     counter::rule::merge(merged.member, rep.member);
@@ -465,20 +550,6 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
         append(merged.admissionOrder, rep.admissionOrder);
         append(merged.preemptionOrder, rep.preemptionOrder);
         append(merged.retryOrder, rep.retryOrder);
-
-        for (const RequestMetrics &rm : rep.requests) {
-            RequestMetrics fixed = rm;
-            const std::size_t idx = run.indexById.at(rm.id);
-            completed[idx] = 1;
-            if (run.reroutes[idx] > 0) {
-                // A rerouted request's latency runs from its ORIGINAL
-                // arrival; the replica only saw the re-dispatch time
-                // (its deadline, and so sloMiss, already ran from it).
-                fixed.arrivalSeconds = costed.costs[idx].req->arrivalSeconds;
-                fixed.retries += run.reroutes[idx];
-            }
-            merged.requests.push_back(fixed);
-        }
 
         // Chip events are replica-local (remapped to fleet domains);
         // fleet-wide link/straggler windows were fanned out to every
@@ -500,11 +571,40 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
     merged.retriesScheduled += run.rerouteOrder.size();
     append(merged.retryOrder, run.rerouteOrder);
 
-    std::stable_sort(merged.requests.begin(), merged.requests.end(),
-                     [](const RequestMetrics &a, const RequestMetrics &b) {
-                         return std::pair(a.completionSeconds, a.id) <
-                                std::pair(b.completionSeconds, b.id);
-                     });
+    // The fleet's completions in (completionSeconds, id) order: a
+    // dp-way merge of the replicas' lists, each in that order, written
+    // once into one allocation.
+    std::vector<std::vector<std::size_t>> orders(dp);
+    std::size_t completions = 0;
+    for (std::size_t r = 0; r < dp; ++r) {
+        orders[r] = completionOrder(reports[r].requests);
+        completions += orders[r].size();
+    }
+    merged.requests.reserve(completions);
+    std::vector<std::size_t> next(dp, 0);
+    auto head = [&](std::size_t r) {
+        const RequestMetrics &m = reports[r].requests[orders[r][next[r]]];
+        return std::pair(m.completionSeconds, m.id);
+    };
+    for (std::size_t n = 0; n < completions; ++n) {
+        std::size_t from = dp;
+        for (std::size_t r = 0; r < dp; ++r)
+            if (next[r] < orders[r].size() &&
+                (from == dp || head(r) < head(from)))
+                from = r;
+        const std::size_t k = orders[from][next[from]++];
+        const std::size_t idx = run.indices[from].completed[k];
+        RequestMetrics &m =
+            merged.requests.emplace_back(reports[from].requests[k]);
+        completed[idx] = 1;
+        if (run.reroutes[idx] > 0) {
+            // A rerouted request's latency runs from its ORIGINAL
+            // arrival; the replica only saw the re-dispatch time (its
+            // deadline, and so sloMiss, already ran from it).
+            m.arrivalSeconds = costed.costs[idx].req->arrivalSeconds;
+            m.retries += run.reroutes[idx];
+        }
+    }
     std::stable_sort(merged.faultLog.begin(), merged.faultLog.end(),
                      [](const ServingReport::FaultImpact &a,
                         const ServingReport::FaultImpact &b) {
@@ -517,12 +617,12 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
     // Final drops: a request that completed anywhere is not dropped,
     // however many dead replicas logged it on the way.
     std::vector<char> droppedSeen(costed.costs.size(), 0);
-    for (const ServingReport &rep : reports)
-        for (const std::size_t id : rep.dropOrder) {
-            const std::size_t idx = run.indexById.at(id);
+    for (std::size_t r = 0; r < dp; ++r)
+        for (std::size_t k = 0; k < reports[r].dropOrder.size(); ++k) {
+            const std::size_t idx = run.indices[r].dropped[k];
             if (!completed[idx] && !droppedSeen[idx]) {
                 droppedSeen[idx] = 1;
-                merged.dropOrder.push_back(id);
+                merged.dropOrder.push_back(reports[r].dropOrder[k]);
             }
         }
     // Two more counters override their merge rule: a request dropped
@@ -544,7 +644,7 @@ FleetRouter::merge(const CostedTrace &costed, Dispatch run) const
     merged.degradedFraction =
         merged.makespanSeconds > 0.0
             ? merged.degradedSeconds /
-                  (static_cast<double>(reports.size()) *
+                  (static_cast<double>(dp) *
                    merged.makespanSeconds)
             : 0.0;
 

@@ -22,6 +22,17 @@
  * route() and failover() place work by one rule: the first replica
  * alive at time t, scanning from index s.
  *
+ * Bookkeeping is linear, not a search. Each replica run returns the
+ * trace index of every completion and drop next to its report
+ * (serve()'s costed-trace positions, mapped through the sub-trace), so
+ * failover and the merge find a request without an id lookup. The
+ * merged request list is in (completionSeconds, id) order: each
+ * replica lists its completions in completion order, so the merge
+ * puts each run of equal completion times in id order and then takes
+ * the dp sorted lists in one dp-way merge into one allocation. route()
+ * sorts the trace by (arrival, id) only when it does not already
+ * arrive in that order.
+ *
  * Failover: the fleet builds ONE fault timeline over dp x kvShards
  * fault domains and hands each replica's serve() its slice (chip
  * events land on the owning replica, rebased to its chips; fleet-wide
@@ -49,7 +60,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,6 +169,7 @@ class FleetRouter
 {
   public:
     using CostedTrace = ServingSimulator::CostedTrace;
+    using Positions = ServingSimulator::Positions;
 
     /** One entry of a replica's sub-trace: a costed-trace index and
      *  the request the replica sees — the trace's own, or a failover
@@ -174,8 +185,6 @@ class FleetRouter
      *  each request went, and what each replica reported. */
     struct Dispatch
     {
-        /** Trace index of each request id. */
-        std::map<std::size_t, std::size_t> indexById;
         /** Each replica's slice of the fleet fault timeline. */
         std::vector<std::vector<sim::FaultEvent>> timelines;
         /** When each replica dies for good (infinity: never). */
@@ -186,6 +195,10 @@ class FleetRouter
         std::vector<SubTrace> subTraces;
         /** Each replica's report of its current sub-trace. */
         std::vector<ServingReport> reports;
+        /** The trace index of each entry of reports[r].requests
+         *  (completed) and reports[r].dropOrder (dropped): how failover
+         *  and the merge find a request without an id search. */
+        std::vector<Positions> indices;
         /** Failover re-dispatches of each trace entry, trace order. */
         std::vector<std::size_t> reroutes;
         /** Rerouted request ids, in re-dispatch order. */
@@ -200,8 +213,9 @@ class FleetRouter
 
     /** route(), serveReplicas(), failover() and merge() over the
      *  replica simulator's costTrace(@p trace). fatal() at dp > 1 when
-     *  a request id repeats in @p trace: failover and the merge track
-     *  requests by id. */
+     *  a request id repeats in @p trace, naming its first repeat in
+     *  trace order: the fleet's decision logs and its completion order
+     *  name requests by id. */
     FleetOutcome simulate(const std::vector<model::Request> &trace) const;
 
     /**
@@ -219,12 +233,15 @@ class FleetRouter
      *  sub-trace's costed requests and its @p timelines slice. A
      *  failover copy arrives at its re-dispatch time but keeps the
      *  deadline of its original arrival. Returns one report per entry
-     *  of @p which. */
+     *  of @p which; when @p indices is set, it receives one entry per
+     *  entry of @p which too: the trace index of each of that report's
+     *  completions and drops. */
     std::vector<ServingReport>
     serveReplicas(const CostedTrace &costed,
                   const std::vector<SubTrace> &subTraces,
                   const std::vector<std::vector<sim::FaultEvent>> &timelines,
-                  const std::vector<std::size_t> &which) const;
+                  const std::vector<std::size_t> &which,
+                  std::vector<Positions> *indices = nullptr) const;
 
     /** Re-dispatch what dead replicas dropped to the next replica alive
      *  at the fault time plus the retry backoff, within the request's
@@ -234,7 +251,10 @@ class FleetRouter
 
     /** Fold the replica reports of @p run into the fleet outcome: a
      *  rerouted request counts from its original arrival, and a
-     *  request is dropped only when it completed on no replica. */
+     *  request is dropped only when it completed on no replica. The
+     *  fleet's requests are in (completionSeconds, id) order, in one
+     *  pass when each replica lists its requests in completion order,
+     *  as serve() does. */
     FleetOutcome merge(const CostedTrace &costed, Dispatch run) const;
 
   private:

@@ -473,10 +473,13 @@ ServingSimulator::simulate(const std::vector<model::Request> &trace) const
 
 ServingReport
 ServingSimulator::serve(CostedTrace costed,
-                        std::vector<sim::FaultEvent> timeline) const
+                        std::vector<sim::FaultEvent> timeline,
+                        Positions *positions) const
 {
     fatalIf(!opts_.faults.enabled() && !timeline.empty(),
             "a fault timeline needs ServingOptions::faults enabled");
+    if (positions != nullptr)
+        *positions = {};
     ServingReport report;
     report.accelerator = accels_[kHealthy]->name();
     report.kvPolicy = toString(opts_.kvPolicy);
@@ -577,8 +580,20 @@ ServingSimulator::serve(CostedTrace costed,
             ? report.degradedSeconds / report.makespanSeconds
             : 0.0;
     report.retryOrder = std::move(stats.retryOrder);
-    report.dropOrder = std::move(stats.dropOrder);
+    report.dropOrder.reserve(stats.dropped.size());
+    for (const CostedRequest *c : stats.dropped)
+        report.dropOrder.push_back(c->req->id);
     report.faultLog = std::move(stats.faultLog);
+    if (positions != nullptr) {
+        const CostedRequest *first = costed.costs.data();
+        positions->completed.reserve(stats.completed.size());
+        for (const CostedRequest *c : stats.completed)
+            positions->completed.push_back(
+                static_cast<std::size_t>(c - first));
+        positions->dropped.reserve(stats.dropped.size());
+        for (const CostedRequest *c : stats.dropped)
+            positions->dropped.push_back(static_cast<std::size_t>(c - first));
+    }
     for (FaultImpact &f : report.faultLog)
         f.at *= to_seconds;
 

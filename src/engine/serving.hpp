@@ -425,6 +425,17 @@ class ServingSimulator
      */
     CostedTrace costTrace(const std::vector<model::Request> &trace) const;
 
+    /** Where a serve() run's outcomes sit in the costed trace it
+     *  played: what lets a caller that served a reordered copy of its
+     *  trace map the report back without searching request ids. */
+    struct Positions
+    {
+        /** Costed-trace position of each ServingReport::requests entry. */
+        std::vector<std::size_t> completed;
+        /** Costed-trace position of each ServingReport::dropOrder entry. */
+        std::vector<std::size_t> dropped;
+    };
+
     /**
      * The serving stage: play @p costed through the event loop and
      * aggregate the report. @p timeline is the run's fault events in
@@ -434,9 +445,12 @@ class ServingSimulator
      * fires. fatal() on a non-empty timeline with faults disabled, and
      * on a trace whose degraded prices do not match this simulator's
      * topologies. An empty costed trace yields the zeroed report.
+     * When @p positions is set, it receives where each outcome sits
+     * in @p costed.
      */
     ServingReport serve(CostedTrace costed,
-                        std::vector<sim::FaultEvent> timeline) const;
+                        std::vector<sim::FaultEvent> timeline,
+                        Positions *positions = nullptr) const;
 
     /**
      * The folded-cost cache of the paged recompute re-pricer (trace

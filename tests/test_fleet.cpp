@@ -489,6 +489,68 @@ TEST(Fleet, RouteStageReproducesAssignments)
     }
 }
 
+TEST(Fleet, MergeOrdersCompletionTiesById)
+{
+    // Identical requests on a dp=2 round-robin fleet, arriving in
+    // pairs within a nanosecond of t = 0 with ids falling along the
+    // trace. A batch admitted together completes at one instant,
+    // listed in admission order, which is falling id order; and each
+    // replica takes one request of every pair, so the two serve the
+    // same arrivals in step and their completion times tie too. The
+    // merged list must hold every completion once, in
+    // (completionSeconds, id) order.
+    std::vector<model::Request> trace = fleetTrace(40, 0.0, 3);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = trace.size() - 1 - i;
+        trace[i].arrivalSeconds = 1e-12 * static_cast<double>(i / 2);
+        trace[i].promptLen = trace.front().promptLen;
+        trace[i].decodeLen = trace.front().decodeLen;
+    }
+    Registry registry;
+    const auto accel = registry.make("mcbp:dp=2,route=rr");
+    const auto *fleet = dynamic_cast<const FleetAccelerator *>(accel.get());
+    ASSERT_NE(fleet, nullptr);
+    ServingOptions opts;
+    opts.maxBatch = 8;
+    opts.stepMode = StepMode::Coalesced;
+    const FleetOutcome out = FleetRouter(*fleet, opts).simulate(trace);
+    ASSERT_EQ(out.replicas.size(), 2u);
+
+    std::vector<RequestMetrics> expected;
+    std::size_t tiesOutOfIdOrder = 0;
+    for (const ServingReport &r : out.replicas) {
+        for (std::size_t k = 1; k < r.requests.size(); ++k) {
+            const RequestMetrics &a = r.requests[k - 1];
+            const RequestMetrics &b = r.requests[k];
+            EXPECT_LE(a.completionSeconds, b.completionSeconds)
+                << "request " << b.id;
+            if (a.completionSeconds == b.completionSeconds && a.id > b.id)
+                ++tiesOutOfIdOrder;
+        }
+        expected.insert(expected.end(), r.requests.begin(),
+                        r.requests.end());
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const RequestMetrics &a, const RequestMetrics &b) {
+                  return std::pair(a.completionSeconds, a.id) <
+                         std::pair(b.completionSeconds, b.id);
+              });
+    std::size_t crossTies = 0;
+    for (const RequestMetrics &a : out.replicas[0].requests)
+        for (const RequestMetrics &b : out.replicas[1].requests)
+            crossTies += a.completionSeconds == b.completionSeconds;
+    EXPECT_GT(tiesOutOfIdOrder, 0u);
+    EXPECT_GT(crossTies, 0u);
+
+    ASSERT_EQ(out.fleet.requests.size(), trace.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(out.fleet.requests[k].id, expected[k].id) << "entry " << k;
+        EXPECT_EQ(out.fleet.requests[k].completionSeconds,
+                  expected[k].completionSeconds)
+            << "entry " << k;
+    }
+}
+
 TEST(Fleet, RouteSkipsDeadReplicasAndFallsBackToTheLastToDie)
 {
     Registry registry;
@@ -854,16 +916,26 @@ TEST(Fleet, DuplicateRequestIdsFailUpFront)
     EXPECT_EQ(flat.droppedRequests, 0u);
 
     const auto fleet = registry.make("mcbp:dp=2");
-    try {
-        (void)ServingSimulator(*fleet, opts).simulate(trace);
-        FAIL() << "expected the repeated id to be rejected";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("request id 0 repeats at trace positions 0 "
-                           "and 4"),
-                  std::string::npos)
-            << msg;
-    }
+    auto expectRejected = [&](const std::vector<model::Request> &t,
+                              const std::string &named) {
+        try {
+            (void)ServingSimulator(*fleet, opts).simulate(t);
+            ADD_FAILURE() << "expected the repeated id to be rejected";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(named), std::string::npos) << msg;
+        }
+    };
+    expectRejected(trace, "request id 0 repeats at trace positions 0 and 4");
+
+    // Ids that repeat out of id order: the message still names the
+    // first repeat in trace order (id 5 at position 2), not the
+    // smallest repeated id (3, which repeats at position 3).
+    trace.resize(4);
+    const std::size_t ids[] = {5, 3, 5, 3};
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        trace[i].id = ids[i];
+    expectRejected(trace, "request id 5 repeats at trace positions 0 and 2");
 }
 
 TEST(Fleet, StepModeIdentityHoldsUnderFaultsAtDp2Pp2Tp2)
