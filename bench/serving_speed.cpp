@@ -25,6 +25,14 @@
  *     host-independently: costing runs the twin 0 times, and a run
  *     with one transient chip failure prices each shape it reads
  *     once, fewer than the table holds (degraded_shapes_priced).
+ *     Shape pricing per topology then plans the trace's distinct
+ *     shapes through one phase memo on the bare chip
+ *     (`mcbp:procs=148`), `tp=2`, `pp=2` and `pp=2,tp=2`, and records
+ *     each spec's pricing_ns_per_shape and the pp=2,tp=2-to-bare
+ *     ratio (composed_to_bare_ratio): what the wrappers add per
+ *     shape. A plan is phase totals plus one uniform stage cost, so
+ *     the wrappers compose a few phases per shape and allocate
+ *     nothing. Recorded, not gated.
  *  2. Decode-iteration coalescing — the same long-decode trace played
  *     through the event core per-token vs coalesced, under reserve
  *     and under a preempting paged pool. Scheduling decisions
@@ -54,6 +62,7 @@
  * Exit code 0 iff every enforced gate passes. `--json <path>`
  * archives the records (bench_util.hpp schema).
  */
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <chrono>
@@ -69,6 +78,7 @@
 #include <tuple>
 
 #include "../tests/counting_accelerator.hpp"
+#include "accel/phase_memo.hpp"
 #include "accel/profile_cache.hpp"
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -408,6 +418,58 @@ main(int argc, char **argv)
             .field("degraded_shapes_priced", priced)
             .field("degraded_s", report.degradedSeconds)
             .field("gate", lazy_gate ? 1 : 0);
+    }
+
+    // ---- Section 1c: shape pricing per topology ------------------------
+    bench::banner("Shape pricing: bare chip vs tp=, pp= and pp= x tp=");
+    {
+        // The costing trace's distinct shapes (one model and task), in
+        // the promptLen order costing walks them, each planned through
+        // one phase memo per pass as a costing thread does. A pass
+        // before the timed ones warms the profiles; the quietest of
+        // three timed passes is kept. Recorded, not gated.
+        std::set<std::pair<std::size_t, std::size_t>> lengths;
+        for (const model::Request &r : costing_trace)
+            lengths.insert({r.promptLen, r.decodeLen});
+        const model::LlmConfig &m = model::findModel(tc.model);
+        const model::Workload &task = model::findTask(tc.task);
+        const std::array<const char *, 4> specs{
+            "mcbp:procs=148", "mcbp:procs=148,tp=2", "mcbp:procs=148,pp=2",
+            "mcbp:procs=148,pp=2,tp=2"};
+        double bare_ns = 0.0;
+        for (const char *spec : specs) {
+            const auto priced = registry.make(spec);
+            double best = std::numeric_limits<double>::infinity();
+            double cycles = 0.0;
+            for (int pass = 0; pass < 4; ++pass) {
+                accel::PhaseMemo memo;
+                cycles = 0.0;
+                const double s = seconds([&] {
+                    for (const auto &[prompt, decode] : lengths)
+                        cycles += priced
+                                      ->plan(m,
+                                             model::singleRequest(
+                                                 task, prompt, decode),
+                                             &memo)
+                                      .totalCycles();
+                });
+                if (pass > 0)
+                    best = std::min(best, s);
+            }
+            const double ns = best * 1e9 / static_cast<double>(lengths.size());
+            if (bare_ns == 0.0)
+                bare_ns = ns;
+            std::printf("  %-26s %zu shapes  %7.1f ns/shape  (%.2fx bare)\n",
+                        spec, lengths.size(), ns, ns / bare_ns);
+            json.begin()
+                .field("section", "shape_pricing")
+                .field("spec", spec)
+                .field("shapes", lengths.size())
+                .field("pricing_ns_per_shape", ns)
+                .field("total_cycles", cycles);
+            if (spec == specs.back())
+                json.field("composed_to_bare_ratio", ns / bare_ns);
+        }
     }
 
     // ---- Section 2: decode-iteration coalescing ----------------------

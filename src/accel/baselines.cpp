@@ -286,7 +286,7 @@ ExecutionPlan
 BaselineAccelerator::plan(const model::LlmConfig &model,
                           const model::Workload &task) const
 {
-    return composePlan(traits_.name, model, task, hw_.clockGhz, 1,
+    return composePlan(model, task, hw_.clockGhz, 1,
                        [&](const PhasePlan &p) {
                            return simulatePhase(p, model);
                        });
@@ -296,7 +296,7 @@ RunMetrics
 BaselineAccelerator::run(const model::LlmConfig &model,
                          const model::Workload &task) const
 {
-    return plan(model, task).fold();
+    return plan(model, task).fold(name());
 }
 
 } // namespace mcbp::accel

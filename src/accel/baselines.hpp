@@ -82,11 +82,11 @@ class BaselineAccelerator
     const std::string &name() const { return traits_.name; }
     const BaselineTraits &traits() const { return traits_; }
 
-    /** Phase totals + layer decomposition (execution_plan.hpp). */
+    /** Phase totals + uniform stage cost (execution_plan.hpp). */
     ExecutionPlan plan(const model::LlmConfig &model,
                        const model::Workload &task) const;
 
-    /** One (model, task) run (= plan().fold()). */
+    /** One (model, task) run (= plan().fold(name())). */
     RunMetrics run(const model::LlmConfig &model,
                    const model::Workload &task) const;
 

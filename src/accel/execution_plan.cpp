@@ -1,6 +1,7 @@
 #include "accel/execution_plan.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -48,11 +49,35 @@ PlanSegment::label() const
     return stage ? "stage" + std::to_string(*stage) + " " + out : out;
 }
 
+std::size_t
+ExecutionPlan::stageLayers() const
+{
+    fatalIf(stages == 0 || modelLayers % stages != 0,
+            "plan stages must split the stack into equal layer ranges");
+    return modelLayers / stages;
+}
+
+std::vector<PlanSegment>
+ExecutionPlan::segments() const
+{
+    const std::size_t per_stage = stageLayers();
+    std::vector<PlanSegment> out(stages);
+    for (std::size_t s = 0; s < stages; ++s) {
+        out[s].firstLayer = s * per_stage;
+        out[s].layerCount = per_stage;
+        if (stages > 1)
+            out[s].stage = s;
+        out[s].prefill = stagePrefill;
+        out[s].decode = stageDecode;
+    }
+    return out;
+}
+
 RunMetrics
-ExecutionPlan::fold() const
+ExecutionPlan::fold(std::string accelerator) const
 {
     RunMetrics rm;
-    rm.accelerator = accelerator;
+    rm.accelerator = std::move(accelerator);
     rm.clockGhz = clockGhz;
     rm.processors = processors;
     rm.prefill = prefill; // verbatim copy: no arithmetic, so folding
@@ -72,60 +97,56 @@ ExecutionPlan::slice(std::size_t firstLayer,
               std::to_string(modelLayers) + " layers");
     const std::size_t lo = firstLayer;
     const std::size_t hi = firstLayer + layerCount;
+    const std::size_t per_stage = stageLayers();
 
     PlanSegment out;
     out.firstLayer = lo;
     out.layerCount = layerCount;
-
-    bool first = true;
-    std::size_t covered = 0;
-    for (const PlanSegment &seg : segments) {
-        const std::size_t seg_lo = seg.firstLayer;
-        const std::size_t seg_hi = seg.firstLayer + seg.layerCount;
-        const std::size_t o_lo = std::max(lo, seg_lo);
-        const std::size_t o_hi = std::min(hi, seg_hi);
-        if (o_lo >= o_hi)
-            continue;
+    // Walk the overlapped stages in layer order; every stage costs the
+    // same, so each contributes its overlap fraction of that cost.
+    const std::size_t first_stage = lo / per_stage;
+    for (std::size_t s = first_stage; s * per_stage < hi; ++s) {
+        const std::size_t o_lo = std::max(lo, s * per_stage);
+        const std::size_t o_hi = std::min(hi, (s + 1) * per_stage);
         const double frac = static_cast<double>(o_hi - o_lo) /
-                            static_cast<double>(seg.layerCount);
-        PhaseMetrics pf = scalePhase(seg.prefill, frac);
-        PhaseMetrics dc = scalePhase(seg.decode, frac);
-        if (first) {
+                            static_cast<double>(per_stage);
+        PhaseMetrics pf = scalePhase(stagePrefill, frac);
+        PhaseMetrics dc = scalePhase(stageDecode, frac);
+        if (s == first_stage) {
             // Copy-then-merge keeps the non-additive fields (the
             // composition rule) that merge() does not transport.
             out.prefill = pf;
             out.decode = dc;
-            first = false;
         } else {
             out.prefill.merge(pf);
             out.decode.merge(dc);
         }
-        covered += o_hi - o_lo;
     }
-    fatalIf(covered != layerCount,
-            "plan segments do not cover the requested layer slice "
-            "(plan is not a partition of the stack)");
     return out;
+}
+
+ExecutionPlan
+unstagedPlan(double clockGhz, std::size_t processors,
+             std::size_t modelLayers, const PhaseMetrics &prefill,
+             const PhaseMetrics &decode)
+{
+    fatalIf(modelLayers == 0, "a plan needs at least one layer");
+    ExecutionPlan plan;
+    plan.clockGhz = clockGhz;
+    plan.processors = processors;
+    plan.modelLayers = modelLayers;
+    plan.prefill = prefill;
+    plan.decode = decode;
+    plan.stagePrefill = prefill;
+    plan.stageDecode = decode;
+    return plan;
 }
 
 ExecutionPlan
 planFromRun(const RunMetrics &rm, std::size_t modelLayers)
 {
-    fatalIf(modelLayers == 0, "a plan needs at least one layer");
-    ExecutionPlan plan;
-    plan.accelerator = rm.accelerator;
-    plan.clockGhz = rm.clockGhz;
-    plan.processors = rm.processors;
-    plan.modelLayers = modelLayers;
-    plan.prefill = rm.prefill;
-    plan.decode = rm.decode;
-    PlanSegment seg;
-    seg.firstLayer = 0;
-    seg.layerCount = modelLayers;
-    seg.prefill = rm.prefill;
-    seg.decode = rm.decode;
-    plan.segments.push_back(std::move(seg));
-    return plan;
+    return unstagedPlan(rm.clockGhz, rm.processors, modelLayers,
+                        rm.prefill, rm.decode);
 }
 
 } // namespace mcbp::accel

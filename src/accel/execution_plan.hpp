@@ -6,21 +6,28 @@
  * An ExecutionPlan is what `plan(model, task)` returns instead of an
  * opaque RunMetrics: the authoritative per-phase totals (exactly what
  * `run()` used to produce — `fold()` reconstitutes that RunMetrics
- * bit-for-bit) plus a decomposition of the model's decoder stack into
- * contiguous *layer segments*, each carrying its own share of the
- * phase costs (cycles, energy, traffic, and the weight-stream vs.
- * compute split the serving engine re-composes).
+ * bit-for-bit) plus the cost of one pipeline stage's layers, per phase
+ * (cycles, energy, traffic, and the weight-stream vs. compute split
+ * the serving engine re-composes).
  *
- * The segment contract: segments partition [0, modelLayers), and
- * within one segment the cost is uniform per layer (the decoder stack
- * is homogeneous — every analytic model here prices one layer and
- * multiplies). That is what makes the plan *decomposable*: a pipeline
- * stage covering any contiguous layer range can be priced exactly by
- * `slice()`, which rescales the overlapped segments linearly. Plans
- * produced by composed accelerators (engine::PipelineAccelerator)
- * keep per-stage segments for introspection while the totals carry
- * the cross-stage effects (fill/drain bubbles, inter-stage
- * transfers) that no single layer range owns.
+ * The uniform-stage contract: the model's decoder stack splits into
+ * `stages` equal contiguous layer ranges (stages divides modelLayers),
+ * and every stage costs the same, uniformly per layer within it. That
+ * is how every plan here is built: the decoder stack is homogeneous —
+ * every analytic model prices one layer and multiplies — so an
+ * accelerator's plan is one stage whose cost is its totals, a tp=
+ * cluster shards both alike, and a pp= pipeline (which requires
+ * pp | layers) splits the stack into pp equal stages. Storing the
+ * plan that way makes it *decomposable* without a per-plan segment
+ * list: `segments()` lists the stages and `slice()` prices any
+ * contiguous layer range exactly, rescaling each overlapped stage
+ * linearly, both on demand. A pipeline's totals carry the cross-stage
+ * effects (fill/drain bubbles, inter-stage transfers) that no single
+ * layer range owns.
+ *
+ * A plan carries no accelerator name: a composed name does not fit a
+ * short string, and pricing a trace plans every shape, so `fold()`
+ * takes the name from the accelerator that planned it.
  */
 #pragma once
 
@@ -60,50 +67,75 @@ struct PlanSegment
 
 /**
  * The two-level costing contract: authoritative phase totals (what a
- * run costs end to end) plus the layer-segment decomposition.
+ * run costs end to end) plus the uniform per-stage cost.
  */
 struct ExecutionPlan
 {
-    std::string accelerator;
     double clockGhz = 1.0;
     /** Chips ganged for the run (see RunMetrics::processors). */
     std::size_t processors = 1;
-    /** Decoder layers of the planned model (segments partition this). */
+    /** Decoder layers of the planned model (the stages split this). */
     std::size_t modelLayers = 0;
 
     /**
      * Authoritative phase totals: `fold()` copies these verbatim, so a
      * plan-folding `run()` is bit-identical to composing the phases
-     * directly. For composed topologies the totals include effects the
-     * segments cannot own (pipeline bubbles, inter-stage transfers).
+     * directly. For a pipeline the totals include effects no stage
+     * owns (bubbles, inter-stage transfers).
      */
     PhaseMetrics prefill;
     PhaseMetrics decode;
 
-    /** Layer decomposition (partition of [0, modelLayers)). */
-    std::vector<PlanSegment> segments;
+    /**
+     * Equal layer ranges the stack splits into (must divide
+     * modelLayers). 1 is an unstaged stack: its one range carries no
+     * stage number, and its stage cost equals the totals.
+     */
+    std::size_t stages = 1;
+    /** Whole-phase cost of one stage's layers (all steps). */
+    PhaseMetrics stagePrefill;
+    PhaseMetrics stageDecode;
 
-    /** Collapse the plan into the legacy RunMetrics (exact copy of
-     *  the totals — no arithmetic, hence bit-identical). */
-    RunMetrics fold() const;
+    /** The stages as layer segments, in layer order (a partition of
+     *  [0, modelLayers)), built on demand. */
+    std::vector<PlanSegment> segments() const;
+
+    /** Collapse the plan into the legacy RunMetrics of @p accelerator
+     *  (exact copy of the totals — no arithmetic, hence
+     *  bit-identical). */
+    RunMetrics fold(std::string accelerator) const;
 
     /**
      * Price the contiguous layer range [firstLayer, firstLayer +
-     * layerCount): each overlapped segment contributes its overlap
-     * fraction (uniform per-layer cost within a segment). fatal() if
+     * layerCount): each overlapped stage contributes its overlap
+     * fraction (uniform per-layer cost within a stage). fatal() if
      * the range is empty or escapes [0, modelLayers).
      */
     PlanSegment slice(std::size_t firstLayer,
                       std::size_t layerCount) const;
 
     double totalCycles() const { return prefill.cycles + decode.cycles; }
+
+  private:
+    /** Layers per stage; fatal() unless stages divides modelLayers. */
+    std::size_t stageLayers() const;
 };
 
 /**
- * Wrap an already-composed RunMetrics as a single-segment plan (the
- * whole stack in one uniform segment). Used by models that do not
- * price layers individually (the GPU roofline composes phase rooflines
- * directly); `fold()` returns @p rm bit-for-bit.
+ * An unstaged plan of @p modelLayers layers whose one stage costs the
+ * totals @p prefill and @p decode. Used by every model that prices a
+ * whole stack (composePlan, planFromRun).
+ */
+ExecutionPlan unstagedPlan(double clockGhz, std::size_t processors,
+                           std::size_t modelLayers,
+                           const PhaseMetrics &prefill,
+                           const PhaseMetrics &decode);
+
+/**
+ * Wrap an already-composed RunMetrics as an unstaged plan. Used by
+ * models that do not price layers individually (the GPU roofline
+ * composes phase rooflines directly); `fold(rm.accelerator)` returns
+ * @p rm bit-for-bit.
  */
 ExecutionPlan planFromRun(const RunMetrics &rm, std::size_t modelLayers);
 

@@ -72,8 +72,8 @@ class GpuA100Model
     /**
      * The execution-plan view (execution_plan.hpp). The roofline
      * composes whole phases (it does not price layers individually),
-     * so the plan is one uniform full-stack segment; fold() returns
-     * the run bit-for-bit.
+     * so the plan is unstaged, one uniform stage costing the totals;
+     * fold(name()) returns the run bit-for-bit.
      */
     ExecutionPlan plan(const model::LlmConfig &model,
                        const model::Workload &task,

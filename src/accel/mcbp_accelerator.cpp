@@ -314,7 +314,7 @@ McbpAccelerator::plan(const model::LlmConfig &model,
         return phaseStep(p, model, *stats.weights, *stats.attention);
     };
     return composePlan(
-        name(), model, task, hw_.clockGhz, opts_.processors,
+        model, task, hw_.clockGhz, opts_.processors,
         [&](const PhasePlan &p) -> PhaseMetrics {
             if (memo == nullptr)
                 return finishPhase(step(p), p.steps);
@@ -336,7 +336,7 @@ RunMetrics
 McbpAccelerator::run(const model::LlmConfig &model,
                      const model::Workload &task) const
 {
-    return plan(model, task).fold();
+    return plan(model, task).fold(name());
 }
 
 McbpAccelerator

@@ -60,8 +60,8 @@ class McbpAccelerator
     std::string name() const;
 
     /**
-     * Plan one (model, task) inference: phase totals plus the layer
-     * decomposition (execution_plan.hpp). run() folds this plan. With
+     * Plan one (model, task) inference: phase totals plus the uniform
+     * per-stage cost (execution_plan.hpp). run() folds this plan. With
      * a @p memo the profiles and phases come from it when it holds
      * them (phase_memo.hpp); the plan is bit-identical either way.
      */
@@ -69,7 +69,7 @@ class McbpAccelerator
                        const model::Workload &task,
                        PhaseMemo *memo = nullptr) const;
 
-    /** Simulate one (model, task) inference run (= plan().fold()). */
+    /** Simulate one (model, task) inference run (= plan().fold(name())). */
     RunMetrics run(const model::LlmConfig &model,
                    const model::Workload &task) const;
 

@@ -12,9 +12,6 @@
  */
 #pragma once
 
-#include <string>
-#include <utility>
-
 #include "accel/execution_plan.hpp"
 #include "accel/report.hpp"
 #include "model/llm_config.hpp"
@@ -50,32 +47,22 @@ double kvSweeps(const sim::McbpConfig &hw, const PhasePlan &plan,
 
 /**
  * Compose a full execution plan: simulate prefill, then decode when
- * the task generates tokens, and publish the result as phase totals
- * plus one uniform full-stack layer segment (every analytic model
- * here prices one layer and multiplies, so per-layer cost is uniform
- * and the single segment is exactly decomposable — see
- * ExecutionPlan::slice). @p simulate maps a PhasePlan to PhaseMetrics.
+ * the task generates tokens, and publish the result as an unstaged
+ * plan (every analytic model here prices one layer and multiplies, so
+ * per-layer cost is uniform and the one stage is exactly decomposable
+ * — see ExecutionPlan::slice). @p simulate maps a PhasePlan to
+ * PhaseMetrics.
  */
 template <typename SimulateFn>
 ExecutionPlan
-composePlan(std::string acceleratorName, const model::LlmConfig &model,
-            const model::Workload &task, double clockGhz,
-            std::size_t processors, SimulateFn &&simulate)
+composePlan(const model::LlmConfig &model, const model::Workload &task,
+            double clockGhz, std::size_t processors, SimulateFn &&simulate)
 {
-    ExecutionPlan plan;
-    plan.accelerator = std::move(acceleratorName);
-    plan.clockGhz = clockGhz;
-    plan.processors = processors;
-    plan.modelLayers = model.layers;
-    plan.prefill = simulate(prefillPlan(task));
-    if (task.decodeLen > 0)
-        plan.decode = simulate(decodePlan(task));
-    PlanSegment &seg = plan.segments.emplace_back();
-    seg.firstLayer = 0;
-    seg.layerCount = model.layers;
-    seg.prefill = plan.prefill;
-    seg.decode = plan.decode;
-    return plan;
+    const PhaseMetrics prefill = simulate(prefillPlan(task));
+    const PhaseMetrics decode =
+        task.decodeLen > 0 ? simulate(decodePlan(task)) : PhaseMetrics{};
+    return unstagedPlan(clockGhz, processors, model.layers, prefill,
+                        decode);
 }
 
 

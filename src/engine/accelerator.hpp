@@ -13,12 +13,12 @@
  *
  * The costing contract is two-level (execution_plan.hpp): plan() is
  * the single virtual costing source, returning the phase totals plus
- * the per-layer-segment decomposition; run() is a non-virtual
- * compatibility shim that folds the plan (a verbatim copy of the
+ * the uniform per-stage cost; run() is a non-virtual compatibility
+ * shim that folds the plan under runName() (a verbatim copy of the
  * totals, hence bit-identical to the pre-plan API). Composed
  * topologies build on the decomposition: ClusterAccelerator rescales
  * the plan's phases to tensor-parallel shards, PipelineAccelerator
- * splits its layer segments across pp= stages.
+ * splits the stack into pp= equal stages.
  */
 #pragma once
 
@@ -101,9 +101,9 @@ class Accelerator
 
     /**
      * Plan one (model, task) inference: the single costing source.
-     * Returns the phase totals plus the per-layer-segment cost
-     * decomposition (cycles, energy, traffic, weight-stream vs.
-     * compute split) that composed topologies partition.
+     * Returns the phase totals plus the per-stage cost (cycles,
+     * energy, traffic, weight-stream vs. compute split) that composed
+     * topologies partition.
      *
      * @p memo is a trace costing's phase memo (accel/phase_memo.hpp):
      * wrappers pass it to the chip they plan on, the MCBP chip prices
@@ -116,15 +116,24 @@ class Accelerator
 
     /**
      * Simulate one (model, task) inference run. Compatibility shim:
-     * folds plan() (a verbatim copy of its phase totals), so run()
-     * is bit-identical to the pre-plan API by construction —
-     * external callers migrating to plan() lose nothing.
+     * folds plan() under runName() (a verbatim copy of its phase
+     * totals), so run() is bit-identical to the pre-plan API by
+     * construction — external callers migrating to plan() lose
+     * nothing.
      */
     accel::RunMetrics
     run(const model::LlmConfig &model, const model::Workload &task) const
     {
-        return plan(model, task).fold();
+        return plan(model, task).fold(runName());
     }
+
+    /**
+     * The name run() reports: that of the accelerator whose plan it
+     * folds. name() by default; a wrapper that hands out another
+     * accelerator's plan verbatim (a fleet's replica) reports that
+     * one's, and a forwarding decorator forwards it.
+     */
+    virtual std::string runName() const { return name(); }
 
     /**
      * Append the measured profiles a run(model, task) would demand to

@@ -17,7 +17,7 @@ ClusterAccelerator::ClusterAccelerator(std::unique_ptr<Accelerator> chip,
     fatalIf(opts_.tensorParallel == 0,
             "tensor-parallel degree must be >= 1");
     // Pipeline-over-cluster IS modeled — stage partitioning divides
-    // layer segments, not finished runs — but only in that order:
+    // the layer stack, not finished runs — but only in that order:
     // build PipelineAccelerator(Cluster), never Cluster(Pipeline),
     // whose hop floors a 1/N rescale would corrupt.
     fatalIf(dynamic_cast<const PipelineAccelerator *>(chip_.get()) !=
@@ -88,9 +88,8 @@ ClusterAccelerator::configSummary() const
  * all-reduces per layer per step on the critical path and per chip in
  * energy.
  *
- * @param layerSpan decoder layers the sharded span covers (the whole
- *        stack for phase totals, a segment's count for plan segments)
- *        — each layer pays its own two all-reduces.
+ * @param layerSpan decoder layers the sharded phase covers — each
+ *        layer pays its own two all-reduces.
  * @param phaseTokens tokens whose activations one all-reduce carries
  *        (prompt x batch for prefill, batch for one decode step),
  *        already divided by the wrapped gang's data-parallel share.
@@ -185,33 +184,25 @@ ClusterAccelerator::plan(const model::LlmConfig &model,
             "cluster chip planned at a clock other than the one its "
             "capabilities advertise");
 
+    // The base chip plans a whole stack (a cluster never wraps a
+    // pipeline), so its one stage costs its totals and shards to the
+    // same phases: each phase is sharded once and is both.
+    fatalIf(out.stages != 1, "a cluster can only shard an unstaged plan");
+
     const double gang = static_cast<double>(out.processors);
     const double hidden = static_cast<double>(model.hidden);
+    const double layers = static_cast<double>(model.layers);
     const double prefill_tokens =
         static_cast<double>(task.promptLen * task.batch);
     const double decode_tokens = static_cast<double>(task.batch);
     const double steps = static_cast<double>(task.decodeLen);
 
-    out.accelerator = name_;
     out.processors *= totalDegree_;
-    out.prefill = shardPhase(out.prefill, hidden,
-                             static_cast<double>(model.layers),
-                             prefill_tokens, 1.0, gang);
+    out.prefill = out.stagePrefill = shardPhase(
+        out.prefill, hidden, layers, prefill_tokens, 1.0, gang);
     if (task.decodeLen > 0)
-        out.decode = shardPhase(out.decode, hidden,
-                                static_cast<double>(model.layers),
-                                decode_tokens, steps, gang);
-    // Shard each layer segment the same way, each span paying the
-    // collectives of its own layers; a single full-stack segment
-    // shards to exactly the totals above.
-    for (accel::PlanSegment &seg : out.segments) {
-        const double span = static_cast<double>(seg.layerCount);
-        seg.prefill = shardPhase(seg.prefill, hidden, span,
-                                 prefill_tokens, 1.0, gang);
-        if (task.decodeLen > 0)
-            seg.decode = shardPhase(seg.decode, hidden, span,
-                                    decode_tokens, steps, gang);
-    }
+        out.decode = out.stageDecode = shardPhase(
+            out.decode, hidden, layers, decode_tokens, steps, gang);
     return out;
 }
 

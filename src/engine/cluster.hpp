@@ -18,10 +18,11 @@
  * tp=1 is the identity: plan() returns the wrapped chip's plan
  * verbatim (and run() its fold), so a tp=1 cluster is bit-identical
  * to the bare adapter (tests/test_cluster.cpp asserts this down to
- * the serving report). Sharding rescales the plan's phase totals AND
- * each layer segment, so a sharded plan still slices exactly — which
- * is how a PipelineAccelerator wraps a cluster (pp= over tp=); the
- * reverse nesting is rejected in the constructor.
+ * the serving report). The chip's plan is unstaged — its one stage
+ * costs its totals — so sharding each phase once shards both, and the
+ * sharded plan still slices exactly, which is how a
+ * PipelineAccelerator wraps a cluster (pp= over tp=); the reverse
+ * nesting is rejected in the constructor.
  *
  * Clusters NEST: wrapping a cluster in a cluster builds a hierarchical
  * tensor group (registry: tp= inner tier, tp2= outer tier), priced by
@@ -70,10 +71,10 @@ class ClusterAccelerator : public Accelerator
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     /**
-     * Shard the chip's plan: phase totals and every layer segment are
-     * rescaled to the per-chip tensor-parallel share, each span
-     * charged the all-reduces of its own layers. tp=1 returns the
-     * chip's plan verbatim (bit-identical).
+     * Shard the chip's plan: each phase is rescaled once to the
+     * per-chip tensor-parallel share and charged the all-reduces of
+     * every layer, and the plan's one stage takes the sharded phases.
+     * tp=1 returns the chip's plan verbatim (bit-identical).
      */
     accel::ExecutionPlan plan(const model::LlmConfig &model,
                               const model::Workload &task,

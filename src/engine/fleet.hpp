@@ -101,6 +101,8 @@ class FleetAccelerator : public Accelerator
                      FleetOptions opts);
 
     std::string name() const override { return name_; }
+    /** A run is the replica's run, and named after it. */
+    std::string runName() const override { return replica_->runName(); }
     Capabilities capabilities() const override;
     std::string configSummary() const override;
     /** A request runs on exactly one replica, so the fleet's plan for

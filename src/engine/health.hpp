@@ -5,7 +5,7 @@
  * When a chip inside a tp=/pp= group fails, the surviving fleet is
  * the same design with the failed axis halved: a tp=4 all-reduce
  * group loses a shard pair and re-forms as tp=2, a pp=4 pipeline
- * re-partitions its layer segments over 2 stages. degradedSpec()
+ * re-partitions its layers over 2 stages. degradedSpec()
  * performs that rewrite on the registry's spec grammar
  * (`name[:key=value,...]`, registry.hpp) so the degraded accelerator
  * is built through the exact same Registry::make() path — and priced

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hpp"
 
@@ -22,42 +21,41 @@ struct PrefillTimes
 };
 
 /**
- * Per-micro-batch stage times: a stage's divisible work (compute +
- * its boundary send serialization) splits across the mb micro-batches,
- * but its fixed collective floor does not — mb smaller all-reduces
- * still pay mb hop floors. The phase wall clock is the fill traversal
- * plus (mb-1) repeats of the bottleneck.
+ * Per-micro-batch stage times of @p stages equal stages, each costing
+ * @p stage: a stage's divisible work (compute + its boundary send
+ * serialization) splits across the mb micro-batches, but its fixed
+ * collective floor does not — mb smaller all-reduces still pay mb hop
+ * floors. The last stage sends nothing, so its time differs from the
+ * others'. The phase wall clock is the fill traversal plus (mb-1)
+ * repeats of the bottleneck.
  */
 PrefillTimes
-prefillStageTimes(const std::vector<accel::PlanSegment> &stages,
+prefillStageTimes(const accel::PhaseMetrics &stage, std::size_t stages,
                   const sim::InterconnectCost &send, double microBatches)
 {
     PrefillTimes out;
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-        const accel::PhaseMetrics &p = stages[s].prefill;
-        const double bw =
-            (s + 1 < stages.size()) ? send.bandwidthCycles : 0.0;
+    for (std::size_t s = 0; s < stages; ++s) {
+        const double bw = (s + 1 < stages) ? send.bandwidthCycles : 0.0;
         const double divisible =
-            std::max(0.0, p.cycles - p.fixedStepCycles) + bw;
-        const double t = divisible / microBatches + p.fixedStepCycles;
+            std::max(0.0, stage.cycles - stage.fixedStepCycles) + bw;
+        const double t = divisible / microBatches + stage.fixedStepCycles;
         out.sumT += t;
         out.maxT = std::max(out.maxT, t);
     }
-    out.hopFill =
-        (static_cast<double>(stages.size()) - 1.0) * send.latencyCycles;
+    out.hopFill = (static_cast<double>(stages) - 1.0) * send.latencyCycles;
     return out;
 }
 
 /**
- * Everything plan() and prefillTiming() share: the per-stage slices
- * of the wrapped plan, the whole-phase boundary send, the stage
- * times, and the prefill wall clock — one composition, so the
- * archived bubble fraction can never diverge from the cycles the
- * plan actually prices.
+ * Everything plan() and prefillTiming() share: the cost of one
+ * stage's layers sliced from the wrapped plan, the whole-phase
+ * boundary send, the stage times, and the prefill wall clock — one
+ * composition, so the archived bubble fraction can never diverge
+ * from the cycles the plan actually prices.
  */
 struct PipelineComposition
 {
-    std::vector<accel::PlanSegment> stages;
+    accel::PlanSegment stage; ///< One stage's layers (all cost alike).
     sim::InterconnectCost prefillSend; ///< Whole-phase boundary send.
     PrefillTimes times;
     double prefillCycles = 0.0; ///< The phase's wall clock.
@@ -74,19 +72,14 @@ composeStages(const accel::ExecutionPlan &inner,
               model.name + "'s " + std::to_string(model.layers) +
               " decoder layers (even stages keep the per-stage KV "
               "shards symmetric)");
-    const std::size_t per_stage = model.layers / pp;
     const double mb = static_cast<double>(opts.microBatches);
 
     PipelineComposition out;
-    // Stage s owns layers [s*L/pp, (s+1)*L/pp): price each range by
-    // slicing the wrapped plan — dividing layer segments, not
-    // rescaling a finished run.
-    out.stages.reserve(pp);
-    for (std::size_t s = 0; s < pp; ++s) {
-        accel::PlanSegment &seg = out.stages.emplace_back(
-            inner.slice(s * per_stage, per_stage));
-        seg.stage = s;
-    }
+    // Stage s owns layers [s*L/pp, (s+1)*L/pp): slicing the wrapped
+    // plan prices such a range — dividing the stack, not rescaling a
+    // finished run. The wrapped plan is uniform per layer, so every
+    // stage's slice is the first one's.
+    out.stage = inner.slice(0, model.layers / pp);
 
     // One boundary transfer carries the layer's activations for the
     // whole (prompt x batch) token set, split across the micro-batches
@@ -99,7 +92,8 @@ composeStages(const accel::ExecutionPlan &inner,
         opts.interconnect.bytesPerActivation /
         static_cast<double>(inner.processors);
     out.prefillSend = fabric.send(pf_bytes);
-    out.times = prefillStageTimes(out.stages, out.prefillSend, mb);
+    out.times =
+        prefillStageTimes(out.stage.prefill, pp, out.prefillSend, mb);
     out.prefillCycles = out.times.sumT + (mb - 1.0) * out.times.maxT +
                         out.times.hopFill;
     return out;
@@ -180,8 +174,9 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
     const double hidden = static_cast<double>(model.hidden);
     const sim::Interconnect fabric(opts_.interconnect, out.clockGhz);
 
-    PipelineComposition comp = composeStages(out, model, task, opts_);
-    const std::vector<accel::PlanSegment> &stages = comp.stages;
+    const PipelineComposition comp =
+        composeStages(out, model, task, opts_);
+    const accel::PlanSegment &stage = comp.stage;
     const sim::InterconnectCost &pf_send = comp.prefillSend;
     const PrefillTimes &times = comp.times;
     const double total_pf = comp.prefillCycles;
@@ -191,14 +186,11 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
     accel::PhaseMetrics pf = accel::scalePhase(inp, 1.0 / n);
     pf.cycles = total_pf;
     // Per-stage weight residents load concurrently; the steady-state
-    // stream/work view is the slowest stage's.
-    double pf_ws = 0.0, pf_lw = 0.0;
-    for (const accel::PlanSegment &s : stages) {
-        pf_ws = std::max(pf_ws, s.prefill.weightStreamCycles);
-        pf_lw = std::max(pf_lw, s.prefill.linearWorkCycles);
-    }
-    pf.weightStreamCycles = pf_ws;
-    pf.linearWorkCycles = pf_lw;
+    // stream/work view is the slowest stage's, and all stages cost
+    // alike.
+    pf.weightStreamCycles =
+        std::max(0.0, stage.prefill.weightStreamCycles);
+    pf.linearWorkCycles = std::max(0.0, stage.prefill.linearWorkCycles);
     // Batch-invariant floor: the wrapped collectives' hop floors plus
     // the boundary fill hops; contained in cycles.
     pf.fixedStepCycles = inp.fixedStepCycles + times.hopFill;
@@ -232,9 +224,9 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
         const double rest = std::max(
             0.0, ind.cycles - linear_seg - ind.fixedStepCycles);
 
-        double dc_ws = 0.0; // slowest stage's own-layer weight stream.
-        for (const accel::PlanSegment &s : stages)
-            dc_ws = std::max(dc_ws, s.decode.weightStreamCycles);
+        // The slowest stage's own-layer weight stream.
+        const double dc_ws =
+            std::max(0.0, stage.decode.weightStreamCycles);
         const double send_bw =
             (n - 1.0) * dc_send.bandwidthCycles * steps;
         const double dc_lw = ind.linearWorkCycles + send_bw;
@@ -264,12 +256,13 @@ PipelineAccelerator::plan(const model::LlmConfig &model,
     }
 
     out.prefill = pf;
-    out.accelerator = name_;
     out.processors *= pp;
-    // Segments: the per-stage layer costs (pure slices). The pipeline
+    // Stages: the per-stage layer cost (a pure slice). The pipeline
     // overheads — bubbles and boundary transfers — live in the totals
     // only; no single layer range owns them.
-    out.segments = std::move(comp.stages);
+    out.stages = pp;
+    out.stagePrefill = stage.prefill;
+    out.stageDecode = stage.decode;
     return out;
 }
 

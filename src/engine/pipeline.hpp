@@ -8,20 +8,24 @@
  * with `tp=` in one spec — and treats the wrapped hardware as ONE
  * stage's worth of chips, replicated pp times. Unlike the cluster's
  * 1/N rescale of a finished phase, the pipeline divides the *plan*:
- * stage s owns a contiguous layer range priced exactly by
- * ExecutionPlan::slice() (pp must divide the layer count, which also
- * keeps the per-stage KV shards symmetric).
+ * stage s owns the contiguous layer range [s*L/pp, (s+1)*L/pp) (pp
+ * must divide the layer count, which also keeps the per-stage KV
+ * shards symmetric). The wrapped plan is uniform per layer, so every
+ * stage costs the same: one ExecutionPlan::slice() per phase prices
+ * them all, and the plan it returns holds pp equal stages.
  *
  * Timing model:
  *  - Prefill is micro-batched (`mb=` knob): the batch flows through
  *    the stages in mb equal micro-batches, so the phase costs the
  *    fill traversal (every stage once) plus (mb-1) repeats of the
  *    bottleneck stage — T = sum_s t_s + (mb-1) max_s t_s — plus the
- *    (pp-1)-hop fill latency. Per-micro-batch stage time divides the
- *    stage's divisible work by mb but NOT its fixed collective floor
- *    (smaller all-reduces do not shrink hop latency), so micro-
- *    batching has honestly diminishing returns; the fill/drain bubble
- *    fraction (prefillTiming) shrinks monotonically in mb.
+ *    (pp-1)-hop fill latency. The stages cost alike, but the last
+ *    sends no boundary activations, so t_s is summed stage by stage.
+ *    Per-micro-batch stage time divides the stage's divisible work by
+ *    mb but NOT its fixed collective floor (smaller all-reduces do not
+ *    shrink hop latency), so micro-batching has honestly diminishing
+ *    returns; the fill/drain bubble fraction (prefillTiming) shrinks
+ *    monotonically in mb.
  *  - Decode is token-serial for one request (token t+1 needs t), so
  *    a decode step traverses all stages: the per-request linear work
  *    does not shrink. What the pipeline DOES buy decode is the weight

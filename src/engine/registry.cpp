@@ -416,7 +416,7 @@ Registry::make(const std::string &spec) const
     // tiers M such groups over the boundary fabric (hierarchical
     // collectives — a nested cluster), `pp=N` splits the layers across
     // N stages behind a PipelineAccelerator over the cluster(s) (stage
-    // partitioning divides layer segments, so the three compose),
+    // partitioning divides the layer stack, so the three compose),
     // `mb=` micro-batches the pipeline's prefill, `dp=N` replicates
     // the whole group N ways behind a FleetAccelerator with `route=`
     // replica selection, and the link knobs refine the two fabric

@@ -355,6 +355,9 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
                 PricedShape &shape = table->shapes[s];
                 shape.config = pairs[key.pair].config;
                 shape.task = pairs[key.pair].task;
+                // Costing reads only the totals, so the run is folded
+                // unnamed: a composed name would be a string copy per
+                // shape.
                 const accel::RunMetrics rm =
                     accels_[kHealthy]
                         ->plan(*shape.config,
@@ -362,7 +365,7 @@ ServingSimulator::priceShapes(const std::vector<model::Request> &trace,
                                                     key.promptLen,
                                                     key.decodeLen),
                                &memo)
-                        .fold();
+                        .fold(std::string());
                 shape.seconds = rm.seconds();
                 shape.joules = rm.joules();
                 shape.clockGhz = rm.clockGhz;

@@ -25,6 +25,7 @@ class CountingAccelerator : public Accelerator
     }
 
     std::string name() const override { return inner_->name(); }
+    std::string runName() const override { return inner_->runName(); }
     Capabilities capabilities() const override
     {
         return inner_->capabilities();

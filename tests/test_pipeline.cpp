@@ -14,11 +14,15 @@
  *  - the paged KV budget is respected on a pipelined fleet, with the
  *    per-stage pool advertised through kvShards;
  *  - RunMetrics::processors accounting semantics are pinned;
- *  - the registry reports ALL unknown keys of a spec in one message.
+ *  - the registry reports ALL unknown keys of a spec in one message;
+ *  - composed plans (totals, segments, slices, labels) keep golden
+ *    bits on bare, tp=, nested tp=, pp= and pp= x tp= specs.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,7 +75,7 @@ TEST(ExecutionPlan, RunFoldsPlanBitForBitOnEveryAdapterFamily)
     for (const char *spec : {"mcbp", "spatten", "a100"}) {
         auto accel = registry.make(spec);
         const accel::ExecutionPlan plan = accel->plan(llama7b(), task);
-        const accel::RunMetrics folded = plan.fold();
+        const accel::RunMetrics folded = plan.fold(accel->runName());
         const accel::RunMetrics run = accel->run(llama7b(), task);
         EXPECT_EQ(run.accelerator, folded.accelerator) << spec;
         EXPECT_EQ(run.clockGhz, folded.clockGhz) << spec;
@@ -107,13 +111,13 @@ TEST(ExecutionPlan, NamesAndLabelsArePinned)
 
     const accel::ExecutionPlan flat =
         registry.make("mcbp")->plan(llama7b(), task);
-    EXPECT_EQ(flat.segments.front().label(), "layers[0,32)");
+    EXPECT_EQ(flat.segments().front().label(), "layers[0,32)");
     EXPECT_EQ(flat.slice(8, 8).label(), "layers[8,16)");
 
     const accel::ExecutionPlan staged =
         registry.make("mcbp:pp=4")->plan(llama7b(), task);
     std::vector<std::string> labels;
-    for (const accel::PlanSegment &seg : staged.segments)
+    for (const accel::PlanSegment &seg : staged.segments())
         labels.push_back(seg.label());
     EXPECT_EQ(labels,
               (std::vector<std::string>{
@@ -128,12 +132,12 @@ TEST(ExecutionPlan, SegmentsPartitionTheStackAndSliceExactly)
     for (const char *spec : {"mcbp", "sofa", "a100", "mcbp:tp=2"}) {
         auto accel = registry.make(spec);
         const accel::ExecutionPlan plan = accel->plan(llama7b(), task);
-        ASSERT_FALSE(plan.segments.empty()) << spec;
+        ASSERT_FALSE(plan.segments().empty()) << spec;
         EXPECT_EQ(plan.modelLayers, llama7b().layers);
 
         // Segments tile [0, layers) contiguously.
         std::size_t next = 0;
-        for (const accel::PlanSegment &seg : plan.segments) {
+        for (const accel::PlanSegment &seg : plan.segments()) {
             EXPECT_EQ(seg.firstLayer, next) << spec;
             EXPECT_GT(seg.layerCount, 0u) << spec;
             next += seg.layerCount;
@@ -171,6 +175,109 @@ TEST(ExecutionPlan, SegmentsPartitionTheStackAndSliceExactly)
         EXPECT_THROW((void)plan.slice(0, 0), std::runtime_error);
         EXPECT_THROW((void)plan.slice(0, plan.modelLayers + 1),
                      std::runtime_error);
+    }
+}
+
+/** FNV-1a over 64-bit words, doubles by their bits. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+    void add(const std::string &s)
+    {
+        add(std::uint64_t{s.size()});
+        for (const char c : s)
+            add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+    void add(const accel::PhaseMetrics &p)
+    {
+        for (const double v :
+             {p.cycles, p.denseMacs, p.executedAdds, p.gemmCycles,
+              p.weightLoadCycles, p.kvLoadCycles, p.otherCycles,
+              p.weightStreamCycles, p.linearWorkCycles, p.fixedStepCycles,
+              p.traffic.weightBytes, p.traffic.kvBytes,
+              p.traffic.predictionBytes, p.traffic.actBytes,
+              p.energy.computePj, p.energy.bitReorderPj, p.energy.camPj,
+              p.energy.codecPj, p.energy.bgppPj, p.energy.sramPj,
+              p.energy.dramPj, p.energy.sfuPj, p.energy.interconnectPj})
+            add(v);
+        add(std::uint64_t{p.memorySerialized});
+    }
+    void add(const accel::PlanSegment &s)
+    {
+        add(std::uint64_t{s.firstLayer});
+        add(std::uint64_t{s.layerCount});
+        add(std::uint64_t{s.stage.has_value()});
+        add(std::uint64_t{s.stage.value_or(0)});
+        add(s.prefill);
+        add(s.decode);
+        add(s.label());
+    }
+};
+
+TEST(ExecutionPlan, ComposedPlanBitsMatchGoldens)
+{
+    // Every bit a composed plan exposes: the totals, each segment, the
+    // quarter and half slices, a slice straddling the stage boundaries
+    // and the whole stack, with every label. Bucket-edge prompts with
+    // decode lengths 0, 1 and 300 on Llama7B (32 layers, 32 heads).
+    const struct
+    {
+        const char *spec;
+        std::uint64_t hash;
+    } goldens[] = {
+        {"mcbp", 0xce5ab0e0332102e3ull},
+        {"mcbp:tp=2", 0xbe12f3dd8e004f9full},
+        {"mcbp:tp=2,tp2=2", 0x08385996bfdac413ull},
+        {"mcbp:pp=2", 0x1c3d52b9eb3d7485ull},
+        {"mcbp:pp=4,mb=4", 0xd867511f41b4dcecull},
+        {"mcbp:pp=2,tp=2", 0xa4fa2babc5ea5adcull},
+        {"a100:pp=2", 0xa53175f076a8a2c2ull},
+        {"a100:tp=8", 0xa5f44d539344818eull},
+        {"spatten:pp=2,tp=2", 0x2c98f416a6259367ull},
+    };
+    const Registry registry;
+    const model::Workload &dolly = model::findTask("Dolly");
+    for (const auto &g : goldens) {
+        const auto accel = registry.make(g.spec);
+        Fnv h;
+        for (const std::size_t prompt : {63, 64, 65, 2047, 2048, 2049})
+            for (const std::size_t decode : {0, 1, 300}) {
+                model::Workload task = dolly;
+                task.promptLen = prompt;
+                task.decodeLen = decode;
+                const accel::ExecutionPlan plan =
+                    accel->plan(llama7b(), task);
+                h.add(plan.clockGhz);
+                h.add(std::uint64_t{plan.processors});
+                h.add(std::uint64_t{plan.modelLayers});
+                h.add(plan.prefill);
+                h.add(plan.decode);
+                const std::vector<accel::PlanSegment> segments =
+                    plan.segments();
+                h.add(std::uint64_t{segments.size()});
+                for (const accel::PlanSegment &seg : segments)
+                    h.add(seg);
+                const std::size_t layers = plan.modelLayers;
+                const std::size_t quarter = layers / 4;
+                const std::size_t half = layers / 2;
+                for (std::size_t q = 0; q < 4; ++q)
+                    h.add(plan.slice(q * quarter, quarter));
+                for (std::size_t q = 0; q < 2; ++q)
+                    h.add(plan.slice(q * half, half));
+                h.add(plan.slice(quarter - 1, half + 2));
+                h.add(plan.slice(0, layers));
+            }
+        EXPECT_EQ(h.h, g.hash)
+            << g.spec << ": 0x" << std::hex << h.h << "ull";
     }
 }
 

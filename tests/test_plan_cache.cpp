@@ -491,6 +491,7 @@ class PlanRecorder : public engine::Accelerator
     }
 
     std::string name() const override { return inner_.name(); }
+    std::string runName() const override { return inner_.runName(); }
     engine::Capabilities capabilities() const override
     {
         return inner_.capabilities();
@@ -506,7 +507,7 @@ class PlanRecorder : public engine::Accelerator
         ExecutionPlan p =
             inner_.plan(model, task, forwardMemo_ ? memo : nullptr);
         const MutexLock lock(mutex_);
-        priced_.push_back({&model, task, p.fold()});
+        priced_.push_back({&model, task, p.fold(runName())});
         return p;
     }
     void
@@ -578,7 +579,8 @@ TEST(PhaseMemo, MemoizedCostingMatchesPerShapeRunBitForBit)
          {std::string("mcbp"), std::string("mcbp:tp=2"),
           std::string("mcbp:pp=2"), std::string(kFleet),
           engine::degradedSpec(kFleet), std::string("spatten"),
-          std::string("a100")}) {
+          std::string("a100"), std::string("a100:pp=2"),
+          std::string("spatten:pp=2,tp=2")}) {
         SCOPED_TRACE(spec);
         const std::unique_ptr<engine::Accelerator> accel =
             registry.make(spec);
@@ -647,7 +649,7 @@ TEST(PhaseMemo, HitsInAnyOrderMatchRun)
             for (const model::Request &r : reqs) {
                 const model::LlmConfig &m = model::findModel(r.model);
                 const model::Workload w = r.workload();
-                expectRunBits(accel->plan(m, w, &memo).fold(),
+                expectRunBits(accel->plan(m, w, &memo).fold(accel->runName()),
                               accel->run(m, w),
                               std::string(spec) + " " + r.model + " " +
                                   std::to_string(r.promptLen) + "+" +
